@@ -17,6 +17,27 @@
 // redundant handshakes are elided dynamically (and, for code compiled
 // through the included IR pass, statically).
 //
+// # Wait conditions
+//
+// Client.SeparateWhen evaluates its guard with the handlers reserved.
+// When the guard is false the client logs a wait marker in place of
+// END on every session of the block and parks. A handler treats the
+// marker as the end of the block (a failed guard changed nothing, so it
+// wakes nobody) and files the client in a list only it touches; every
+// ordinary END on that handler — the only point its state can have
+// changed — then reserves the filed clients again, in filing order, by
+// enqueueing their private queues into the queue-of-queues itself. The
+// client's next event is a sync it logged before parking: it wakes with
+// the block reserved and synced, re-evaluates the guard locally, and
+// runs the body or logs the marker again, without touching a lock or a
+// channel in between. A block over several handlers is filed on each
+// and a generation counter lets exactly one of them re-reserve the
+// whole set atomically, under the same per-handler spinlocks, taken in
+// id order, as a client's own multi-reservation. Without the
+// queue-of-queues (Config.QoQ false) a handler cannot reserve on a
+// client's behalf, because the client must hold the handler locks: the
+// END only unparks the client, which locks and reserves afresh.
+//
 // # Execution modes
 //
 // Config.Workers selects how handlers execute. With Workers == 0 (the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"scoopqs/internal/future"
@@ -12,12 +11,13 @@ import (
 
 // Client is a thread-of-control's context for entering separate blocks.
 // It caches private queues per handler (the paper's "cache of queues")
-// and holds the wait-condition channel used by SeparateWhen. A Client
-// is not safe for concurrent use: create one per goroutine.
+// and holds the wait record SeparateWhen parks on. A Client is not safe
+// for concurrent use: create one per goroutine.
 type Client struct {
-	rt     *Runtime
-	cache  map[*Handler]*Session
-	waitCh chan struct{}
+	rt      *Runtime
+	cache   map[*Handler]*Session
+	wait    waitRec
+	scratch []*Handler // reserveMany's sorted handler set, dead on return
 
 	// hosted is non-nil when this client's code runs on executor
 	// workers (a handler's AsClient in pooled mode). Blocking
@@ -96,41 +96,29 @@ func (c *Client) session(h *Handler) *Session {
 		q.SetNotify(func() { h.wakeFrom(c.curWorker()) })
 	}
 	s := &Session{
-		h:         h,
-		owner:     c,
-		q:         q,
-		parker:    sched.NewParker(),
-		ownerWait: c.waitCh,
-		inUse:     true,
+		h:      h,
+		owner:  c,
+		q:      q,
+		parker: sched.NewParker(),
+		wait:   &c.wait,
+		inUse:  true,
 	}
 	c.cache[h] = s
 	c.rt.stats.sessionsNew.Add(1)
 	return s
 }
 
-// reserve1 registers the client's private queue with the handler (the
-// separate rule). In QoQ mode this is a non-blocking enqueue into the
-// queue-of-queues; in lock-based mode the client first takes the
+// tryReserve1 registers the client's private queue with the handler
+// (the separate rule). In QoQ mode this is a non-blocking enqueue into
+// the queue-of-queues; in lock-based mode the client first takes the
 // handler's lock and holds it until the block ends (Fig. 2 semantics:
-// other clients wait until the current one is finished).
-func (c *Client) reserve1(h *Handler) *Session {
-	s, err := c.tryReserve1(h)
-	if err != nil {
-		// Surface a clear error instead of the raw queue panic
-		// ("Enqueue on closed MPSC") this used to produce.
-		panic(err)
-	}
-	return s
-}
-
-// tryReserve1 is reserve1 with an error instead of a panic when the
-// runtime is shutting down.
+// other clients wait until it is finished). Fails with ErrShutdown.
 func (c *Client) tryReserve1(h *Handler) (*Session, error) {
 	if !c.rt.cfg.QoQ {
 		c.lockHandler(h)
 	}
 	s := c.session(h)
-	if !c.enqueueSession(h, s) {
+	if !h.enqueue(s, c.curWorker()) {
 		if !c.rt.cfg.QoQ {
 			h.resMu.Unlock()
 		}
@@ -141,22 +129,6 @@ func (c *Client) tryReserve1(h *Handler) (*Session, error) {
 	}
 	c.rt.stats.reservations.Add(1)
 	return s, nil
-}
-
-// enqueueSession registers s with h's queue-of-queues and wakes h. In
-// pooled mode the enqueue is quiet and the wake carries the producer's
-// worker context, so a handler reserving another handler schedules it
-// on its own worker's deque; dedicated mode keeps the queue's built-in
-// parker wakeup. Reports false when the runtime is shutting down.
-func (c *Client) enqueueSession(h *Handler, s *Session) bool {
-	if c.rt.exec == nil {
-		return h.qoq.TryEnqueue(s)
-	}
-	if !h.qoq.TryEnqueueNoNotify(s) {
-		return false
-	}
-	h.wakeFrom(c.curWorker())
-	return true
 }
 
 // lockHandler takes the lock-based-mode handler lock, telling the
@@ -224,74 +196,48 @@ func (c *Client) TryReserve(h *Handler) (*Session, func(), error) {
 // blocks in QoQ mode. If body panics the block is still terminated
 // correctly before the panic propagates.
 func (c *Client) Separate(h *Handler, body func(*Session)) {
-	s := c.reserve1(h)
+	s, err := c.tryReserve1(h)
+	if err != nil {
+		panic(err)
+	}
 	defer c.release1(s)
 	body(s)
 }
 
-// reserveMany atomically reserves all handlers (deduplicated), in a
-// canonical order. QoQ mode: take every handler's reservation spinlock
-// in id order, enqueue all private queues, release the spinlocks
-// (§3.3). Lock-based mode: acquire the handler locks in id order and
-// hold them for the whole block.
+// reserveMany atomically reserves all handlers (deduplicated), in id
+// order: QoQ mode enqueues all private queues as one group (§3.3);
+// lock-based mode first takes the handler locks, held for the whole
+// block. Reserving a handler twice in one block is an error in SCOOP;
+// duplicates fold into one reservation.
 func (c *Client) reserveMany(hs []*Handler) []*Session {
-	sorted := make([]*Handler, 0, len(hs))
-	sorted = append(sorted, hs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].id < sorted[j].id })
-	// Deduplicate: reserving a handler twice in one block is an error
-	// in SCOOP; we fold duplicates into one reservation.
-	uniq := sorted[:0]
-	for _, h := range sorted {
-		if len(uniq) == 0 || uniq[len(uniq)-1] != h {
-			uniq = append(uniq, h)
+	// Insertion sort into the client's scratch: sets have one or two
+	// members. sessions outlives the call and a nested block on this
+	// client must not clobber it, so it alone is allocated.
+	uniq := c.scratch[:0]
+	for _, h := range hs {
+		i := len(uniq)
+		for i > 0 && uniq[i-1].id > h.id {
+			i--
 		}
+		if i > 0 && uniq[i-1] == h {
+			continue
+		}
+		uniq = append(uniq, nil)
+		copy(uniq[i+1:], uniq[i:])
+		uniq[i] = h
 	}
-
-	if c.rt.cfg.QoQ {
-		for _, h := range uniq {
-			h.resSpin.Lock()
-		}
-		sessions := make([]*Session, len(uniq))
-		down := false
-		for i, h := range uniq {
-			sessions[i] = c.session(h)
-			if !c.enqueueSession(h, sessions[i]) {
-				down = true
-				break
-			}
-		}
-		for i := len(uniq) - 1; i >= 0; i-- {
-			uniq[i].resSpin.Unlock()
-		}
-		if down {
-			// Release the spinlocks before surfacing the error so
-			// other (equally doomed) reservers panic instead of
-			// spinning forever.
-			panic(ErrShutdown)
-		}
-		c.rt.stats.multiResGroups.Add(1)
-		return sessions
-	}
-
-	for _, h := range uniq {
-		c.lockHandler(h)
-	}
+	c.scratch = uniq
 	sessions := make([]*Session, len(uniq))
-	down := false
 	for i, h := range uniq {
+		if !c.rt.cfg.QoQ {
+			c.lockHandler(h)
+		}
 		sessions[i] = c.session(h)
-		if !c.enqueueSession(h, sessions[i]) {
-			down = true
-			break
-		}
 	}
-	if down {
-		for i := len(uniq) - 1; i >= 0; i-- {
-			uniq[i].resMu.Unlock()
-		}
+	if !c.rt.enqueueGroup(sessions, c.curWorker()) {
+		c.unlockMany(sessions)
 		panic(ErrShutdown)
 	}
-	c.rt.stats.multiResGroups.Add(1)
 	return sessions
 }
 
@@ -299,6 +245,11 @@ func (c *Client) releaseMany(sessions []*Session) {
 	for _, s := range sessions {
 		s.end()
 	}
+	c.unlockMany(sessions)
+}
+
+// unlockMany gives up the handler locks of a lock-based-mode block.
+func (c *Client) unlockMany(sessions []*Session) {
 	if !c.rt.cfg.QoQ {
 		for i := len(sessions) - 1; i >= 0; i-- {
 			sessions[i].h.resMu.Unlock()
@@ -318,41 +269,62 @@ func (c *Client) SeparateMany(hs []*Handler, body func([]*Session)) {
 }
 
 // SeparateWhen runs body within a multi-handler separate block once
-// guard holds. The guard is evaluated with the handlers reserved; if it
-// returns false the reservation is abandoned and retried after some
-// other client's block on one of the handlers completes (SCOOP wait
-// conditions). guard must be side-effect-free on the handlers' state.
+// guard holds (SCOOP wait conditions). The guard is evaluated with the
+// handlers reserved; if it returns false the block is given up and
+// reserved again after some other client's block on one of the handlers
+// completes. guard must be side-effect-free on the handlers' state.
 func (c *Client) SeparateWhen(hs []*Handler, guard func([]*Session) bool, body func([]*Session)) {
-	for {
-		sessions := c.reserveMany(hs)
-		if guard(sessions) {
-			defer c.releaseMany(sessions)
-			body(sessions)
-			return
-		}
+	sessions := c.reserveMany(hs)
+	// One release for guard, wake-up and body: a panicking guard (say on
+	// a poisoned session) must end the block too, or the handlers wedge.
+	defer func() { c.releaseMany(sessions) }()
+	for !guard(sessions) {
 		c.rt.stats.guardRetries.Add(1)
-		// Register interest in state changes before releasing so a
-		// block completing between release and wait is not missed.
-		for _, s := range sessions {
-			s.h.addWaiter(c.waitCh)
+		c.waitForChange(sessions)
+		if !c.rt.cfg.QoQ {
+			// The wait gave the handler locks up. Nothing is held while
+			// re-reserving, which may panic (Shutdown).
+			sessions = nil
+			sessions = c.reserveMany(hs)
 		}
-		hid := sessions[0].h.id
-		c.releaseMany(sessions)
-		var t0 int64
-		if obs.Enabled() {
-			t0 = obs.Now()
-		}
-		c.blockBegin()
-		<-c.waitCh
-		c.blockEnd()
-		if t0 != 0 {
-			d := obs.Now() - t0
-			guardWaitHist.Observe(d)
-			obs.Emit(obs.KindGuardWait, uint64(hid), d)
-		}
-		for _, s := range sessions {
-			s.h.removeWaiter(c.waitCh)
-		}
+	}
+	body(sessions)
+}
+
+// waitForChange gives up a block whose guard failed and parks the client
+// until the state the guard read may have changed: every session gets
+// the callWait marker in place of END, and the handlers fire the wait
+// record at their next ordinary END (fireWaiters). Under QoQ the client
+// wakes on the sync pre-logged behind the first marker, with the block
+// reserved again, no lock or channel touched; otherwise unreserved.
+func (c *Client) waitForChange(sessions []*Session) {
+	qoq, first := c.rt.cfg.QoQ, sessions[0]
+	c.wait.sessions = sessions
+	gen := c.wait.gen.Add(1) // odd: armed
+	for _, s := range sessions {
+		s.endWaiting(gen, qoq)
+	}
+	c.unlockMany(sessions)
+	if qoq {
+		c.rt.stats.syncsPerformed.Add(1)
+		c.rt.stats.syncsExecuted.Add(1)
+		first.q.Enqueue(call{kind: callSync})
+	}
+	var t0 int64
+	if obs.Enabled() {
+		t0 = obs.Now()
+	}
+	c.blockBegin()
+	first.parker.Park()
+	c.blockEnd()
+	if t0 != 0 {
+		d := obs.Now() - t0
+		guardWaitHist.Observe(d)
+		obs.Emit(obs.KindGuardWait, uint64(first.h.id), d)
+	}
+	if qoq {
+		first.synced = true
+		first.checkErr()
 	}
 }
 

@@ -145,11 +145,11 @@ type Stats struct {
 	SyncsElided    int64 // syncs skipped by dynamic coalescing
 	SyncsExecuted  int64 // sync barriers issued in total: parking round-trips (SyncNow) plus non-blocking SyncFuture barriers (the remote SYNC path)
 	Reservations   int64 // single-handler separate blocks entered
-	MultiResGroups int64 // multi-handler separate blocks entered
-	GuardRetries   int64 // wait-condition re-evaluations that failed
+	MultiResGroups int64 // multi-handler reservations: SeparateMany blocks and every SeparateWhen attempt, the handler-made ones included
+	GuardRetries   int64 // wait-condition guard evaluations that returned false, a SeparateWhen's first included
 	SessionsNew    int64 // private queues freshly allocated
 	SessionsReused int64 // private queues taken from the client cache
-	EndsProcessed  int64 // END markers consumed by handlers
+	EndsProcessed  int64 // blocks ended by handlers: END markers and the wait markers of failed guards
 
 	// Futures counters.
 	FuturesCreated int64 // futures minted by CallFuture/QueryAsync
@@ -320,9 +320,8 @@ func (rt *Runtime) Handlers() []*Handler {
 // Client is not safe for concurrent use; create one per goroutine.
 func (rt *Runtime) NewClient() *Client {
 	return &Client{
-		rt:     rt,
-		cache:  make(map[*Handler]*Session),
-		waitCh: make(chan struct{}, 1),
+		rt:    rt,
+		cache: make(map[*Handler]*Session),
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -13,9 +14,15 @@ func TestDetectDeadlockFindsQueryCycle(t *testing.T) {
 	a := rt.NewHandler("a")
 	b := rt.NewHandler("b")
 
+	// Each call waits for the other to have started before it queries,
+	// or a's could finish before b's begins and no cycle would form.
+	var started sync.WaitGroup
+	started.Add(2)
 	c := rt.NewClient()
 	c.Separate(a, func(s *Session) {
 		s.Call(func() {
+			started.Done()
+			started.Wait()
 			a.AsClient().Separate(b, func(sb *Session) {
 				QueryRemote(sb, func() int { return 1 })
 			})
@@ -23,6 +30,8 @@ func TestDetectDeadlockFindsQueryCycle(t *testing.T) {
 	})
 	c.Separate(b, func(s *Session) {
 		s.Call(func() {
+			started.Done()
+			started.Wait()
 			b.AsClient().Separate(a, func(sa *Session) {
 				QueryRemote(sa, func() int { return 1 })
 			})

@@ -17,6 +17,10 @@ func TestQueryCycleStillDeadlocksUnderQoQ(t *testing.T) {
 	b := rt.NewHandler("b")
 
 	done := make(chan struct{})
+	// Each call waits for the other to have started before it queries,
+	// or a's could finish before b's begins and no cycle would form.
+	var started sync.WaitGroup
+	started.Add(2)
 	go func() {
 		c := rt.NewClient()
 		// Log a call on a that queries b, and a call on b that queries
@@ -24,6 +28,8 @@ func TestQueryCycleStillDeadlocksUnderQoQ(t *testing.T) {
 		// other, which is busy waiting in turn: a cycle of waits.
 		c.Separate(a, func(s *Session) {
 			s.Call(func() {
+				started.Done()
+				started.Wait()
 				a.AsClient().Separate(b, func(sb *Session) {
 					QueryRemote(sb, func() int { return 1 })
 				})
@@ -31,6 +37,8 @@ func TestQueryCycleStillDeadlocksUnderQoQ(t *testing.T) {
 		})
 		c.Separate(b, func(s *Session) {
 			s.Call(func() {
+				started.Done()
+				started.Wait()
 				b.AsClient().Separate(a, func(sa *Session) {
 					QueryRemote(sa, func() int { return 1 })
 				})

@@ -128,11 +128,11 @@ func TestFutureFlattening(t *testing.T) {
 	}
 }
 
-// buildAwaitChain wires hs into a delegation chain in which each
+// buildDelegationChain wires hs into a delegation chain in which each
 // handler asynchronously queries the next and awaits the result via
 // Handler.Await (parking its state machine in pooled mode), adding 1 at
 // each hop. It returns the chain's entry function for hs[0].
-func buildAwaitChain(hs []*Handler) func(i int) any {
+func buildDelegationChain(hs []*Handler) func(i int) any {
 	var step func(i int) any
 	step = func(i int) any {
 		if i == len(hs)-1 {
@@ -155,7 +155,7 @@ func buildAwaitChain(hs []*Handler) func(i int) any {
 	return step
 }
 
-func TestHandlerAwaitChain(t *testing.T) {
+func TestHandlerAwaitDelegationChain(t *testing.T) {
 	for _, m := range futureModes {
 		t.Run(m.name, func(t *testing.T) {
 			const depth = 16
@@ -165,7 +165,7 @@ func TestHandlerAwaitChain(t *testing.T) {
 			for i := range hs {
 				hs[i] = rt.NewHandler(fmt.Sprintf("h%d", i))
 			}
-			step := buildAwaitChain(hs)
+			step := buildDelegationChain(hs)
 			c := rt.NewClient()
 			var fut *future.Future
 			c.Separate(hs[0], func(s *Session) {
@@ -189,11 +189,11 @@ func TestHandlerAwaitChain(t *testing.T) {
 	}
 }
 
-// TestAwaitChainSpawnReduction is the PR's headline acceptance check:
+// TestAwaitSpawnReduction is the PR's headline acceptance check:
 // on a depth-32 delegation chain under Workers: 4, awaiting futures
 // must cut compensation-worker spawns by at least 10x versus blocking
 // synchronous queries.
-func TestAwaitChainSpawnReduction(t *testing.T) {
+func TestAwaitSpawnReduction(t *testing.T) {
 	const depth, workers = 32, 4
 
 	runSync := func() Stats {
@@ -235,7 +235,7 @@ func TestAwaitChainSpawnReduction(t *testing.T) {
 		for i := range hs {
 			hs[i] = rt.NewHandler(fmt.Sprintf("h%d", i))
 		}
-		step := buildAwaitChain(hs)
+		step := buildDelegationChain(hs)
 		c := rt.NewClient()
 		var fut *future.Future
 		c.Separate(hs[0], func(s *Session) {

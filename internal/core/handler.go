@@ -66,8 +66,8 @@ type Handler struct {
 	// hAwaiting (pooled) or the goroutine in Future.Get (dedicated).
 	pendingAwait *awaitReq
 
-	// resSpin is the per-handler spinlock used to make multi-handler
-	// reservations atomic in QoQ mode (§3.3).
+	// resSpin is the per-handler spinlock that makes multi-handler
+	// reservations atomic (§3.3).
 	resSpin sched.SpinLock
 
 	// resMu is the handler lock of the original SCOOP semantics,
@@ -75,11 +75,9 @@ type Handler struct {
 	// entire duration of its separate block.
 	resMu sync.Mutex
 
-	// Wait-condition support: clients blocked on a guard register a
-	// channel here; the handler pokes them whenever a private queue
-	// completes (state may have changed).
-	wmu     sync.Mutex
-	waiters []chan struct{}
+	// waiters files the clients whose guard on this handler failed, until
+	// the next ordinary END fires them. Owned like cur: no lock.
+	waiters []waiter
 
 	// selfClient supports handlers acting as clients of other handlers
 	// from within their own calls (e.g. a thread-ring hop). Lazily
@@ -105,6 +103,12 @@ const (
 	hAwaiting
 	hDone
 )
+
+// waiter is a filed wait record and the generation it was armed at.
+type waiter struct {
+	rec *waitRec
+	gen int64
+}
 
 // awaitReq is a continuation armed by Handler.Await: run cont with the
 // future's result before touching any further request of the session.
@@ -199,7 +203,7 @@ func (h *Handler) AsClient() *Client {
 // the futures they resolve fail instead of hanging. Awaiting a future
 // nothing will ever resolve wedges the handler mid-request exactly as
 // a synchronous query cycle would (§2.5) — and Shutdown will wait for
-// it; the deadlock detector does not yet see await edges.
+// it; DetectDeadlock follows await edges through the future's origin.
 func (h *Handler) Await(fut *future.Future, cont func(v any, err error)) {
 	if h.pendingAwait != nil {
 		panic("scoopqs: Handler.Await armed twice in one request (chain from the continuation instead)")
@@ -521,15 +525,20 @@ func (h *Handler) spinForWork(s *Session) bool {
 // dedicated loop and the pooled state machine.
 func (h *Handler) execOne(s *Session, c call) (ended bool) {
 	switch c.kind {
-	case callEnd:
-		// The end rule: release the handler for other sessions and poke
-		// wait-condition waiters (handler state may have changed). The
+	case callEnd, callWait:
+		// The end rule: release the handler for other sessions. The
 		// client may already have re-enqueued this session for its next
 		// block — reuse needs no handshake, because each reservation
-		// pairs with exactly one END-terminated run of the queue.
+		// pairs with exactly one END-terminated run of the queue. An
+		// ordinary END may have changed handler state and fires the
+		// waiters; a failed guard's changed nothing and files its client.
 		h.cur = nil
 		h.rt.stats.endsProcessed.Add(1)
-		h.notifyWaiters(s.ownerWait)
+		if c.kind == callEnd {
+			h.fireWaiters()
+		} else {
+			h.waiters = append(h.waiters, waiter{s.wait, c.at})
+		}
 		return true
 	case callCall:
 		if c.at != 0 {
@@ -602,40 +611,59 @@ func resolveFuture(fut *future.Future, v any, err error) {
 	fut.Complete(v)
 }
 
-// addWaiter registers a wait-condition channel to be poked on every
-// session completion.
-func (h *Handler) addWaiter(ch chan struct{}) {
-	h.wmu.Lock()
-	h.waiters = append(h.waiters, ch)
-	h.wmu.Unlock()
-}
-
-// removeWaiter unregisters ch.
-func (h *Handler) removeWaiter(ch chan struct{}) {
-	h.wmu.Lock()
-	for i, w := range h.waiters {
-		if w == ch {
-			h.waiters[i] = h.waiters[len(h.waiters)-1]
-			h.waiters = h.waiters[:len(h.waiters)-1]
-			break
-		}
-	}
-	h.wmu.Unlock()
-}
-
-// notifyWaiters pokes all registered wait-condition channels except the
-// one belonging to the client whose block just ended (its own END is
-// not a state change it should retry on).
-func (h *Handler) notifyWaiters(except chan struct{}) {
-	h.wmu.Lock()
+// fireWaiters reserves every filed client again, in filing order: the
+// state its guard read may have changed. A multi-handler block is filed
+// on all its handlers; the generation CompareAndSwap lets exactly one
+// act and the rest drop the entry. Under QoQ the firing handler makes
+// the reservation itself (the client wakes on the sync it pre-logged);
+// in lock-based mode it unparks the client to lock and reserve afresh.
+func (h *Handler) fireWaiters() {
 	for _, w := range h.waiters {
-		if w == except {
-			continue
-		}
-		select {
-		case w <- struct{}{}:
-		default: // already poked
+		switch {
+		case !w.rec.gen.CompareAndSwap(w.gen, w.gen+1): // stale
+		case h.rt.cfg.QoQ:
+			h.rt.enqueueGroup(w.rec.sessions, h.onWorker)
+		default:
+			w.rec.sessions[0].parker.Unpark()
 		}
 	}
-	h.wmu.Unlock()
+	clear(h.waiters)
+	h.waiters = h.waiters[:0]
+}
+
+// enqueueGroup registers a block's sessions — one per handler, in id
+// order — as one atomic group, holding every handler's reservation
+// spinlock (§3.3; uncontended in lock-based mode, whose callers hold the
+// handler locks). w is as for enqueue; false means shutting down.
+func (rt *Runtime) enqueueGroup(ss []*Session, w *sched.Worker) bool {
+	for _, s := range ss {
+		s.h.resSpin.Lock()
+	}
+	ok := true
+	for _, s := range ss {
+		ok = ok && s.h.enqueue(s, w)
+	}
+	for i := len(ss) - 1; i >= 0; i-- {
+		ss[i].h.resSpin.Unlock()
+	}
+	if ok {
+		rt.stats.multiResGroups.Add(1)
+	}
+	return ok
+}
+
+// enqueue registers s with h's queue-of-queues and wakes h. In pooled
+// mode the enqueue is quiet and the wake carries the producer's worker
+// context, so a handler reserving another handler schedules it on its
+// own worker's deque; dedicated mode keeps the queue's built-in parker
+// wakeup. False means the runtime is shutting down.
+func (h *Handler) enqueue(s *Session, w *sched.Worker) bool {
+	if h.rt.exec == nil {
+		return h.qoq.TryEnqueue(s)
+	}
+	if !h.qoq.TryEnqueueNoNotify(s) {
+		return false
+	}
+	h.wakeFrom(w)
+	return true
 }

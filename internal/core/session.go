@@ -31,6 +31,7 @@ const (
 	callQueryRemote
 	callFuture
 	callEnd
+	callWait
 )
 
 // call is a packaged request. The paper packages calls with libffi; in
@@ -44,8 +45,22 @@ type call struct {
 	// at is the obs enqueue stamp of an async call (callCall), written
 	// only while recording is enabled; the handler measures the
 	// log→execution latency from it. The SPSC queue's handoff orders
-	// the accesses.
+	// the accesses. A callWait carries its wait generation here instead.
 	at int64
+}
+
+// waitRec is a client's wait-condition record: what the handlers of a
+// block whose guard failed need to re-reserve the client later. The
+// client arms it (gen becomes odd) before logging callWait(gen) on every
+// session of the block; each of those handlers files the record, and the
+// first to process an ordinary END afterwards fires it by moving gen on
+// with a CompareAndSwap, so exactly one handler re-reserves the client
+// and the others drop their entry as stale. sessions is written only
+// while the record is disarmed and read only by the handler that won the
+// CompareAndSwap, which orders the accesses.
+type waitRec struct {
+	gen      atomic.Int64
+	sessions []*Session // the waiting block's sessions, in handler-id order
 }
 
 // Session is a private queue: the communication channel between one
@@ -65,9 +80,10 @@ type Session struct {
 	synced bool
 	inUse  bool
 
-	// ownerWait is the owning client's wait-condition channel; the
-	// handler skips it when broadcasting session-end notifications.
-	ownerWait chan struct{}
+	// wait is the owning client's wait record, here so a handler
+	// processing callWait reaches it without touching the Client. It
+	// also keeps Session in the 96-byte size class (TestHotStructSizes).
+	wait *waitRec
 
 	// replyVal/replyErr carry a remote query result from handler to
 	// client; the parker handoff orders the accesses.
@@ -245,6 +261,16 @@ func (s *Session) end() {
 	s.q.Enqueue(call{kind: callEnd})
 	s.synced = false
 	s.inUse = false
+}
+
+// endWaiting ends the block like end, but with the marker of a failed
+// guard: the handler files the owner's wait record (armed at gen) and
+// fires nobody. keep leaves the session marked in use, for a block the
+// handler itself will reserve again.
+func (s *Session) endWaiting(gen int64, keep bool) {
+	s.q.Enqueue(call{kind: callWait, at: gen})
+	s.synced = false
+	s.inUse = keep
 }
 
 // Query executes a synchronous query and returns its result. Depending

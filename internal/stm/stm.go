@@ -13,6 +13,7 @@
 package stm
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,8 +35,12 @@ type versioned struct {
 // TVar is a transactional variable. Create with NewTVar; access only
 // through Read/Write inside Atomically.
 type TVar struct {
-	id      uint64
-	mu      sync.Mutex // commit lock
+	id uint64
+	mu sync.Mutex // commit lock
+	// locked is the reader-visible half of the commit lock (TL2's
+	// versioned-lock bit): set by the committer holding mu from before
+	// it draws its write version until its store to cur has landed.
+	locked  atomic.Bool
 	cur     atomic.Pointer[versioned]
 	wmu     sync.Mutex
 	waiters []chan struct{}
@@ -95,9 +100,16 @@ func (tx *Txn) Read(tv *TVar) any {
 	if v, ok := tx.writes[tv]; ok {
 		return v
 	}
+	// The lock is sampled before the value. A committer sets it before
+	// bumping the clock and clears it after storing, so a transaction
+	// whose rv already includes that commit either sees the lock here or
+	// sees the new value below — never the old value of one variable
+	// next to the new value of another. One sample suffices because
+	// value and version sit behind a single pointer.
+	locked := tv.locked.Load()
 	p := tv.cur.Load()
-	if p.version > tx.rv {
-		// The variable changed after we started: our snapshot is
+	if locked || p.version > tx.rv {
+		// Mid-commit, or changed after we started: our snapshot is
 		// stale. Abort and re-run with a fresh read version.
 		panic(conflictSignal{})
 	}
@@ -135,7 +147,9 @@ func Atomically(f func(tx *Txn) any) any {
 		case retryOutcome:
 			tx.waitForChange()
 		case conflictOutcome:
-			// immediate re-run with a fresh snapshot
+			// Re-run with a fresh snapshot; the yield lets a committer
+			// that was descheduled holding a lock finish first.
+			runtime.Gosched()
 		}
 	}
 }
@@ -186,17 +200,22 @@ func (tx *Txn) commit() bool {
 	sort.Slice(locked, func(i, j int) bool { return locked[i].id < locked[j].id })
 	for _, tv := range locked {
 		tv.mu.Lock()
+		tv.locked.Store(true)
 	}
 	unlock := func() {
 		for i := len(locked) - 1; i >= 0; i-- {
+			locked[i].locked.Store(false)
 			locked[i].mu.Unlock()
 		}
 	}
 	// Validate: every variable we read must still be at the version we
-	// saw (writes by others bump versions, and writers hold the lock
-	// while publishing, which we now hold for our own write set).
+	// saw and must not be mid-commit by another transaction (its new
+	// version may be drawn but not yet stored; two committers that read
+	// each other's write set both have their locks up by now, so at
+	// least one sees the other's).
 	for tv, ver := range tx.reads {
-		if tv.cur.Load().version != ver {
+		_, mine := tx.writes[tv]
+		if (!mine && tv.locked.Load()) || tv.cur.Load().version != ver {
 			unlock()
 			return false
 		}
