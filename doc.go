@@ -19,24 +19,54 @@
 //
 // # Wait conditions
 //
-// Client.SeparateWhen evaluates its guard with the handlers reserved.
-// When the guard is false the client logs a wait marker in place of
-// END on every session of the block and parks. A handler treats the
-// marker as the end of the block (a failed guard changed nothing, so it
-// wakes nobody) and files the client in a list only it touches; every
+// Client.SeparateWhen runs its body once a guard over the reserved
+// handlers holds. Who evaluates the guard depends on who may read the
+// state it depends on.
+//
+// A block on a single handler, with the queue-of-queues (Config.QoQ), is
+// answered by that handler: the client reserves once, logs one guard
+// request and parks. The handler owns the state and has run every
+// earlier request, so it evaluates the guard in place, on its own
+// goroutine (queries and calls the guard makes on its session execute
+// there and then; a panic poisons the session and reaches the client as
+// *HandlerError). True: it unparks the client as a sync would, and the
+// body starts in the very state the guard saw, without a second
+// evaluation. False: the block ends without effect and the client is
+// filed in a list only the handler touches, waking nobody. Every
 // ordinary END on that handler — the only point its state can have
-// changed — then reserves the filed clients again, in filing order, by
-// enqueueing their private queues into the queue-of-queues itself. The
-// client's next event is a sync it logged before parking: it wakes with
-// the block reserved and synced, re-evaluates the guard locally, and
-// runs the body or logs the marker again, without touching a lock or a
-// channel in between. A block over several handlers is filed on each
-// and a generation counter lets exactly one of them re-reserve the
-// whole set atomically, under the same per-handler spinlocks, taken in
-// id order, as a client's own multi-reservation. Without the
-// queue-of-queues (Config.QoQ false) a handler cannot reserve on a
-// client's behalf, because the client must hold the handler locks: the
-// END only unparks the client, which locks and reserves afresh.
+// changed — walks the list in filing order and evaluates the filed
+// guards again; the first that holds is started directly: its private
+// queue becomes the one the handler drains and its client is unparked —
+// no queue-of-queues entry, no lock, no channel, one park and one unpark
+// per wait. The others stay filed, unevaluated, until that block's END
+// walks the list again, so waiters whose guard holds run in filing
+// order. A started waiter passes blocks already waiting in the
+// queue-of-queues; such a block is overtaken by at most the waiters
+// filed when it reserved, because new waiters only come out of that
+// queue. A guard therefore may run on the handler's goroutine, any
+// number of times: it must be side-effect-free on handler state and must
+// not block.
+//
+// A block over several handlers keeps its guard on the client, since no
+// single handler may read all the state: when the guard is false the
+// client logs a wait marker in place of END on every session of the
+// block and parks; each handler treats the marker as the end of the
+// block and files the client; an ordinary END reserves the filed clients
+// again by enqueueing their private queues into the queue-of-queues
+// itself. The client's next event is a sync it logged before parking: it
+// wakes with the block reserved and synced, re-evaluates the guard
+// locally, and runs the body or logs the marker again. The block is
+// filed on each of its handlers and a generation counter lets exactly
+// one of them re-reserve the whole set atomically, under the same
+// per-handler spinlocks, taken in id order, as a client's own
+// multi-reservation. Without the queue-of-queues (Config.QoQ false) a
+// handler can neither hold a block for a parked client nor reserve on
+// its behalf, because the client must hold the handler locks: guards
+// run on the client there too, and the END only unparks the client,
+// which locks and reserves afresh.
+//
+// A handler that retires (Runtime.Shutdown) wakes the clients still
+// filed with it, and their SeparateWhen panics with ErrShutdown.
 //
 // # Execution modes
 //

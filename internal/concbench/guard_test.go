@@ -46,12 +46,16 @@ func TestRunGuardUnknown(t *testing.T) {
 	}
 }
 
-// The retry counter the guard benchmarks report must count failed
-// guard evaluations. Scheduling can make a contended workload pass
-// every guard first try (perfect producer/consumer alternation on one
-// CPU), so this test forces failures deterministically: the guard
-// itself refuses its first three evaluations while a second client
-// keeps nudging the handler so the waiter is re-woken.
+// The retry counter the guard benchmarks report counts the attempts of
+// a wait condition that ended without effect, not guard evaluations.
+// Scheduling can make a contended workload pass every guard first try
+// (perfect producer/consumer alternation on one CPU), so this test
+// forces failures deterministically: the guard itself refuses its first
+// three evaluations while a second client keeps nudging the handler.
+// Under ConfigAll the handler evaluates a single-handler guard itself:
+// the first refusal ends the waiter's one reservation without effect —
+// one retry — and the handler then re-evaluates in place at each of the
+// nudger's ENDs, which are not attempts and reserve nothing.
 func TestGuardRetriesCounted(t *testing.T) {
 	rt := core.New(core.ConfigAll.WithWorkers(2))
 	defer rt.Shutdown()
@@ -72,13 +76,13 @@ func TestGuardRetriesCounted(t *testing.T) {
 		}
 	}()
 	c := rt.NewClient()
-	evals := 0
+	evals := 0 // the guard's; the wait's hand-offs order it
 	c.SeparateWhen([]*core.Handler{h},
 		func([]*core.Session) bool { evals++; return evals > 3 },
 		func([]*core.Session) {})
 	close(done)
 	<-wakerIdle
-	if st := rt.Stats(); st.GuardRetries < 3 {
-		t.Errorf("GuardRetries = %d, want >= 3 (guard returned false three times)", st.GuardRetries)
+	if st := rt.Stats(); evals != 4 || st.GuardRetries != 1 || st.MultiResGroups != 1 {
+		t.Errorf("evaluations = %d, GuardRetries = %d, MultiResGroups = %d; want 4, 1 and 1", evals, st.GuardRetries, st.MultiResGroups)
 	}
 }

@@ -212,7 +212,9 @@ func (c *Client) Separate(h *Handler, body func(*Session)) {
 func (c *Client) reserveMany(hs []*Handler) []*Session {
 	// Insertion sort into the client's scratch: sets have one or two
 	// members. sessions outlives the call and a nested block on this
-	// client must not clobber it, so it alone is allocated.
+	// client must not clobber it: a lone session backs it itself (which
+	// pays for the guard closure SeparateWhen hands its handler), a
+	// larger set is allocated.
 	uniq := c.scratch[:0]
 	for _, h := range hs {
 		i := len(uniq)
@@ -227,12 +229,19 @@ func (c *Client) reserveMany(hs []*Handler) []*Session {
 		uniq[i] = h
 	}
 	c.scratch = uniq
-	sessions := make([]*Session, len(uniq))
+	var sessions []*Session
+	if len(uniq) > 1 {
+		sessions = make([]*Session, len(uniq))
+	}
 	for i, h := range uniq {
 		if !c.rt.cfg.QoQ {
 			c.lockHandler(h)
 		}
-		sessions[i] = c.session(h)
+		s := c.session(h)
+		if sessions == nil {
+			sessions = s.one[:]
+		}
+		sessions[i] = s
 	}
 	if !c.rt.enqueueGroup(sessions, c.curWorker()) {
 		c.unlockMany(sessions)
@@ -270,22 +279,43 @@ func (c *Client) SeparateMany(hs []*Handler, body func([]*Session)) {
 
 // SeparateWhen runs body within a multi-handler separate block once
 // guard holds (SCOOP wait conditions). The guard is evaluated with the
-// handlers reserved; if it returns false the block is given up and
-// reserved again after some other client's block on one of the handlers
-// completes. guard must be side-effect-free on the handlers' state.
+// handlers reserved, and the body starts in the very state it saw; while
+// it is false the block is given up and the client parked until some
+// other client's block on one of the handlers has completed.
+//
+// guard must be side-effect-free on the handlers' state and must not
+// block. It may run any number of times, and not only on the caller's
+// goroutine: when the block reserves a single handler under Config.QoQ
+// that handler evaluates the guard itself, on its own goroutine, while
+// the caller stays parked (queries and calls the guard makes on its
+// session then execute in place, and a panic in the guard reaches the
+// caller as *HandlerError, like a packaged query's).
 func (c *Client) SeparateWhen(hs []*Handler, guard func([]*Session) bool, body func([]*Session)) {
 	sessions := c.reserveMany(hs)
 	// One release for guard, wake-up and body: a panicking guard (say on
 	// a poisoned session) must end the block too, or the handlers wedge.
 	defer func() { c.releaseMany(sessions) }()
-	for !guard(sessions) {
-		c.rt.stats.guardRetries.Add(1)
-		c.waitForChange(sessions)
-		if !c.rt.cfg.QoQ {
-			// The wait gave the handler locks up. Nothing is held while
-			// re-reserving, which may panic (Shutdown).
-			sessions = nil
-			sessions = c.reserveMany(hs)
+	if qoq := c.rt.cfg.QoQ; qoq && len(sessions) == 1 {
+		// The one handler owns everything the guard may read, so it
+		// answers: callGuard comes back like a sync, once the guard holds.
+		c.wait.sessions, c.wait.guard = sessions, guard
+		sessions[0].q.Enqueue(call{kind: callGuard})
+		c.parkWaiting(sessions[0])
+	} else {
+		// No single handler may read all of a multi-handler block's
+		// state, and without the queue-of-queues no handler can hold a
+		// block for a parked client: those guards run here, and a failed
+		// one waits through callWait and the generation CompareAndSwap
+		// (nothing of that path can go while they use it).
+		for !guard(sessions) {
+			c.rt.stats.guardRetries.Add(1)
+			c.waitForChange(sessions)
+			if !qoq {
+				// The wait gave the handler locks up. Nothing is held
+				// while re-reserving, which may panic (Shutdown).
+				sessions = nil
+				sessions = c.reserveMany(hs)
+			}
 		}
 	}
 	body(sessions)
@@ -310,21 +340,31 @@ func (c *Client) waitForChange(sessions []*Session) {
 		c.rt.stats.syncsExecuted.Add(1)
 		first.q.Enqueue(call{kind: callSync})
 	}
+	c.parkWaiting(first)
+}
+
+// parkWaiting parks the client on s until a handler has started or
+// re-reserved its waiting block — under QoQ the handler is then synced on
+// s — or, retiring, has released it (Shutdown).
+func (c *Client) parkWaiting(s *Session) {
 	var t0 int64
 	if obs.Enabled() {
 		t0 = obs.Now()
 	}
 	c.blockBegin()
-	first.parker.Park()
+	s.parker.Park()
 	c.blockEnd()
 	if t0 != 0 {
 		d := obs.Now() - t0
 		guardWaitHist.Observe(d)
-		obs.Emit(obs.KindGuardWait, uint64(first.h.id), d)
+		obs.Emit(obs.KindGuardWait, uint64(s.h.id), d)
 	}
-	if qoq {
-		first.synced = true
-		first.checkErr()
+	if c.rt.cfg.QoQ {
+		if c.wait.sessions == nil {
+			panic(ErrShutdown)
+		}
+		s.synced = true
+		s.checkErr()
 	}
 }
 

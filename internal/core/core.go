@@ -145,11 +145,11 @@ type Stats struct {
 	SyncsElided    int64 // syncs skipped by dynamic coalescing
 	SyncsExecuted  int64 // sync barriers issued in total: parking round-trips (SyncNow) plus non-blocking SyncFuture barriers (the remote SYNC path)
 	Reservations   int64 // single-handler separate blocks entered
-	MultiResGroups int64 // multi-handler reservations: SeparateMany blocks and every SeparateWhen attempt, the handler-made ones included
-	GuardRetries   int64 // wait-condition guard evaluations that returned false, a SeparateWhen's first included
+	MultiResGroups int64 // multi-handler reservations: SeparateMany blocks, one per SeparateWhen its handler evaluates (one handler, QoQ), else one per SeparateWhen attempt, the handler-made ones included
+	GuardRetries   int64 // wait-condition attempts that ended without effect: a handler-evaluated SeparateWhen's first evaluation if false (re-evaluations in place are not attempts), every false evaluation of a client-evaluated one
 	SessionsNew    int64 // private queues freshly allocated
 	SessionsReused int64 // private queues taken from the client cache
-	EndsProcessed  int64 // blocks ended by handlers: END markers and the wait markers of failed guards
+	EndsProcessed  int64 // blocks ended by handlers: END markers, the wait markers of failed guards and guard requests whose first evaluation failed
 
 	// Futures counters.
 	FuturesCreated int64 // futures minted by CallFuture/QueryAsync

@@ -9,9 +9,11 @@ import (
 	"unsafe"
 )
 
-// Tests of the handler-driven wait-condition protocol: callWait, the
-// handler-owned waiter list, which ENDs fire it, and the lock-based
-// fallback.
+// Tests of the wait-condition protocol: guards the handler evaluates
+// itself (callGuard: single-handler blocks under QoQ) and starts
+// directly, guards the client evaluates (callWait and the generation
+// CompareAndSwap: multi-handler blocks, lock-based configurations), the
+// handler-owned waiter list both are filed on, and which ENDs fire it.
 
 // forEachGuardConfig runs body under all five configurations, each
 // dedicated and pooled at 1 and 4 workers.
@@ -53,27 +55,38 @@ func settle(t *testing.T, what string, cond func() bool) {
 }
 
 // checkGuardCounters asserts, after Shutdown, the bookkeeping the guard
-// benchmarks' ratios rest on: every attempt of a wait condition — the
-// client's first and each the handlers made — is one multi-reservation
-// that ends exactly once, by callWait when its guard failed and by END
-// when it ran. whens is the number of SeparateWhen calls completed,
-// perGroup the handlers each reserved.
+// benchmarks' ratios rest on. GuardRetries counts the attempts of a wait
+// condition that ended without effect. A guard its handler evaluates
+// (QoQ, perGroup 1) makes one reservation however long it waits, ended
+// by callGuard if its first evaluation failed — re-evaluations in place
+// are not attempts — and by END once it ran. Any other wait makes a
+// reservation per attempt, the client's first and each the handlers
+// made, ended by callWait when the guard failed and by END when it ran.
+// whens is the number of SeparateWhen calls completed, perGroup the
+// handlers each reserved.
 func checkGuardCounters(t *testing.T, rt *Runtime, whens, perGroup int64) {
 	t.Helper()
 	st := rt.Stats()
-	if st.MultiResGroups != st.GuardRetries+whens {
-		t.Errorf("MultiResGroups = %d, want GuardRetries %d + completed waits %d", st.MultiResGroups, st.GuardRetries, whens)
+	wantRes, wantEnds := st.GuardRetries+whens, st.Reservations+perGroup*st.MultiResGroups
+	if rt.cfg.QoQ && perGroup == 1 {
+		wantRes, wantEnds = whens, st.Reservations+st.MultiResGroups+st.GuardRetries
 	}
-	if want := st.Reservations + perGroup*st.MultiResGroups; st.EndsProcessed != want {
-		t.Errorf("EndsProcessed = %d, want %d (Reservations %d + %d x MultiResGroups %d)",
-			st.EndsProcessed, want, st.Reservations, perGroup, st.MultiResGroups)
+	if st.MultiResGroups != wantRes {
+		t.Errorf("MultiResGroups = %d, want %d (GuardRetries %d, completed waits %d)", st.MultiResGroups, wantRes, st.GuardRetries, whens)
+	}
+	if st.EndsProcessed != wantEnds {
+		t.Errorf("EndsProcessed = %d, want %d (Reservations %d, MultiResGroups %d, GuardRetries %d)",
+			st.EndsProcessed, wantEnds, st.Reservations, st.MultiResGroups, st.GuardRetries)
 	}
 }
 
 // (a) A failed guard wakes nobody: K waiters on a guard that stays false
 // fail once each and then sit still, however many of them there are.
 // With the client-driven retry loop every abandoned attempt poked every
-// other waiter, so the count grew without bound.
+// other waiter, so the count grew without bound. Then one write enables
+// them all, and their bodies are empty: each started waiter's END, which
+// follows no request at all, must still fire the list, or the chain
+// breaks and the rest hang.
 func TestFailedGuardsAreQuiet(t *testing.T) {
 	forEachGuardConfig(t, func(t *testing.T, cfg Config) {
 		rt := New(cfg)
@@ -238,7 +251,11 @@ func TestHostedClientWaitsOnGuard(t *testing.T) {
 
 // A guard that panics must end its block like a panicking body does.
 // SeparateWhen used to arm the release only once the guard had returned
-// true, which left the handler wedged on a block that never ENDs.
+// true, which left the handler wedged on a block that never ENDs. Where
+// the handler evaluates the guard (QoQ, one handler) the panic happens on
+// the handler: it poisons the session and reaches the client as
+// *HandlerError, like a packaged query's; elsewhere it is the client's
+// own and propagates raw.
 func TestPanickingGuardReleasesTheBlock(t *testing.T) {
 	forEachGuardConfig(t, func(t *testing.T, cfg Config) {
 		rt := New(cfg)
@@ -268,22 +285,29 @@ func TestPanickingGuardReleasesTheBlock(t *testing.T) {
 		// A guard that panics outright.
 		out := when(func(int, *Session) bool { panic("guard blew up") })
 		within(t, "the panicking guard", func() {
-			if r := <-out; r != "guard blew up" {
-				t.Errorf("recovered %v, want the guard's own panic", r)
+			r := <-out
+			if he, ok := r.(*HandlerError); ok != cfg.QoQ || ok && he.Value != "guard blew up" || !ok && r != "guard blew up" {
+				t.Errorf("recovered %v; want the guard's own panic, as *HandlerError: %v", r, cfg.QoQ)
 			}
 		})
 		usable()
 
-		// A guard that poisons its session and fails. Under QoQ the
-		// client wakes up still holding that session and must surface the
-		// *HandlerError; lock-based mode re-reserves on a fresh one.
+		// A guard that logs a panicking call on its session and fails.
+		// Evaluated by the handler, the call runs in place — the handler
+		// must not become a second producer of the client's private
+		// queue — and poisons the session, so the client is woken at once
+		// to surface the *HandlerError. Evaluated by the client, the call
+		// is logged, the wait gives the block up, and the client
+		// re-reserves on a fresh session once the state changes.
 		out = when(func(evals int, s *Session) bool {
 			if evals == 1 {
 				s.Call(func() { panic("poison") })
 			}
 			return evals > 1
 		})
-		settle(t, "the poisoning guard failing", func() bool { return rt.Stats().GuardRetries == 1 })
+		if !cfg.QoQ {
+			settle(t, "the poisoning guard failing", func() bool { return rt.Stats().GuardRetries == 1 })
+		}
 		rt.NewClient().Separate(h, func(s *Session) { s.Call(func() { x++ }) })
 		within(t, "the poisoned wait", func() {
 			if _, poisoned := (<-out).(*HandlerError); poisoned != cfg.QoQ {
@@ -292,6 +316,268 @@ func TestPanickingGuardReleasesTheBlock(t *testing.T) {
 		})
 		usable()
 		within(t, "Shutdown", rt.Shutdown)
+	})
+}
+
+// fileWaiters starts one goroutine per wait, in order, each running wait(i)
+// — one SeparateWhen whose guard is false for now — and starts the next
+// only once the previous one's failed attempt has ended on its
+// endsEach handlers, so the waiters are filed in index order. The
+// returned WaitGroup is done when every wait has returned.
+func fileWaiters(t *testing.T, rt *Runtime, n int, endsEach int64, wait func(i int)) *sync.WaitGroup {
+	t.Helper()
+	var wg sync.WaitGroup
+	base := rt.Stats().EndsProcessed
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wait(i)
+		}()
+		settle(t, fmt.Sprintf("waiter %d being filed", i), func() bool {
+			return rt.Stats().EndsProcessed == base+int64(i+1)*endsEach
+		})
+	}
+	return &wg
+}
+
+// (b) A waiter enabled only by another started waiter's body. Waiter i
+// may run when step == i and running is what makes step i+1; they are
+// filed last-first, so every start has to come from a fresh walk of the
+// list at the END of the waiter started before — there is no other
+// traffic on the handler once the one outside write has been made.
+func TestWaiterEnabledByStartedWaiter(t *testing.T) {
+	forEachGuardConfig(t, func(t *testing.T, cfg Config) {
+		rt := New(cfg)
+		h := rt.NewHandler("stairs")
+		step := -1 // handler-owned
+
+		const n = 5
+		wg := fileWaiters(t, rt, n, 1, func(i int) {
+			want := n - 1 - i
+			rt.NewClient().SeparateWhen([]*Handler{h},
+				func(ss []*Session) bool { return Query(ss[0], func() bool { return step == want }) },
+				func(ss []*Session) { ss[0].Call(func() { step++ }) })
+		})
+		rt.NewClient().Separate(h, func(s *Session) { s.Call(func() { step = 0 }) })
+		within(t, "the stairs", wg.Wait)
+		within(t, "Shutdown", rt.Shutdown)
+		if step != n {
+			t.Fatalf("step = %d, want %d", step, n)
+		}
+		checkGuardCounters(t, rt, n, 1)
+	})
+}
+
+// (c) Waiters whose guard holds run in filing order. One write enables
+// all K; the handler starts them one by one (QoQ: directly, or by
+// re-reserving them in list order), each after the previous one's END.
+// Lock-based configurations wake them all to race for the handler lock,
+// which promises no order: there every body must still run, once.
+func TestWaitersRunInFilingOrder(t *testing.T) {
+	forEachGuardConfig(t, func(t *testing.T, cfg Config) {
+		rt := New(cfg)
+		h := rt.NewHandler("door")
+		open := false // handler-owned
+		var order []int
+
+		const k = 6
+		wg := fileWaiters(t, rt, k, 1, func(i int) {
+			// The guard has the shape static sync-coalescing emits.
+			rt.NewClient().SeparateWhen([]*Handler{h},
+				func(ss []*Session) bool { ss[0].SyncNow(); return LocalQuery(ss[0], func() bool { return open }) },
+				func(ss []*Session) { ss[0].Call(func() { order = append(order, i) }) })
+		})
+		rt.NewClient().Separate(h, func(s *Session) { s.Call(func() { open = true }) })
+		within(t, "the waiters", wg.Wait)
+		within(t, "Shutdown", rt.Shutdown)
+		if len(order) != k {
+			t.Fatalf("%d bodies ran, want %d: %v", len(order), k, order)
+		}
+		for i, id := range order {
+			if cfg.QoQ && id != i {
+				t.Fatalf("waiters ran in order %v, want filing order", order)
+			}
+		}
+		checkGuardCounters(t, rt, k, 1)
+	})
+}
+
+// (d) Starting waiters directly lets them pass blocks already queued in
+// the queue-of-queues, but only so many: a block reserved while K waiters
+// are filed runs after at most those K, even when every one of them comes
+// straight back for more — their next reservations queue up behind it.
+func TestWaitersBypassIsBounded(t *testing.T) {
+	forEachGuardConfig(t, func(t *testing.T, cfg Config) {
+		rt := New(cfg)
+		h := rt.NewHandler("h")
+		open, ran := false, 0 // handler-owned
+
+		const k, rounds = 4, 25
+		wg := fileWaiters(t, rt, k, 1, func(int) {
+			c := rt.NewClient()
+			for r := 0; r < rounds; r++ {
+				c.SeparateWhen([]*Handler{h},
+					func(ss []*Session) bool { return Query(ss[0], func() bool { return open }) },
+					func(ss []*Session) { ss[0].Call(func() { ran++ }) })
+			}
+		})
+
+		// The running block: it opens the door and keeps the handler
+		// until the ordinary block has queued up behind it.
+		gate := make(chan struct{})
+		rt.NewClient().Separate(h, func(s *Session) {
+			s.Call(func() {
+				open = true
+				c := h.AsClient()
+				c.blockBegin()
+				<-gate
+				c.blockEnd()
+			})
+		})
+		seen := make(chan int, 1)
+		go rt.NewClient().Separate(h, func(s *Session) { seen <- Query(s, func() int { return ran }) })
+		settle(t, "the ordinary block queueing up", func() bool { return rt.Stats().Reservations == 2 })
+		close(gate)
+		within(t, "the ordinary block", func() {
+			if n := <-seen; n > k {
+				t.Errorf("%d waiter blocks ran before a block queued when %d were filed", n, k)
+			}
+		})
+		within(t, "the waiters", wg.Wait)
+		within(t, "Shutdown", rt.Shutdown)
+		if ran != k*rounds {
+			t.Fatalf("ran = %d, want %d", ran, k*rounds)
+		}
+	})
+}
+
+// (e) A single-handler and a two-handler waiter filed on the same
+// handler: under QoQ the first is evaluated and started by a itself, the
+// second re-reserved for its client to evaluate; both are served by the
+// one write, and b drops its stale entry for the second at its next END
+// without reserving anybody.
+func TestMixedWaitersOnOneHandler(t *testing.T) {
+	forEachGuardConfig(t, func(t *testing.T, cfg Config) {
+		rt := New(cfg)
+		a := rt.NewHandler("a")
+		b := rt.NewHandler("b")
+		ready := false // owned by a
+		ran := 0       // owned by b
+
+		guard := func(ss []*Session) bool { return Query(ss[0], func() bool { return ready }) } // ss[0] is a's
+		wg := fileWaiters(t, rt, 1, 1, func(int) {
+			rt.NewClient().SeparateWhen([]*Handler{a}, guard, func([]*Session) {})
+		})
+		wg2 := fileWaiters(t, rt, 1, 2, func(int) {
+			rt.NewClient().SeparateWhen([]*Handler{a, b}, guard, func(ss []*Session) { ss[1].Call(func() { ran++ }) })
+		})
+		rt.NewClient().Separate(a, func(s *Session) { s.Call(func() { ready = true }) })
+		within(t, "the single-handler waiter", wg.Wait)
+		within(t, "the two-handler waiter", wg2.Wait)
+
+		// b's next END walks its list; the block after reads it with b
+		// synced and still, which orders the read.
+		filed := -1
+		c := rt.NewClient()
+		c.Separate(b, func(*Session) {})
+		c.Separate(b, func(s *Session) { s.SyncNow(); filed = len(b.waiters) })
+		within(t, "Shutdown", rt.Shutdown)
+		if filed != 0 || ran != 1 {
+			t.Fatalf("b files %d waiters, the two-handler body's call ran %d times; want 0 and 1", filed, ran)
+		}
+		// Attempts: the two-handler wait makes two, the single-handler
+		// one too unless a evaluates it in place.
+		wantRes := int64(4)
+		if cfg.QoQ {
+			wantRes = 3
+		}
+		if st := rt.Stats(); st.GuardRetries != 2 || st.MultiResGroups != wantRes {
+			t.Fatalf("GuardRetries = %d, MultiResGroups = %d; want 2 and %d", st.GuardRetries, st.MultiResGroups, wantRes)
+		}
+	})
+}
+
+// (g) What the counters count. A guard needs N evaluations: the waiter's
+// first and one per write. Where its handler evaluates it that is one
+// reservation and one attempt that ended without effect — re-evaluations
+// in place are not attempts; elsewhere each failure is an attempt and
+// each retry a reservation. The guard asks through a future, which the
+// handler must resolve in place rather than log on the client's queue.
+func TestGuardEvaluationsAreNotAttempts(t *testing.T) {
+	forEachGuardConfig(t, func(t *testing.T, cfg Config) {
+		rt := New(cfg)
+		h := rt.NewHandler("h")
+		x := 0 // handler-owned
+
+		const n = 5
+		evals := 0 // the guard's; ordered by the wait's own hand-offs
+		wg := fileWaiters(t, rt, 1, 1, func(int) {
+			rt.NewClient().SeparateWhen([]*Handler{h},
+				func(ss []*Session) bool {
+					evals++
+					v, _ := ss[0].CallFuture(func() any { return x >= n-1 }).Get()
+					return v.(bool)
+				},
+				func([]*Session) {})
+		})
+		c := rt.NewClient()
+		for i := 1; i < n; i++ {
+			c.Separate(h, func(s *Session) { s.Call(func() { x++ }) })
+			if i < n-1 {
+				// One evaluation per write: wait for this one's before
+				// the next write can be seen by it.
+				settle(t, "the re-evaluation", func() bool {
+					return rt.Stats().FuturesCreated == int64(i+1)
+				})
+			}
+		}
+		within(t, "the waiter", wg.Wait)
+		within(t, "Shutdown", rt.Shutdown)
+		wantRetries, wantRes := int64(n-1), int64(n)
+		if cfg.QoQ {
+			wantRetries, wantRes = 1, 1
+		}
+		if st := rt.Stats(); evals != n || st.GuardRetries != wantRetries || st.MultiResGroups != wantRes {
+			t.Fatalf("evaluations = %d, GuardRetries = %d, MultiResGroups = %d; want %d, %d and %d",
+				evals, st.GuardRetries, st.MultiResGroups, n, wantRetries, wantRes)
+		}
+		checkGuardCounters(t, rt, 1, 1)
+	})
+}
+
+// Shutdown releases filed waiters: a client parked on a guard that never
+// came true — filed with one handler, with two, or parked unreserved in
+// lock-based mode — used to stay parked forever after Shutdown returned.
+// The retiring handlers wake it and its SeparateWhen panics ErrShutdown,
+// as a reservation after Shutdown does.
+func TestShutdownReleasesFiledWaiters(t *testing.T) {
+	forEachGuardConfig(t, func(t *testing.T, cfg Config) {
+		before := runtime.NumGoroutine()
+		rt := New(cfg)
+		a := rt.NewHandler("a")
+		b := rt.NewHandler("b")
+		never := func(ss []*Session) bool { return Query(ss[0], func() bool { return false }) }
+
+		out := make(chan any, 3)
+		parked := func(hs ...*Handler) func(int) {
+			return func(int) {
+				defer func() { out <- recover() }()
+				rt.NewClient().SeparateWhen(hs, never, func([]*Session) { t.Error("body ran") })
+			}
+		}
+		fileWaiters(t, rt, 1, 1, parked(a))
+		fileWaiters(t, rt, 1, 1, parked(b))
+		fileWaiters(t, rt, 1, 2, parked(b, a))
+		within(t, "Shutdown", rt.Shutdown)
+		within(t, "the released waiters", func() {
+			for i := 0; i < 3; i++ {
+				if r := <-out; r != ErrShutdown {
+					t.Errorf("a released waiter recovered %v, want ErrShutdown", r)
+				}
+			}
+		})
+		settle(t, "the goroutine count", func() bool { return runtime.NumGoroutine() <= before })
 	})
 }
 

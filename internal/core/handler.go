@@ -76,7 +76,7 @@ type Handler struct {
 	resMu sync.Mutex
 
 	// waiters files the clients whose guard on this handler failed, until
-	// the next ordinary END fires them. Owned like cur: no lock.
+	// an ordinary END starts or fires them. Owned like cur: no lock.
 	waiters []waiter
 
 	// selfClient supports handlers acting as clients of other handlers
@@ -104,7 +104,8 @@ const (
 	hDone
 )
 
-// waiter is a filed wait record and the generation it was armed at.
+// waiter is a filed wait record and the generation it was armed at, zero
+// when the handler evaluates the guard itself (callGuard).
 type waiter struct {
 	rec *waitRec
 	gen int64
@@ -259,6 +260,7 @@ func (h *Handler) runCont(s *Session, cont func(any, error), v any, err error) {
 // a failed dequeue on the queue-of-queues means shutdown.
 func (h *Handler) loop() {
 	defer h.rt.wg.Done()
+	defer h.releaseWaiters()
 	for {
 		s, ok := h.qoq.Dequeue()
 		if !ok {
@@ -268,9 +270,11 @@ func (h *Handler) loop() {
 	}
 }
 
-// runSession drains one private queue (the run rule) until END. An
-// await armed by a request is serviced — blocking this dedicated
-// goroutine — before the next request is dequeued.
+// runSession drains one private queue (the run rule) until END, and
+// then that of any waiter the END started (fireWaiters left it in cur),
+// which comes before the queue-of-queues. An await armed by a request is
+// serviced — blocking this dedicated goroutine — before the next request
+// is dequeued.
 func (h *Handler) runSession(s *Session) {
 	for {
 		h.serviceAwaitBlocking(s)
@@ -279,7 +283,9 @@ func (h *Handler) runSession(s *Session) {
 			return // queue closed underneath us; only in teardown tests
 		}
 		if h.execOne(s, c) {
-			return
+			if s = h.cur; s == nil {
+				return
+			}
 		}
 	}
 }
@@ -353,6 +359,7 @@ func (h *Handler) Step(w *sched.Worker) {
 				continue
 			}
 			h.noteRun(w, runT0)
+			h.releaseWaiters()
 			h.rt.wg.Done()
 			return
 		case drainBudget:
@@ -525,19 +532,30 @@ func (h *Handler) spinForWork(s *Session) bool {
 // dedicated loop and the pooled state machine.
 func (h *Handler) execOne(s *Session, c call) (ended bool) {
 	switch c.kind {
-	case callEnd, callWait:
+	case callEnd, callWait, callGuard:
+		// callGuard: the client is parked and h owns the state its guard
+		// reads, so h answers — like a sync once the guard holds, and the
+		// body starts in the very state the guard saw.
+		if c.kind == callGuard {
+			if h.guardHolds(s) {
+				s.parker.Unpark()
+				return false
+			}
+			h.rt.stats.guardRetries.Add(1)
+		}
 		// The end rule: release the handler for other sessions. The
 		// client may already have re-enqueued this session for its next
 		// block — reuse needs no handshake, because each reservation
 		// pairs with exactly one END-terminated run of the queue. An
 		// ordinary END may have changed handler state and fires the
-		// waiters; a failed guard's changed nothing and files its client.
+		// waiters; a failed guard's changed nothing and files its client
+		// (a callGuard's generation is zero).
 		h.cur = nil
 		h.rt.stats.endsProcessed.Add(1)
-		if c.kind == callEnd {
-			h.fireWaiters()
-		} else {
+		if c.kind != callEnd {
 			h.waiters = append(h.waiters, waiter{s.wait, c.at})
+		} else if len(h.waiters) > 0 { // else not even the store of the list's header: every END pays it
+			h.fireWaiters()
 		}
 		return true
 	case callCall:
@@ -611,24 +629,64 @@ func resolveFuture(fut *future.Future, v any, err error) {
 	fut.Complete(v)
 }
 
-// fireWaiters reserves every filed client again, in filing order: the
-// state its guard read may have changed. A multi-handler block is filed
-// on all its handlers; the generation CompareAndSwap lets exactly one
-// act and the rest drop the entry. Under QoQ the firing handler makes
-// the reservation itself (the client wakes on the sync it pre-logged);
-// in lock-based mode it unparks the client to lock and reserve afresh.
+// guardHolds evaluates the guard of s's parked client in place, as a
+// query of the session: on a poisoned session it does not run, and a
+// panic poisons it. A poisoned session answers true — its client must
+// wake to re-raise the error at checkErr.
+func (h *Handler) guardHolds(s *Session) bool {
+	s.onHandler = true
+	v, _ := h.execQuery(s, func() any { return s.wait.guard(s.wait.sessions) })
+	s.onHandler, s.synced = false, false
+	return s.errPub.Load() != nil || v.(bool)
+}
+
+// fireWaiters runs at an ordinary END, the only point the state a filed
+// guard read may have changed, and walks the list in filing order.
+//
+// A guard h evaluates itself (gen 0) is run again, and the first that
+// holds is started directly: its session becomes cur and its client is
+// unparked, with no reservation, lock or second evaluation in between.
+// The rest stay filed, unevaluated, until that block's END fires the
+// list again, so waiters whose guard holds run in filing order, and a
+// block queued in the queue-of-queues waits for at most the waiters
+// filed ahead of it: new ones only come out of that queue.
+//
+// A client-evaluated block is reserved again, the state its guard read
+// may have changed. It is filed on all its handlers; the generation
+// CompareAndSwap lets exactly one act and the rest drop the entry. Under
+// QoQ the firing handler makes the reservation itself (the client wakes
+// on the sync it pre-logged); in lock-based mode it wakes the client
+// unreserved, to lock and reserve afresh — as it does under QoQ when the
+// reservation fails because the runtime is shutting down.
 func (h *Handler) fireWaiters() {
+	keep := h.waiters[:0]
 	for _, w := range h.waiters {
 		switch {
+		case w.gen == 0 && (h.cur != nil || !h.guardHolds(w.rec.sessions[0])):
+			keep = append(keep, w) // behind the waiter just started, or still false
+		case w.gen == 0:
+			h.cur = w.rec.sessions[0]
+			h.cur.parker.Unpark()
 		case !w.rec.gen.CompareAndSwap(w.gen, w.gen+1): // stale
-		case h.rt.cfg.QoQ:
-			h.rt.enqueueGroup(w.rec.sessions, h.onWorker)
-		default:
-			w.rec.sessions[0].parker.Unpark()
+		case h.rt.cfg.QoQ && h.rt.enqueueGroup(w.rec.sessions, h.onWorker): // reserved again
+		default: // lock-based, or shutting down
+			w.rec.release()
 		}
 	}
-	clear(h.waiters)
-	h.waiters = h.waiters[:0]
+	clear(h.waiters[len(keep):])
+	h.waiters = keep
+}
+
+// releaseWaiters wakes every client still filed with a retiring handler,
+// unreserved: nothing will start or re-reserve it any more, and its
+// SeparateWhen panics with ErrShutdown.
+func (h *Handler) releaseWaiters() {
+	for _, w := range h.waiters {
+		if w.gen == 0 || w.rec.gen.CompareAndSwap(w.gen, w.gen+1) {
+			w.rec.release()
+		}
+	}
+	h.waiters = nil
 }
 
 // enqueueGroup registers a block's sessions — one per handler, in id

@@ -21,8 +21,10 @@ var (
 	// awaitHist is how long a handler sits parked on an unresolved
 	// future (Handler.Await), pooled and dedicated mode alike.
 	awaitHist = obs.Default().Hist("core.await_park_ns")
-	// guardWaitHist is how long a SeparateWhen client sits parked after
-	// a failed guard before a state change triggers re-evaluation.
+	// guardWaitHist is how long a SeparateWhen client sits parked: from
+	// its guard request to being started when the handler evaluates the
+	// guard (one sync round trip if it holds at once), else from a failed
+	// evaluation to the re-reservation a state change triggers.
 	guardWaitHist = obs.Default().Hist("core.guard_wait_ns")
 )
 

@@ -32,6 +32,7 @@ const (
 	callFuture
 	callEnd
 	callWait
+	callGuard
 )
 
 // call is a packaged request. The paper packages calls with libffi; in
@@ -50,17 +51,39 @@ type call struct {
 }
 
 // waitRec is a client's wait-condition record: what the handlers of a
-// block whose guard failed need to re-reserve the client later. The
-// client arms it (gen becomes odd) before logging callWait(gen) on every
-// session of the block; each of those handlers files the record, and the
-// first to process an ordinary END afterwards fires it by moving gen on
-// with a CompareAndSwap, so exactly one handler re-reserves the client
-// and the others drop their entry as stale. sessions is written only
-// while the record is disarmed and read only by the handler that won the
-// CompareAndSwap, which orders the accesses.
+// waiting block need to start or re-reserve the client later.
+//
+// A single-handler block under QoQ logs callGuard and parks: the handler
+// evaluates guard itself and, while it is false, keeps the record filed.
+// Client and handler never touch the record at the same time — the
+// client writes it before logging callGuard and stays parked until the
+// handler unparks it.
+//
+// Any other block evaluates its guard on the client. When it fails the
+// client arms the record (gen becomes odd) before logging callWait(gen)
+// on every session of the block; each of those handlers files the
+// record, and the first to process an ordinary END afterwards fires it
+// by moving gen on with a CompareAndSwap, so exactly one handler
+// re-reserves the client and the others drop their entry as stale.
+// sessions is then written only while the record is disarmed and read
+// only by the handler that won the CompareAndSwap, which orders the
+// accesses.
 type waitRec struct {
 	gen      atomic.Int64
-	sessions []*Session // the waiting block's sessions, in handler-id order
+	sessions []*Session            // the waiting block's sessions, in handler-id order
+	guard    func([]*Session) bool // callGuard only: the handler evaluates it
+}
+
+// release wakes the record's parked client with nothing reserved, leaving
+// sessions nil to say so. A lock-based client always wakes like that and
+// reserves afresh; a QoQ client otherwise wakes with its block started or
+// reserved, and takes this for Shutdown (parkWaiting). Only for the
+// handler that holds the record: its evaluator, or the winner of the
+// generation CompareAndSwap.
+func (r *waitRec) release() {
+	first := r.sessions[0]
+	r.sessions = nil
+	first.parker.Unpark()
 }
 
 // Session is a private queue: the communication channel between one
@@ -80,10 +103,22 @@ type Session struct {
 	synced bool
 	inUse  bool
 
+	// onHandler is set by the handler while it evaluates the owner's
+	// guard on this session (callGuard): the code that normally runs on
+	// the client is then running on the handler goroutine itself, so
+	// syncs are no-ops and requests execute in place. Only written while
+	// the owner is parked, and the park/unpark hand-off orders it.
+	onHandler bool
+
 	// wait is the owning client's wait record, here so a handler
-	// processing callWait reaches it without touching the Client. It
-	// also keeps Session in the 96-byte size class (TestHotStructSizes).
+	// processing callWait or callGuard reaches it without touching the
+	// Client.
 	wait *waitRec
+
+	// one backs the session slice of a single-handler SeparateMany /
+	// SeparateWhen block (reserveMany), which then allocates nothing.
+	// With it Session fills the 96-byte size class (TestHotStructSizes).
+	one [1]*Session
 
 	// replyVal/replyErr carry a remote query result from handler to
 	// client; the parker handoff orders the accesses.
@@ -105,6 +140,13 @@ func (s *Session) Handler() *Handler { return s.h }
 func (s *Session) Call(fn func()) {
 	rt := s.h.rt
 	rt.stats.asyncCalls.Add(1)
+	if s.onHandler {
+		// Logged by a guard the handler is evaluating: the handler must
+		// not become a second producer of the private queue, and with
+		// the queue empty and the client parked, in place is in order.
+		s.h.execCall(s, fn)
+		return
+	}
 	s.synced = false // an async call desynchronizes the handler
 	c := call{kind: callCall, fn: fn}
 	if obs.Enabled() {
@@ -135,6 +177,13 @@ func (s *Session) Sync() {
 // hoists out of a loop; application code normally wants Sync.
 func (s *Session) SyncNow() {
 	rt := s.h.rt
+	if s.onHandler {
+		// A guard on the handler itself: nothing to wait for, and the
+		// LocalQuery that statically hoisted code pairs with this is
+		// legal (guardHolds takes the mark back).
+		s.synced = true
+		return
+	}
 	rt.stats.syncsPerformed.Add(1)
 	rt.stats.syncsExecuted.Add(1)
 	var t0 int64
@@ -169,6 +218,9 @@ func (s *Session) Synced() bool { return s.synced }
 func (s *Session) queryRemote(qfn func() any) any {
 	rt := s.h.rt
 	rt.stats.remoteQueries.Add(1)
+	if s.onHandler {
+		return qfn() // a guard on the handler itself; its recover poisons the session
+	}
 	var t0 int64
 	if obs.Enabled() {
 		t0 = obs.Now()
@@ -217,6 +269,11 @@ func (s *Session) CallFuture(qfn func() any) *future.Future {
 	// session resolves it (deadlock detection's await edges).
 	fut.SetOrigin(s.h)
 	rt.trackFuture(fut)
+	if s.onHandler { // see Call
+		v, err := s.h.execQuery(s, qfn)
+		resolveFuture(fut, v, err)
+		return fut
+	}
 	// The handler executes qfn and moves on without parking at the
 	// client's disposal, so the session is not synced afterwards.
 	s.synced = false
