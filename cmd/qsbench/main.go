@@ -7,29 +7,13 @@
 //	qsbench [flags]
 //
 //	-experiment NAME[,NAME...]  experiments to run; "all" runs every
-//	            one in order. The canonical list lives in
-//	            experimentOrder below (flag help and error messages are
-//	            generated from it): the paper's tables and figures
-//	            (table1..5, fig16..20), the repo's scheduler and
-//	            transport studies (eve, executor, steal, futures,
-//	            remote, flow, chaos, bank), the compiler-integration
-//	            experiment (compile), the Cowichan suite on the
-//	            unified scheduler (cowichan), and the roll-up
-//	            (summary).
-//	-json path  also write machine-readable results (experiment,
-//	            config, medians, counters) for BENCH_*.json trajectory
-//	            files
+//	            one in the paper's order. The names are those of
+//	            harness.Experiments (flag help and error messages are
+//	            generated from it): table1..5, fig16..20, eve (§4.5)
+//	            and summary (the geometric means of §4.4 and §5.4).
 //	-trace path enable the internal/obs tracer for the whole run and
 //	            export a Chrome trace_event JSON file at exit (load it
 //	            in Perfetto or chrome://tracing)
-//	-baseline path  prior BENCH_*.json the obs experiment gates its
-//	            disabled-tracer overhead against
-//	-flow-baseline path  prior BENCH_*.json the flow and remote
-//	            experiments gate their throughput against (<=5% on a
-//	            comparable host)
-//	-seed N     seed for deterministic fault injection (the chaos
-//	            experiment); recorded in -json metadata so failing
-//	            runs replay exactly
 //	-size      small|paper   problem sizes (paper sizes are large!)
 //	-reps      N             repetitions per measurement (median)
 //	-workers   N             worker/handler count at full width
@@ -40,13 +24,14 @@
 //	-cores     1,2,4         worker sweep for fig19/table4
 //
 // Each experiment prints a text table with the same rows/columns as
-// the paper's table or figure; EXPERIMENTS.md records the comparison
-// against the published numbers.
+// the paper's table or figure. What the repo measures about itself —
+// throughput, latency, the per-layer ladder — is `go run ./bench`.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -59,38 +44,35 @@ import (
 	"scoopqs/internal/obs"
 )
 
-// experimentOrder is the canonical experiment list: the run order of
-// -experiment all, and the source of the flag help and error text.
-// Adding an experiment means adding it here and in experimentTable —
-// main fails fast if the two drift apart.
-var experimentOrder = []string{
-	"table1", "fig16", "table2", "fig17", "table3",
-	"fig18", "fig19", "table4", "table5", "fig20",
-	"eve", "executor", "steal", "futures", "remote", "flow", "chaos",
-	"bank", "compile", "cowichan", "obs", "summary",
+// experimentNames lists the registered experiments in run order.
+func experimentNames() string {
+	names := make([]string, len(harness.Experiments))
+	for i, e := range harness.Experiments {
+		names[i] = e.Name
+	}
+	return strings.Join(names, ", ")
 }
 
-// experimentTable binds each name to its Options method.
-func experimentTable(o harness.Options) map[string]func() {
-	return map[string]func(){
-		"table1": o.Table1, "fig16": o.Fig16,
-		"table2": o.Table2, "fig17": o.Fig17,
-		"table3": o.Table3,
-		"fig18":  o.Fig18, "fig19": o.Fig19, "table4": o.Table4,
-		"table5": o.Table5, "fig20": o.Fig20,
-		"eve":      o.Eve,
-		"executor": o.Executor,
-		"steal":    o.Steal,
-		"futures":  o.Futures,
-		"remote":   o.Remote,
-		"flow":     o.Flow,
-		"chaos":    o.Chaos,
-		"bank":     o.Bank,
-		"compile":  o.Compile,
-		"cowichan": o.Cowichan,
-		"obs":      o.Obs,
-		"summary":  o.Summary,
+// selectExperiments resolves a comma-separated -experiment value
+// against harness.Experiments ("all" expands to every one in order).
+func selectExperiments(spec string) ([]harness.Experiment, error) {
+	var out []harness.Experiment
+next:
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		if name == "all" {
+			out = append(out, harness.Experiments...)
+			continue
+		}
+		for _, e := range harness.Experiments {
+			if e.Name == name {
+				out = append(out, e)
+				continue next
+			}
+		}
+		return nil, fmt.Errorf("unknown -experiment %q (want all, %s)", name, experimentNames())
 	}
+	return out, nil
 }
 
 // configByName resolves the paper's configuration labels
@@ -112,40 +94,39 @@ func configByName(name string) (core.Config, bool) {
 }
 
 func main() {
-	experiment := flag.String("experiment", "all",
-		"experiment to run: all, "+strings.Join(experimentOrder, ", ")+" (comma-separate to run several)")
-	size := flag.String("size", "small", "problem sizes: small or paper")
-	reps := flag.Int("reps", 3, "repetitions per measurement")
-	workers := flag.Int("workers", 0, "workers/handlers (default: NumCPU, min 2)")
-	pool := flag.Int("pool", 0, "Qs executor pool size (0 = dedicated goroutine per handler)")
-	config := flag.String("config", "", "restrict optimization sweeps to one configuration (None, Dynamic, Static, QoQ, All)")
-	cores := flag.String("cores", "", "comma-separated worker sweep for fig19/table4")
-	jsonPath := flag.String("json", "", "also write machine-readable results (experiment, config, medians, counters) to this path")
-	tracePath := flag.String("trace", "", "record internal/obs events for the whole run and write a Chrome trace_event JSON file here")
-	baseline := flag.String("baseline", "BENCH_PR7_obs.json", "prior BENCH_*.json the obs experiment gates disabled-tracer overhead against")
-	flowBaseline := flag.String("flow-baseline", "BENCH_PR5_flow.json", "prior BENCH_*.json the flow and remote experiments gate throughput against")
-	seed := flag.Int64("seed", 1, "seed for deterministic fault injection (chaos experiment); recorded in -json metadata")
-	flag.Parse()
-
-	// Fail fast if the -json document shape drifted from its canonical
-	// key list (same discipline as the experiment-list check below).
-	if err := harness.SchemaSelfCheck(); err != nil {
-		fatalf("%v", err)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "qsbench: %v\n", err)
+		os.Exit(1)
 	}
+}
 
-	o := harness.Defaults(os.Stdout)
+// run is main without the process exit, so a test can drive it.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("qsbench", flag.ExitOnError)
+	experiment := fs.String("experiment", "all",
+		"experiment to run: all, "+experimentNames()+" (comma-separate to run several)")
+	size := fs.String("size", "small", "problem sizes: small or paper")
+	reps := fs.Int("reps", 3, "repetitions per measurement")
+	workers := fs.Int("workers", 0, "workers/handlers (default: NumCPU, min 2)")
+	pool := fs.Int("pool", 0, "Qs executor pool size (0 = dedicated goroutine per handler)")
+	config := fs.String("config", "", "restrict optimization sweeps to one configuration (None, Dynamic, Static, QoQ, All)")
+	cores := fs.String("cores", "", "comma-separated worker sweep for fig19/table4")
+	tracePath := fs.String("trace", "", "record internal/obs events for the whole run and write a Chrome trace_event JSON file here")
+	fs.Parse(args) //nolint:errcheck // ExitOnError: Parse exits on a bad flag
+
+	o := harness.Defaults(stdout)
 	o.Reps = *reps
 	if *workers > 0 {
 		o.Workers = *workers
 	}
 	if *pool < 0 {
-		fatalf("-pool must be >= 0")
+		return fmt.Errorf("-pool must be >= 0")
 	}
 	o.Pool = *pool
 	if *config != "" {
 		cfg, ok := configByName(*config)
 		if !ok {
-			fatalf("unknown -config %q (want None, Dynamic, Static, QoQ, All)", *config)
+			return fmt.Errorf("unknown -config %q (want None, Dynamic, Static, QoQ, All)", *config)
 		}
 		o.Configs = []core.Config{cfg}
 	}
@@ -154,87 +135,54 @@ func main() {
 	case "paper":
 		o.Cow = cowichan.PaperParams()
 		o.Conc = concbench.PaperParams()
-		fmt.Fprintln(os.Stderr, "qsbench: paper sizes selected; expect long runs and ~GiB memory use")
+		fmt.Fprintln(stderr, "qsbench: paper sizes selected; expect long runs and ~GiB memory use")
 	default:
-		fatalf("unknown -size %q", *size)
+		return fmt.Errorf("unknown -size %q", *size)
 	}
 	if *cores != "" {
 		o.Cores = nil
 		for _, s := range strings.Split(*cores, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || n < 1 {
-				fatalf("bad -cores entry %q", s)
+				return fmt.Errorf("bad -cores entry %q", s)
 			}
 			o.Cores = append(o.Cores, n)
 		}
 	}
 	if err := o.Cow.Validate(); err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	if *jsonPath != "" {
-		o.Rec = &harness.Recorder{Seed: *seed}
+	selected, err := selectExperiments(*experiment)
+	if err != nil {
+		return err
 	}
-	o.Baseline = *baseline
-	o.FlowBaseline = *flowBaseline
-	o.Seed = *seed
 	if *tracePath != "" {
 		obs.Enable()
 	}
 
-	fmt.Printf("qsbench: host CPUs=%d, workers=%d, reps=%d, cow=%+v, conc=%+v\n",
+	fmt.Fprintf(stdout, "qsbench: host CPUs=%d, workers=%d, reps=%d, cow=%+v, conc=%+v\n",
 		runtime.NumCPU(), o.Workers, o.Reps, o.Cow, o.Conc)
-
-	experiments := experimentTable(o)
-	if len(experiments) != len(experimentOrder) {
-		fatalf("experiment table and order list drifted (%d vs %d entries)", len(experiments), len(experimentOrder))
-	}
-	for _, n := range experimentOrder {
-		if _, ok := experiments[n]; !ok {
-			fatalf("experiment %q is in the order list but not the table", n)
-		}
+	for _, e := range selected {
+		e.Run(o)
 	}
 
-	for _, name := range strings.Split(*experiment, ",") {
-		name = strings.TrimSpace(name)
-		if name == "all" {
-			for _, n := range experimentOrder {
-				experiments[n]()
-			}
-			continue
-		}
-		f, ok := experiments[name]
-		if !ok {
-			fatalf("unknown -experiment %q (want all, %s)", name, strings.Join(experimentOrder, ", "))
-		}
-		f()
-	}
-	if *jsonPath != "" {
-		if err := o.Rec.WriteFile(*jsonPath); err != nil {
-			fatalf("writing -json file: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "qsbench: wrote %d result rows to %s\n", len(o.Rec.Results), *jsonPath)
-	}
 	if *tracePath != "" {
 		// Disable before export for a consistent snapshot (live emitters
 		// would otherwise tear records mid-copy).
 		obs.Disable()
 		f, err := os.Create(*tracePath)
 		if err != nil {
-			fatalf("creating -trace file: %v", err)
+			return fmt.Errorf("creating -trace file: %w", err)
 		}
 		if err := obs.WriteChromeTrace(f); err != nil {
-			fatalf("writing -trace file: %v", err)
+			f.Close()
+			return fmt.Errorf("writing -trace file: %w", err)
 		}
 		if err := f.Close(); err != nil {
-			fatalf("closing -trace file: %v", err)
+			return fmt.Errorf("closing -trace file: %w", err)
 		}
-		kinds := obs.KindCounts()
-		fmt.Fprintf(os.Stderr, "qsbench: wrote %d trace events (%d kinds) to %s\n",
-			obs.EventCount(), len(kinds), *tracePath)
+		fmt.Fprintf(stderr, "qsbench: wrote %d trace events (%d kinds) to %s\n",
+			obs.EventCount(), len(obs.KindCounts()), *tracePath)
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "qsbench: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

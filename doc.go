@@ -91,8 +91,9 @@
 // worker, so delegation chains deeper than the pool cannot deadlock
 // it. Stats exposes the executor counters (Schedules, HandlerParks,
 // WorkerSpawns, WorkerParks, Steals, InjectorPushes, LocalPushes);
-// `go run ./cmd/qsbench -experiment executor` compares the two modes
-// on a 10k-handler token ring.
+// `go run ./bench --workload handoff` compares the two modes, on a
+// 10k-handler token ring among others (concbench.ring10k_dedicated_s,
+// concbench.ring10k_pooled_s).
 //
 // The pool itself is a work-stealing scheduler. Every worker owns a
 // bounded lock-free deque (Chase–Lev: LIFO for the owner, FIFO for
@@ -110,7 +111,7 @@
 // ordering comes from the wake protocol (a handler is scheduled at
 // most once until it runs), per-session FIFO from the private queues.
 // See the README's "Scheduler" section for the ordering and wake-path
-// details, and `qsbench -experiment steal` for the measured sweep.
+// details; the benchmark's sched.* per-layer metrics measure it.
 //
 // The pool also carries fork-join work: internal/sched exposes a
 // TaskGroup (Spawn/Wait) and TBB-style skeletons (ParallelFor,
@@ -131,9 +132,10 @@
 // treats a task join like any other blocking section — which is why
 // Wait is legal inside a handler step. Task panics re-raise at the
 // join. Stats adds TasksSpawned, TaskSteals, and TaskWaitParks; `go
-// run ./cmd/qsbench -experiment cowichan` sweeps the Cowichan suite
-// (every paradigm, including the fork-join "cxx" stand-in and the
-// pooled Qs runtime) on the unified scheduler.
+// run ./bench --workload chain` runs the Cowichan chain on the pooled
+// Qs runtime (cowichan.*_s, sched.task_steals_per_kop), and
+// TestChainMatchesAcrossImpls checks every paradigm, including the
+// fork-join "cxx" stand-in, against the sequential reference.
 //
 // Compensation is a last resort, though: the futures subsystem lets
 // handler code wait without blocking at all. Session.CallFuture (and
@@ -146,9 +148,10 @@
 // handler ready again and the continuation runs first, so the run
 // rule's ordering is preserved while a depth-k delegation chain costs
 // k state-machine parks instead of k compensation goroutines. Stats
-// counts FuturesCreated and AwaitParks; `go run ./cmd/qsbench
-// -experiment futures` measures the effect (and the remote layer's
-// query pipelining, which rides the same mechanism).
+// counts FuturesCreated and AwaitParks; TestAwaitSpawnReduction pins
+// the effect and the benchmark reports core.call_future_ns and
+// core.await_parks_per_kop (the remote layer's query pipelining rides
+// the same mechanism).
 //
 // The remote layer (internal/remote) extends the private-queue model
 // over sockets with a multiplexed binary transport: one connection
@@ -166,11 +169,11 @@
 // RemoteSession — Call, QueryAsync, Query, Sync (and any frame send at
 // the byte budget) — can now park the calling goroutine until the
 // window or the batch drains; they must not be called from a
-// Future.OnComplete callback. `qsbench -experiment remote` sweeps
-// logical clients over one connection against connection-per-client
-// shapes, and `qsbench -experiment flow` measures the stalled-peer
-// bounds; see the README's "Remote" and "Flow control" sections for
-// the wire layout, flush policy, and window mechanics.
+// Future.OnComplete callback. `go run ./bench --workload bank` drives
+// the transport at service scale (remote.* per-layer metrics), and
+// TestSlowPeerBoundsServerWriter pins the stalled-peer bounds; see the
+// README's "Remote" and "Flow control" sections for the wire layout,
+// flush policy, and window mechanics.
 //
 // All three layers are observable (internal/obs): scheduler dispatch
 // waits, worker parks, steals, and task spawn/join; handler state
@@ -180,14 +183,14 @@
 // buffers exportable as Chrome trace_event JSON (Perfetto-loadable;
 // every qsbench run takes -trace), durations additionally feed
 // sharded power-of-two-bucket histograms in a process-global named
-// registry (p50/p90/p99/max on the bench rows). Recording is off by
-// default behind one process-global flag, and the disabled contract
-// is strict: each instrumented site pays a single predictable branch
-// — no atomics on the data path, no allocation, nothing recorded.
-// `go run ./cmd/qsbench -experiment obs` measures that contract and
-// enforces it against the pre-instrumentation baseline (3% budget);
-// see the README's "Observability" section for the event kinds and
-// histogram semantics.
+// registry (the benchmark's *_p50_* / *_p99_* metrics). Recording is
+// off by default behind one process-global flag, and the disabled
+// contract is strict: each instrumented site pays a single predictable
+// branch — no atomics on the data path, no allocation, nothing recorded.
+// TestDisabledTracerRecordsNothing enforces that contract, and the
+// benchmark's obs.trace_overhead_ratio measures what switching
+// recording on costs; see the README's "Observability" section for
+// the event kinds and histogram semantics.
 //
 // The compiler stack (internal/compiler) closes the loop to the
 // paper's static side: its interpreter executes IR programs against a
@@ -197,10 +200,10 @@
 // on the wire, every statically eliminated sync is an eliminated
 // round-trip (the Fig. 14 copy loop drops from 2N+2 to N+1), and a
 // local query against an unsynced session panics on every backend,
-// catching unsound elision at execution time. `go run ./cmd/qsbench
-// -experiment compile` asserts exact outcome equality across all
-// backends and the round-trip reduction; see the README's "Compiler &
-// sync elimination" section.
+// catching unsound elision at execution time.
+// TestCorpusRemoteMatchesLocal asserts exact outcome equality across
+// all backends and TestCopyLoopRemoteRoundTripReduction the round-trip
+// reduction; see the README's "Compiler & sync elimination" section.
 //
 // # Quick start
 //

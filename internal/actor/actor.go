@@ -8,6 +8,10 @@
 // entirety between actor heaps, which is exactly the communication
 // burden the paper measures for Erlang on the data-parallel Cowichan
 // problems.
+//
+// Frozen: this package exists only for the language columns of the
+// paper's Tables 3–5 and Figs. 18–20 (internal/harness). It gets no new
+// features and is excluded from the benchmark's ladder claims.
 package actor
 
 import (

@@ -4,6 +4,7 @@ import (
 	"net"
 	"testing"
 
+	"scoopqs/internal/compiler/ir"
 	"scoopqs/internal/compiler/passes"
 	"scoopqs/internal/core"
 	"scoopqs/internal/remote"
@@ -60,9 +61,10 @@ func runRemoteOnce(t *testing.T, p Program, hvs []string, run func(*remote.Mux) 
 	return out, ctrs
 }
 
-// Every corpus program must produce the identical outcome over the mux
-// transport as on the local dedicated runtime, naive and optimized —
-// and the optimized variant must never pay more round-trips.
+// Every corpus program must produce the identical outcome on every
+// backend — dedicated goroutines, the pooled executor at 1 and 4
+// workers, and the mux transport against a live server — naive and
+// optimized, and the optimized variant must never pay more round-trips.
 func TestCorpusRemoteMatchesLocal(t *testing.T) {
 	for _, p := range Corpus() {
 		p := p
@@ -75,29 +77,41 @@ func TestCorpusRemoteMatchesLocal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			variants := []struct {
+				name string
+				f    *ir.Func
+			}{{"naive", naiveF}, {"optimized", res.Func}}
 
-			rt := core.New(core.ConfigStatic)
-			local, _, err := p.RunLocal(rt, naiveF)
-			rt.Shutdown()
-			if err != nil {
-				t.Fatal(err)
+			runLocal := func(workers int, f *ir.Func) Outcome {
+				rt := core.New(core.ConfigStatic.WithWorkers(workers))
+				defer rt.Shutdown()
+				out, _, err := p.RunLocal(rt, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			local := runLocal(0, naiveF)
+			for _, workers := range []int{0, 1, 4} { // 0 = dedicated goroutines
+				for _, v := range variants {
+					if out := runLocal(workers, v.f); !local.Equal(out) {
+						t.Errorf("workers=%d %s diverged from dedicated naive:\n  want: %s\n  got:  %s", workers, v.name, local, out)
+					}
+				}
 			}
 
-			rNaive, cNaive := runRemoteOnce(t, p, naiveF.Handlers, func(m *remote.Mux) (Outcome, Counters, error) {
-				return p.RunRemote(m, naiveF)
-			})
-			rOpt, cOpt := runRemoteOnce(t, p, res.Func.Handlers, func(m *remote.Mux) (Outcome, Counters, error) {
-				return p.RunRemote(m, res.Func)
-			})
-
-			if !local.Equal(rNaive) {
-				t.Errorf("remote naive diverged from local:\n  local:  %s\n  remote: %s", local, rNaive)
+			var roundTrips [2]int64
+			for i, v := range variants {
+				out, ctrs := runRemoteOnce(t, p, v.f.Handlers, func(m *remote.Mux) (Outcome, Counters, error) {
+					return p.RunRemote(m, v.f)
+				})
+				if !local.Equal(out) {
+					t.Errorf("remote %s diverged from local:\n  local:  %s\n  remote: %s", v.name, local, out)
+				}
+				roundTrips[i] = ctrs.RoundTrips
 			}
-			if !local.Equal(rOpt) {
-				t.Errorf("remote optimized diverged from local:\n  local:  %s\n  remote: %s", local, rOpt)
-			}
-			if cOpt.RoundTrips > cNaive.RoundTrips {
-				t.Errorf("optimized paid more round-trips (%d) than naive (%d)", cOpt.RoundTrips, cNaive.RoundTrips)
+			if roundTrips[1] > roundTrips[0] {
+				t.Errorf("optimized paid more round-trips (%d) than naive (%d)", roundTrips[1], roundTrips[0])
 			}
 		})
 	}
@@ -122,12 +136,18 @@ func TestCopyLoopRemoteRoundTripReduction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, cNaive := runRemoteOnce(t, p, naiveF.Handlers, func(m *remote.Mux) (Outcome, Counters, error) {
-		return p.RunRemote(m, naiveF)
-	})
-	_, cOpt := runRemoteOnce(t, p, res.Func.Handlers, func(m *remote.Mux) (Outcome, Counters, error) {
-		return p.RunRemote(m, res.Func)
-	})
+	// Round-trips as the interpreter's adapter counts them and as the
+	// transport itself counts reply-expecting frames.
+	run := func(f *ir.Func) (ctrs Counters, wire uint64) {
+		_, ctrs = runRemoteOnce(t, p, f.Handlers, func(m *remote.Mux) (Outcome, Counters, error) {
+			out, c, err := p.RunRemote(m, f)
+			wire = m.Stats().RoundTrips
+			return out, c, err
+		})
+		return ctrs, wire
+	}
+	cNaive, wireNaive := run(naiveF)
+	cOpt, wireOpt := run(res.Func)
 
 	// Naive: one sync per iteration plus header and exit syncs (N+2)
 	// and one qlocal read per iteration (N) -> 2N+2 round-trips.
@@ -140,5 +160,9 @@ func TestCopyLoopRemoteRoundTripReduction(t *testing.T) {
 	}
 	if got, want := cNaive.RoundTrips-cOpt.RoundTrips, p.N+1; got != want {
 		t.Errorf("round-trip reduction = %d, want %d", got, want)
+	}
+	// The outcome fingerprint queries cancel between the two variants.
+	if got, want := wireNaive-wireOpt, uint64(p.N+1); got != want {
+		t.Errorf("MuxStats.RoundTrips reduction = %d (naive %d, optimized %d), want %d", got, wireNaive, wireOpt, want)
 	}
 }

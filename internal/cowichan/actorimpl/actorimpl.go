@@ -9,6 +9,10 @@
 // reply; the kernel's Comm time is the wall time minus the maximum
 // worker compute time (phases overlap), matching the paper's
 // computation/communication split for Erlang.
+//
+// Frozen: this package exists only for the language columns of the
+// paper's Tables 3–5 and Figs. 18–20 (internal/harness). It gets no new
+// features and is excluded from the benchmark's ladder claims.
 package actorimpl
 
 import (

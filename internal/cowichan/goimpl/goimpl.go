@@ -3,6 +3,10 @@
 // write results into shared output arrays. This is the "go" comparator
 // of the paper's language study — shared memory, channel-coordinated,
 // no safety guarantees beyond convention.
+//
+// Frozen: this package exists only for the language columns of the
+// paper's Tables 3–5 and Figs. 18–20 (internal/harness). It gets no new
+// features and is excluded from the benchmark's ladder claims.
 package goimpl
 
 import (

@@ -7,6 +7,10 @@
 // constructed in parallel, then concatenated together; the
 // concatenation is sequential, putting a limit on the maximum
 // speedup"). This is the "haskell" comparator for the parallel tasks.
+//
+// Frozen: this package exists only for the language columns of the
+// paper's Tables 3–5 and Figs. 18–20 (internal/harness). It gets no new
+// features and is excluded from the benchmark's ladder claims.
 package pureimpl
 
 import (

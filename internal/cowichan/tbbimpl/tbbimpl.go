@@ -6,6 +6,10 @@
 // fork-join fold-in it runs on the same scheduler that serves the Qs
 // handler runtime, so data-parallel kernels and handler traffic can
 // share one worker pool.
+//
+// Frozen: this package exists only for the language columns of the
+// paper's Tables 3–5 and Figs. 18–20 (internal/harness). It gets no new
+// features and is excluded from the benchmark's ladder claims.
 package tbbimpl
 
 import (
@@ -26,10 +30,6 @@ type Impl struct {
 func New(workers int) *Impl {
 	return &Impl{exec: sched.NewExecutor(workers), grain: 8}
 }
-
-// Executor exposes the backing executor, so harness code can read its
-// task counters after a run.
-func (im *Impl) Executor() *sched.Executor { return im.exec }
 
 // Name implements cowichan.Impl.
 func (*Impl) Name() string { return "cxx" }

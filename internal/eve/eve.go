@@ -25,6 +25,10 @@
 // 11.7x on the concurrency benchmarks, 7.7x on the parallel ones, 9.7x
 // overall; and EVE/Qs stays slower than SCOOP/Qs in absolute terms
 // because the handicaps remain.
+//
+// Frozen: this package exists only for the paper's §4.5 comparison
+// (internal/harness, `qsbench -experiment eve`). It gets no new
+// features and is excluded from the benchmark's ladder claims.
 package eve
 
 import (

@@ -39,10 +39,18 @@ func TestConfigMapping(t *testing.T) {
 // parallel geomean was 7.7x), and the unhandicapped Qs runtime beats
 // EVE/Qs in absolute terms.
 func TestEveQsFasterThanEveOnPulls(t *testing.T) {
-	const n = 30000
-	eve := Run(VariantEVE, n, 2, 30)
-	eveqs := Run(VariantEVEQs, n, 2, 30)
-	qs := Run(VariantQs, n, 2, 30)
+	// Fastest of five runs per variant: the Qs vs EVE/Qs margin is a few
+	// percent, below one run's scheduling noise.
+	fastest := func(variant string) Results {
+		best := Run(variant, 30000, 2, 30)
+		for rep := 1; rep < 5; rep++ {
+			if r := Run(variant, 30000, 2, 30); r.Parallel < best.Parallel {
+				best = r
+			}
+		}
+		return best
+	}
+	eve, eveqs, qs := fastest(VariantEVE), fastest(VariantEVEQs), fastest(VariantQs)
 
 	if eveqs.Parallel >= eve.Parallel {
 		t.Errorf("EVE/Qs (%v) not faster than EVE (%v) on the pull workload",

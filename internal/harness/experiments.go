@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"scoopqs/internal/concbench"
@@ -428,106 +427,4 @@ func (o Options) Summary() {
 	}
 	tb.flush()
 	fmt.Fprintf(o.Out, "\nPaper's §5.4 overall geomeans: cxx 0.71s, go 1.02s, Qs 1.61s, haskell 3.30s, erlang 9.51s.\n")
-}
-
-// ringOnce runs a threadring-style hop chain over `handlers` handlers
-// under cfg and returns the wall time plus the runtime's counters. The
-// ring has far more handlers than cores, the regime where dedicated
-// goroutines pay for parked consumers and the M:N executor does not.
-func ringOnce(cfg core.Config, handlers, hops int) (time.Duration, core.Stats) {
-	rt := core.New(cfg)
-	hs := make([]*core.Handler, handlers)
-	tokens := make([]int, handlers) // tokens[i] owned by hs[i]
-	for i := range hs {
-		hs[i] = rt.NewHandler("ring")
-	}
-	done := make(chan struct{})
-	var pass func(i, v int)
-	pass = func(i, v int) {
-		if v == 0 {
-			close(done)
-			return
-		}
-		next := (i + 1) % handlers
-		hs[i].AsClient().Separate(hs[next], func(s *core.Session) {
-			s.Call(func() { tokens[next] = v - 1 })
-			if got := core.Query(s, func() int { return tokens[next] }); got != v-1 {
-				panic("harness: ring token confirmation mismatch")
-			}
-			s.Call(func() { pass(next, v-1) })
-		})
-	}
-	start := time.Now()
-	c := rt.NewClient()
-	c.Separate(hs[0], func(s *core.Session) {
-		s.Call(func() { pass(0, hops) })
-	})
-	<-done
-	d := time.Since(start)
-	rt.Shutdown()
-	return d, rt.Stats()
-}
-
-// Executor compares dedicated-goroutine and pooled (M:N) handler
-// execution on a token ring with handlers ≫ workers, reporting the
-// executor's scheduling counters alongside wall time. This experiment
-// has no counterpart in the paper; it measures this repo's worker-pool
-// extension (see README "Executor model").
-func (o Options) Executor() {
-	handlers, hops := o.ExecHandlers, o.ExecHops
-	if handlers < 2 {
-		handlers = 2
-	}
-	if hops < 1 {
-		hops = handlers
-	}
-	pool := o.Pool
-	if pool <= 0 {
-		pool = runtime.GOMAXPROCS(0)
-	}
-	section(o.Out, "Executor",
-		fmt.Sprintf("Token ring over %d handlers, %d hops (ConfigAll): dedicated\ngoroutine-per-handler vs. M:N pool of %d workers, with scheduler\ncounters. Not a paper experiment; measures the executor layer.", handlers, hops, pool))
-	modes := []struct {
-		label string
-		cfg   core.Config
-	}{
-		{"dedicated", core.ConfigAll},
-		{fmt.Sprintf("pooled(%d)", pool), core.ConfigAll.WithWorkers(pool)},
-	}
-	tb := newTable(o.Out)
-	tb.row("Mode", "time(s)", "hops/ms", "schedules", "handler-parks", "worker-spawns", "worker-parks")
-	for _, m := range modes {
-		var runs []timedStats
-		for r := 0; r < o.Reps || r == 0; r++ {
-			dd, s := ringOnce(m.cfg, handlers, hops)
-			runs = append(runs, timedStats{dd, s})
-		}
-		mid := medianRun(runs)
-		d, st := mid.d, mid.st
-		tb.row(m.label, Seconds(d),
-			fmt.Sprintf("%.0f", float64(hops)/(float64(d.Nanoseconds())/1e6)),
-			fmt.Sprintf("%d", st.Schedules),
-			fmt.Sprintf("%d", st.HandlerParks),
-			fmt.Sprintf("%d", st.WorkerSpawns),
-			fmt.Sprintf("%d", st.WorkerParks))
-		o.Rec.Add(Result{
-			Experiment: "executor",
-			Labels:     map[string]string{"mode": m.label, "config": m.cfg.Name()},
-			Medians: map[string]float64{
-				"seconds": d.Seconds(),
-				"hops_per_ms": float64(hops) /
-					(float64(d.Nanoseconds()) / 1e6),
-			},
-			Counters: map[string]int64{
-				"schedules":       st.Schedules,
-				"handler_parks":   st.HandlerParks,
-				"worker_spawns":   st.WorkerSpawns,
-				"worker_parks":    st.WorkerParks,
-				"steals":          st.Steals,
-				"local_pushes":    st.LocalPushes,
-				"injector_pushes": st.InjectorPushes,
-			},
-		})
-	}
-	tb.flush()
 }

@@ -1,7 +1,8 @@
-// Package harness runs the paper's experiments and renders their
-// tables and figures as text. Each experiment function regenerates one
-// table or figure of the evaluation section (see DESIGN.md's
-// per-experiment index); cmd/qsbench is the command-line driver.
+// Package harness regenerates the tables and figures of the paper's
+// evaluation (Tables 1–5, Figs. 16–20, the §4.5 EVE/Qs comparison and
+// the geometric-mean summaries) and renders them as text. Experiments
+// lists them; cmd/qsbench is the command-line driver. Everything the
+// repo measures about itself beyond the paper lives in bench/.
 package harness
 
 import (
@@ -42,42 +43,29 @@ type Options struct {
 	Cow cowichan.Params
 	// Conc are the coordination benchmark sizes.
 	Conc concbench.Params
-	// ExecHandlers/ExecHops size the Executor experiment's ring:
-	// handlers ≫ pool workers is the interesting regime.
-	ExecHandlers int
-	ExecHops     int
-	// FutDepth/FutRounds size the Futures experiment's delegation
-	// chain (depth ≫ pool workers is the interesting regime);
-	// FutQueries is its remote-pipelining query count.
-	FutDepth   int
-	FutRounds  int
-	FutQueries int
-	// RemoteQueries is the total pipelined-query budget of the Remote
-	// experiment, split evenly across the logical-client sweep.
-	RemoteQueries int
-	// Rec, when non-nil, collects machine-readable Results alongside
-	// the text tables (qsbench -json).
-	Rec *Recorder
-	// Baseline is the prior BENCH_*.json trajectory file the Obs
-	// experiment gates its disabled-tracer overhead against.
-	Baseline string
-	// FlowBaseline is the prior BENCH_*.json trajectory file the Flow
-	// and Remote experiments gate their throughput against (<=5%
-	// regression on a comparable host).
-	FlowBaseline string
-	// Seed drives every deterministic randomized component (the chaos
-	// experiment's fault injection, the bank workload mix); it is
-	// recorded in -json metadata so a failing run replays exactly.
-	Seed int64
-	// BankAccounts/BankShards/BankSessions/BankOps/BankInflight size
-	// the Bank experiment: total accounts, shard handlers owning them,
-	// mux sessions driving the mixed workload, total operations, and
-	// the per-session in-flight read bound.
-	BankAccounts int
-	BankShards   int
-	BankSessions int
-	BankOps      int
-	BankInflight int
+}
+
+// Experiment is one table or figure of the paper's evaluation.
+type Experiment struct {
+	Name string
+	Run  func(Options)
+}
+
+// Experiments lists every experiment in the paper's presentation
+// order — the run order of "all" and the only registry of names.
+var Experiments = []Experiment{
+	{"table1", Options.Table1},
+	{"fig16", Options.Fig16},
+	{"table2", Options.Table2},
+	{"fig17", Options.Fig17},
+	{"table3", Options.Table3},
+	{"fig18", Options.Fig18},
+	{"fig19", Options.Fig19},
+	{"table4", Options.Table4},
+	{"table5", Options.Table5},
+	{"fig20", Options.Fig20},
+	{"eve", Options.Eve},
+	{"summary", Options.Summary},
 }
 
 // Defaults returns laptop-scale options writing to w.
@@ -91,24 +79,12 @@ func Defaults(w io.Writer) Options {
 		cores = append(cores, workers)
 	}
 	return Options{
-		Out:           w,
-		Reps:          3,
-		Workers:       workers,
-		Cores:         cores,
-		Cow:           cowichan.SmallParams(),
-		Conc:          concbench.SmallParams(),
-		ExecHandlers:  10000,
-		ExecHops:      100000,
-		FutDepth:      32,
-		FutRounds:     50,
-		FutQueries:    5000,
-		RemoteQueries: 16384,
-		Seed:          1,
-		BankAccounts:  1 << 20,
-		BankShards:    64,
-		BankSessions:  256,
-		BankOps:       1 << 18,
-		BankInflight:  32,
+		Out:     w,
+		Reps:    3,
+		Workers: workers,
+		Cores:   cores,
+		Cow:     cowichan.SmallParams(),
+		Conc:    concbench.SmallParams(),
 	}
 }
 

@@ -24,61 +24,45 @@ func tinyOptions(buf *bytes.Buffer) Options {
 	}
 }
 
-// TestAllExperimentsRender runs every experiment end to end and checks
-// each emits its header and at least one data row.
+// experimentOutput maps each registered experiment to what it must
+// print: its header first, then row or column labels.
+var experimentOutput = map[string][]string{
+	"table1":  {"== Table 1 ==", "randmat", "chain"},
+	"fig16":   {"== Figure 16 ==", "winnow"},
+	"table2":  {"== Table 2 ==", "mutex", "threadring"},
+	"fig17":   {"== Figure 17 ==", "condition"},
+	"table3":  {"== Table 3 ==", "SCOOP/Qs", "Erlang"},
+	"fig18":   {"== Figure 18 ==", "product", "comm"},
+	"fig19":   {"== Figure 19 ==", "w=1", "w=2"},
+	"table4":  {"== Table 4 ==", "chain", "T"},
+	"table5":  {"== Table 5 ==", "prodcons"},
+	"fig20":   {"== Figure 20 ==", "chameneos"},
+	"eve":     {"== §4.5 EVE/Qs ==", "EVE/Qs over EVE"},
+	"summary": {"geometric means", "geomean", "overall"},
+}
+
+// TestAllExperimentsRender runs every registered experiment end to end.
+// A registered experiment with no entry above, or one that renders no
+// header, fails here — there is no other registry to drift from.
 func TestAllExperimentsRender(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions(&buf)
-	cases := []struct {
-		name string
-		run  func()
-		want []string
-	}{
-		{"Table1", o.Table1, []string{"== Table 1 ==", "randmat", "chain"}},
-		{"Fig16", o.Fig16, []string{"== Figure 16 ==", "winnow"}},
-		{"Table2", o.Table2, []string{"== Table 2 ==", "mutex", "threadring"}},
-		{"Fig17", o.Fig17, []string{"== Figure 17 ==", "condition"}},
-		{"Table3", o.Table3, []string{"== Table 3 ==", "SCOOP/Qs", "Erlang"}},
-		{"Fig18", o.Fig18, []string{"== Figure 18 ==", "product", "comm"}},
-		{"Fig19", o.Fig19, []string{"== Figure 19 ==", "w=1", "w=2"}},
-		{"Table4", o.Table4, []string{"== Table 4 ==", "chain", "T"}},
-		{"Table5", o.Table5, []string{"== Table 5 ==", "prodcons"}},
-		{"Fig20", o.Fig20, []string{"== Figure 20 ==", "chameneos"}},
-		{"Executor", o.Executor, []string{"== Executor ==", "dedicated", "pooled", "schedules"}},
-		{"Summary", o.Summary, []string{"geometric means", "geomean", "overall"}},
+	if len(Experiments) != len(experimentOutput) {
+		t.Errorf("%d experiments registered, %d expected", len(Experiments), len(experimentOutput))
 	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			buf.Reset()
-			c.run()
+	for _, e := range Experiments {
+		t.Run(e.Name, func(t *testing.T) {
+			want, ok := experimentOutput[e.Name]
+			if !ok {
+				t.Fatalf("experiment %q has no expected output", e.Name)
+			}
+			var buf bytes.Buffer
+			e.Run(tinyOptions(&buf))
 			out := buf.String()
-			for _, want := range c.want {
-				if !strings.Contains(out, want) {
-					t.Errorf("output missing %q:\n%s", want, out)
+			for _, w := range want {
+				if !strings.Contains(out, w) {
+					t.Errorf("output missing %q:\n%s", w, out)
 				}
 			}
 		})
-	}
-}
-
-// TestRemoteExperimentRenders runs the remote sweep at a toy size: all
-// three transports must render rows and the mux-vs-gob summary line
-// must appear.
-func TestRemoteExperimentRenders(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOptions(&buf)
-	o.Pool = 2
-	o.RemoteQueries = 64
-	old := RemoteClients
-	RemoteClients = []int{1, 4}
-	defer func() { RemoteClients = old }()
-	o.Remote()
-	out := buf.String()
-	for _, want := range []string{"== Remote", "mux", "conn", "gob", "speedup"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -403,9 +403,9 @@ func (rs *RemoteSession) Separate(handler string, body func(s *Session) error) e
 }
 
 // Call logs an asynchronous call of the named procedure. Like a local
-// Session.Call it does not wait for execution — and unlike the gob-era
-// client it does not even pay a direct socket write: the frame joins
-// the connection's current batch. Admission is credit-bounded: at a
+// Session.Call it does not wait for execution — it does not even pay
+// a direct socket write: the frame joins the connection's current
+// batch. Admission is credit-bounded: at a
 // zero window Call parks until the server's replenishment arrives, so
 // a block cannot outrun the server by more than the window.
 func (s *Session) Call(fn string, args ...int64) error {

@@ -113,10 +113,6 @@
 // procedure/handler names, and pooled refcounted slabs for payloads
 // (slab.go), so the steady-state hot path allocates nothing per
 // message in either direction.
-//
-// The gob-encoded, connection-per-client protocol this replaced is
-// retained as GobClient/GobServer — a measurement baseline for
-// qsbench -experiment remote, not an API to build on.
 package remote
 
 import (

@@ -777,56 +777,3 @@ func TestRemoteCloseFailsPendingFutures(t *testing.T) {
 		t.Fatal("pending future not resolved by Close")
 	}
 }
-
-// The gob-era baseline transport must keep working: it is the
-// comparison column of qsbench -experiment remote.
-func TestGobBaselineRoundTrip(t *testing.T) {
-	rt := core.New(core.ConfigAll.WithWorkers(2))
-	h := rt.NewHandler("counter")
-	var n int64
-	srv := NewGobServer(rt)
-	srv.Expose("counter", h, map[string]Proc{
-		"add": func(a []int64) int64 { n += a[0]; return n },
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer func() {
-		srv.Close()
-		rt.Shutdown()
-	}()
-
-	c, err := DialGob("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var last *future.Future
-	err = c.Separate("counter", func(s *GobSession) error {
-		for i := 0; i < 20; i++ {
-			var err error
-			if last, err = s.QueryAsync("add", 1); err != nil {
-				return err
-			}
-		}
-		v, err := s.Query("add", 1)
-		if err != nil {
-			return err
-		}
-		if v != 21 {
-			t.Errorf("gob query saw %d, want 21", v)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := c.Await(last); err != nil || v != 20 {
-		t.Fatalf("gob pipelined future = %d, %v; want 20, nil", v, err)
-	}
-}

@@ -10,6 +10,10 @@
 // validation, which is precisely the cost profile the paper attributes
 // to Haskell on the coordination benchmarks ("an extra level of
 // bookkeeping on every operation").
+//
+// Frozen: this package exists only for the language columns of the
+// paper's Tables 3–5 and Figs. 18–20 (internal/harness). It gets no new
+// features and is excluded from the benchmark's ladder claims.
 package stm
 
 import (
