@@ -81,11 +81,27 @@
 // else. Semantics are identical in both modes; all tests run under
 // both.
 //
+// What a handler is waiting for decides how it waits (sched.WaitPolicy,
+// the one place the runtime polls for work; Parker.Park itself never
+// spins). Inside a block the client owes the next request, so the
+// handler polls its private queue, busily and then yielding
+// (sched.Engaged: 8 busy polls, 56 yields), before the dedicated
+// goroutine parks or the pooled state machine gives its worker back: a
+// query's round trip is shorter than a park/unpark cycle. With no client
+// nobody is about to serve it, and the dedicated goroutine parks on its
+// queue-of-queues after the busy polls alone (sched.Idle): parking is
+// the yield, since Unpark readies exactly the parked goroutine, whereas
+// every Gosched puts the waiter behind all runnable goroutines. Until
+// the two were told apart an idle handler yielded 56 times before each
+// park, and that, not the park, was most of a dedicated hand-off: a
+// threadring hop took ≈ 22 µs dedicated against ≈ 2.1 µs pooled, and
+// takes ≈ 4.1 µs now (bench/, handoff workload; CHANGES.md, PR 18).
+//
 // Two details make pooled execution safe. A handler draining a private
 // queue that runs dry mid-block parks without abandoning the block
 // (the session stays pinned, preserving the paper's run rule and the
-// §3.2 post-sync handshake: the handler first spins briefly on its
-// worker, staying at the client's disposal). And handler code that
+// §3.2 post-sync handshake: the handler first polls on its worker as
+// sched.Engaged, staying at the client's disposal). And handler code that
 // blocks its worker outright — a synchronous query to another handler,
 // a wait condition — notifies the pool, which spawns a replacement
 // worker, so delegation chains deeper than the pool cannot deadlock

@@ -1,6 +1,7 @@
 package actor
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -311,5 +312,49 @@ func TestPingPongLatency(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("ping-pong lost the ball")
+	}
+}
+
+// The frozen paradigm's one leak/termination test. A mailbox is a
+// queue.MPSC, whose consumer parks after a few busy polls: in a ring
+// every hop wakes an actor parked in Receive, the poison pill that
+// follows the token must wake all 64 once more, and every goroutine
+// must be gone when the last actor has been joined.
+func TestActorIdleRingTerminatesWithoutLeak(t *testing.T) {
+	const ring, hops = 64, 20000
+	before := runtime.NumGoroutine()
+	finished := make(chan int, 1)
+	refs, join := SpawnGroup(ring, func(i int, c *Ctx) {
+		next := c.Receive().(*Ref)
+		for {
+			v := c.Receive().(int)
+			if v == 0 {
+				finished <- i
+			}
+			if v <= 0 {
+				next.Send(-1)
+				return
+			}
+			next.Send(v - 1)
+		}
+	})
+	for i, r := range refs {
+		r.Send(refs[(i+1)%ring])
+	}
+	refs[0].Send(hops)
+	joined := make(chan struct{})
+	go func() { join(); close(joined) }()
+	select {
+	case <-joined:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the ring did not terminate: a parked actor was not woken")
+	}
+	if i := <-finished; i != hops%ring {
+		t.Errorf("finisher = %d, want %d", i, hops%ring)
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left, %d before the ring", runtime.NumGoroutine(), before)
+		}
 	}
 }

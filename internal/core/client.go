@@ -86,7 +86,7 @@ func (c *Client) session(h *Handler) *Session {
 		c.rt.stats.sessionsReused.Add(1)
 		return s
 	}
-	q := queue.NewSPSC[call](c.rt.cfg.Spin)
+	q := queue.NewSPSC[call](0)
 	if c.rt.exec != nil {
 		// Route private-queue notifications to the scheduler: logging
 		// a request on a parked handler makes it runnable instead of

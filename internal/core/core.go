@@ -67,10 +67,6 @@ type Config struct {
 	// the conservatism of the static analysis on irregular code.
 	StaticElide bool
 
-	// Spin is the number of empty polls queue consumers perform before
-	// parking. Zero selects a sensible default.
-	Spin int
-
 	// Workers selects the execution mode. Zero dedicates one goroutine
 	// per handler, the paper's original runtime shape. A positive value
 	// multiplexes all handlers of the runtime onto a pool of that many

@@ -596,3 +596,52 @@ func TestHotStructSizes(t *testing.T) {
 		t.Errorf("sizeof(Session) = %d, want the 96-byte size class (81..96)", got)
 	}
 }
+
+// A dedicated handler parks on its queue-of-queues as soon as it has no
+// client (sched.Idle), so in a ring every hop unparks a handler that is
+// parked or on its way there, and each confirming query parks the
+// passing handler's client side in turn. A wake-up lost on either edge
+// stops the token. Shutdown then finds all 64 handlers parked idle (they
+// have had nothing to do since the token stopped) and must release them.
+// CI runs it under -race at GOMAXPROCS 1, 2 and 4.
+func TestIdleRingNoLostWakeup(t *testing.T) {
+	const ring, hops = 64, 20000
+	for _, cfg := range Configs() {
+		t.Run(cfg.Name(), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			rt := New(cfg)
+			hs := make([]*Handler, ring)
+			tokens := make([]int, ring) // tokens[i] owned by hs[i]
+			for i := range hs {
+				hs[i] = rt.NewHandler("ring")
+			}
+			done := make(chan int, 1)
+			var pass func(i, v int)
+			pass = func(i, v int) {
+				if v == 0 {
+					done <- i
+					return
+				}
+				next := (i + 1) % ring
+				hs[i].AsClient().Separate(hs[next], func(s *Session) {
+					s.Call(func() { tokens[next] = v - 1 })
+					if got := Query(s, func() int { return tokens[next] }); got != v-1 {
+						t.Errorf("hop %d: handler %d holds %d", hops-v, next, got)
+					}
+					s.Call(func() { pass(next, v-1) })
+				})
+			}
+			rt.NewClient().Separate(hs[0], func(s *Session) {
+				s.Call(func() { pass(0, hops) })
+			})
+			within(t, "the ring", func() {
+				if finisher := <-done; finisher != hops%ring {
+					t.Errorf("finisher = %d, want %d", finisher, hops%ring)
+				}
+			})
+			time.Sleep(time.Millisecond) // the last handlers reach their park
+			within(t, "Shutdown of parked handlers", rt.Shutdown)
+			settle(t, "the handler goroutines exiting", func() bool { return runtime.NumGoroutine() <= before })
+		})
+	}
+}

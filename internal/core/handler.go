@@ -44,7 +44,6 @@ type Handler struct {
 	cur      *Session
 	task     *sched.Task
 	onWorker *sched.Worker
-	spin     int
 
 	// awaitStart is the obs timestamp of the last await park, written
 	// by the worker before the state moves to hAwaiting and consumed by
@@ -132,11 +131,7 @@ func (rt *Runtime) NewHandler(name string) *Handler {
 		rt:   rt,
 		id:   rt.nextID,
 		name: name,
-		qoq:  queue.NewMPSC[*Session](rt.cfg.Spin),
-		spin: rt.cfg.Spin,
-	}
-	if h.spin <= 0 {
-		h.spin = sched.DefaultSpin
+		qoq:  queue.NewMPSC[*Session](0),
 	}
 	if rt.exec != nil {
 		h.task = sched.NewTask(h)
@@ -513,13 +508,11 @@ func (h *Handler) drain(budget *int) drainOutcome {
 	}
 }
 
-// spinForWork polls a momentarily empty private queue briefly before
-// the handler gives up its worker: the client's next request after a
-// sync handshake is usually one scheduling step away, and staying on
-// the worker preserves the paper's direct handler-to-client handoff.
+// spinForWork is pooled mode's engaged wait, what s.q.Dequeue is to the
+// dedicated loop: the client's next request after a sync handshake is
+// usually one scheduling step away, so poll before giving up the worker.
 func (h *Handler) spinForWork(s *Session) bool {
-	for i := 0; i < h.spin; i++ {
-		sched.SpinWait(i)
+	for i := 0; sched.Engaged.Poll(i); i++ {
 		if !s.q.Empty() {
 			return true
 		}

@@ -1,6 +1,8 @@
 package queue
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"scoopqs/internal/sched"
@@ -89,22 +91,21 @@ func BenchmarkAblationMPSCvsChannel(b *testing.B) {
 	})
 }
 
-// Ablation: consumer spin count before parking. The sync handshake of
-// a query round-trips faster when the handler spins briefly instead of
-// parking immediately.
+// Ablation: how long a consumer polls before parking, on both sides of
+// the sched.WaitPolicy split.
+//
+// engaged is the sync handshake of a query: the partner answers at once,
+// and the round trip is shorter when the consumer polls and yields than
+// when it parks after the busy polls (polls=8, the idle policy).
+//
+// idlering is the queue-of-queues of a ring of handlers: each consumer is
+// woken once per revolution, so every yield it makes first is a trip
+// through the run queue that cannot find work.
 func BenchmarkAblationSpinCount(b *testing.B) {
-	for _, spin := range []int{1, 16, 128} {
-		spin := spin
-		name := "spin=1"
-		switch spin {
-		case 16:
-			name = "spin=16"
-		case 128:
-			name = "spin=128"
-		}
-		b.Run(name, func(b *testing.B) {
-			req := NewSPSC[int](spin)
-			rsp := NewSPSC[int](spin)
+	for _, polls := range []sched.WaitPolicy{sched.Idle, 16, sched.Engaged, 128} {
+		b.Run(fmt.Sprintf("engaged/polls=%d", polls), func(b *testing.B) {
+			req, rsp := NewSPSC[int](0), NewSPSC[int](0)
+			req.wait, rsp.wait = polls, polls
 			go func() {
 				for {
 					v, ok := req.Dequeue()
@@ -122,7 +123,40 @@ func BenchmarkAblationSpinCount(b *testing.B) {
 			}
 			b.StopTimer()
 			req.Close()
+			rsp.Dequeue() // the echo goroutine has exited
 		})
 	}
-	_ = sched.DefaultSpin // the default sits between the ablation points
+	for _, polls := range []sched.WaitPolicy{sched.Idle, sched.Engaged} {
+		b.Run(fmt.Sprintf("idlering/polls=%d", polls), func(b *testing.B) {
+			const ring = 64
+			qs := make([]*MPSC[int], ring)
+			for i := range qs {
+				qs[i] = NewMPSC[int](0)
+				qs[i].wait = polls
+			}
+			var wg sync.WaitGroup
+			for i := range qs {
+				wg.Add(1)
+				go func(in, out *MPSC[int]) {
+					defer wg.Done()
+					for {
+						left, ok := in.Dequeue()
+						if !ok {
+							return
+						}
+						if left == 0 {
+							for _, q := range qs {
+								q.Close()
+							}
+							return
+						}
+						out.Enqueue(left - 1)
+					}
+				}(qs[i], qs[(i+1)%ring])
+			}
+			b.ResetTimer()
+			qs[0].Enqueue(b.N)
+			wg.Wait()
+		})
+	}
 }

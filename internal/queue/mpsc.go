@@ -34,8 +34,8 @@ type MPSC[T any] struct {
 	inflight atomic.Int64                // producers inside TryEnqueue
 	parker   *sched.Parker
 	closed   atomic.Bool
-	spin     int
-	notify   func() // set before use; replaces parker wakeups when non-nil
+	wait     sched.WaitPolicy // sched.Idle; a field for the ablation benchmark
+	notify   func()           // set before use; replaces parker wakeups when non-nil
 
 	// Producer-side free list: first is the oldest node not yet
 	// reclaimed, fenced by the consumer's published position. reclaim
@@ -52,14 +52,11 @@ type MPSC[T any] struct {
 	tailC *mpscNode[T] // consumer-owned: most recently consumed node
 }
 
-// NewMPSC returns an empty queue. spin is the number of empty polls the
-// consumer performs before parking; 0 selects sched.DefaultSpin.
-func NewMPSC[T any](spin int) *MPSC[T] {
-	if spin <= 0 {
-		spin = sched.DefaultSpin
-	}
+// NewMPSC returns an empty queue whose consumer waits as sched.Idle: a
+// handler (or actor) with no client. The argument is ignored, as NewSPSC's.
+func NewMPSC[T any](int) *MPSC[T] {
 	stub := &mpscNode[T]{}
-	q := &MPSC[T]{tailC: stub, first: stub, parker: sched.NewParker(), spin: spin}
+	q := &MPSC[T]{tailC: stub, first: stub, parker: sched.NewParker(), wait: sched.Idle}
 	q.headP.Store(stub)
 	q.pos.Store(stub)
 	return q
@@ -210,12 +207,10 @@ func (q *MPSC[T]) Dequeue() (v T, ok bool) {
 		if q.Quiesced() {
 			return v, false
 		}
-		if i < q.spin {
-			sched.SpinWait(i)
-			continue
+		if !q.wait.Poll(i) {
+			q.parker.Park()
+			i = 0
 		}
-		q.parker.Park()
-		i = 0
 	}
 }
 

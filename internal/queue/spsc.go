@@ -10,10 +10,10 @@
 //
 // Both queues are unbounded linked queues in the style of Vyukov's
 // non-intrusive queues. Producers never block. The consumer blocks
-// (spin-then-park) when the queue is empty, and Close releases a
-// blocked consumer: Dequeue then reports ok=false once the queue is
-// drained, matching the paper's handler loop in which a false dequeue
-// means "no more work / shut down", not "momentarily empty".
+// when the queue is empty, after the polls its sched.WaitPolicy allows,
+// and Close releases a blocked consumer: Dequeue then reports ok=false
+// once the queue is drained, matching the paper's handler loop in which a
+// false dequeue means "no more work / shut down", not "momentarily empty".
 package queue
 
 import (
@@ -43,8 +43,8 @@ type SPSC[T any] struct {
 	head   *spscNode[T] // consumer-owned: most recently consumed node
 	parker *sched.Parker
 	closed atomic.Bool
-	spin   int
-	notify func() // set before use; replaces parker wakeups when non-nil
+	wait   sched.WaitPolicy // sched.Engaged; a field for the ablation benchmark
+	notify func()           // set before use; replaces parker wakeups when non-nil
 
 	// pos is the consumer's published chain position: every node
 	// strictly before it has been consumed and may be reused.
@@ -55,14 +55,12 @@ type SPSC[T any] struct {
 	first *spscNode[T] // producer-owned: oldest node not yet reclaimed
 }
 
-// NewSPSC returns an empty queue. spin is the number of empty polls the
-// consumer performs before parking; 0 selects sched.DefaultSpin.
-func NewSPSC[T any](spin int) *SPSC[T] {
-	if spin <= 0 {
-		spin = sched.DefaultSpin
-	}
+// NewSPSC returns an empty queue whose consumer waits as sched.Engaged:
+// it is a handler inside a block. The argument, once a poll budget that
+// every caller left at 0, is ignored.
+func NewSPSC[T any](int) *SPSC[T] {
 	stub := &spscNode[T]{}
-	q := &SPSC[T]{head: stub, tail: stub, first: stub, parker: sched.NewParker(), spin: spin}
+	q := &SPSC[T]{head: stub, tail: stub, first: stub, parker: sched.NewParker(), wait: sched.Engaged}
 	q.pos.Store(stub)
 	return q
 }
@@ -146,17 +144,12 @@ func (q *SPSC[T]) Dequeue() (v T, ok bool) {
 		if q.closed.Load() {
 			// Re-check after observing closed: the producer may have
 			// enqueued right before closing.
-			if v, ok = q.TryDequeue(); ok {
-				return v, true
-			}
-			return v, false
+			return q.TryDequeue()
 		}
-		if i < q.spin {
-			sched.SpinWait(i)
-			continue
+		if !q.wait.Poll(i) {
+			q.parker.Park()
+			i = 0
 		}
-		q.parker.Park()
-		i = 0
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package sched provides the low-level scheduling primitives used by the
-// SCOOP/Qs runtime: a spin-then-park Parker used by the queue consumers
-// (handlers) and by clients waiting on query synchronization, and a
-// spin-lock used for atomic multi-handler reservation.
+// SCOOP/Qs runtime: a Parker that blocks queue consumers (handlers) and
+// clients waiting on query synchronization, the WaitPolicy a consumer
+// polls under first, and a spin-lock for atomic multi-handler reservation.
 //
 // The paper's runtime is built on three layers: task switching,
 // lightweight threads, and handlers. In this reproduction goroutines are
@@ -25,17 +25,36 @@ const (
 	pNotified
 )
 
-// DefaultSpin is the number of spin iterations a consumer performs
-// before parking. Spinning briefly is profitable because the
-// client-handler round-trip of a query is usually shorter than a
-// park/unpark cycle.
-const DefaultSpin = 64
+// WaitPolicy is how many times in a row a consumer polls an empty queue
+// before it blocks: the one place the runtime spins for work.
+type WaitPolicy int
+
+const (
+	// Engaged is for a handler inside a block, whose client owes the next
+	// request: a query's round trip is shorter than a park/unpark cycle.
+	Engaged WaitPolicy = 64
+	// Idle is for a handler with no client, on its queue-of-queues: only
+	// SpinWait's busy polls, then Park, which is itself the yield.
+	Idle WaitPolicy = 8
+)
+
+var yield = runtime.Gosched // a variable so that tests can count the calls
+
+// Poll makes the i-th consecutive empty poll (from 0) of a wait under p,
+// or reports false: the budget is spent, block and count again from 0.
+func (p WaitPolicy) Poll(i int) bool {
+	if i >= int(p) {
+		return false
+	}
+	SpinWait(i)
+	return true
+}
 
 // Parker blocks a single goroutine until another goroutine unparks it.
 // It is the moral equivalent of a binary semaphore with a fast path:
 // an Unpark that arrives before Park makes the next Park return
-// immediately. Exactly one goroutine may call Park; any number may call
-// Unpark.
+// immediately; otherwise Park blocks at once, it never spins. Exactly one
+// goroutine may call Park; any number may call Unpark.
 //
 // The zero value is not usable; use NewParker.
 type Parker struct {
@@ -94,10 +113,10 @@ func (p *Parker) Unpark() {
 // are plain busy loops, later ones yield the processor. i is the
 // caller's current spin count.
 func SpinWait(i int) {
-	if i < 8 {
+	if i < int(Idle) {
 		return // pure spin: the producer is probably mid-store
 	}
-	runtime.Gosched()
+	yield()
 }
 
 // SpinLock is a test-and-set spin lock with exponential politeness. The

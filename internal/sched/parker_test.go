@@ -71,7 +71,9 @@ func TestParkerManyRounds(t *testing.T) {
 		}
 		close(done)
 	}()
+	unparked := make(chan struct{})
 	go func() {
+		defer close(unparked)
 		for i := 0; i < rounds; i++ {
 			p.Unpark()
 			// Give the consumer a chance to actually park sometimes.
@@ -85,6 +87,7 @@ func TestParkerManyRounds(t *testing.T) {
 	}()
 	select {
 	case <-done:
+		<-unparked
 	case <-time.After(10 * time.Second):
 		t.Fatalf("lost wakeup: only %d/%d rounds completed", turns.Load(), rounds)
 	}

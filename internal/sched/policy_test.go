@@ -1,0 +1,106 @@
+package sched_test
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"scoopqs/internal/core"
+	"scoopqs/internal/queue"
+	"scoopqs/internal/sched"
+)
+
+// The wait policy is pinned where it is applied: how often each of the
+// runtime's three waits for work goes through the Go scheduler before it
+// blocks.
+
+// yieldsFromNow returns a reading of the yields made since the call.
+func yieldsFromNow() func() int64 {
+	base := sched.Yields.Load()
+	return func() int64 { return sched.Yields.Load() - base }
+}
+
+// eventually polls cond until it holds or d has passed.
+func eventually(d time.Duration, cond func() bool) bool {
+	for deadline := time.Now().Add(d); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// An idle handler's wait on its queue-of-queues never yields: nobody is
+// about to serve it, so it parks after the busy polls.
+func TestIdleDequeueParksWithoutYielding(t *testing.T) {
+	yields := yieldsFromNow()
+	q := queue.NewMPSC[int](0)
+	got := make(chan int)
+	go func() {
+		v, _ := q.Dequeue()
+		got <- v
+	}()
+	// The window is what an engaged wait needs to start yielding; an idle
+	// one stays at zero however long it is.
+	if eventually(20*time.Millisecond, func() bool { return yields() > 0 }) {
+		time.Sleep(20 * time.Millisecond) // let it finish, for the message
+		t.Fatalf("Dequeue on an empty open MPSC yielded %d times before parking, want 0", yields())
+	}
+	q.Enqueue(7)
+	if v := <-got; v != 7 {
+		t.Fatalf("Dequeue = %d, want 7", v)
+	}
+	if n := yields(); n != 0 {
+		t.Fatalf("%d yields over a parked hand-off, want 0", n)
+	}
+}
+
+// An engaged handler's wait on its client's private queue spends the
+// whole yield budget, and no more, before it parks.
+func TestEngagedDequeueYieldsThenParks(t *testing.T) {
+	yields := yieldsFromNow()
+	q := queue.NewSPSC[int](0)
+	got := make(chan int)
+	go func() {
+		v, _ := q.Dequeue()
+		got <- v
+	}()
+	if !eventually(10*time.Second, func() bool { return yields() >= sched.EngagedYields }) {
+		t.Fatalf("Dequeue on an empty open SPSC yielded %d times, want %d", yields(), sched.EngagedYields)
+	}
+	if eventually(20*time.Millisecond, func() bool { return yields() > sched.EngagedYields }) {
+		t.Fatalf("%d yields, budget is %d: the consumer did not park", yields(), sched.EngagedYields)
+	}
+	q.Enqueue(7)
+	if v := <-got; v != 7 {
+		t.Fatalf("Dequeue = %d, want 7", v)
+	}
+	if n := yields(); n != sched.EngagedYields {
+		t.Fatalf("%d yields in all, want %d", n, sched.EngagedYields)
+	}
+}
+
+// A pooled handler left without a request in the middle of a block waits
+// as the dedicated one does — the engaged budget — before it gives its
+// worker back.
+func TestPooledHandlerParksAfterEngagedWait(t *testing.T) {
+	rt := core.New(core.ConfigQoQ.WithWorkers(1))
+	defer rt.Shutdown()
+	h := rt.NewHandler("h")
+	entered, gate := make(chan struct{}), make(chan struct{})
+	rt.NewClient().Separate(h, func(s *core.Session) {
+		s.Call(func() { close(entered); <-gate })
+		// Inside the call h polls nothing; what it yielded waiting for
+		// the call to be logged does not count.
+		<-entered
+		yields := yieldsFromNow()
+		parks := rt.Stats().HandlerParks
+		close(gate)
+		if !eventually(10*time.Second, func() bool { return rt.Stats().HandlerParks > parks }) {
+			t.Error("handler did not give up its worker mid-block")
+		}
+		if n := yields(); n != sched.EngagedYields {
+			t.Errorf("spinForWork yielded %d times before parking, want %d", n, sched.EngagedYields)
+		}
+	})
+}
