@@ -70,46 +70,47 @@
 //
 // # Execution modes
 //
-// Config.Workers selects how handlers execute. With Workers == 0 (the
-// default, and the paper's design) every handler owns a goroutine that
-// blocks on its queue-of-queues. With Workers == N > 0 the runtime
-// starts an M:N executor: a pool of N workers drains a shared ready
-// queue of handlers, and a handler occupies a goroutine only while it
-// has requests to run. Enqueueing onto an idle handler's queue
-// schedules it instead of unparking a dedicated consumer, so millions
+// A handler is one resumable state machine, whatever runs it: idle (no
+// known work), ready (made runnable, not yet picked up), running,
+// running-dirty (a wake arrived during the run and forces one more pass
+// before idling), awaiting (parked inside a request on an unresolved
+// future, Handler.Await) and done. A wake — a reservation, a request
+// logged on a parked handler, an awaited future resolving, Shutdown —
+// moves it to ready exactly once, and whoever drives it then calls
+// Handler.Step, which runs the paper's handler loop (Fig. 7) until the
+// queues run dry, the future is unresolved, or a fairness budget of 1024
+// requests is spent, and returns.
+//
+// Config.Workers chooses the driver. With Workers == 0 (the default, and
+// the paper's design) every handler owns a goroutine that parks whenever
+// Step returns and is unparked by the wake. With Workers == N > 0 the
+// runtime starts an M:N executor: a pool of N workers drains a shared
+// ready queue of handlers and moves on when Step returns, so a handler
+// occupies a goroutine only while it has requests to run, and millions
 // of mostly-idle handlers cost memory for their queues and nothing
-// else. Semantics are identical in both modes; all tests run under
-// both.
+// else. Everything else — queues, wake protocol, counters, what a
+// deadlock report shows — is the same code; all tests run under both.
 //
-// What a handler is waiting for decides how it waits (sched.WaitPolicy,
-// the one place the runtime polls for work; Parker.Park itself never
-// spins). Inside a block the client owes the next request, so the
-// handler polls its private queue, busily and then yielding
-// (sched.Engaged: 8 busy polls, 56 yields), before the dedicated
-// goroutine parks or the pooled state machine gives its worker back: a
+// What a handler is waiting for decides how it waits (sched.WaitPolicy;
+// Parker.Park itself never spins). Inside a block the client owes the
+// next request, so the handler polls its private queue, busily and then
+// yielding (sched.Engaged: 8 busy polls, 56 yields), before it parks
+// with the session still pinned — the run rule, and the §3.2 post-sync
+// handshake, in which the handler stays at the client's disposal: a
 // query's round trip is shorter than a park/unpark cycle. With no client
-// nobody is about to serve it, and the dedicated goroutine parks on its
-// queue-of-queues after the busy polls alone (sched.Idle): parking is
-// the yield, since Unpark readies exactly the parked goroutine, whereas
-// every Gosched puts the waiter behind all runnable goroutines. Until
-// the two were told apart an idle handler yielded 56 times before each
-// park, and that, not the park, was most of a dedicated hand-off: a
-// threadring hop took ≈ 22 µs dedicated against ≈ 2.1 µs pooled, and
-// takes ≈ 4.1 µs now (bench/, handoff workload; CHANGES.md, PR 18).
+// nobody is about to serve it and it parks at once: parking is the
+// yield, since Unpark readies exactly the parked goroutine, whereas
+// every Gosched puts the waiter behind all runnable goroutines.
 //
-// Two details make pooled execution safe. A handler draining a private
-// queue that runs dry mid-block parks without abandoning the block
-// (the session stays pinned, preserving the paper's run rule and the
-// §3.2 post-sync handshake: the handler first polls on its worker as
-// sched.Engaged, staying at the client's disposal). And handler code that
-// blocks its worker outright — a synchronous query to another handler,
-// a wait condition — notifies the pool, which spawns a replacement
-// worker, so delegation chains deeper than the pool cannot deadlock
-// it. Stats exposes the executor counters (Schedules, HandlerParks,
-// WorkerSpawns, WorkerParks, Steals, InjectorPushes, LocalPushes);
-// `go run ./bench --workload handoff` compares the two modes, on a
-// 10k-handler token ring among others (concbench.ring10k_dedicated_s,
-// concbench.ring10k_pooled_s).
+// Handler code that blocks a pool worker outright — a synchronous query
+// to another handler, a wait condition — notifies the pool, which
+// spawns a replacement worker, so delegation chains deeper than the
+// pool cannot deadlock it. Stats exposes the state machine's counters
+// (Schedules, HandlerParks, AwaitParks; the same in both modes) and the
+// pool's (WorkerSpawns, WorkerParks, Steals, InjectorPushes,
+// LocalPushes); `go run ./bench --workload handoff` compares the two
+// drivers, on a 10k-handler token ring among others
+// (concbench.ring10k_dedicated_s, concbench.ring10k_pooled_s).
 //
 // The pool itself is a work-stealing scheduler. Every worker owns a
 // bounded lock-free deque (Chase–Lev: LIFO for the owner, FIFO for

@@ -3,15 +3,15 @@
 // memory between actors), selective receive, and a gen_server-style
 // call/reply convention.
 //
+// Frozen: a reproduction-only comparison paradigm for the paper's language
+// tables (internal/harness); it gets no new features and is excluded from
+// the benchmark's ladder claims.
+//
 // It is the substrate standing in for Erlang in the paper's language
 // comparison: its defining cost is that every message is copied in its
 // entirety between actor heaps, which is exactly the communication
 // burden the paper measures for Erlang on the data-parallel Cowichan
 // problems.
-//
-// Frozen: this package exists only for the language columns of the
-// paper's Tables 3–5 and Figs. 18–20 (internal/harness). It gets no new
-// features and is excluded from the benchmark's ladder claims.
 package actor
 
 import (

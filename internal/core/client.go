@@ -20,7 +20,7 @@ type Client struct {
 	scratch []*Handler // reserveMany's sorted handler set, dead on return
 
 	// hosted is non-nil when this client's code runs on executor
-	// workers (a handler's AsClient in pooled mode). Blocking
+	// workers (a handler's AsClient on a pool). Blocking
 	// operations then bracket their waits with the executor's
 	// compensation hooks so the pool can spawn a replacement worker.
 	hosted *sched.Executor
@@ -55,8 +55,8 @@ func (c *Client) blockEnd() {
 }
 
 // curWorker returns the pool worker the client's code is currently
-// running on, nil for clients on their own goroutines (or dedicated
-// mode). Only meaningful on the calling goroutine itself: for a
+// running on, nil for clients (and hosts) on goroutines of their own.
+// Only meaningful on the calling goroutine itself: for a
 // handler-hosted client that is exactly the goroutine executing the
 // host's Step, so the plain read is ordered.
 func (c *Client) curWorker() *sched.Worker {
@@ -78,7 +78,7 @@ func (c *Client) curWorker() *sched.Worker {
 // dequeues the session again and runs the next segment. (An earlier
 // version spun waiting for the handler to consume END and fell back to
 // a fresh queue after 128 polls, which made SessionsNew climb whenever
-// a pooled handler was scheduled out too long.)
+// a handler was scheduled out too long.)
 func (c *Client) session(h *Handler) *Session {
 	if s, ok := c.cache[h]; ok && !s.inUse && s.errPub.Load() == nil {
 		s.inUse = true
@@ -87,14 +87,10 @@ func (c *Client) session(h *Handler) *Session {
 		return s
 	}
 	q := queue.NewSPSC[call](0)
-	if c.rt.exec != nil {
-		// Route private-queue notifications to the scheduler: logging
-		// a request on a parked handler makes it runnable instead of
-		// unparking a dedicated goroutine. The hook evaluates the
-		// producer's worker at enqueue time, so a handler-hosted
-		// client wakes h on its own worker's deque (the fast path).
-		q.SetNotify(func() { h.wakeFrom(c.curWorker()) })
-	}
+	// Logging a request on a parked handler makes it runnable. The hook
+	// evaluates the producer's worker at enqueue time, so a handler-hosted
+	// client wakes h on its own worker's deque (the fast path).
+	q.SetNotify(func() { h.wakeFrom(c.curWorker()) })
 	s := &Session{
 		h:      h,
 		owner:  c,
@@ -371,7 +367,7 @@ func (c *Client) parkWaiting(s *Session) {
 // Await blocks until f resolves and returns its result. It is the
 // client-side synchronization point of the futures subsystem:
 //
-//   - for a worker-hosted client (handler code in pooled mode that
+//   - for a worker-hosted client (handler code on a pool that
 //     cannot use the continuation-passing Handler.Await) the wait is
 //     bracketed with the executor's compensation hooks, like any other
 //     blocking operation;

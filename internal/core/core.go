@@ -67,17 +67,17 @@ type Config struct {
 	// the conservatism of the static analysis on irregular code.
 	StaticElide bool
 
-	// Workers selects the execution mode. Zero dedicates one goroutine
-	// per handler, the paper's original runtime shape. A positive value
-	// multiplexes all handlers of the runtime onto a pool of that many
-	// worker goroutines (the M:N executor): handlers become resumable
-	// state machines pushed onto a shared ready queue whenever their
-	// queues gain work, so millions of mostly-idle handlers cost no
-	// parked goroutines. The execution semantics are identical in both
-	// modes. Pool workers that block inside handler code (a handler
-	// synchronously querying another handler) are compensated with
-	// replacement workers, so delegation chains deeper than the pool
-	// cannot deadlock it.
+	// Workers selects who runs the handlers, which are resumable state
+	// machines either way (Handler.Step). Zero gives each handler a
+	// goroutine of its own, parked while the handler has no work: the
+	// paper's original runtime shape. A positive value multiplexes all
+	// handlers of the runtime onto a pool of that many worker goroutines
+	// (the M:N executor), which take a handler off a shared ready queue
+	// whenever its queues gain work and move on when it runs dry, so
+	// millions of mostly-idle handlers cost no parked goroutines. Pool
+	// workers that block inside handler code (a handler synchronously
+	// querying another handler) are compensated with replacement workers,
+	// so delegation chains deeper than the pool cannot deadlock it.
 	Workers int
 }
 
@@ -115,7 +115,7 @@ func (c Config) Name() string {
 }
 
 // WithWorkers returns a copy of the configuration running on a pool of
-// n workers (n == 0 restores dedicated handler goroutines).
+// n workers (n == 0 restores a goroutine per handler).
 func (c Config) WithWorkers(n int) Config {
 	c.Workers = n
 	return c
@@ -151,9 +151,11 @@ type Stats struct {
 	FuturesCreated int64 // futures minted by CallFuture/QueryAsync
 	AwaitParks     int64 // handler state machines parked in the awaiting state
 
-	// Executor counters; all zero in dedicated-goroutine mode.
-	Schedules    int64 // handler activations handed to the executor
+	// Handler state-machine counters, the same with and without a pool.
+	Schedules    int64 // handler activations: made runnable by a wake, a spent step budget or an awaited future, each followed by one Step
 	HandlerParks int64 // handlers parked mid-session awaiting their client
+
+	// Pool counters, from here down; all zero when Config.Workers == 0.
 	WorkerSpawns int64 // compensation workers spawned for blocked ones
 	WorkerParks  int64 // pool workers parked idle
 
@@ -217,8 +219,8 @@ type Runtime struct {
 	cfg   Config
 	stats statsCounters
 
-	// exec is the shared M:N worker pool; nil in dedicated-goroutine
-	// mode (Config.Workers == 0).
+	// exec is the shared M:N worker pool; nil when every handler has a
+	// goroutine of its own (Config.Workers == 0).
 	exec *sched.Executor
 
 	mu       sync.Mutex
@@ -297,8 +299,8 @@ func (rt *Runtime) Stats() Stats {
 
 // Executor exposes the runtime's work-stealing pool so clients can run
 // fork-join work (sched.ParallelFor and friends) on the same workers
-// that serve the handlers. Nil in dedicated-goroutine mode
-// (cfg.Workers == 0), where there is no shared pool to join.
+// that serve the handlers. Nil when cfg.Workers == 0: there is no
+// shared pool to join.
 func (rt *Runtime) Executor() *sched.Executor {
 	return rt.exec
 }
@@ -335,9 +337,8 @@ func (rt *Runtime) Shutdown() {
 	copy(hs, rt.handlers)
 	rt.mu.Unlock()
 	for _, h := range hs {
-		// Close notifies the handler (parker or executor wake), so a
-		// pooled handler gets scheduled once more to observe the close
-		// and retire.
+		// Close notifies the handler (wake), so it steps once more to
+		// observe the close and retire.
 		h.qoq.Close()
 	}
 	rt.wg.Wait()

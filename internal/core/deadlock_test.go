@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -122,62 +123,66 @@ func TestFormatDeadlocksEmpty(t *testing.T) {
 	}
 }
 
-// Await cycle on a pooled runtime: a parks its state machine on a
-// future only b can resolve, while b parks on a future only a can
-// resolve — no goroutine blocks anywhere, so the query-edge detector
-// used to be blind to it. The detector must follow the await edges
+// Await cycle: a parks its state machine on a future only b can
+// resolve, while b parks on a future only a can resolve — no client
+// waits on a handler anywhere, so the query-edge detector used to be
+// blind to it. The detector must follow the await edges
 // (handler -> origin of the awaited future) and report the cycle.
 func TestDetectDeadlockFindsAwaitCycle(t *testing.T) {
-	rt := New(ConfigAll.WithWorkers(2)) // wedged by design; no Shutdown
-	a := rt.NewHandler("a")
-	b := rt.NewHandler("b")
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			rt := New(ConfigAll.WithWorkers(workers)) // wedged by design; no Shutdown
+			a := rt.NewHandler("a")
+			b := rt.NewHandler("b")
 
-	// cross arms, on the executing handler, an await on a future logged
-	// on the other handler's session, and returns the promise its
-	// continuation would resolve — which it never can.
-	var cross func(self, other *Handler) any
-	cross = func(self, other *Handler) any {
-		p := future.New()
-		var inner *future.Future
-		self.AsClient().Separate(other, func(s *Session) {
-			inner = s.CallFuture(func() any {
-				if other == b {
-					return cross(b, a)
-				}
-				return nil // never reached: a is wedged by then
+			// cross arms, on the executing handler, an await on a future logged
+			// on the other handler's session, and returns the promise its
+			// continuation would resolve — which it never can.
+			var cross func(self, other *Handler) any
+			cross = func(self, other *Handler) any {
+				p := future.New()
+				var inner *future.Future
+				self.AsClient().Separate(other, func(s *Session) {
+					inner = s.CallFuture(func() any {
+						if other == b {
+							return cross(b, a)
+						}
+						return nil // never reached: a is wedged by then
+					})
+				})
+				self.Await(inner, func(v any, err error) {
+					if err != nil {
+						p.Fail(err)
+						return
+					}
+					p.Complete(v)
+				})
+				return p
+			}
+			c := rt.NewClient()
+			c.Separate(a, func(s *Session) {
+				s.CallFuture(func() any { return cross(a, b) })
 			})
-		})
-		self.Await(inner, func(v any, err error) {
-			if err != nil {
-				p.Fail(err)
-				return
-			}
-			p.Complete(v)
-		})
-		return p
-	}
-	c := rt.NewClient()
-	c.Separate(a, func(s *Session) {
-		s.CallFuture(func() any { return cross(a, b) })
-	})
 
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		// Both handlers must be parked awaiting before a stable verdict.
-		if rt.Stats().AwaitParks >= 2 {
-			first := rt.DetectDeadlock()
-			second := rt.DetectDeadlock()
-			if len(first) > 0 && len(second) > 0 {
-				if !containsAll(second[0].Handlers, "a", "b") {
-					t.Fatalf("cycle %v does not contain both handlers", second[0].Handlers)
+			deadline := time.Now().Add(10 * time.Second)
+			for time.Now().Before(deadline) {
+				// Both handlers must be parked awaiting before a stable verdict.
+				if rt.Stats().AwaitParks >= 2 {
+					first := rt.DetectDeadlock()
+					second := rt.DetectDeadlock()
+					if len(first) > 0 && len(second) > 0 {
+						if !containsAll(second[0].Handlers, "a", "b") {
+							t.Fatalf("cycle %v does not contain both handlers", second[0].Handlers)
+						}
+						return
+					}
 				}
-				return
+				time.Sleep(5 * time.Millisecond)
 			}
-		}
-		time.Sleep(5 * time.Millisecond)
+			t.Fatalf("await cycle never detected (await-parks=%d): %s",
+				rt.Stats().AwaitParks, FormatDeadlocks(rt.DetectDeadlock()))
+		})
 	}
-	t.Fatalf("await cycle never detected (await-parks=%d): %s",
-		rt.Stats().AwaitParks, FormatDeadlocks(rt.DetectDeadlock()))
 }
 
 // Await cycle routed through Then chains: three handlers, each parked
@@ -186,62 +191,66 @@ func TestDetectDeadlockFindsAwaitCycle(t *testing.T) {
 // cells, so the detector must use the origin tag that Then propagates
 // to derivatives — before origin propagation this cycle was invisible.
 func TestDetectDeadlockFindsThenChainCycle(t *testing.T) {
-	rt := New(ConfigAll.WithWorkers(2)) // wedged by design; no Shutdown
-	names := []string{"a", "b", "c"}
-	hs := make([]*Handler, len(names))
-	for i, n := range names {
-		hs[i] = rt.NewHandler(n)
-	}
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			rt := New(ConfigAll.WithWorkers(workers)) // wedged by design; no Shutdown
+			names := []string{"a", "b", "c"}
+			hs := make([]*Handler, len(names))
+			for i, n := range names {
+				hs[i] = rt.NewHandler(n)
+			}
 
-	// cross logs a future query on the next handler in the ring, derives
-	// a new future from it with Then, and awaits the derivative. Handler
-	// c's query targets a, which is already parked awaiting — so all
-	// three wedge, each on a Then-derived future.
-	var cross func(i int) any
-	cross = func(i int) any {
-		self, nxt := hs[i], hs[(i+1)%len(hs)]
-		p := future.New()
-		var inner *future.Future
-		self.AsClient().Separate(nxt, func(s *Session) {
-			inner = s.CallFuture(func() any {
-				if (i+1)%len(hs) != 0 {
-					return cross(i + 1)
-				}
-				return nil // never reached: a is wedged by then
+			// cross logs a future query on the next handler in the ring, derives
+			// a new future from it with Then, and awaits the derivative. Handler
+			// c's query targets a, which is already parked awaiting — so all
+			// three wedge, each on a Then-derived future.
+			var cross func(i int) any
+			cross = func(i int) any {
+				self, nxt := hs[i], hs[(i+1)%len(hs)]
+				p := future.New()
+				var inner *future.Future
+				self.AsClient().Separate(nxt, func(s *Session) {
+					inner = s.CallFuture(func() any {
+						if (i+1)%len(hs) != 0 {
+							return cross(i + 1)
+						}
+						return nil // never reached: a is wedged by then
+					})
+				})
+				derived := inner.Then(func(v any) any { return v })
+				self.Await(derived, func(v any, err error) {
+					if err != nil {
+						p.Fail(err)
+						return
+					}
+					p.Complete(v)
+				})
+				return p
+			}
+			c := rt.NewClient()
+			c.Separate(hs[0], func(s *Session) {
+				s.CallFuture(func() any { return cross(0) })
 			})
-		})
-		derived := inner.Then(func(v any) any { return v })
-		self.Await(derived, func(v any, err error) {
-			if err != nil {
-				p.Fail(err)
-				return
-			}
-			p.Complete(v)
-		})
-		return p
-	}
-	c := rt.NewClient()
-	c.Separate(hs[0], func(s *Session) {
-		s.CallFuture(func() any { return cross(0) })
-	})
 
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		// All three handlers must be parked awaiting for a stable verdict.
-		if rt.Stats().AwaitParks >= 3 {
-			first := rt.DetectDeadlock()
-			second := rt.DetectDeadlock()
-			if len(first) > 0 && len(second) > 0 {
-				if !containsAll(second[0].Handlers, "a", "b", "c") {
-					t.Fatalf("cycle %v does not contain all three handlers", second[0].Handlers)
+			deadline := time.Now().Add(10 * time.Second)
+			for time.Now().Before(deadline) {
+				// All three handlers must be parked awaiting for a stable verdict.
+				if rt.Stats().AwaitParks >= 3 {
+					first := rt.DetectDeadlock()
+					second := rt.DetectDeadlock()
+					if len(first) > 0 && len(second) > 0 {
+						if !containsAll(second[0].Handlers, "a", "b", "c") {
+							t.Fatalf("cycle %v does not contain all three handlers", second[0].Handlers)
+						}
+						return
+					}
 				}
-				return
+				time.Sleep(5 * time.Millisecond)
 			}
-		}
-		time.Sleep(5 * time.Millisecond)
+			t.Fatalf("Then-chain await cycle never detected (await-parks=%d): %s",
+				rt.Stats().AwaitParks, FormatDeadlocks(rt.DetectDeadlock()))
+		})
 	}
-	t.Fatalf("Then-chain await cycle never detected (await-parks=%d): %s",
-		rt.Stats().AwaitParks, FormatDeadlocks(rt.DetectDeadlock()))
 }
 
 // A self-cycle: a handler that queries itself through a second session

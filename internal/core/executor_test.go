@@ -259,31 +259,83 @@ func TestRingManyHandlersFewWorkers(t *testing.T) {
 	}
 }
 
-// Executor stats must be populated in pooled mode and stay zero in
-// dedicated mode.
+// The handler state machine counts its activations whoever drives it; the
+// pool's own counters stay zero without a pool.
 func TestExecutorStatsCounters(t *testing.T) {
-	rt := New(pooledAll(2))
-	h := rt.NewHandler("h")
-	c := rt.NewClient()
-	n := 0
-	c.Separate(h, func(s *Session) {
-		s.Call(func() { n++ })
-		s.SyncNow()
-	})
-	rt.Shutdown()
-	st := rt.Stats()
-	if st.Schedules == 0 {
-		t.Errorf("Schedules = 0 in pooled mode; stats: %+v", st)
+	for _, cfg := range []Config{ConfigAll, pooledAll(2)} {
+		rt := New(cfg)
+		h := rt.NewHandler("h")
+		c := rt.NewClient()
+		n := 0
+		c.Separate(h, func(s *Session) {
+			s.Call(func() { n++ })
+			s.SyncNow()
+		})
+		rt.Shutdown()
+		st := rt.Stats()
+		if st.Schedules == 0 {
+			t.Errorf("%s: Schedules = 0; stats: %+v", cfg.Name(), st)
+		}
+		if cfg.Workers == 0 && (st.WorkerSpawns != 0 || st.WorkerParks != 0 || st.Steals != 0 ||
+			st.InjectorPushes != 0 || st.LocalPushes != 0 || st.TasksSpawned != 0) {
+			t.Errorf("%s: pool counters without a pool: %+v", cfg.Name(), st)
+		}
 	}
+}
 
-	rt2 := New(ConfigAll)
-	h2 := rt2.NewHandler("h")
-	c2 := rt2.NewClient()
-	c2.Separate(h2, func(s *Session) { s.SyncNow() })
-	rt2.Shutdown()
-	st2 := rt2.Stats()
-	if st2.Schedules != 0 || st2.WorkerSpawns != 0 || st2.WorkerParks != 0 {
-		t.Errorf("dedicated mode leaked executor stats: %+v", st2)
+// A block longer than the step budget: the handler re-queues itself in
+// the middle of it — on a pool through the injector, on its own goroutine
+// by unparking itself, so that its next Park returns at once — and must
+// come back to the same private queue, with another client's block
+// waiting behind it.
+func TestBudgetRequeueKeepsOrder(t *testing.T) {
+	const calls = 3*stepBudget + 1
+	for _, workers := range []int{0, 1, 4} {
+		for _, base := range Configs() {
+			cfg := base.WithWorkers(workers)
+			t.Run(cfg.Name(), func(t *testing.T) {
+				rt := New(cfg)
+				h := rt.NewHandler("h")
+				var log []int // owned by h
+				second := make(chan struct{})
+				rt.NewClient().Separate(h, func(s *Session) {
+					// Hold h inside the block's first call until the rest is
+					// logged: every Step then finds a full budget of work.
+					gate := make(chan struct{})
+					s.Call(func() { <-gate })
+					go func() {
+						defer close(second)
+						rt.NewClient().Separate(h, func(s2 *Session) {
+							s2.Call(func() { log = append(log, -1) })
+						})
+					}()
+					if cfg.QoQ { // lock-based, the second client waits for the lock instead
+						settle(t, "the second reservation", func() bool { return rt.Stats().Reservations == 2 })
+					}
+					for i := 0; i < calls; i++ {
+						s.Call(func() { log = append(log, i) })
+					}
+					close(gate)
+					if n := Query(s, func() int { return len(log) }); n != calls {
+						t.Errorf("closing query saw %d calls, want %d", n, calls)
+					}
+				})
+				<-second
+				rt.Shutdown()
+				if len(log) != calls+1 || log[calls] != -1 {
+					t.Fatalf("%d entries logged: want %d calls, then the second block's", len(log), calls)
+				}
+				for i, v := range log[:calls] {
+					if v != i {
+						t.Fatalf("call %d ran in position %d", v, i)
+					}
+				}
+				// One wake, and a requeue per spent budget.
+				if st := rt.Stats(); st.Schedules < 1+calls/stepBudget {
+					t.Errorf("Schedules = %d, want at least %d", st.Schedules, 1+calls/stepBudget)
+				}
+			})
+		}
 	}
 }
 

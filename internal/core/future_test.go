@@ -130,7 +130,7 @@ func TestFutureFlattening(t *testing.T) {
 
 // buildDelegationChain wires hs into a delegation chain in which each
 // handler asynchronously queries the next and awaits the result via
-// Handler.Await (parking its state machine in pooled mode), adding 1 at
+// Handler.Await (parking its state machine), adding 1 at
 // each hop. It returns the chain's entry function for hs[0].
 func buildDelegationChain(hs []*Handler) func(i int) any {
 	var step func(i int) any
@@ -179,11 +179,8 @@ func TestHandlerAwaitDelegationChain(t *testing.T) {
 				t.Fatalf("chain result %v, want %d", v, depth)
 			}
 			st := rt.Stats()
-			if m.cfg.Workers > 0 && st.AwaitParks == 0 {
-				t.Error("pooled chain never parked a state machine (AwaitParks = 0)")
-			}
-			if m.cfg.Workers == 0 && st.AwaitParks != 0 {
-				t.Errorf("dedicated mode counted %d AwaitParks", st.AwaitParks)
+			if st.AwaitParks == 0 {
+				t.Error("chain never parked a state machine (AwaitParks = 0)")
 			}
 		})
 	}

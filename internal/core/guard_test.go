@@ -597,12 +597,13 @@ func TestHotStructSizes(t *testing.T) {
 	}
 }
 
-// A dedicated handler parks on its queue-of-queues as soon as it has no
-// client (sched.Idle), so in a ring every hop unparks a handler that is
-// parked or on its way there, and each confirming query parks the
-// passing handler's client side in turn. A wake-up lost on either edge
-// stops the token. Shutdown then finds all 64 handlers parked idle (they
-// have had nothing to do since the token stopped) and must release them.
+// A handler on its own goroutine parks as soon as drain finds it without
+// a client (hIdle, then Handler.parker), so in a ring every hop's wakeFrom
+// unparks a handler that is parked or on its way there, and each
+// confirming query parks the passing handler's client side in turn. A
+// wake-up lost on either edge stops the token. Shutdown then finds all 64
+// handlers parked idle (they have had nothing to do since the token
+// stopped) and must release them.
 // CI runs it under -race at GOMAXPROCS 1, 2 and 4.
 func TestIdleRingNoLostWakeup(t *testing.T) {
 	const ring, hops = 64, 20000

@@ -15,54 +15,54 @@ import (
 // rules of the paper's Fig. 3). State owned by a handler must only be
 // touched from calls and queries executed through that handler.
 //
-// A handler executes in one of two modes, selected by Config.Workers:
-// with a dedicated goroutine blocking in loop (the paper's runtime), or
-// as a resumable state machine multiplexed onto the runtime's worker
-// pool (Step/wake), where it occupies a goroutine only while it has
-// work.
+// A handler is one resumable state machine (the h* states; Step, drain,
+// wakeFrom) and Config.Workers chooses who drives it: a goroutine of its
+// own that parks whenever Step returns (run, the paper's runtime), or
+// the runtime's worker pool, where it occupies a goroutine only while it
+// has work.
 type Handler struct {
 	rt   *Runtime
 	id   int64
 	name string
 
 	// qoq is the queue-of-queues: private queues are enqueued by
-	// clients at reservation time and dequeued by the handler loop.
-	// In lock-based mode it holds at most one live session because
-	// resMu serializes reservations.
+	// clients at reservation time and dequeued by drain. In lock-based
+	// mode it holds at most one live session because resMu serializes
+	// reservations.
 	qoq *queue.MPSC[*Session]
 
-	// Pooled-mode scheduling state (see the h* constants). cur is the
-	// session pinned mid-drain, owned by whichever worker holds the
-	// hRunning state; the wake/Step protocol guarantees exclusive,
-	// happens-before-ordered access. task is the handler's scheduling
-	// token, allocated once so wakes never heap-allocate. onWorker is
-	// the pool worker currently executing Step; it is only read by
-	// code running on this handler (the same goroutine), which is what
-	// lets a handler's own enqueues take the executor's local-deque
-	// fast path.
+	// Scheduling state (see the h* constants). cur is the session pinned
+	// mid-drain, owned by whichever goroutine holds the hRunning state;
+	// the wake/Step protocol guarantees exclusive, happens-before-ordered
+	// access. Exactly one of parker and task is set (see ready): where
+	// the handler's own goroutine waits between Steps, or its scheduling
+	// token on the pool, allocated once so wakes never heap-allocate.
+	// onWorker is the pool worker currently executing Step, nil on the
+	// handler's own goroutine; it is only read by code running on this
+	// handler (the same goroutine), which is what lets a handler's own
+	// enqueues take the executor's local-deque fast path.
 	state    atomic.Int32
 	cur      *Session
+	parker   *sched.Parker
 	task     *sched.Task
 	onWorker *sched.Worker
 
 	// awaitStart is the obs timestamp of the last await park, written
-	// by the worker before the state moves to hAwaiting and consumed by
+	// by Step before the state moves to hAwaiting and consumed by
 	// awaitWake after its CAS out of hAwaiting — the state transition
 	// orders the accesses. Zero when recording was off at park time.
 	awaitStart int64
 
 	// awaitingOn publishes the future a parked await is waiting on, so
 	// the deadlock detector can follow await edges. Set before the
-	// handler parks (state machine or dedicated goroutine), cleared on
-	// resume; advisory, like every wait edge.
+	// handler parks, cleared on resume; advisory, like every wait edge.
 	awaitingOn atomic.Pointer[future.Future]
 
 	// pendingAwait holds the continuation armed by Handler.Await during
 	// the current request. It is only touched by code holding the
-	// handler (the dedicated goroutine, or the worker in hRunning), and
-	// is serviced after the arming request returns: inline if the
-	// future already resolved, else by parking — the state machine in
-	// hAwaiting (pooled) or the goroutine in Future.Get (dedicated).
+	// handler (hRunning), and is serviced after the arming request
+	// returns: inline if the future already resolved, else by parking
+	// the state machine in hAwaiting.
 	pendingAwait *awaitReq
 
 	// resSpin is the per-handler spinlock that makes multi-handler
@@ -86,9 +86,9 @@ type Handler struct {
 	selfClientPub atomic.Pointer[Client]
 }
 
-// Pooled-mode handler states. A handler is hIdle when it has no known
-// work, hReady while queued on the executor's ready queue, hRunning
-// while a worker drains it, hRunningDirty when a wake arrived during a
+// Handler states. A handler is hIdle when it has no known work, hReady
+// once made runnable (ready) and until its driver calls Step, hRunning
+// while Step drains it, hRunningDirty when a wake arrived during a
 // drain (forcing one more pass before idling), hAwaiting while parked
 // mid-request on an unresolved future (Handler.Await) — logically
 // still inside the request, so queue wakes do not reschedule it; only
@@ -117,9 +117,8 @@ type awaitReq struct {
 	cont func(v any, err error)
 }
 
-// NewHandler creates a handler. In dedicated mode it starts the
-// handler's goroutine; in pooled mode the handler stays off the ready
-// queue until a client gives it work.
+// NewHandler creates a handler, idle until a client gives it work: its
+// own goroutine parked, or off the pool's ready queue.
 func (rt *Runtime) NewHandler(name string) *Handler {
 	rt.mu.Lock()
 	if rt.down {
@@ -133,21 +132,19 @@ func (rt *Runtime) NewHandler(name string) *Handler {
 		name: name,
 		qoq:  queue.NewMPSC[*Session](0),
 	}
-	if rt.exec != nil {
-		h.task = sched.NewTask(h)
-		// Route queue-of-queues notifications to the scheduler instead
-		// of a dedicated consumer. Installed before the handler is
-		// published, so producers always see it. Reservations on the
-		// hot path use TryEnqueueNoNotify and wake with producer
-		// context instead; this hook covers Close and rejections.
-		h.qoq.SetNotify(h.wake)
-	}
+	// Installed before the handler is published, so producers always see
+	// it. Reservations use TryEnqueueNoNotify and wake with producer
+	// context instead; this hook covers Close and rejections.
+	h.qoq.SetNotify(h.wake)
 	rt.handlers = append(rt.handlers, h)
 	rt.wg.Add(1)
-	rt.mu.Unlock()
-	if rt.exec == nil {
-		go h.loop()
+	if rt.exec != nil {
+		h.task = sched.NewTask(h)
+	} else {
+		h.parker = sched.NewParker()
+		go h.run()
 	}
+	rt.mu.Unlock()
 	return h
 }
 
@@ -165,8 +162,8 @@ func (h *Handler) ID() int64 { return h.id }
 func (h *Handler) AsClient() *Client {
 	if h.selfClient == nil {
 		h.selfClient = h.rt.NewClient()
-		// In pooled mode this client's code runs on executor workers;
-		// its blocking operations must notify the pool so replacements
+		// On a pool this client's code runs on executor workers; its
+		// blocking operations must notify the pool so replacements
 		// keep delegation chains deadlock-free, and its enqueues wake
 		// target handlers on the hosting worker's local deque.
 		h.selfClient.hosted = h.rt.exec
@@ -177,7 +174,7 @@ func (h *Handler) AsClient() *Client {
 }
 
 // Await registers cont to run on this handler with fut's result,
-// without blocking a pool worker while fut is unresolved. It may only
+// without blocking inside a request while fut is unresolved. It may only
 // be called from code already executing on h (a call, query, or prior
 // continuation), like AsClient.
 //
@@ -185,12 +182,11 @@ func (h *Handler) AsClient() *Client {
 // returns, and strictly before any further request of the session —
 // so from the rest of the system's point of view the handler is still
 // inside the arming request until cont completes, preserving the run
-// rule's no-interleaving guarantee. In pooled mode an unresolved
-// future parks the handler state machine in the awaiting state and
-// returns the worker to the pool; the future's completion reschedules
-// the handler (this is what lets deep delegation chains run on a
-// fixed-size pool without compensation spawns). In dedicated mode the
-// handler's own goroutine blocks, which is the paper's native shape.
+// rule's no-interleaving guarantee. An unresolved future parks the
+// handler state machine in the awaiting state and Step returns: a pool
+// worker moves on (this is what lets deep delegation chains run on a
+// fixed-size pool without compensation spawns), the handler's own
+// goroutine parks. The future's completion makes the handler runnable.
 //
 // At most one Await may be armed per request; cont itself may call
 // Await again to chain. A panic in cont poisons the session exactly
@@ -205,30 +201,6 @@ func (h *Handler) Await(fut *future.Future, cont func(v any, err error)) {
 		panic("scoopqs: Handler.Await armed twice in one request (chain from the continuation instead)")
 	}
 	h.pendingAwait = &awaitReq{fut: fut, cont: cont}
-}
-
-// serviceAwaitBlocking services pending continuations by blocking the
-// calling goroutine (dedicated mode): wait for the future, run the
-// continuation, repeat while continuations re-arm. The awaited future
-// is published for the deadlock detector while the goroutine blocks.
-func (h *Handler) serviceAwaitBlocking(s *Session) {
-	for h.pendingAwait != nil {
-		req := h.pendingAwait
-		h.pendingAwait = nil
-		var t0 int64
-		if obs.Enabled() {
-			t0 = obs.Now()
-		}
-		h.awaitingOn.Store(req.fut)
-		v, err := req.fut.Get()
-		h.awaitingOn.Store(nil)
-		if t0 != 0 {
-			d := obs.Now() - t0
-			awaitHist.Observe(d)
-			obs.Emit(obs.KindAwaitPark, uint64(h.id), d)
-		}
-		h.runCont(s, req.cont, v, err)
-	}
 }
 
 // runCont executes an await continuation under the same poisoning
@@ -249,47 +221,30 @@ func (h *Handler) runCont(s *Session, cont func(any, error), v any, err error) {
 	cont(v, err)
 }
 
-// loop is the dedicated-mode handler main loop, a direct transcription
-// of the paper's Fig. 7: dequeue private queues from the queue-of-
-// queues; for each, execute calls until the END marker (the end rule);
-// a failed dequeue on the queue-of-queues means shutdown.
-func (h *Handler) loop() {
-	defer h.rt.wg.Done()
-	defer h.releaseWaiters()
-	for {
-		s, ok := h.qoq.Dequeue()
-		if !ok {
-			return // shutdown: no more work
-		}
-		h.runSession(s)
+// run drives a handler that has a goroutine of its own (Config.Workers
+// == 0): where a pool worker would move on to another handler, it parks
+// until ready unparks it. The loop of the paper's Fig. 7 is drain.
+func (h *Handler) run() {
+	for h.state.Load() != hDone {
+		h.parker.Park()
+		h.Step(nil)
 	}
 }
 
-// runSession drains one private queue (the run rule) until END, and
-// then that of any waiter the END started (fireWaiters left it in cur),
-// which comes before the queue-of-queues. An await armed by a request is
-// serviced — blocking this dedicated goroutine — before the next request
-// is dequeued.
-func (h *Handler) runSession(s *Session) {
-	for {
-		h.serviceAwaitBlocking(s)
-		c, qok := s.q.Dequeue()
-		if !qok {
-			return // queue closed underneath us; only in teardown tests
-		}
-		if h.execOne(s, c) {
-			if s = h.cur; s == nil {
-				return
-			}
-		}
+// ready hands a handler that has just entered hReady to its driver, once
+// per entry: w's local deque or the injector (nil w) on a pool, else an
+// unpark of the handler's own goroutine.
+func (h *Handler) ready(w *sched.Worker) {
+	h.rt.stats.schedules.Add(1)
+	if h.rt.exec == nil {
+		h.parker.Unpark()
+		return
 	}
+	h.rt.exec.ReadyLocal(w, h.task)
 }
 
-// wake makes the handler runnable on the executor after one of its
-// queues gained work (or was closed), routing through the shared
-// injector. It is the context-free notification hook (queue Close,
-// rejection wakes, future completions); producers that know which
-// worker they run on use wakeFrom instead.
+// wake is the context-free notification hook (queue Close, rejection
+// wakes); producers that know which worker they run on use wakeFrom.
 func (h *Handler) wake() { h.wakeFrom(nil) }
 
 // wakeFrom makes the handler runnable after one of its queues gained
@@ -297,17 +252,17 @@ func (h *Handler) wake() { h.wakeFrom(nil) }
 // pool worker — the fast re-ready path: a handler waking the next
 // handler of a message chain keeps it on its own (warm) worker, and
 // the executor skips the condvar when anyone is already scanning. A
-// nil w falls back to the injector. Spurious calls are cheap and safe.
+// nil w is a producer on a goroutine of its own. Spurious calls are
+// cheap and safe.
 func (h *Handler) wakeFrom(w *sched.Worker) {
 	for {
 		switch h.state.Load() {
 		case hIdle:
 			if h.state.CompareAndSwap(hIdle, hReady) {
-				h.rt.stats.schedules.Add(1)
 				if obs.Enabled() {
 					emitOn(w, obs.KindHandlerReady, uint64(h.id), 0)
 				}
-				h.rt.exec.ReadyLocal(w, h.task)
+				h.ready(w)
 				return
 			}
 		case hReady, hRunningDirty, hDone:
@@ -319,7 +274,7 @@ func (h *Handler) wakeFrom(w *sched.Worker) {
 			return
 		case hRunning:
 			if h.state.CompareAndSwap(hRunning, hRunningDirty) {
-				return // the draining worker will make another pass
+				return // the running Step will make another pass
 			}
 		}
 	}
@@ -327,15 +282,16 @@ func (h *Handler) wakeFrom(w *sched.Worker) {
 
 // stepBudget bounds the requests one Step executes before the handler
 // re-queues itself, so a handler fed by a fast client cannot starve
-// the other handlers sharing the pool.
+// the other handlers sharing the pool (on a goroutine of its own it
+// finds itself unparked and steps again at once).
 const stepBudget = 1024
 
-// Step is the executor entry point: resume this handler and run it
-// until it exhausts available work, completes, or uses up its fairness
-// budget. Exclusive ownership is guaranteed by the wake protocol —
-// Step only ever runs after a transition to hReady. The worker is
-// remembered for the duration so enqueues made by this handler's code
-// ride its local deque.
+// Step is the driver's entry point (a pool worker w, or run with nil):
+// resume this handler and run it until it exhausts available work,
+// completes, or uses up its fairness budget. Exclusive ownership is
+// guaranteed by the wake protocol — Step runs once after each
+// transition to hReady. The worker is remembered for the duration so
+// enqueues made by this handler's code ride its local deque.
 func (h *Handler) Step(w *sched.Worker) {
 	h.onWorker = w
 	h.state.Store(hRunning)
@@ -359,16 +315,15 @@ func (h *Handler) Step(w *sched.Worker) {
 			return
 		case drainBudget:
 			h.state.Store(hReady)
-			h.rt.stats.schedules.Add(1)
 			h.noteRun(w, runT0)
 			// Through the injector, not the local deque: the budget
 			// exists to round-robin a saturated handler with everyone
 			// else's pending work, and a LIFO self-push would defeat it.
-			h.rt.exec.Ready(h.task)
+			h.ready(nil)
 			return
 		case drainAwaiting:
-			// Park the state machine, not the worker: hand the worker
-			// back and let the future's completion reschedule us. The
+			// Park the state machine, not a pool worker: return to the
+			// driver and let the future's completion reschedule us. The
 			// store may overwrite hRunningDirty — safe, because the
 			// resume path always drains, so work signalled by that lost
 			// wake is picked up then.
@@ -384,8 +339,8 @@ func (h *Handler) Step(w *sched.Worker) {
 			return
 		case drainEmpty:
 			// Read cur before releasing ownership: after a successful
-			// CAS to hIdle another worker may immediately resume the
-			// handler and rewrite it.
+			// CAS to hIdle a wake may get the handler resumed on another
+			// worker, which rewrites it.
 			parkedMidSession := h.cur != nil
 			h.noteRun(w, runT0)
 			if h.state.CompareAndSwap(hRunning, hIdle) {
@@ -440,19 +395,18 @@ func (h *Handler) awaitWake() {
 			obs.Emit(obs.KindAwaitPark, uint64(h.id), d)
 		}
 		h.awaitingOn.Store(nil)
-		h.rt.stats.schedules.Add(1)
-		h.rt.exec.Ready(h.task)
+		h.ready(nil)
 	}
 }
 
-// drain executes available requests: dequeue private queues from the
-// queue-of-queues and run each to its END, exactly like the dedicated
-// loop, but returning instead of blocking whenever a queue is empty.
-// The session being drained stays pinned in h.cur across parks, which
-// keeps the paper's run-rule ordering: a handler never abandons a
+// drain is the handler loop of the paper's Fig. 7: dequeue private
+// queues from the queue-of-queues and run each to its END (the run and
+// end rules), returning to Step instead of blocking whenever a queue is
+// empty. The session being drained stays pinned in h.cur across parks,
+// which keeps the run rule's ordering: a handler never abandons a
 // private queue mid-block, and after serving a sync it remains at the
-// client's disposal (§3.2) — first spinning on the worker for the
-// client's next request, then parking without touching other sessions.
+// client's disposal (§3.2) — first spinning for the client's next
+// request, then parking without touching other sessions.
 func (h *Handler) drain(budget *int) drainOutcome {
 	for {
 		if h.cur == nil {
@@ -475,13 +429,13 @@ func (h *Handler) drain(budget *int) drainOutcome {
 				// Budget first even with an await armed: the requeue
 				// path preserves ordering (the next Step services the
 				// await before dequeuing), so a chain of continuations
-				// over already-resolved futures cannot monopolize the
+				// over already-resolved futures cannot monopolize a
 				// worker.
 				return drainBudget
 			}
 			// An armed await gates the session: its continuation must
 			// run before any further request. Resolved already — run it
-			// inline on this worker; unresolved — park the machine.
+			// inline; unresolved — park the machine.
 			if h.pendingAwait != nil {
 				v, err, ok := h.pendingAwait.fut.TryGet()
 				if !ok {
@@ -508,9 +462,9 @@ func (h *Handler) drain(budget *int) drainOutcome {
 	}
 }
 
-// spinForWork is pooled mode's engaged wait, what s.q.Dequeue is to the
-// dedicated loop: the client's next request after a sync handshake is
-// usually one scheduling step away, so poll before giving up the worker.
+// spinForWork is the engaged wait (sched.Engaged), core's only one: the
+// client's next request after a sync handshake is usually one scheduling
+// step away, so poll before leaving the block parked.
 func (h *Handler) spinForWork(s *Session) bool {
 	for i := 0; sched.Engaged.Poll(i); i++ {
 		if !s.q.Empty() {
@@ -521,8 +475,7 @@ func (h *Handler) spinForWork(s *Session) bool {
 }
 
 // execOne executes a single request of session s and reports whether
-// it was the END marker. It is the single execution path shared by the
-// dedicated loop and the pooled state machine.
+// it was the END marker.
 func (h *Handler) execOne(s *Session, c call) (ended bool) {
 	switch c.kind {
 	case callEnd, callWait, callGuard:
@@ -567,8 +520,8 @@ func (h *Handler) execOne(s *Session, c call) (ended bool) {
 		resolveFuture(c.fut, v, err)
 	case callSync:
 		// The sync rule: the client is parked in wait; release it.
-		// The handler then loops straight back to dequeueing this
-		// same private queue — it is now idle at the client's
+		// drain then goes straight back to dequeueing this same
+		// private queue — the handler is now idle at the client's
 		// disposal, which is what makes client-side query
 		// execution safe.
 		s.parker.Unpark()
@@ -703,15 +656,11 @@ func (rt *Runtime) enqueueGroup(ss []*Session, w *sched.Worker) bool {
 	return ok
 }
 
-// enqueue registers s with h's queue-of-queues and wakes h. In pooled
-// mode the enqueue is quiet and the wake carries the producer's worker
-// context, so a handler reserving another handler schedules it on its
-// own worker's deque; dedicated mode keeps the queue's built-in parker
-// wakeup. False means the runtime is shutting down.
+// enqueue registers s with h's queue-of-queues and wakes h. The enqueue
+// is quiet and the wake carries the producer's worker context, so a
+// handler reserving another handler schedules it on its own worker's
+// deque. False means the runtime is shutting down.
 func (h *Handler) enqueue(s *Session, w *sched.Worker) bool {
-	if h.rt.exec == nil {
-		return h.qoq.TryEnqueue(s)
-	}
 	if !h.qoq.TryEnqueueNoNotify(s) {
 		return false
 	}

@@ -8,7 +8,7 @@ import (
 // The core runtime's observability instruments (see internal/obs for
 // the overhead contract): end-to-end latency of the client-visible
 // synchronization operations, plus the await-park duration that the
-// pooled state machine otherwise hides entirely.
+// handler state machine otherwise hides entirely.
 var (
 	// callExecHist is an async call's log→execution latency — how long
 	// a request sits in its private queue before the handler runs it.
@@ -19,7 +19,7 @@ var (
 	// never reach it).
 	syncHist = obs.Default().Hist("core.sync_ns")
 	// awaitHist is how long a handler sits parked on an unresolved
-	// future (Handler.Await), pooled and dedicated mode alike.
+	// future (Handler.Await).
 	awaitHist = obs.Default().Hist("core.await_park_ns")
 	// guardWaitHist is how long a SeparateWhen client sits parked: from
 	// its guard request to being started when the handler evaluates the

@@ -80,27 +80,29 @@ func TestEngagedDequeueYieldsThenParks(t *testing.T) {
 	}
 }
 
-// A pooled handler left without a request in the middle of a block waits
-// as the dedicated one does — the engaged budget — before it gives its
-// worker back.
-func TestPooledHandlerParksAfterEngagedWait(t *testing.T) {
-	rt := core.New(core.ConfigQoQ.WithWorkers(1))
-	defer rt.Shutdown()
-	h := rt.NewHandler("h")
-	entered, gate := make(chan struct{}), make(chan struct{})
-	rt.NewClient().Separate(h, func(s *core.Session) {
-		s.Call(func() { close(entered); <-gate })
-		// Inside the call h polls nothing; what it yielded waiting for
-		// the call to be logged does not count.
-		<-entered
-		yields := yieldsFromNow()
-		parks := rt.Stats().HandlerParks
-		close(gate)
-		if !eventually(10*time.Second, func() bool { return rt.Stats().HandlerParks > parks }) {
-			t.Error("handler did not give up its worker mid-block")
-		}
-		if n := yields(); n != sched.EngagedYields {
-			t.Errorf("spinForWork yielded %d times before parking, want %d", n, sched.EngagedYields)
-		}
-	})
+// A handler left without a request in the middle of a block spends the
+// engaged budget, and no more, before it parks mid-session — whoever
+// drives it. This is core's only engaged wait (spinForWork).
+func TestHandlerParksAfterEngagedWait(t *testing.T) {
+	for _, workers := range []int{0, 1} {
+		rt := core.New(core.ConfigQoQ.WithWorkers(workers))
+		h := rt.NewHandler("h")
+		entered, gate := make(chan struct{}), make(chan struct{})
+		rt.NewClient().Separate(h, func(s *core.Session) {
+			s.Call(func() { close(entered); <-gate })
+			// Inside the call h polls nothing; what it yielded waiting for
+			// the call to be logged does not count.
+			<-entered
+			yields := yieldsFromNow()
+			parks := rt.Stats().HandlerParks
+			close(gate)
+			if !eventually(10*time.Second, func() bool { return rt.Stats().HandlerParks > parks }) {
+				t.Errorf("workers=%d: handler did not park mid-block", workers)
+			}
+			if n := yields(); n != sched.EngagedYields {
+				t.Errorf("workers=%d: spinForWork yielded %d times before parking, want %d", workers, n, sched.EngagedYields)
+			}
+		})
+		rt.Shutdown()
+	}
 }

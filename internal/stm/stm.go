@@ -4,6 +4,10 @@
 // and a blocking Retry that waits until some variable in the
 // transaction's read set changes.
 //
+// Frozen: a reproduction-only comparison paradigm for the paper's language
+// tables (internal/harness); it gets no new features and is excluded from
+// the benchmark's ladder claims.
+//
 // It is the substrate standing in for Haskell's STM in the paper's
 // language comparison: every transactional operation pays the
 // bookkeeping of read/write-set maintenance and commit-time
