@@ -179,9 +179,13 @@
 // server demultiplexes every channel onto real core.Sessions through
 // the non-blocking futures path. The write path is credit-flow
 // controlled, so request logging is bounded as well as non-blocking:
-// each channel holds a server-advertised request window, the shared
-// writer caps its pending batch at a byte budget, and a stalled peer
-// therefore pins bounded memory instead of an ever-growing batch. The
+// each channel holds a request window the server advertises and sizes
+// from the channel's drain rate, the shared writer caps its pending
+// batch at a byte budget, a connection holds a capped number of
+// channels, and a stalled peer therefore pins bounded memory instead
+// of an ever-growing batch. There is one client type (DialMux or
+// NewMux, then Mux.NewSession) and two server options (WriteBudget,
+// IdleTimeout). The
 // client-side cost is that the request-logging operations of a
 // RemoteSession — Call, QueryAsync, Query, Sync (and any frame send at
 // the byte budget) — can now park the calling goroutine until the
@@ -189,8 +193,9 @@
 // Future.OnComplete callback. `go run ./bench --workload bank` drives
 // the transport at service scale (remote.* per-layer metrics), and
 // TestSlowPeerBoundsServerWriter pins the stalled-peer bounds; see the
-// README's "Remote" and "Flow control" sections for the wire layout,
-// flush policy, and window mechanics.
+// README's "Remote" and "Flow control" sections for the API and the
+// window mechanics, and the internal/remote package comment for the
+// wire layout.
 //
 // All three layers are observable (internal/obs): scheduler dispatch
 // waits, worker parks, steals, and task spawn/join; handler state

@@ -1,9 +1,11 @@
 // Remote: the paper's §7 future-work item — private queues over
 // sockets. A server process exposes a handler-owned counter; remote
 // clients open separate blocks over TCP and get the same ordering and
-// no-interleaving guarantees as local clients. This example runs the
-// server and three clients in one process over loopback for
-// convenience; the two halves only share the address string.
+// no-interleaving guarantees as local clients. One connection (a Mux)
+// carries all three logical clients; each is a RemoteSession with its
+// own private queue on the wire. This example runs the server and the
+// clients in one process over loopback for convenience; the two halves
+// only share the address string.
 //
 // Run with: go run ./examples/remote
 package main
@@ -39,18 +41,20 @@ func main() {
 	fmt.Println("serving handler \"counter\" on", addr)
 
 	// --- client side ---
+	mux, err := remote.DialMux("tcp", addr)
+	if err != nil {
+		panic(err)
+	}
+	defer mux.Close()
 	var wg sync.WaitGroup
 	for id := 0; id < 3; id++ {
 		id := id
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := remote.Dial("tcp", addr)
-			if err != nil {
-				panic(err)
-			}
+			c := mux.NewSession()
 			defer c.Close()
-			err = c.Separate("counter", func(s *remote.Session) error {
+			err := c.Separate("counter", func(s *remote.Session) error {
 				before, err := s.Query("get")
 				if err != nil {
 					return err
@@ -76,10 +80,7 @@ func main() {
 	}
 	wg.Wait()
 
-	c, err := remote.Dial("tcp", addr)
-	if err != nil {
-		panic(err)
-	}
+	c := mux.NewSession()
 	defer c.Close()
 	c.Separate("counter", func(s *remote.Session) error { //nolint:errcheck
 		total, err := s.Query("get")

@@ -6,11 +6,12 @@ import (
 	"scoopqs/internal/obs"
 )
 
-// Adaptive credit windows (Server.Window == 0, the default) size each
-// channel's request window from its observed drain rate instead of a
-// static constant: a channel whose completions flow fast earns a deep
-// window (pipelining headroom), a slow or stalled one is squeezed
-// toward the floor (a shallow window is all its memory bound needs).
+// The credit window — how many requests (CALL/QUERY/SYNC and their
+// bytes kinds) a channel may have admitted but not yet completed — is
+// sized per channel from its observed drain rate: a channel whose
+// completions flow fast earns a deep window (pipelining headroom), a
+// slow or stalled one is squeezed toward the floor (a shallow window
+// is all its memory bound needs).
 // The controller is AIMD on top of the drain-rate estimate — any
 // congestion at the connection's shared byte budget (the writer
 // parking deferred frames) halves the target; otherwise it steps
@@ -34,10 +35,12 @@ const (
 	// with that many credits before any advertisement arrives).
 	adaptiveMinWindow = bootstrapCredits
 
-	// adaptiveMaxWindow caps growth at the legacy fixed default, so
-	// adaptive mode's worst-case deferred-reply bound (window ×
-	// channels) never exceeds PR 5's.
-	adaptiveMaxWindow = defaultCreditWindow
+	// adaptiveMaxWindow caps growth. It bounds the server's deferred
+	// replies per channel — and with them the whole write path's memory,
+	// at window × channels — while staying far above the batching
+	// writer's typical flush size, so a pipelining client never notices
+	// it on a healthy connection.
+	adaptiveMaxWindow = 1024
 
 	// adaptiveAIStep is the additive-increase step per grant batch.
 	adaptiveAIStep = 64

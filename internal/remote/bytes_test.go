@@ -124,7 +124,8 @@ func TestSlabDoubleReleasePanics(t *testing.T) {
 // Released slabs go back to their size class's free list and are
 // reused rather than reallocated.
 func TestSlabRecycling(t *testing.T) {
-	inUse0, reuses0 := slabStats()
+	base := takeLeakBaseline()
+	_, reuses0 := slabStats()
 	var a slabAlloc
 	// Two 40 KB carves overflow one 64 KiB slab, so every iteration
 	// swaps slabs; with all payloads released promptly, the pool cycles
@@ -138,8 +139,8 @@ func TestSlabRecycling(t *testing.T) {
 	if reuses1-reuses0 < 4 {
 		t.Fatalf("slab reuses grew by %d over 10 swap cycles, want >= 4", reuses1-reuses0)
 	}
-	if inUse, _ := slabStats(); inUse != inUse0 {
-		t.Fatalf("slabs in use drifted %d -> %d after all Releases", inUse0, inUse)
+	if err := base.settle(nil); err != nil {
+		t.Fatalf("after all Releases: %v", err)
 	}
 }
 
@@ -311,14 +312,11 @@ func TestRemoteBytesEcho(t *testing.T) {
 			addr, srv, shutdown := startBytesServer(t, m.cfg)
 			defer shutdown()
 
-			c, err := Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := dialSession(t, addr)
 			defer c.Close()
 
 			big := bytes.Repeat([]byte("payload!"), 16<<10/8) // 16 KiB, past the intern threshold
-			err = c.Separate("store", func(s *Session) error {
+			err := c.Separate("store", func(s *Session) error {
 				// CallBytes + a query observing it: the proc copied the
 				// payload under the handler's exclusion.
 				if err := s.CallBytes("put", []byte("hello, bytes")); err != nil {
@@ -385,14 +383,11 @@ func TestRemoteBytesPipelined(t *testing.T) {
 	addr, _, shutdown := startBytesServer(t, core.ConfigAll)
 	defer shutdown()
 
-	c, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialSession(t, addr)
 	defer c.Close()
 
 	const k = 32
-	err = c.Separate("store", func(s *Session) error {
+	err := c.Separate("store", func(s *Session) error {
 		futs := make([]future.Typed[[]byte], 0, k)
 		for i := 0; i < k; i++ {
 			f, err := s.QueryBytesAsync("echo", []byte(fmt.Sprintf("msg-%08d-%s", i, strings.Repeat("z", 100))))
@@ -425,13 +420,10 @@ func TestRemoteBytesUnknownProc(t *testing.T) {
 	addr, _, shutdown := startBytesServer(t, core.ConfigAll)
 	defer shutdown()
 
-	c, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialSession(t, addr)
 	defer c.Close()
 
-	err = c.Separate("store", func(s *Session) error {
+	err := c.Separate("store", func(s *Session) error {
 		_, err := s.QueryBytes("nonesuch", []byte("x"))
 		if err == nil || !strings.Contains(err.Error(), "unknown bytes procedure") {
 			t.Errorf("unknown query err = %v", err)

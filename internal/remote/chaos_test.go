@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -208,11 +207,12 @@ func chaosPipeline(mux *Mux, first, n int, wantClean bool) error {
 }
 
 // chaosRun executes one scenario against a fresh server and then checks
-// clean recovery: everything the run spawned — muxes, server conns,
-// pool workers — is gone. A leaked goroutine here is a wedged reader or
-// an unreleased handler. A violation comes back as an error.
+// clean recovery (leakBaseline.settle): everything the run spawned —
+// muxes, server conns, pool workers — is gone, no handler is left
+// reserved and every payload slab is back in the pool. A violation
+// comes back as an error.
 func chaosRun(cfg core.Config, sc chaosScenario, seed int64) error {
-	baseGoroutines := runtime.NumGoroutine()
+	base := takeLeakBaseline()
 
 	rt, srv, ln, err := chaosServer(cfg)
 	if err != nil {
@@ -220,15 +220,10 @@ func chaosRun(cfg core.Config, sc chaosScenario, seed int64) error {
 	}
 	err = chaosTraffic(srv, ln.Addr().String(), sc, seed)
 	srv.Close()
-	rt.Shutdown()
-	if err != nil {
-		return err
+	if leak := base.settle(rt); err == nil {
+		err = leak
 	}
-
-	if !chaosPoll(func() bool { return runtime.NumGoroutine() <= baseGoroutines+2 }) {
-		return fmt.Errorf("leaked goroutines: %d now vs %d before", runtime.NumGoroutine(), baseGoroutines)
-	}
-	return nil
+	return err
 }
 
 // chaosTraffic races the scenario's faulty victim against a clean

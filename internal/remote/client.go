@@ -2,7 +2,6 @@ package remote
 
 import (
 	"fmt"
-	"net"
 	"sync"
 
 	"scoopqs/internal/future"
@@ -13,7 +12,7 @@ import (
 // the server's advertisement arrives: enough to pipeline the opening
 // burst, small enough that a misbehaving server cannot be flooded. The
 // server knows this constant too — its initial CREDIT grant tops the
-// channel up to the full window (see Server.Window).
+// channel up to its initial window (adaptiveInitWindow).
 const bootstrapCredits = 64
 
 // Client-side hard limits on CREDIT grants, in the same spirit as the
@@ -52,9 +51,8 @@ const (
 // called from a Future.OnComplete callback (which runs on the mux's
 // reader goroutine).
 type RemoteSession struct {
-	m       *Mux
-	ch      uint32
-	ownsMux bool // Dial-created: Close tears down the whole Mux
+	m  *Mux
+	ch uint32
 
 	// nextID is owned by the session's goroutine; pending is shared
 	// with the mux reader, hence the mutex.
@@ -79,40 +77,11 @@ type RemoteSession struct {
 	blockErr error
 }
 
-// Client is the single-session view of a connection: Dial and
-// NewClient return a RemoteSession that owns its Mux, so one-client
-// uses read exactly as they did before multiplexing.
-type Client = RemoteSession
-
-// Dial connects to a Server with a dedicated connection carrying one
-// logical client. For many logical clients on one connection, use
-// DialMux + Mux.NewSession.
-func Dial(network, addr string) (*Client, error) {
-	m, err := DialMux(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	rs := m.NewSession()
-	rs.ownsMux = true
-	return rs, nil
-}
-
-// NewClient wraps an established connection in a single-session Mux.
-func NewClient(conn net.Conn) *Client {
-	rs := NewMux(conn).NewSession()
-	rs.ownsMux = true
-	return rs
-}
-
-// Close retires the logical client. A session that owns its Mux (Dial,
-// NewClient) tears the connection down; a session handed out by
-// Mux.NewSession sends CLOSE — the server ENDs any open block and
-// frees the channel's state — and leaves the connection to its other
-// sessions. Unresolved pipelined futures are failed either way.
+// Close retires the logical client: it sends CLOSE — the server ENDs
+// any open block and frees the channel's state — and leaves the
+// connection to the Mux's other sessions (Mux.Close tears it down).
+// Unresolved pipelined futures are failed.
 func (rs *RemoteSession) Close() error {
-	if rs.ownsMux {
-		return rs.m.Close()
-	}
 	rs.mu.Lock()
 	if rs.closed {
 		rs.mu.Unlock()

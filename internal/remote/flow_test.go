@@ -240,7 +240,7 @@ func TestSlowPeerBoundsServerWriter(t *testing.T) {
 	// but not what this test wants to observe).
 	const (
 		budget   = 256
-		window   = 4096
+		window   = adaptiveMaxWindow // the most any channel's window can reach
 		sessions = 2
 		qper     = 2048
 	)
@@ -255,7 +255,6 @@ func TestSlowPeerBoundsServerWriter(t *testing.T) {
 					rt := core.New(m.cfg)
 					srv := NewServer(rt)
 					srv.WriteBudget = budget
-					srv.Window = window
 					for i := 0; i < sessions; i++ {
 						h := rt.NewHandler("h")
 						c := new(int64)
@@ -500,8 +499,9 @@ func TestWriteFailureFailsPendingPromptly(t *testing.T) {
 }
 
 // TestCreditWindowThrottlesAdmission pins the client-side admission
-// gate: with the server's window at its floor and the handler gated
-// shut, exactly bootstrapCredits requests are admitted — the next one
+// gate: with the handler gated shut nothing completes, so the window
+// controller never runs and the window stays at its initial size —
+// exactly adaptiveInitWindow requests are admitted, and the next one
 // parks (CreditStalls) until completions replenish the window.
 func TestCreditWindowThrottlesAdmission(t *testing.T) {
 	rt := core.New(core.ConfigAll)
@@ -509,7 +509,6 @@ func TestCreditWindowThrottlesAdmission(t *testing.T) {
 	gate := make(chan struct{})
 	var n int64
 	srv := NewServer(rt)
-	srv.Window = 1 // floors to bootstrapCredits
 	srv.Expose("gate", h, map[string]Proc{
 		"add": func(a []int64) int64 { <-gate; n += a[0]; return n },
 	})
@@ -530,7 +529,8 @@ func TestCreditWindowThrottlesAdmission(t *testing.T) {
 	defer mux.Close()
 	rs := mux.NewSession()
 
-	const total = bootstrapCredits + 32
+	const window = adaptiveInitWindow
+	const total = window + 32
 	var admitted atomic.Int64
 	futs := make([]*future.Future, 0, total)
 	var futsMu sync.Mutex
@@ -552,11 +552,11 @@ func TestCreditWindowThrottlesAdmission(t *testing.T) {
 	}()
 
 	// With the handler gated, no replies flow, so no credits come back:
-	// admission must stop at exactly the bootstrap window.
+	// admission must stop at exactly the initial window.
 	deadline := time.Now().Add(20 * time.Second)
-	for admitted.Load() < bootstrapCredits {
+	for admitted.Load() < window {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d bootstrap admissions went through", admitted.Load(), bootstrapCredits)
+			t.Fatalf("only %d of %d in-window admissions went through", admitted.Load(), window)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -566,8 +566,8 @@ func TestCreditWindowThrottlesAdmission(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := admitted.Load(); got != bootstrapCredits {
-		t.Fatalf("admitted %d requests on a %d-credit window", got, bootstrapCredits)
+	if got := admitted.Load(); got != window {
+		t.Fatalf("admitted %d requests on a %d-credit window", got, window)
 	}
 
 	// Open the gate: completions replenish credits, the parked
@@ -709,7 +709,7 @@ func TestPoisonResendsAfterDrain(t *testing.T) {
 	cw := newConnWriter(sv, budget, nil)
 	defer cw.kill()
 	defer sv.Close()
-	c := &serverConn{s: srv, cw: cw, chans: map[uint32]*svChan{}, window: 1024}
+	c := &serverConn{s: srv, cw: cw, chans: map[uint32]*svChan{}}
 
 	cli.SetReadDeadline(time.Now().Add(20 * time.Second)) //nolint:errcheck
 	fr := newFrameReader(cli)
@@ -792,8 +792,9 @@ func TestCreditOverrunQuarantinesChannel(t *testing.T) {
 			rt := core.New(mode.cfg)
 			gate := make(chan struct{})
 			srv := NewServer(rt)
-			const window = 128
-			srv.Window = window
+			// Nothing completes behind the gate, so the window stays at
+			// its initial size for the whole flood.
+			const window = adaptiveInitWindow
 			srv.Expose("gate", rt.NewHandler("gate"), map[string]Proc{
 				"tick": func([]int64) int64 { <-gate; return 0 },
 			})

@@ -37,17 +37,18 @@
 // with a CREDIT frame when the channel first appears, consumed one
 // credit per logged request, replenished in batches as requests
 // complete — so the server's deferred replies are bounded by
-// window × channels even under a peer that stopped reading. Windows
-// are adaptive by default (Server.Window left zero): each channel's
-// window tracks an EWMA of its drain rate with AIMD dynamics — grown
-// additively while the channel keeps its writer fed, halved when its
-// replies congest the connection's writer — so a fast consumer earns
-// a deep pipeline while a slow one is throttled toward the minimum,
-// keeping the byte budget fair across channels. A channel that
-// overruns its window is quarantined, not fatal: the server releases
-// its handler, reports ErrCreditOverrun on the channel, and drops its
-// subsequent frames, while the connection and its other channels keep
-// working. Idle peers are handled the same way at connection scope:
+// window × channels even under a peer that stopped reading. Each
+// channel's window tracks an EWMA of its drain rate with AIMD dynamics
+// (adaptive.go) — grown additively while the channel keeps its writer
+// fed, halved when its replies congest the connection's writer — so a
+// fast consumer earns a deep pipeline while a slow one is throttled
+// toward the minimum. Opening a channel is not credit-gated, so the
+// live channels of a connection are capped instead (maxChannels). A
+// channel that overruns its window is quarantined, not fatal: the
+// server releases its handler, reports ErrCreditOverrun on the
+// channel, and drops its subsequent frames, while the connection and
+// its other channels keep working. Idle peers are handled at
+// connection scope:
 // with Server.IdleTimeout set, a peer holding a block open with
 // nothing in flight is torn down (ErrPeerStalled) instead of pinning
 // server state forever.
@@ -163,6 +164,14 @@ const (
 	maxInternedBytes = 1 << 19 // total bytes across the name table
 
 	maxBytesLen = 1 << 20 // bytes payload length
+
+	// maxChannels caps the live channels of one connection. Opening a
+	// channel is not credit-gated — each BEGIN on a fresh id costs the
+	// server a channel record, a core.Client and a window advertisement
+	// in the writer — so without the cap a peer walking channel ids
+	// (and never reading) grows all three without limit. Far above any
+	// honest mux: a channel is a logical client, not a request.
+	maxChannels = 4096
 
 	// Small payloads repeat in real service traffic (balances, status
 	// codes, canned responses); up to maxInternPayload bytes they are

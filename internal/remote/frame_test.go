@@ -84,7 +84,7 @@ func TestFrameTruncation(t *testing.T) {
 // leave the slab pool balanced: the decoder releases a partially read
 // payload, and closing the reader drops its allocator hold.
 func TestBytesFrameTruncation(t *testing.T) {
-	inUse0, _ := slabStats()
+	base := takeLeakBaseline()
 	full := appendFrame(nil, &frame{kind: fQueryB, ch: 9, id: 5, name: "echo", data: bytes.Repeat([]byte{0x5A}, 200)})
 	for cut := 1; cut < len(full); cut++ {
 		fr := newFrameReader(bytes.NewReader(full[:cut]))
@@ -94,8 +94,8 @@ func TestBytesFrameTruncation(t *testing.T) {
 		}
 		fr.close()
 	}
-	if inUse, _ := slabStats(); inUse != inUse0 {
-		t.Fatalf("slabs in use drifted %d -> %d across truncated decodes", inUse0, inUse)
+	if err := base.settle(nil); err != nil {
+		t.Fatalf("across truncated decodes: %v", err)
 	}
 }
 

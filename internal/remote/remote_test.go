@@ -56,19 +56,30 @@ func startServerCfg(t *testing.T, cfg core.Config) (addr string, counter *int64,
 	}
 }
 
+// dialSession dials a connection of its own carrying one logical
+// client, for the tests that want clients on separate connections. The
+// connection is closed with the test; the session's own Close only
+// retires the channel.
+func dialSession(t *testing.T, addr string) *RemoteSession {
+	t.Helper()
+	m, err := DialMux("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m.NewSession()
+}
+
 func TestRemoteCallAndQuery(t *testing.T) {
 	for _, m := range serverModes {
 		t.Run(m.name, func(t *testing.T) {
 			addr, _, shutdown := startServerCfg(t, m.cfg)
 			defer shutdown()
 
-			c, err := Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := dialSession(t, addr)
 			defer c.Close()
 
-			err = c.Separate("counter", func(s *Session) error {
+			err := c.Separate("counter", func(s *Session) error {
 				for i := int64(1); i <= 10; i++ {
 					if err := s.Call("add", i); err != nil {
 						return err
@@ -103,16 +114,12 @@ func TestRemoteNoInterleavingAcrossClients(t *testing.T) {
 			const clients, k = 6, 50
 			var wg sync.WaitGroup
 			for i := 0; i < clients; i++ {
+				c := dialSession(t, addr)
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					c, err := Dial("tcp", addr)
-					if err != nil {
-						t.Error(err)
-						return
-					}
 					defer c.Close()
-					err = c.Separate("counter", func(s *Session) error {
+					err := c.Separate("counter", func(s *Session) error {
 						before, err := s.Query("get")
 						if err != nil {
 							return err
@@ -140,12 +147,9 @@ func TestRemoteNoInterleavingAcrossClients(t *testing.T) {
 			}
 			wg.Wait()
 
-			c, err := Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := dialSession(t, addr)
 			defer c.Close()
-			err = c.Separate("counter", func(s *Session) error {
+			err := c.Separate("counter", func(s *Session) error {
 				v, err := s.Query("get")
 				if err != nil {
 					return err
@@ -312,12 +316,9 @@ func handlerName(i int) string {
 func TestRemoteSync(t *testing.T) {
 	addr, nptr, shutdown := startServer(t)
 	defer shutdown()
-	c, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialSession(t, addr)
 	defer c.Close()
-	err = c.Separate("counter", func(s *Session) error {
+	err := c.Separate("counter", func(s *Session) error {
 		if err := s.Call("add", 7); err != nil {
 			return err
 		}
@@ -340,14 +341,11 @@ func TestRemoteSync(t *testing.T) {
 func TestRemoteUnknownHandler(t *testing.T) {
 	addr, _, shutdown := startServer(t)
 	defer shutdown()
-	c, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialSession(t, addr)
 	defer c.Close()
 	// BEGIN is fire-and-forget now, so the failure surfaces at the
 	// block's first synchronization point, not at Separate itself.
-	err = c.Separate("nonesuch", func(s *Session) error {
+	err := c.Separate("nonesuch", func(s *Session) error {
 		_, err := s.Query("get")
 		return err
 	})
@@ -371,12 +369,9 @@ func TestRemoteUnknownHandler(t *testing.T) {
 func TestRemoteUnknownHandlerFireAndForgetSurfaces(t *testing.T) {
 	addr, _, shutdown := startServer(t)
 	defer shutdown()
-	c, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialSession(t, addr)
 	defer c.Close()
-	err = c.Separate("nonesuch", func(s *Session) error {
+	err := c.Separate("nonesuch", func(s *Session) error {
 		return s.Call("add", 1)
 	})
 	deadline := time.Now().Add(10 * time.Second)
@@ -396,12 +391,9 @@ func TestRemoteUnknownHandlerFireAndForgetSurfaces(t *testing.T) {
 func TestRemoteUnknownProcedure(t *testing.T) {
 	addr, _, shutdown := startServer(t)
 	defer shutdown()
-	c, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialSession(t, addr)
 	defer c.Close()
-	err = c.Separate("counter", func(s *Session) error {
+	err := c.Separate("counter", func(s *Session) error {
 		_, err := s.Query("frobnicate")
 		return err
 	})
@@ -416,12 +408,9 @@ func TestRemoteUnknownProcedure(t *testing.T) {
 func TestRemoteUnknownCallPoisonsBlock(t *testing.T) {
 	addr, nptr, shutdown := startServer(t)
 	defer shutdown()
-	c, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialSession(t, addr)
 	defer c.Close()
-	err = c.Separate("counter", func(s *Session) error {
+	err := c.Separate("counter", func(s *Session) error {
 		if err := s.Call("frobnicate", 1); err != nil {
 			return err
 		}
@@ -455,12 +444,9 @@ func TestRemoteQueryPanicSurfacesPooled(t *testing.T) {
 	// runtime: the panic must fail one query, not wedge a pool worker.
 	addr, _, shutdown := startServerCfg(t, core.ConfigAll.WithWorkers(2))
 	defer shutdown()
-	c, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialSession(t, addr)
 	defer c.Close()
-	err = c.Separate("counter", func(s *Session) error {
+	err := c.Separate("counter", func(s *Session) error {
 		_, err := s.Query("boom")
 		return err
 	})
@@ -472,12 +458,9 @@ func TestRemoteQueryPanicSurfacesPooled(t *testing.T) {
 func TestRemoteQueryPanicSurfaces(t *testing.T) {
 	addr, _, shutdown := startServer(t)
 	defer shutdown()
-	c, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialSession(t, addr)
 	defer c.Close()
-	err = c.Separate("counter", func(s *Session) error {
+	err := c.Separate("counter", func(s *Session) error {
 		_, err := s.Query("boom")
 		return err
 	})
@@ -485,10 +468,7 @@ func TestRemoteQueryPanicSurfaces(t *testing.T) {
 		t.Fatalf("err = %v, want handler panic surfaced", err)
 	}
 	// The server and handler survive for the next client.
-	c2, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := dialSession(t, addr)
 	defer c2.Close()
 	err = c2.Separate("counter", func(s *Session) error {
 		_, err := s.Query("get")
@@ -519,10 +499,7 @@ func TestRemoteClientDisconnectMidBlockReleasesHandler(t *testing.T) {
 
 	// A new client must still be able to use the handler: the server
 	// closes abandoned blocks.
-	c2, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := dialSession(t, addr)
 	defer c2.Close()
 	done := make(chan error, 1)
 	go func() {
@@ -665,15 +642,12 @@ func TestRemotePipelinedQueries(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			addr, _, shutdown := startServerCfg(t, m.cfg)
 			defer shutdown()
-			c, err := Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := dialSession(t, addr)
 			defer c.Close()
 
 			const n = 100
 			futs := make([]*future.Future, 0, n)
-			err = c.Separate("counter", func(s *Session) error {
+			err := c.Separate("counter", func(s *Session) error {
 				for i := 0; i < n; i++ {
 					f, err := s.QueryAsync("add", 1)
 					if err != nil {
@@ -716,14 +690,11 @@ func TestRemotePipelinedQueries(t *testing.T) {
 func TestRemotePipelinedErrors(t *testing.T) {
 	addr, _, shutdown := startServer(t)
 	defer shutdown()
-	c, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialSession(t, addr)
 	defer c.Close()
 
 	var unknown, boom *future.Future
-	err = c.Separate("counter", func(s *Session) error {
+	err := c.Separate("counter", func(s *Session) error {
 		var err error
 		if unknown, err = s.QueryAsync("frobnicate"); err != nil {
 			return err
@@ -755,12 +726,9 @@ func TestRemotePipelinedErrors(t *testing.T) {
 func TestRemoteCloseFailsPendingFutures(t *testing.T) {
 	addr, _, shutdown := startServer(t)
 	defer shutdown()
-	c, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialSession(t, addr)
 	var f *future.Future
-	err = c.Separate("counter", func(s *Session) error {
+	err := c.Separate("counter", func(s *Session) error {
 		var err error
 		f, err = s.QueryAsync("get")
 		return err

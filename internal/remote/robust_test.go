@@ -99,7 +99,7 @@ func adaptiveTestConn(t *testing.T) (*serverConn, *svChan, func()) {
 	cli, peer := net.Pipe()
 	go io.Copy(io.Discard, peer) //nolint:errcheck
 	cw := newConnWriter(cli, 0, nil)
-	c := &serverConn{s: &Server{}, cw: cw, chans: map[uint32]*svChan{}, adaptive: true}
+	c := &serverConn{s: &Server{}, cw: cw, chans: map[uint32]*svChan{}}
 	sc := &svChan{target: adaptiveInitWindow, lastAdjust: time.Now(), lastParked: cw.parkedTotal()}
 	sc.limit.Store(adaptiveInitWindow)
 	return c, sc, func() {

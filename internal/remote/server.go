@@ -12,16 +12,6 @@ import (
 	"scoopqs/internal/core"
 )
 
-// defaultCreditWindow is the ceiling of the per-channel request
-// window: the maximum number of requests (CALL/QUERY/SYNC) a channel
-// may have admitted but not yet completed. It bounds the server's
-// deferred replies per channel — and with them the whole write path's
-// memory — while staying far above the batching writer's typical flush
-// size, so a pipelining client never notices it on a healthy
-// connection. In adaptive mode (Server.Window == 0) it caps window
-// growth; a fixed Server.Window > 0 is used as-is.
-const defaultCreditWindow = 1024
-
 // Proc is a named procedure bound to handler-owned state. It runs under
 // the handler's exclusion like any other logged call.
 type Proc func(args []int64) int64
@@ -61,27 +51,16 @@ type BytesProc func(payload []byte) []byte
 // request consumes one, and completions replenish them in batches — so
 // a stalled or slow peer caps this server's memory at
 // budget + window×channels reply frames instead of growing without
-// limit. Windows are adaptive by default (sized per channel from the
-// observed drain rate with AIMD backoff on congestion, capped at
-// defaultCreditWindow — see adaptive.go); a positive Window pins the
-// legacy fixed window instead. A channel that overruns its window (a
-// client ignoring credits) is quarantined: its handler is released,
-// its frames are dropped, and the connection's other channels carry
-// on untouched.
+// limit. Windows are sized per channel from the observed drain rate,
+// with AIMD backoff on congestion and a hard ceiling (see adaptive.go).
+// A channel that overruns its window (a client ignoring credits) is
+// quarantined: its handler is released, its frames are dropped, and
+// the connection's other channels carry on untouched.
 type Server struct {
 	rt *core.Runtime
 
-	// Window pins a fixed per-channel credit window; 0 (the default)
-	// selects adaptive windows sized from each channel's drain rate.
-	// Fixed values below the client bootstrap (bootstrapCredits) are
-	// effectively raised to it, since a client starts with that many
-	// credits before any advertisement arrives. Set before Serve.
-	Window int
-
 	// WriteBudget is the byte cap on each connection writer's pending
-	// batch: 0 selects the default, negative disables the cap (the
-	// pre-flow-control behavior, kept for baseline measurement only).
-	// Set before Serve.
+	// batch; 0 selects the default. Set before Serve.
 	WriteBudget int
 
 	// IdleTimeout, when positive, arms a read deadline on every
@@ -206,22 +185,6 @@ func (s *Server) Stats() ServerStats {
 	}
 }
 
-// fixedWindow returns the pinned per-channel credit window, or 0 when
-// windows are adaptive (Server.Window == 0).
-func (s *Server) fixedWindow() int64 {
-	w := int64(s.Window)
-	if w <= 0 {
-		return 0
-	}
-	if w < bootstrapCredits {
-		// The client starts with bootstrapCredits before any
-		// advertisement: that is the floor of what it may have in
-		// flight, so enforcing less would kill honest clients.
-		w = bootstrapCredits
-	}
-	return w
-}
-
 // Serve accepts connections on ln until Close. It blocks; run it in a
 // goroutine.
 func (s *Server) Serve(ln net.Listener) {
@@ -286,9 +249,9 @@ type svChan struct {
 	pendGrant   atomic.Int64
 
 	// limit is the enforced credit window: the allowance actually
-	// extended to the client (bootstrap + grants − withheld). Fixed
-	// mode sets it once; adaptive mode moves it toward target at grant
-	// batches. Read by the reader's admission check, written under amu.
+	// extended to the client (bootstrap + grants − withheld), moved
+	// toward target at grant batches. Read by the reader's admission
+	// check, written under amu.
 	limit atomic.Int64
 
 	// quarantined marks a channel that overran its window: its frames
@@ -296,7 +259,7 @@ type svChan struct {
 	// completion callbacks).
 	quarantined atomic.Bool
 
-	// Adaptive-controller state, all under amu (the controller runs on
+	// Window-controller state, all under amu (the controller runs on
 	// whichever goroutine crosses a grant-batch boundary).
 	amu        sync.Mutex
 	target     int64     // where the controller wants the window
@@ -329,29 +292,23 @@ func (sc *svChan) open() bool { return sc.sess != nil || sc.errmsg != "" }
 // serverConn is the per-connection demultiplexer state shared by the
 // reader and the completion callbacks it arms.
 type serverConn struct {
-	s        *Server
-	cw       *connWriter
-	chans    map[uint32]*svChan
-	window   int64 // fixed per-channel credit window; 0 = adaptive
-	adaptive bool
+	s     *Server
+	cw    *connWriter
+	chans map[uint32]*svChan
 }
 
 // newChan initializes the server end of a fresh channel and advertises
 // its initial credit window (topping the client up from its bootstrap).
 func (c *serverConn) newChan(ch uint32) *svChan {
-	sc := &svChan{cl: c.s.rt.NewClient()}
-	window := c.window
-	if c.adaptive {
-		window = adaptiveInitWindow
-		sc.target = window
-		sc.lastAdjust = time.Now()
-		sc.lastParked = c.cw.parkedTotal()
+	sc := &svChan{
+		cl:         c.s.rt.NewClient(),
+		target:     adaptiveInitWindow,
+		lastAdjust: time.Now(),
+		lastParked: c.cw.parkedTotal(),
 	}
-	sc.limit.Store(window)
+	sc.limit.Store(adaptiveInitWindow)
 	c.chans[ch] = sc
-	if n := window - bootstrapCredits; n > 0 {
-		c.grant(ch, n)
-	}
+	c.grant(ch, adaptiveInitWindow-bootstrapCredits)
 	return sc
 }
 
@@ -364,8 +321,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.mu.Lock()
 	s.writers[cw] = struct{}{}
 	s.mu.Unlock()
-	window := s.fixedWindow()
-	c := &serverConn{s: s, cw: cw, chans: map[uint32]*svChan{}, window: window, adaptive: window == 0}
+	c := &serverConn{s: s, cw: cw, chans: map[uint32]*svChan{}}
 	fr := newFrameReader(conn)
 	defer fr.close()
 	defer func() {
@@ -514,30 +470,23 @@ func (c *serverConn) quarantine(sc *svChan, ch uint32) {
 
 // credit returns one unit of the channel's window after a request
 // completed (executed, replied, or dropped by a poisoned block) and
-// replenishes the client in CREDIT frames of limit/8 completions; in
-// adaptive mode each replenishment is also the window controller's
-// decision point (see adaptive.go). Runs on the reader or on
-// handler/pool goroutines; never blocks.
+// replenishes the client in CREDIT frames of limit/8 completions; each
+// replenishment is also the window controller's decision point (see
+// adaptive.go). Runs on the reader or on handler/pool goroutines; never
+// blocks.
 func (c *serverConn) credit(sc *svChan, ch uint32) {
 	sc.outstanding.Add(-1)
 	if sc.quarantined.Load() {
 		return // no replenishment for a quarantined channel
 	}
-	batch := sc.limit.Load() / 8
-	if batch < 1 {
-		batch = 1
-	}
-	if sc.pendGrant.Add(1) < batch {
+	if sc.pendGrant.Add(1) < sc.limit.Load()/8 { // limit >= adaptiveMinWindow: a batch is never empty
 		return
 	}
 	n := sc.pendGrant.Swap(0)
 	if n <= 0 {
 		return
 	}
-	if c.adaptive {
-		n = c.adjustWindow(sc, ch, n)
-	}
-	if n > 0 {
+	if n = c.adjustWindow(sc, ch, n); n > 0 {
 		c.grant(ch, n)
 	}
 }
@@ -563,6 +512,9 @@ func (c *serverConn) handleFrame(f *frame) bool {
 	switch f.kind {
 	case fBegin:
 		if sc == nil {
+			if len(c.chans) >= maxChannels {
+				return false // more live channels than a connection may hold
+			}
 			sc = c.newChan(f.ch)
 		}
 		if sc.open() {
@@ -604,60 +556,97 @@ func (c *serverConn) handleFrame(f *frame) bool {
 			delete(c.chans, f.ch)
 		}
 
+	case fCall, fQuery, fCallB, fQueryB, fSync:
+		return c.request(sc, f)
+
+	default:
+		// A server->client (or unknown) kind from the client; a REPLYB's
+		// payload still goes back to its slab.
+		Release(f.data)
+		return false
+	}
+	return true
+}
+
+// lookup resolves the procedure a request names in the namespace of
+// its kind: CALL/QUERY in the int64 procedures, CALLB/QUERYB in the
+// bytes procedures. SYNC names none and always resolves.
+func (sc *svChan) lookup(f *frame) (proc Proc, bproc BytesProc, ok bool) {
+	switch f.kind {
+	case fCall, fQuery:
+		proc, ok = sc.procs[f.name]
+	case fCallB, fQueryB:
+		bproc, ok = sc.bprocs[f.name]
+	default:
+		ok = true
+	}
+	return proc, bproc, ok
+}
+
+// request is the one path of the five credit-consuming kinds (CALL,
+// QUERY, CALLB, QUERYB, SYNC): checked against the block bracket,
+// charged to the window, failed right here on the reader if the block
+// is poisoned or the procedure unknown, and only then logged onto the
+// session in the kind's own way. Every exit that does not log the
+// request releases its bytes payload (nil for the other kinds) and,
+// unless the channel was quarantined, returns its credit.
+func (c *serverConn) request(sc *svChan, f *frame) bool {
+	if sc == nil || !sc.open() {
+		Release(f.data)
+		return false // request outside a block
+	}
+	if n := len(f.data); n > 0 {
+		c.s.bytesIn.Add(uint64(n))
+	}
+	if !c.admit(sc) {
+		Release(f.data)
+		c.quarantine(sc, f.ch) // client overran its credit window
+		return true
+	}
+	isCall := f.kind == fCall || f.kind == fCallB
+	msg := sc.errmsg
+	proc, bproc, ok := sc.lookup(f)
+	if msg == "" && !ok {
+		msg = fmt.Sprintf("unknown procedure %q", f.name)
+		if f.kind == fCallB || f.kind == fQueryB {
+			msg = fmt.Sprintf("unknown bytes procedure %q", f.name)
+		}
+		if isCall {
+			// No reply to carry it: poison the block, and the error
+			// surfaces at the next synchronization point, like a
+			// handler-side failure.
+			c.poison(sc, f.ch, msg)
+		}
+	}
+	if msg != "" {
+		Release(f.data)
+		if !isCall { // a call is dropped, like on a local poisoned session
+			c.reply(f.ch, f.id, 0, errors.New(msg))
+		}
+		c.credit(sc, f.ch)
+		return true
+	}
+
+	// Logged from here on. The closures capture copies of what they need
+	// from f — the reader reuses it for the next frame — and the credit
+	// comes back from the completion, after the reply: a replenished
+	// client's next request can never observe the connection before its
+	// predecessor's reply was accepted.
+	ch, id := f.ch, f.id
+	switch f.kind {
 	case fCall:
-		if sc == nil || !sc.open() {
-			return false // CALL outside a block
-		}
-		if !c.admit(sc) {
-			c.quarantine(sc, f.ch) // client overran its credit window
-			return true
-		}
-		if sc.errmsg != "" {
-			c.credit(sc, f.ch) // dropped, like a local poisoned session
-			return true
-		}
-		proc, ok := sc.procs[f.name]
-		if !ok {
-			// Poison the block; the error surfaces at the next
-			// synchronization point, like a handler-side failure.
-			c.poison(sc, f.ch, fmt.Sprintf("unknown procedure %q", f.name))
-			c.credit(sc, f.ch)
-			return true
-		}
 		args := copyArgs(f.args)
-		ch, lsc := f.ch, sc
 		sc.sess.Call(func() {
 			proc(args)
-			c.credit(lsc, ch)
+			c.credit(sc, ch)
 		})
 
 	case fQuery:
-		if sc == nil || !sc.open() {
-			return false // QUERY outside a block
-		}
-		if !c.admit(sc) {
-			c.quarantine(sc, f.ch) // client overran its credit window
-			return true
-		}
-		if sc.errmsg != "" {
-			c.reply(f.ch, f.id, 0, fmt.Errorf("%s", sc.errmsg))
-			c.credit(sc, f.ch)
-			return true
-		}
-		proc, ok := sc.procs[f.name]
-		if !ok {
-			c.reply(f.ch, f.id, 0, fmt.Errorf("unknown procedure %q", f.name))
-			c.credit(sc, f.ch)
-			return true
-		}
 		// The non-blocking path: log the query as a future and keep
 		// demultiplexing; the completion callback runs on the handler
 		// (or pool worker) that resolves it and ships the reply from
-		// there through the shared batching writer — replying first,
-		// then crediting, so a replenished client's next request can
-		// never observe the connection before its predecessor's reply
-		// was accepted.
-		ch, id, args, lsc := f.ch, f.id, copyArgs(f.args), sc
+		// there through the shared batching writer.
+		args := copyArgs(f.args)
 		sc.sess.CallFuture(func() any { return proc(args) }).
 			OnComplete(func(v any, err error) {
 				if err != nil {
@@ -665,71 +654,26 @@ func (c *serverConn) handleFrame(f *frame) bool {
 				} else {
 					c.reply(ch, id, v.(int64), nil)
 				}
-				c.credit(lsc, ch)
+				c.credit(sc, ch)
 			})
 
 	case fCallB:
-		if sc == nil || !sc.open() {
-			Release(f.data)
-			return false // CALLB outside a block
-		}
-		s.bytesIn.Add(uint64(len(f.data)))
-		if !c.admit(sc) {
-			Release(f.data)
-			c.quarantine(sc, f.ch) // client overran its credit window
-			return true
-		}
-		if sc.errmsg != "" {
-			Release(f.data)
-			c.credit(sc, f.ch) // dropped, like a local poisoned session
-			return true
-		}
-		bproc, ok := sc.bprocs[f.name]
-		if !ok {
-			Release(f.data)
-			c.poison(sc, f.ch, fmt.Sprintf("unknown bytes procedure %q", f.name))
-			c.credit(sc, f.ch)
-			return true
-		}
 		// Zero-copy handoff: the payload is a slab sub-slice with its
 		// own reference, so it stays valid after the reader decodes the
 		// next frame; the proc borrows it and the completion releases.
-		payload, ch, lsc := f.data, f.ch, sc
+		payload := f.data
 		sc.sess.Call(func() {
 			bproc(payload)
 			Release(payload)
-			c.credit(lsc, ch)
+			c.credit(sc, ch)
 		})
 
 	case fQueryB:
-		if sc == nil || !sc.open() {
-			Release(f.data)
-			return false // QUERYB outside a block
-		}
-		s.bytesIn.Add(uint64(len(f.data)))
-		if !c.admit(sc) {
-			Release(f.data)
-			c.quarantine(sc, f.ch) // client overran its credit window
-			return true
-		}
-		if sc.errmsg != "" {
-			Release(f.data)
-			c.reply(f.ch, f.id, 0, fmt.Errorf("%s", sc.errmsg))
-			c.credit(sc, f.ch)
-			return true
-		}
-		bproc, ok := sc.bprocs[f.name]
-		if !ok {
-			Release(f.data)
-			c.reply(f.ch, f.id, 0, fmt.Errorf("unknown bytes procedure %q", f.name))
-			c.credit(sc, f.ch)
-			return true
-		}
 		// Same non-blocking future path as QUERY, with one ordering
 		// constraint on top: the reply is encoded (or parked as a deep
 		// copy) BEFORE the request payload is released, because the
 		// proc's return may alias the request (an echo, a sub-slice).
-		ch, id, payload, lsc := f.ch, f.id, f.data, sc
+		payload := f.data
 		sc.sess.CallFuture(func() any { return bproc(payload) }).
 			OnComplete(func(v any, err error) {
 				if err != nil {
@@ -739,30 +683,14 @@ func (c *serverConn) handleFrame(f *frame) bool {
 					c.replyBytes(ch, id, out)
 				}
 				Release(payload)
-				c.credit(lsc, ch)
+				c.credit(sc, ch)
 			})
 
 	case fSync:
-		if sc == nil || !sc.open() {
-			return false // SYNC outside a block
-		}
-		if !c.admit(sc) {
-			c.quarantine(sc, f.ch) // client overran its credit window
-			return true
-		}
-		if sc.errmsg != "" {
-			c.reply(f.ch, f.id, 0, fmt.Errorf("%s", sc.errmsg))
-			c.credit(sc, f.ch)
-			return true
-		}
-		ch, id, lsc := f.ch, f.id, sc
 		sc.sess.SyncFuture().OnComplete(func(_ any, err error) {
 			c.reply(ch, id, 0, err)
-			c.credit(lsc, ch)
+			c.credit(sc, ch)
 		})
-
-	default:
-		return false // client sent a server->client (or unknown) kind
 	}
 	return true
 }

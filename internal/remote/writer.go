@@ -14,10 +14,10 @@ import (
 const writerHighWater = 64 << 10
 
 // defaultWriteBudget is the soft byte cap on the pending batch. Below
-// it, producers append and move on (the PR 4 fast path); at or above
-// it, blocking producers park until the writer drains below low water
-// and non-blocking producers defer their frame to the parked queue.
-// The low-water mark is half the budget.
+// it, producers append and move on; at or above it, blocking producers
+// park until the writer drains below low water and non-blocking
+// producers defer their frame to the parked queue. The low-water mark
+// is half the budget.
 const defaultWriteBudget = 256 << 10
 
 // writerStats is a snapshot of a connWriter's counters.
@@ -64,9 +64,9 @@ func (s *writerStats) fold(o writerStats) {
 //
 // The batch is bounded by a soft byte budget. A stalled peer leaves
 // the goroutine wedged in conn.Write; without the budget the batch
-// would grow with everything produced meanwhile (PR 4 behavior, sized
-// only by the clients' pipelining depth). At the budget the two
-// producer paths diverge:
+// would grow with everything produced meanwhile, sized only by the
+// clients' pipelining depth. At the budget the two producer paths
+// diverge:
 //
 //   - frame (blocking, client side): the producer parks on a drain
 //     future completed when the batch empties below low water, then
@@ -88,7 +88,7 @@ type connWriter struct {
 	w     io.Writer
 	onErr func(error) // called once, off the lock, when a write fails
 
-	budget   int // soft byte cap on buf; 0 = unbounded
+	budget   int // soft byte cap on buf
 	lowWater int // drain threshold waking stalled producers
 
 	mu        sync.Mutex
@@ -122,18 +122,14 @@ type chanQueue struct {
 // len is the channel's queued-frame count.
 func (q *chanQueue) len() int { return len(q.frames) - q.head }
 
-// newConnWriter starts a writer for w with the given byte budget
-// (0 selects defaultWriteBudget, negative disables the budget — the
-// unbounded PR 4 behavior, kept for baseline measurement only). onErr,
-// if non-nil, runs exactly once when a write fails (typically to tear
-// the connection down and unwedge the reader); it must not call back
-// into the writer's blocking paths.
+// newConnWriter starts a writer for w with the given byte budget (0
+// selects defaultWriteBudget). onErr, if non-nil, runs exactly once
+// when a write fails (typically to tear the connection down and
+// unwedge the reader); it must not call back into the writer's
+// blocking paths.
 func newConnWriter(w io.Writer, budget int, onErr func(error)) *connWriter {
-	switch {
-	case budget == 0:
+	if budget <= 0 {
 		budget = defaultWriteBudget
-	case budget < 0:
-		budget = 0 // unbounded
 	}
 	cw := &connWriter{
 		w:        w,
@@ -148,12 +144,6 @@ func newConnWriter(w io.Writer, budget int, onErr func(error)) *connWriter {
 	cw.cond = sync.NewCond(&cw.mu)
 	go cw.loop()
 	return cw
-}
-
-// overBudgetLocked reports whether the pending batch is at the soft
-// cap; cw.mu must be held.
-func (cw *connWriter) overBudgetLocked() bool {
-	return cw.budget > 0 && len(cw.buf) >= cw.budget
 }
 
 // drainedParked reports how many of ch's deferred frames have left its
@@ -212,7 +202,7 @@ func (cw *connWriter) takeDrainersLocked() *future.Future {
 	if cw.drain == nil {
 		return nil
 	}
-	if !cw.closed && cw.budget > 0 && len(cw.buf) > cw.lowWater {
+	if !cw.closed && len(cw.buf) > cw.lowWater {
 		return nil
 	}
 	d := cw.drain
@@ -234,7 +224,7 @@ func (cw *connWriter) frame(f *frame) bool {
 			cw.mu.Unlock()
 			return false
 		}
-		if !cw.overBudgetLocked() {
+		if len(cw.buf) < cw.budget {
 			wasEmpty := cw.appendLocked(f)
 			cw.mu.Unlock()
 			if wasEmpty {
@@ -279,7 +269,7 @@ func (cw *connWriter) frameDeferred(f *frame) (ok bool, parkedSeq uint64) {
 		cw.mu.Unlock()
 		return false, 0
 	}
-	if cw.parkedLen == 0 && !cw.overBudgetLocked() {
+	if cw.parkedLen == 0 && len(cw.buf) < cw.budget {
 		wasEmpty := cw.appendLocked(f)
 		cw.mu.Unlock()
 		if wasEmpty {
@@ -326,7 +316,7 @@ func (cw *connWriter) frameDeferred(f *frame) (ok bool, parkedSeq uint64) {
 // shifting slices, so draining a large deferred backlog stays linear;
 // consumed prefixes are compacted away once they dominate their array.
 func (cw *connWriter) refillLocked() {
-	for cw.parkedLen > 0 && !cw.overBudgetLocked() {
+	for cw.parkedLen > 0 && len(cw.buf) < cw.budget {
 		ch := cw.rr[cw.rrHead]
 		cw.rr[cw.rrHead] = 0
 		cw.rrHead++
