@@ -1,5 +1,5 @@
 // Package chaos injects deterministic transport faults under the
-// remote protocol, for tests and for qsbench -experiment chaos. A
+// remote protocol, for remote's chaos sweep (TestChaosSweep). A
 // Profile describes what goes wrong — added latency, periodic
 // mid-stream stalls, partial (chunked) writes and reads, byte-exact
 // truncation on either direction, abrupt resets — and Wrap applies it
@@ -10,8 +10,9 @@
 // below the protocol (wrapping the transport) and beside it (Flood
 // speaks just enough of the wire format to act as a credit-abusing
 // client), so remote's tests can import chaos without a cycle. The
-// few frame constants Flood needs are mirrored here and pinned
-// against a live server by the harness's chaos experiment.
+// few frame constants Flood needs are mirrored here; remote's tests
+// decode Flood's output with the real frame reader and run it against
+// a live server.
 package chaos
 
 import (
@@ -307,15 +308,16 @@ func (c *Conn) Read(b []byte) (int, error) {
 }
 
 // Mirrored wire constants for Flood. These must track internal/remote's
-// frame kinds; the harness chaos experiment exercises Flood against a
-// live Server, so drift fails loudly there.
+// frame kinds; remote's tests decode Flood with its frame reader, so
+// drift fails loudly there.
 const (
 	frameBegin = 0x01
-	frameCall  = 0x03
+	frameCallB = 0x07
 )
 
 // Flood encodes a credit-abusing client's burst: one BEGIN opening
-// handler on channel 1, then n zero-argument CALLs of proc — no reads,
+// handler on channel 1, then n CALLBs of proc with empty payloads (a
+// zero-argument call to an int64 procedure) — no reads,
 // no credit accounting, just frames. Written raw to a server
 // connection, it is a peer that ignores CREDIT entirely; a server with
 // a window of w must quarantine the channel after admitting at most its
@@ -326,10 +328,10 @@ func Flood(handler, proc string, n int) []byte {
 	buf = appendUvarint(buf, uint64(len(handler)))
 	buf = append(buf, handler...)
 	for i := 0; i < n; i++ {
-		buf = append(buf, frameCall, 1)
+		buf = append(buf, frameCallB, 1)
 		buf = appendUvarint(buf, uint64(len(proc)))
 		buf = append(buf, proc...)
-		buf = appendUvarint(buf, 0) // zero args
+		buf = appendUvarint(buf, 0) // empty payload
 	}
 	return buf
 }

@@ -161,8 +161,8 @@ func TestLatencyAndStallCount(t *testing.T) {
 }
 
 // TestFloodWireFormat decodes Flood's burst with an independent varint
-// reader: one BEGIN for the handler on channel 1, then exactly n CALLs
-// of the procedure with zero arguments.
+// reader: one BEGIN for the handler on channel 1, then exactly n CALLBs
+// of the procedure with empty payloads.
 func TestFloodWireFormat(t *testing.T) {
 	const n = 5
 	r := bytes.NewReader(Flood("counter", "tick", n))
@@ -191,14 +191,14 @@ func TestFloodWireFormat(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 		ch, _ := binary.ReadUvarint(r)
-		if kind != frameCall || ch != 1 {
+		if kind != frameCallB || ch != 1 {
 			t.Fatalf("call %d: kind=0x%02x ch=%d", i, kind, ch)
 		}
 		if p := readStr(); p != "tick" {
 			t.Fatalf("call %d proc = %q", i, p)
 		}
-		if args, _ := binary.ReadUvarint(r); args != 0 {
-			t.Fatalf("call %d argc = %d", i, args)
+		if n, _ := binary.ReadUvarint(r); n != 0 {
+			t.Fatalf("call %d payload length = %d", i, n)
 		}
 	}
 	if r.Len() != 0 {

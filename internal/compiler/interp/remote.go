@@ -8,10 +8,12 @@ import (
 // RemoteBinding adapts a remote separate block (remote.Session, one
 // mux channel with an open BEGIN) to SessionOps, so IR programs run
 // unchanged over the wire. The handler's methods live server-side as
-// remote.Procs; asynchronous calls are fire-and-forget frames, while
-// Sync, Query, and LocalQuery each cost one wire round-trip — which is
-// exactly why the static sync-coalescing pass matters here: every
-// eliminated sync instruction is an eliminated round-trip.
+// remote.Procs (the int veneer over the bytes frames: arguments and
+// results travel as zigzag varints); asynchronous calls are
+// fire-and-forget frames, while Sync, Query, and LocalQuery each cost
+// one wire round-trip — which is exactly why the static sync-coalescing
+// pass matters here: every eliminated sync instruction is an eliminated
+// round-trip.
 //
 // A local query has no client-side state to read over the wire, so it
 // executes as a pipelined wire query — but only on a synced session.
@@ -33,14 +35,14 @@ func NewRemoteBinding(s *remote.Session, ctrs *Counters) *RemoteBinding {
 	return &RemoteBinding{S: s, Counters: ctrs}
 }
 
-// Call implements SessionOps: a CALL frame, no round-trip.
+// Call implements SessionOps: a CALLB frame, no round-trip.
 func (rb *RemoteBinding) Call(fn string, args []int64) error {
 	rb.Counters.async()
 	rb.synced = false
 	return rb.S.Call(fn, args...)
 }
 
-// Query implements SessionOps: one pipelined QUERY round-trip. It
+// Query implements SessionOps: one pipelined QUERYB round-trip. It
 // observes every previously logged call, so the session is synced
 // afterwards.
 func (rb *RemoteBinding) Query(fn string, args []int64) (int64, error) {

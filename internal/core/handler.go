@@ -504,7 +504,7 @@ func (h *Handler) execOne(s *Session, c call) (ended bool) {
 			h.fireWaiters()
 		}
 		return true
-	case callCall:
+	case callCall, callAlways:
 		if c.at != 0 {
 			// Log→execution latency of an async call; the stamp is only
 			// written while recording is enabled (see Session.Call).
@@ -512,7 +512,7 @@ func (h *Handler) execOne(s *Session, c call) (ended bool) {
 			callExecHist.Observe(d)
 			emitOn(h.onWorker, obs.KindCall, uint64(h.id), d)
 		}
-		h.execCall(s, c.fn)
+		h.execCall(s, c.kind, c.fn)
 	case callFuture:
 		// An asynchronous query: execute and resolve the future; nobody
 		// is parked on the session, so the handler just moves on.
@@ -533,9 +533,9 @@ func (h *Handler) execOne(s *Session, c call) (ended bool) {
 	return false
 }
 
-func (h *Handler) execCall(s *Session, fn func()) {
-	if s.errPub.Load() != nil {
-		return // session poisoned by an earlier panic; skip
+func (h *Handler) execCall(s *Session, kind callKind, fn func()) {
+	if kind == callCall && s.errPub.Load() != nil {
+		return // session poisoned by an earlier panic; skip (a callAlways runs and checks Err)
 	}
 	defer func() {
 		if r := recover(); r != nil {

@@ -27,6 +27,7 @@ type callKind uint8
 
 const (
 	callCall callKind = iota
+	callAlways
 	callSync
 	callQueryRemote
 	callFuture
@@ -137,18 +138,28 @@ func (s *Session) Handler() *Handler { return s.h }
 // Call logs an asynchronous call on the handler (the call rule). It
 // never blocks and returns immediately; fn will run on the handler
 // after all previously logged requests of this session.
-func (s *Session) Call(fn func()) {
+func (s *Session) Call(fn func()) { s.logCall(callCall, fn) }
+
+// CallAlways logs an asynchronous call that runs even on a poisoned
+// session — the discipline runCont applies to await continuations — for
+// a call that owns something it must give back whatever happened
+// earlier in the block (the remote server's request credit and
+// payload). fn tells a poisoned session by Err() != nil and skips its
+// work then; a panic in fn poisons the session like a panicking Call.
+func (s *Session) CallAlways(fn func()) { s.logCall(callAlways, fn) }
+
+func (s *Session) logCall(kind callKind, fn func()) {
 	rt := s.h.rt
 	rt.stats.asyncCalls.Add(1)
 	if s.onHandler {
 		// Logged by a guard the handler is evaluating: the handler must
 		// not become a second producer of the private queue, and with
 		// the queue empty and the client parked, in place is in order.
-		s.h.execCall(s, fn)
+		s.h.execCall(s, kind, fn)
 		return
 	}
 	s.synced = false // an async call desynchronizes the handler
-	c := call{kind: callCall, fn: fn}
+	c := call{kind: kind, fn: fn}
 	if obs.Enabled() {
 		c.at = obs.Now()
 	}

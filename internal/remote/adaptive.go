@@ -6,8 +6,8 @@ import (
 	"scoopqs/internal/obs"
 )
 
-// The credit window — how many requests (CALL/QUERY/SYNC and their
-// bytes kinds) a channel may have admitted but not yet completed — is
+// The credit window — how many requests (CALLB/QUERYB/SYNC) a channel
+// may have admitted but not yet completed — is
 // sized per channel from its observed drain rate: a channel whose
 // completions flow fast earns a deep window (pipelining headroom), a
 // slow or stalled one is squeezed toward the floor (a shallow window

@@ -14,8 +14,8 @@ import (
 	"scoopqs/internal/future"
 )
 
-// slabPayload is comfortably past the small-payload intern threshold,
-// so it exercises the pooled slab path, not the static cache.
+// slabPayload sizes the tests' bytes payloads: a few of them share a
+// slab, so a leaked reference pins one.
 const slabPayload = 300
 
 // The bytes codec hot path — encode a request into a reused batch
@@ -141,35 +141,6 @@ func TestSlabRecycling(t *testing.T) {
 	}
 	if err := base.settle(nil); err != nil {
 		t.Fatalf("after all Releases: %v", err)
-	}
-}
-
-// Small repeated payloads are interned per connection: the same bytes
-// decode to the same backing array, and Release is a no-op that leaves
-// the shared entry intact.
-func TestSmallPayloadInterning(t *testing.T) {
-	small := []byte("balance:ok")
-	var buf []byte
-	buf = appendFrame(buf, &frame{kind: fReplyB, ch: 1, id: 1, data: small})
-	buf = appendFrame(buf, &frame{kind: fReplyB, ch: 1, id: 2, data: small})
-	fr := newFrameReader(bytes.NewReader(buf))
-	defer fr.close()
-	var f frame
-	if err := fr.readFrame(&f); err != nil {
-		t.Fatal(err)
-	}
-	first := f.data
-	if err := fr.readFrame(&f); err != nil {
-		t.Fatal(err)
-	}
-	second := f.data
-	if len(first) == 0 || &first[0] != &second[0] {
-		t.Fatal("repeated small payload was not served from the intern cache")
-	}
-	Release(first)
-	Release(second) // both no-ops: interned entries are permanent
-	if !bytes.Equal(first, small) {
-		t.Fatalf("interned payload corrupted after Release: %q", first)
 	}
 }
 
@@ -315,7 +286,7 @@ func TestRemoteBytesEcho(t *testing.T) {
 			c := dialSession(t, addr)
 			defer c.Close()
 
-			big := bytes.Repeat([]byte("payload!"), 16<<10/8) // 16 KiB, past the intern threshold
+			big := bytes.Repeat([]byte("payload!"), 16<<10/8) // 16 KiB
 			err := c.Separate("store", func(s *Session) error {
 				// CallBytes + a query observing it: the proc copied the
 				// payload under the handler's exclusion.
@@ -354,8 +325,8 @@ func TestRemoteBytesEcho(t *testing.T) {
 				}
 				Release(got)
 
-				// The int64 namespace composes with the bytes one on the
-				// same handler.
+				// The int64 procedures share the name's table with the
+				// bytes ones.
 				if v, err := s.Query("add", 41); err != nil || v != 41 {
 					t.Errorf("add = %d, %v; want 41", v, err)
 				}
@@ -413,9 +384,8 @@ func TestRemoteBytesPipelined(t *testing.T) {
 	}
 }
 
-// An unknown bytes procedure fails the query with a server error, and
-// an unknown bytes procedure in a CallBytes poisons the block like its
-// int64 counterpart.
+// An unknown procedure fails a bytes query with a server error, and
+// in a CallBytes poisons the block like an int64 Call's.
 func TestRemoteBytesUnknownProc(t *testing.T) {
 	addr, _, shutdown := startBytesServer(t, core.ConfigAll)
 	defer shutdown()
@@ -425,7 +395,7 @@ func TestRemoteBytesUnknownProc(t *testing.T) {
 
 	err := c.Separate("store", func(s *Session) error {
 		_, err := s.QueryBytes("nonesuch", []byte("x"))
-		if err == nil || !strings.Contains(err.Error(), "unknown bytes procedure") {
+		if err == nil || !strings.Contains(err.Error(), "unknown procedure") {
 			t.Errorf("unknown query err = %v", err)
 		}
 		return nil
@@ -442,7 +412,7 @@ func TestRemoteBytesUnknownProc(t *testing.T) {
 		// next synchronization point must surface it.
 		return s.Sync()
 	})
-	if err == nil || !strings.Contains(err.Error(), "unknown bytes procedure") {
+	if err == nil || !strings.Contains(err.Error(), "unknown procedure") {
 		t.Fatalf("poisoned block err = %v", err)
 	}
 }

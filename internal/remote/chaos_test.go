@@ -1,8 +1,10 @@
 package remote
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"sync"
@@ -60,9 +62,7 @@ var chaosScenarios = []chaosScenario{
 	{p: chaos.Profile{Name: "silence"}, silence: true},
 }
 
-// chaosPayloadLen sizes the pipeline's interleaved bytes echoes: past
-// the decoder's small-payload intern threshold, so faults hit the
-// pooled slab path, not the static cache.
+// chaosPayloadLen sizes the pipeline's interleaved bytes echoes.
 const chaosPayloadLen = 192
 
 // chaosHandlerName names the per-session counter handlers.
@@ -314,6 +314,32 @@ func chaosVictim(srv *Server, addr string, sc chaosScenario, seed int64) error {
 		}
 	}
 	return nil
+}
+
+// TestChaosFloodSpeaksTheWire decodes chaos.Flood's burst with the real
+// frame reader — BEGIN, then n CALLBs with empty payloads, then the end
+// of the stream — so the frame constants chaos mirrors cannot drift
+// from the wire unnoticed.
+func TestChaosFloodSpeaksTheWire(t *testing.T) {
+	const n = 5
+	fr := newFrameReader(bytes.NewReader(chaos.Flood("counter", "tick", n)))
+	defer fr.close()
+	var f frame
+	for i := 0; i <= n; i++ {
+		want := frame{kind: fCallB, ch: 1, name: "tick"}
+		if i == 0 {
+			want = frame{kind: fBegin, ch: 1, name: "counter"}
+		}
+		if err := fr.readFrame(&f); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !frameEq(&f, &want) {
+			t.Fatalf("frame %d = %+v, want %+v", i, f, want)
+		}
+	}
+	if err := fr.readFrame(&f); err != io.EOF {
+		t.Fatalf("after the burst: err = %v, want io.EOF", err)
+	}
 }
 
 // chaosPoll waits (bounded) for cond to hold.

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -54,11 +55,13 @@ type RemoteSession struct {
 	m  *Mux
 	ch uint32
 
-	// nextID is owned by the session's goroutine; pending is shared
-	// with the mux reader, hence the mutex.
+	// nextID and scratch (the int veneer's argument encoding) are owned
+	// by the session's goroutine; pending is shared with the mux reader,
+	// hence the mutex.
 	nextID  uint64
+	scratch []byte
 	mu      sync.Mutex
-	pending map[uint64]*future.Future
+	pending map[uint64]pendingReq
 	closed  bool
 	term    error // terminal failure recorded by the teardown sweep
 
@@ -70,11 +73,19 @@ type RemoteSession struct {
 
 	// blockErr holds a block-level failure the server reported with an
 	// id-0 ERROR frame (unknown handler, reservation after shutdown,
-	// unknown procedure in a CALL) — the cases a fire-and-forget block
+	// unknown procedure in a call) — the cases a fire-and-forget block
 	// with no query of its own would otherwise never learn about. It is
 	// sticky (first failure wins) until a synchronization point — the
 	// end of a Separate, or Flush — takes it.
 	blockErr error
+}
+
+// pendingReq is a pipelined request awaiting its reply. ints marks the
+// int veneer's queries and syncs, whose reply the mux reader decodes to
+// an int64 (releasing the payload) before completing f.
+type pendingReq struct {
+	f    *future.Future
+	ints bool
 }
 
 // Close retires the logical client: it sends CLOSE — the server ENDs
@@ -177,9 +188,9 @@ func (rs *RemoteSession) addCredits(n int64) {
 	}
 }
 
-// register allocates a pipeline id and parks f under it until the
+// register allocates a pipeline id and parks p under it until the
 // reader resolves it.
-func (rs *RemoteSession) register(f *future.Future) (uint64, error) {
+func (rs *RemoteSession) register(p pendingReq) (uint64, error) {
 	rs.nextID++
 	id := rs.nextID
 	rs.mu.Lock()
@@ -187,7 +198,7 @@ func (rs *RemoteSession) register(f *future.Future) (uint64, error) {
 		rs.mu.Unlock()
 		return 0, rs.termErr()
 	}
-	rs.pending[id] = f
+	rs.pending[id] = p
 	rs.mu.Unlock()
 	return id, nil
 }
@@ -215,34 +226,38 @@ func (rs *RemoteSession) unregister(id uint64) {
 	rs.mu.Unlock()
 }
 
-// resolve matches a REPLY/ERROR/REPLYB frame to its future — or, for
-// an id-0 ERROR, records the block-level failure. Called by the mux
-// reader. A bytes reply carries a slab payload whose ownership moves
-// into the future; on every path where no awaiter can take it —
-// duplicate id, or a future the teardown already failed — the payload
-// is released here so the slab is not pinned by a value nobody holds.
+// resolve matches an ERROR/REPLYB frame to its future — or, for an
+// id-0 ERROR, records the block-level failure. Called by the mux
+// reader. A bytes query's reply payload moves into the future; on
+// every path where no awaiter can take it — duplicate id, an int
+// reply decoded here, or a future the teardown already failed — the
+// payload is released here so the slab is not pinned by a value nobody
+// holds.
 func (rs *RemoteSession) resolve(f *frame) {
 	if f.kind == fError && f.id == 0 {
 		rs.setBlockErr(fmt.Errorf("remote: server: %s", f.name))
 		return
 	}
 	rs.mu.Lock()
-	fut := rs.pending[f.id]
+	p, ok := rs.pending[f.id]
 	delete(rs.pending, f.id)
 	rs.mu.Unlock()
-	if fut == nil {
+	switch {
+	case !ok:
 		Release(f.data) // duplicate or unknown id; nothing to resolve
-		return
-	}
-	switch f.kind {
-	case fError:
-		fut.Fail(fmt.Errorf("remote: server: %s", f.name))
-	case fReplyB:
-		if !fut.Complete(f.data) {
-			Release(f.data) // lost to a teardown Fail; nobody will Await it
+	case f.kind == fError:
+		p.f.Fail(fmt.Errorf("remote: server: %s", f.name))
+	case p.ints:
+		// One zigzag varint; SYNC's empty reply reads as 0.
+		v, n := binary.Varint(f.data)
+		Release(f.data)
+		if n != len(f.data) {
+			p.f.Fail(fmt.Errorf("remote: malformed int reply: %w", ErrProtocol))
+		} else {
+			p.f.Complete(v)
 		}
-	default:
-		fut.Complete(f.val)
+	case !p.f.Complete(f.data):
+		Release(f.data) // lost to a teardown Fail; nobody will Await it
 	}
 }
 
@@ -276,15 +291,15 @@ func (rs *RemoteSession) failPending(err error) {
 		rs.term = err
 	}
 	pend := rs.pending
-	rs.pending = map[uint64]*future.Future{}
+	rs.pending = map[uint64]pendingReq{}
 	w := rs.creditWait
 	rs.creditWait = nil
 	rs.mu.Unlock()
 	if w != nil {
 		w.Fail(err)
 	}
-	for _, f := range pend {
-		f.Fail(err)
+	for _, p := range pend {
+		p.f.Fail(err)
 	}
 }
 
@@ -322,8 +337,8 @@ func (rs *RemoteSession) AwaitBytes(f *future.Future) ([]byte, error) {
 func (rs *RemoteSession) Flush() error {
 	rs.mu.Lock()
 	fs := make([]*future.Future, 0, len(rs.pending))
-	for _, f := range rs.pending {
-		fs = append(fs, f)
+	for _, p := range rs.pending {
+		fs = append(fs, p.f)
 	}
 	rs.mu.Unlock()
 	for _, f := range fs {
@@ -371,17 +386,16 @@ func (rs *RemoteSession) Separate(handler string, body func(s *Session) error) e
 	return endErr
 }
 
-// Call logs an asynchronous call of the named procedure. Like a local
-// Session.Call it does not wait for execution — it does not even pay
-// a direct socket write: the frame joins the connection's current
-// batch. Admission is credit-bounded: at a
-// zero window Call parks until the server's replenishment arrives, so
-// a block cannot outrun the server by more than the window.
+// Call logs an asynchronous call of the named procedure (see
+// Server.Expose). Like a local Session.Call it does not wait for
+// execution — it does not even pay a direct socket write: the frame
+// joins the connection's current batch. On the wire it is a CALLB
+// whose payload is args as zigzag varints, encoded into the session's
+// scratch buffer. Admission is credit-bounded: at a zero window Call
+// parks until the server's replenishment arrives, so a block cannot
+// outrun the server by more than the window.
 func (s *Session) Call(fn string, args ...int64) error {
-	if err := s.rs.acquireCredit(); err != nil {
-		return err
-	}
-	return s.rs.send(&frame{kind: fCall, ch: s.rs.ch, name: fn, args: args})
+	return s.CallBytes(fn, s.rs.ints(args))
 }
 
 // QueryAsync logs the named procedure as a pipelined query: it returns
@@ -389,20 +403,30 @@ func (s *Session) Call(fn string, args ...int64) error {
 // previously logged call of this block; each of the connection's
 // sessions can keep up to its credit window of requests in flight at
 // once — past that, QueryAsync parks until completions replenish the
-// window. Resolve the future with Await (or Flush); its error mirrors
+// window. Resolve the future with Await (or Flush): it completes with
+// the result as an int64, decoded by the mux reader; its error mirrors
 // Query's.
 func (s *Session) QueryAsync(fn string, args ...int64) (*future.Future, error) {
-	return s.rs.pipelined(&frame{kind: fQuery, ch: s.rs.ch, name: fn, args: args})
+	return s.rs.pipelined(&frame{kind: fQueryB, ch: s.rs.ch, name: fn, data: s.rs.ints(args)}, true)
+}
+
+// ints encodes int veneer arguments into the session's scratch buffer;
+// the frame carrying them is encoded onto the connection's batch before
+// send returns, so the next request reuses the buffer.
+func (rs *RemoteSession) ints(args []int64) []byte {
+	rs.scratch = appendInts(rs.scratch[:0], args)
+	return rs.scratch
 }
 
 // pipelined acquires a request credit, registers a fresh future,
 // stamps its id onto fr, sends the frame, and seals the registration
 // against the teardown race. It is the one implementation of the
-// reply-expected send path (QueryAsync, Sync). A failed send does not
+// reply-expected send path (QueryAsync, QueryBytesAsync, Sync); ints
+// has the reader decode the reply to an int64. A failed send does not
 // return the consumed credit: the frame never reached the server, so
 // no replenishment will come — but every such failure is terminal for
 // the channel anyway.
-func (rs *RemoteSession) pipelined(fr *frame) (*future.Future, error) {
+func (rs *RemoteSession) pipelined(fr *frame, ints bool) (*future.Future, error) {
 	if err := rs.acquireCredit(); err != nil {
 		return nil, err
 	}
@@ -411,7 +435,7 @@ func (rs *RemoteSession) pipelined(fr *frame) (*future.Future, error) {
 		t0 = obs.Now()
 	}
 	f := future.New()
-	id, err := rs.register(f)
+	id, err := rs.register(pendingReq{f, ints})
 	if err != nil {
 		return nil, err
 	}
@@ -443,7 +467,7 @@ func (rs *RemoteSession) pipelined(fr *frame) (*future.Future, error) {
 // encoded into the connection's batch before CallBytes returns, so the
 // caller keeps ownership of p and may reuse it immediately — nothing
 // is retained and nothing beyond the wire copy is allocated. Admission
-// is credit-bounded exactly like Call.
+// is credit-bounded exactly like Call, which is CallBytes underneath.
 func (s *Session) CallBytes(fn string, p []byte) error {
 	if err := s.rs.acquireCredit(); err != nil {
 		return err
@@ -459,7 +483,7 @@ func (s *Session) CallBytes(fn string, p []byte) error {
 // and must be Released by whoever takes it from the future (AwaitBytes
 // or future.Of[[]byte]).
 func (s *Session) QueryBytesAsync(fn string, p []byte) (*future.Future, error) {
-	return s.rs.pipelined(&frame{kind: fQueryB, ch: s.rs.ch, name: fn, data: p})
+	return s.rs.pipelined(&frame{kind: fQueryB, ch: s.rs.ch, name: fn, data: p}, false)
 }
 
 // QueryBytes runs the named bytes procedure synchronously: one write,
@@ -487,9 +511,10 @@ func (s *Session) Query(fn string, args ...int64) (int64, error) {
 // Sync brings the remote handler to a quiescent point on this block's
 // private queue: when Sync returns, every previously logged call has
 // executed. It is a SYNC frame resolved through the server's
-// non-blocking barrier (core.Session.SyncFuture).
+// non-blocking barrier (core.Session.SyncFuture) and answered by an
+// empty REPLYB.
 func (s *Session) Sync() error {
-	f, err := s.rs.pipelined(&frame{kind: fSync, ch: s.rs.ch})
+	f, err := s.rs.pipelined(&frame{kind: fSync, ch: s.rs.ch}, true)
 	if err != nil {
 		return err
 	}

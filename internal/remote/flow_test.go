@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -108,7 +109,7 @@ func TestWriterBudgetBoundsBatch(t *testing.T) {
 	}()
 
 	cw := newConnWriter(cli, budget, nil)
-	f := frame{kind: fCall, ch: 1, name: "spam", args: []int64{1, 2, 3, 4}}
+	f := frame{kind: fCallB, ch: 1, name: "spam", data: ints(1, 2, 3, 4)}
 	if !cw.frame(&f) {
 		t.Fatal("first frame rejected")
 	}
@@ -187,13 +188,15 @@ func TestWriterDeferredParksPastBudget(t *testing.T) {
 				return
 			}
 			ids = append(ids, f.id)
+			Release(f.data)
 		}
 		readerDone <- readResult{ids, nil}
 	}()
 
 	cw := newConnWriter(cli, budget, nil)
+	var q chanQueue
 	for i := 0; i < total; i++ {
-		ok, _ := cw.frameDeferred(&frame{kind: fReply, ch: 1, id: uint64(i), val: 7})
+		ok, _ := cw.frameDeferred(&q, &frame{kind: fReplyB, ch: 1, id: uint64(i), data: ints(7)})
 		if !ok {
 			t.Fatalf("frame %d rejected by a healthy writer", i)
 		}
@@ -752,7 +755,7 @@ func TestPoisonResendsAfterDrain(t *testing.T) {
 	// Drain: the queued poison flushes.
 	readUntilPoison("nonesuchA")
 	drainDeadline := time.Now().Add(10 * time.Second)
-	for cw.drainedParked(1) == 0 {
+	for cw.drainedParked(&c.chans[1].q) == 0 {
 		if time.Now().After(drainDeadline) {
 			t.Fatal("parked poison never drained")
 		}
@@ -764,7 +767,7 @@ func TestPoisonResendsAfterDrain(t *testing.T) {
 	// sequence number is spent, so no stale coalescing.
 	parkedBefore := cw.stats().Parked
 	for i := 0; cw.stats().Parked == parkedBefore && i < 64; i++ {
-		c.reply(1, 99, 0, fmt.Errorf("padding padding padding padding padding %d", i))
+		c.reply(c.chans[1], 1, 99, nil, fmt.Errorf("padding padding padding padding padding %d", i))
 	}
 	if cw.stats().Parked == parkedBefore {
 		t.Fatal("could not re-congest the writer")
@@ -826,7 +829,7 @@ func TestCreditOverrunQuarantinesChannel(t *testing.T) {
 			var buf []byte
 			buf = appendFrame(buf, &frame{kind: fBegin, ch: 1, name: "gate"})
 			for i := 0; i < window+bootstrapCredits; i++ {
-				buf = appendFrame(buf, &frame{kind: fCall, ch: 1, name: "tick"})
+				buf = appendFrame(buf, &frame{kind: fCallB, ch: 1, name: "tick"})
 			}
 			if _, err := conn.Write(buf); err != nil {
 				t.Fatalf("flood write failed (connection must survive an overrun): %v", err)
@@ -869,7 +872,7 @@ func TestCreditOverrunQuarantinesChannel(t *testing.T) {
 			// connection still gets a window and its replies.
 			buf = buf[:0]
 			buf = appendFrame(buf, &frame{kind: fBegin, ch: 2, name: "calc"})
-			buf = appendFrame(buf, &frame{kind: fQuery, ch: 2, id: 1, name: "add", args: []int64{20, 22}})
+			buf = appendFrame(buf, &frame{kind: fQueryB, ch: 2, id: 1, name: "add", data: ints(20, 22)})
 			buf = appendFrame(buf, &frame{kind: fEnd, ch: 2})
 			if _, err := conn.Write(buf); err != nil {
 				t.Fatalf("sibling channel write failed: %v", err)
@@ -883,9 +886,10 @@ func TestCreditOverrunQuarantinesChannel(t *testing.T) {
 				}
 				break
 			}
-			if f.kind != fReply || f.ch != 2 || f.id != 1 || f.val != 42 {
-				t.Fatalf("sibling channel: expected REPLY ch=2 id=1 val=42, got kind=0x%02x ch=%d id=%d val=%d", byte(f.kind), f.ch, f.id, f.val)
+			if f.kind != fReplyB || f.ch != 2 || f.id != 1 || !bytes.Equal(f.data, ints(42)) {
+				t.Fatalf("sibling channel: expected REPLYB ch=2 id=1 of 42, got kind=0x%02x ch=%d id=%d %x", byte(f.kind), f.ch, f.id, f.data)
 			}
+			Release(f.data)
 
 			// And a well-behaved Mux on a second connection is untouched.
 			conn2, err := net.Dial("tcp", ln.Addr().String())

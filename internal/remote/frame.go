@@ -80,16 +80,16 @@
 //
 //	BEGIN (0x01)  handler:string            open a separate block
 //	END   (0x02)  —                         end the block (END marker)
-//	CALL  (0x03)  fn:string args:varints    asynchronous call, no reply
-//	QUERY (0x04)  id:uvarint fn:string args pipelined query -> REPLY/ERROR
-//	SYNC  (0x05)  id:uvarint                barrier -> REPLY once prior
-//	                                        requests have executed
+//	SYNC  (0x05)  id:uvarint                barrier -> empty REPLYB once
+//	                                        prior requests have executed
 //	CLOSE (0x06)  —                         retire the channel (abandons
 //	                                        an open block: server ENDs it)
-//	REPLY (0x81)  id:uvarint val:varint     query/sync result
+//	CALLB (0x07)  fn:string payload:bytes   asynchronous call, no reply
+//	QUERYB(0x08)  id:uvarint fn:string      pipelined query ->
+//	              payload:bytes             REPLYB/ERROR
 //	ERROR (0x82)  id:uvarint msg:string     query/sync failure; id 0 is
 //	                                        a block-level failure (BEGIN
-//	                                        or CALL misfired), recorded
+//	                                        or CALLB misfired), recorded
 //	                                        as the channel's sticky
 //	                                        block error and surfaced at
 //	                                        its next sync point
@@ -99,21 +99,24 @@
 //	                                        on channel creation, then
 //	                                        replenishment as requests
 //	                                        complete
-//	CALLB (0x07)  fn:string payload:bytes   asynchronous bytes call, no
-//	                                        reply
-//	QUERYB(0x08)  id:uvarint fn:string      pipelined bytes query ->
-//	              payload:bytes             REPLYB/ERROR
-//	REPLYB(0x84)  id:uvarint payload:bytes  bytes query result
+//	REPLYB(0x84)  id:uvarint payload:bytes  query/sync result
 //
-// args is a uvarint count followed by that many zigzag varints; values
-// are int64, the protocol's wire currency. payload is a uvarint length
-// followed by that many raw bytes — the protocol's opaque currency for
-// real service payloads (see README "Bytes payloads" for the ownership
-// contract). Encoding appends to a caller-owned buffer and decoding
-// reuses the frame's args slice, an interning table for
-// procedure/handler names, and pooled refcounted slabs for payloads
-// (slab.go), so the steady-state hot path allocates nothing per
-// message in either direction.
+// payload is a uvarint length followed by that many raw bytes, the
+// protocol's one currency (see README "Bytes payloads" for the
+// ownership contract). Every other kind byte decodes as ErrProtocol.
+//
+// The int64 API (Proc, Session.Call/Query) is a veneer over the same
+// frames: arguments travel as a payload of zigzag varints back to back,
+// the result as a payload of one, and SYNC's empty REPLYB reads as 0.
+// Server.Expose wraps each Proc into a BytesProc that decodes its
+// arguments and encodes its result, so a malformed argument payload is
+// the procedure's failure (an ERROR for a query, a poisoned block for a
+// call), never the connection's.
+//
+// Encoding appends to a caller-owned buffer and decoding reuses an
+// interning table for procedure/handler names and pooled refcounted
+// slabs for payloads (slab.go), so the steady-state hot path allocates
+// nothing per message in either direction.
 package remote
 
 import (
@@ -133,23 +136,19 @@ type frameKind uint8
 const (
 	fBegin  frameKind = 0x01 // open a separate block on a handler
 	fEnd    frameKind = 0x02 // end the block (the END marker)
-	fCall   frameKind = 0x03 // asynchronous call, no reply
-	fQuery  frameKind = 0x04 // pipelined query; REPLY/ERROR carries id
-	fSync   frameKind = 0x05 // barrier; REPLY once prior requests ran
+	fSync   frameKind = 0x05 // barrier; empty REPLYB once prior requests ran
 	fClose  frameKind = 0x06 // retire the channel
-	fCallB  frameKind = 0x07 // asynchronous bytes call, no reply
-	fQueryB frameKind = 0x08 // pipelined bytes query; REPLYB/ERROR carries id
+	fCallB  frameKind = 0x07 // asynchronous call, no reply
+	fQueryB frameKind = 0x08 // pipelined query; REPLYB/ERROR carries id
 
-	fReply  frameKind = 0x81 // query/sync result
 	fError  frameKind = 0x82 // query/sync failure (id 0: block-level)
 	fCredit frameKind = 0x83 // flow-control grant; id carries the credit count
-	fReplyB frameKind = 0x84 // bytes query result
+	fReplyB frameKind = 0x84 // query/sync result
 )
 
 // Decoder hard limits: a malformed or malicious stream cannot make the
 // reader allocate unboundedly. Handler/procedure names and error
-// messages are short; argument vectors are call-sized; bytes payloads
-// are service-message-sized.
+// messages are short; payloads are service-message-sized.
 //
 // The name-interning table is bounded in entries AND bytes, and a peer
 // that overflows it is dropped with ErrProtocol rather than degraded:
@@ -159,7 +158,6 @@ const (
 // maxStringLen bytes each could pin 256 MiB per connection.
 const (
 	maxStringLen     = 1 << 16 // name or error message bytes
-	maxArgs          = 1 << 16 // arguments per call
 	maxInterned      = 4096    // distinct names cached per connection
 	maxInternedBytes = 1 << 19 // total bytes across the name table
 
@@ -172,26 +170,16 @@ const (
 	// (and never reading) grows all three without limit. Far above any
 	// honest mux: a channel is a logical client, not a request.
 	maxChannels = 4096
-
-	// Small payloads repeat in real service traffic (balances, status
-	// codes, canned responses); up to maxInternPayload bytes they are
-	// served from a bounded permanent cache instead of a slab, so a hot
-	// small reply costs a map probe and its Release is a no-op.
-	maxInternPayload    = 64
-	maxInternedPayloads = 256
 )
 
 // frame is the decoded wire message. One frame struct is reused across
-// reads: args is truncated and refilled, name strings are interned per
-// connection, and bytes payloads are carved from pooled slabs, so
-// steady-state decoding does not allocate.
+// reads: name strings are interned per connection and payloads are
+// carved from pooled slabs, so steady-state decoding does not allocate.
 type frame struct {
 	kind frameKind
 	ch   uint32 // channel (logical client) id
-	id   uint64 // fQuery/fSync/fReply/fError/fQueryB/fReplyB: pipeline tag
-	val  int64  // fReply: result value
-	name string // fBegin: handler; fCall/fQuery/fCallB/fQueryB: procedure; fError: message
-	args []int64
+	id   uint64 // fSync/fError/fQueryB/fReplyB: pipeline tag; fCredit: count
+	name string // fBegin: handler; fCallB/fQueryB: procedure; fError: message
 	data []byte // fCallB/fQueryB/fReplyB: payload (slab-owned on decode)
 }
 
@@ -205,18 +193,8 @@ func appendFrame(buf []byte, f *frame) []byte {
 	case fBegin:
 		buf = appendString(buf, f.name)
 	case fEnd, fClose:
-	case fCall:
-		buf = appendString(buf, f.name)
-		buf = appendArgs(buf, f.args)
-	case fQuery:
-		buf = binary.AppendUvarint(buf, f.id)
-		buf = appendString(buf, f.name)
-		buf = appendArgs(buf, f.args)
 	case fSync, fCredit:
 		buf = binary.AppendUvarint(buf, f.id)
-	case fReply:
-		buf = binary.AppendUvarint(buf, f.id)
-		buf = binary.AppendVarint(buf, f.val)
 	case fError:
 		buf = binary.AppendUvarint(buf, f.id)
 		buf = appendString(buf, f.name)
@@ -241,14 +219,6 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func appendArgs(buf []byte, args []int64) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(args)))
-	for _, a := range args {
-		buf = binary.AppendVarint(buf, a)
-	}
-	return buf
-}
-
 // appendBytes encodes a length-prefixed payload directly onto buf —
 // the caller-owned batch buffer — so the encode side of the bytes path
 // is one copy (producer buffer -> wire batch) and zero allocations.
@@ -257,17 +227,37 @@ func appendBytes(buf, data []byte) []byte {
 	return append(buf, data...)
 }
 
+// appendInts encodes int64s as the int veneer's payload: zigzag varints
+// back to back.
+func appendInts(buf []byte, vs []int64) []byte {
+	for _, v := range vs {
+		buf = binary.AppendVarint(buf, v)
+	}
+	return buf
+}
+
+// readInts decodes an int veneer payload; ok is false when p holds a
+// truncated or overlong varint.
+func readInts(p []byte) (vs []int64, ok bool) {
+	for len(p) > 0 {
+		v, n := binary.Varint(p)
+		if n <= 0 {
+			return nil, false
+		}
+		vs, p = append(vs, v), p[n:]
+	}
+	return vs, true
+}
+
 // frameReader decodes frames from a stream. It owns a buffered reader,
 // a scratch buffer for string bytes, a per-connection interning table
 // so repeated handler/procedure names decode to the same string with
-// no allocation, a bounded cache of small repeated payloads, and a
-// slab allocator for the rest of the bytes payloads.
+// no allocation, and a slab allocator for payloads.
 type frameReader struct {
 	r         *bufio.Reader
 	names     map[string]string
 	nameBytes int // total bytes interned in names (satellite of maxInterned)
 	strbuf    []byte
-	payloads  map[string][]byte // small-payload intern cache (static entries)
 	slabs     slabAlloc
 	mid       bool // the last readFrame consumed bytes before failing
 }
@@ -284,9 +274,9 @@ func newFrameReader(r io.Reader) *frameReader {
 // Payloads already handed out keep their own references. Idempotent.
 func (fr *frameReader) close() { fr.slabs.close() }
 
-// readFrame decodes the next frame into f, reusing f's args slice. Any
-// error (including a malformed frame) is terminal for the stream: the
-// reader's position is undefined afterwards.
+// readFrame decodes the next frame into f. Any error (including a
+// malformed frame) is terminal for the stream: the reader's position is
+// undefined afterwards.
 func (fr *frameReader) readFrame(f *frame) error {
 	fr.mid = false
 	k, err := fr.r.ReadByte()
@@ -303,30 +293,13 @@ func (fr *frameReader) readFrame(f *frame) error {
 		return fmt.Errorf("remote: channel id %d overflows uint32: %w", ch, ErrProtocol)
 	}
 	f.ch = uint32(ch)
-	f.id, f.val, f.name, f.data = 0, 0, "", nil
-	f.args = f.args[:0]
+	f.id, f.name, f.data = 0, "", nil
 	switch f.kind {
 	case fBegin:
 		f.name, err = fr.readString(true)
 	case fEnd, fClose:
-	case fCall:
-		if f.name, err = fr.readString(true); err == nil {
-			err = fr.readArgs(f)
-		}
-	case fQuery:
-		if f.id, err = binary.ReadUvarint(fr.r); err != nil {
-			return unexpectedEOF(err)
-		}
-		if f.name, err = fr.readString(true); err == nil {
-			err = fr.readArgs(f)
-		}
 	case fSync, fCredit:
 		f.id, err = binary.ReadUvarint(fr.r)
-	case fReply:
-		if f.id, err = binary.ReadUvarint(fr.r); err != nil {
-			return unexpectedEOF(err)
-		}
-		f.val, err = binary.ReadVarint(fr.r)
 	case fError:
 		if f.id, err = binary.ReadUvarint(fr.r); err != nil {
 			return unexpectedEOF(err)
@@ -392,12 +365,9 @@ func (fr *frameReader) readString(intern bool) (string, error) {
 	return string(b), nil
 }
 
-// readBytes decodes a length-prefixed payload. Small payloads are
-// served from the connection's bounded intern cache (permanent,
-// Release-is-a-no-op entries — repeated service replies cost a map
-// probe); everything else is carved from a pooled slab, handed to the
-// caller with one reference, to be returned with Release. Decoded
-// payloads are read-only: interned entries are shared across frames.
+// readBytes decodes a length-prefixed payload straight into a pooled
+// slab, handed to the caller with one reference, to be returned with
+// Release. An empty payload decodes as nil.
 func (fr *frameReader) readBytes() ([]byte, error) {
 	n, err := binary.ReadUvarint(fr.r)
 	if err != nil {
@@ -412,56 +382,12 @@ func (fr *frameReader) readBytes() ([]byte, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	if n <= maxInternPayload {
-		if cap(fr.strbuf) < int(n) {
-			fr.strbuf = make([]byte, n)
-		}
-		b := fr.strbuf[:n]
-		if _, err := io.ReadFull(fr.r, b); err != nil {
-			return nil, unexpectedEOF(err)
-		}
-		if p, ok := fr.payloads[string(b)]; ok {
-			return p, nil
-		}
-		if len(fr.payloads) < maxInternedPayloads {
-			if fr.payloads == nil {
-				fr.payloads = make(map[string][]byte)
-			}
-			p := newStaticPayload(b)
-			fr.payloads[string(b)] = p
-			return p, nil
-		}
-		out := fr.slabs.take(int(n))
-		copy(out, b)
-		return out, nil
-	}
 	out := fr.slabs.take(int(n))
 	if _, err := io.ReadFull(fr.r, out); err != nil {
 		Release(out)
 		return nil, unexpectedEOF(err)
 	}
 	return out, nil
-}
-
-func (fr *frameReader) readArgs(f *frame) error {
-	n, err := binary.ReadUvarint(fr.r)
-	if err != nil {
-		return unexpectedEOF(err)
-	}
-	if n > maxArgs {
-		return fmt.Errorf("remote: %d arguments exceed limit %d: %w", n, maxArgs, ErrProtocol)
-	}
-	if cap(f.args) < int(n) {
-		f.args = make([]int64, 0, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		a, err := binary.ReadVarint(fr.r)
-		if err != nil {
-			return unexpectedEOF(err)
-		}
-		f.args = append(f.args, a)
-	}
-	return nil
 }
 
 // atBoundary reports whether the reader is positioned between frames:

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"scoopqs/internal/future"
 )
 
 // closeFlushTimeout bounds Mux.Close's final flush: a peer that
@@ -36,7 +34,7 @@ type Mux struct {
 
 	creditStalls atomic.Uint64 // admissions parked at zero credits
 	bytesIn      atomic.Uint64 // payload bytes decoded from REPLYB frames
-	roundTrips   atomic.Uint64 // reply-expecting requests issued (QUERY/QUERYB/SYNC)
+	roundTrips   atomic.Uint64 // reply-expecting requests issued (QUERYB/SYNC)
 
 	readerDone chan struct{}
 }
@@ -81,7 +79,7 @@ func (m *Mux) NewSession() *RemoteSession {
 	rs := &RemoteSession{
 		m:       m,
 		ch:      m.nextCh,
-		pending: map[uint64]*future.Future{},
+		pending: map[uint64]pendingReq{},
 		credits: bootstrapCredits,
 	}
 	if m.err != nil {
@@ -115,7 +113,7 @@ type MuxStats struct {
 	MaxBatchBytes uint64 // peak pending-batch size (bounded by the budget)
 
 	// RoundTrips counts reply-expecting requests issued on this
-	// connection (QUERY/QUERYB/SYNC frames): every one is a wire
+	// connection (QUERYB/SYNC frames): every one is a wire
 	// round-trip the peer must answer, so eliding a sync shows up here
 	// as a smaller count for the same work.
 	RoundTrips uint64
@@ -221,7 +219,7 @@ func (m *Mux) readLoop() {
 			return
 		}
 		switch f.kind {
-		case fReply, fError, fReplyB:
+		case fError, fReplyB:
 			if f.kind == fReplyB {
 				m.bytesIn.Add(uint64(len(f.data)))
 			}

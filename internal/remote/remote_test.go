@@ -402,7 +402,7 @@ func TestRemoteUnknownProcedure(t *testing.T) {
 	}
 }
 
-// An unknown procedure in a CALL has no reply to carry the error, so
+// An unknown procedure in a call has no reply to carry the error, so
 // it poisons the block: the next synchronization point reports it, and
 // the following block is clean.
 func TestRemoteUnknownCallPoisonsBlock(t *testing.T) {
@@ -491,7 +491,7 @@ func TestRemoteClientDisconnectMidBlockReleasesHandler(t *testing.T) {
 	}
 	var buf []byte
 	buf = appendFrame(buf, &frame{kind: fBegin, ch: 1, name: "counter"})
-	buf = appendFrame(buf, &frame{kind: fCall, ch: 1, name: "add", args: []int64{1}})
+	buf = appendFrame(buf, &frame{kind: fCallB, ch: 1, name: "add", data: ints(1)})
 	if _, err := conn.Write(buf); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -11,42 +12,35 @@ import (
 	"scoopqs/internal/core"
 )
 
-// The five request kinds — the frames that consume a credit — and what
-// tells them apart on the wire: calls get no per-id reply, bytes kinds
-// carry a slab payload and look their procedure up in the bytes
-// namespace, SYNC names no procedure at all.
+// The request kinds — the frames that consume a credit — and the int
+// veneer over them: calls get no per-id reply, SYNC names no procedure
+// and carries no payload. "CALL" and "QUERY" are the int veneer's
+// requests, CALLB/QUERYB frames whose varint payload an Expose'd proc
+// decodes; "CALLB" and "QUERYB" name an ExposeBytes'd one.
 var requestKinds = []struct {
 	name    string
 	kind    frameKind
 	replies bool   // the server answers each request with a per-id frame
-	proc    string // an exposed procedure of the kind's namespace ("" for SYNC)
+	proc    string // an exposed procedure ("" for SYNC)
+	payload []byte
 }{
-	{"CALL", fCall, false, "p"},
-	{"QUERY", fQuery, true, "p"},
-	{"CALLB", fCallB, false, "bp"},
-	{"QUERYB", fQueryB, true, "bp"},
-	{"SYNC", fSync, true, ""},
+	{"CALL", fCallB, false, "p", ints(1)},
+	{"QUERY", fQueryB, true, "p", ints(1)},
+	{"CALLB", fCallB, false, "bp", requestPayload},
+	{"QUERYB", fQueryB, true, "bp", requestPayload},
+	{"SYNC", fSync, true, "", nil},
 }
 
-// requestPayload rides every bytes-kind request: past the decoder's
-// small-payload intern threshold, so each one holds a slab reference
-// the server must give back on whichever path the request takes.
+// requestPayload rides every bytes-proc request: each one holds a slab
+// reference the server must give back on whichever path the request
+// takes (so does the int veneer's one-byte payload).
 var requestPayload = bytes.Repeat([]byte{0x5A}, slabPayload)
 
-// requestFrame builds one request of the given kind.
-func requestFrame(kind frameKind, ch uint32, id uint64, proc string) frame {
-	f := frame{kind: kind, ch: ch, name: proc}
-	switch kind {
-	case fCall:
-		f.args = []int64{1}
-	case fQuery:
-		f.id, f.args = id, []int64{1}
-	case fCallB:
-		f.data = requestPayload
-	case fQueryB:
-		f.id, f.data = id, requestPayload
-	case fSync:
-		f.id, f.name = id, ""
+// requestFrame builds one request of row k's kind and payload.
+func requestFrame(k int, ch uint32, id uint64, proc string) frame {
+	f := frame{kind: requestKinds[k].kind, ch: ch, name: proc, data: requestKinds[k].payload}
+	if f.kind != fCallB {
+		f.id = id
 	}
 	return f
 }
@@ -89,20 +83,21 @@ func (p *rawPeer) write(frames []frame) {
 }
 
 // readUntilReply collects (detached copies of) every frame up to and
-// excluding the REPLY for (ch, id), which must arrive.
+// excluding the REPLYB for (ch, id), which must arrive.
 func (p *rawPeer) readUntilReply(ch uint32, id uint64) []frame {
 	p.t.Helper()
 	var got []frame
 	var f frame
 	for {
 		if err := p.fr.readFrame(&f); err != nil {
-			p.t.Fatalf("waiting for REPLY ch=%d id=%d after %d frames: %v", ch, id, len(got), err)
+			p.t.Fatalf("waiting for REPLYB ch=%d id=%d after %d frames: %v", ch, id, len(got), err)
 		}
-		if f.kind == fReply && f.ch == ch && f.id == id {
+		data := append([]byte(nil), f.data...)
+		Release(f.data)
+		if f.kind == fReplyB && f.ch == ch && f.id == id {
 			return got
 		}
-		Release(f.data)
-		f.data = nil
+		f.data = data
 		got = append(got, f)
 	}
 }
@@ -128,7 +123,8 @@ func (p *rawPeer) expectDropped() {
 // requestServer is the fixture of the request-path tests: handler "h"
 // answers at once, handler "gate" blocks in "hold" until the gate opens
 // (so nothing logged behind it completes and the window controller
-// never runs). Both expose "p" and "bp".
+// never runs). Both expose the int proc "p" and the bytes proc "bp"
+// under one name, registered in opposite orders.
 type requestServer struct {
 	rt   *core.Runtime
 	srv  *Server
@@ -150,11 +146,11 @@ func startRequestServer(t *testing.T) *requestServer {
 	srv.Expose("h", h, procs)
 	srv.ExposeBytes("h", h, bprocs)
 	g := rt.NewHandler("gate")
+	srv.ExposeBytes("gate", g, bprocs)
 	srv.Expose("gate", g, map[string]Proc{
 		"p":    procs["p"],
 		"hold": func([]int64) int64 { <-gate; return 0 },
 	})
-	srv.ExposeBytes("gate", g, bprocs)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +180,7 @@ func waitViolations(t *testing.T, srv *Server, want uint64) {
 	}
 }
 
-// sentinel is a healthy one-query block on handler "h": its REPLY
+// sentinel is a healthy one-query block on handler "h": its REPLYB
 // proves the connection is alive, the channel usable, and — the reader
 // handles frames in order — that everything written before it has been
 // through handleFrame.
@@ -193,17 +189,19 @@ const sentinelID = 1 << 40
 func sentinel(ch uint32) []frame {
 	return []frame{
 		{kind: fBegin, ch: ch, name: "h"},
-		{kind: fQuery, ch: ch, id: sentinelID, name: "p"},
+		{kind: fQueryB, ch: ch, id: sentinelID, name: "p"},
 		{kind: fEnd, ch: ch},
 	}
 }
 
-// TestRequestPathOutcomes pins what the server does with each of the
-// five request kinds in each of the states its admission ladder tells
-// apart — outside a block, in a poisoned block, naming an unknown
-// procedure, and one past the credit window — together with the two
-// things every path owes: the request's credit back (unless the channel
-// was quarantined) and the payload's slab back.
+// TestRequestPathOutcomes pins what the server does with each request
+// kind, and the int veneer over them, in each of the states its
+// admission ladder tells apart — outside a block, in a poisoned block,
+// naming an unknown procedure, and one past the credit window —
+// together with the two things every path owes: the request's credit
+// back (unless the channel was quarantined) and the payload's slab
+// back. The last cells pin the veneer's edges: the retired int kinds,
+// a malformed argument payload, and one name carrying both tables.
 func TestRequestPathOutcomes(t *testing.T) {
 	const initialGrant = adaptiveInitWindow - bootstrapCredits
 
@@ -212,7 +210,7 @@ func TestRequestPathOutcomes(t *testing.T) {
 	// credit would walk the channel into a quarantine.
 	const returned = adaptiveMaxWindow + 64
 
-	for _, k := range requestKinds {
+	for ki, k := range requestKinds {
 		t.Run(k.name, func(t *testing.T) {
 			for _, fresh := range []bool{true, false} {
 				name := "outside a block/after END"
@@ -228,7 +226,7 @@ func TestRequestPathOutcomes(t *testing.T) {
 					if !fresh {
 						frames = append(frames, frame{kind: fBegin, ch: 1, name: "h"}, frame{kind: fEnd, ch: 1})
 					}
-					p.write(append(frames, requestFrame(k.kind, 1, 1, k.proc)))
+					p.write(append(frames, requestFrame(ki, 1, 1, k.proc)))
 					p.expectDropped()
 					waitViolations(t, rs.srv, 1)
 					if q := rs.srv.Stats().Quarantines; q != 0 {
@@ -248,9 +246,6 @@ func TestRequestPathOutcomes(t *testing.T) {
 				{"poisoned block", "nonesuch", k.proc, `unknown handler "nonesuch"`},
 				{"unknown procedure", "h", "nonesuch", `unknown procedure "nonesuch"`},
 			} {
-				if cell.proc == "nonesuch" && k.proc == "bp" {
-					cell.want = `unknown bytes procedure "nonesuch"` // the namespaces are told apart
-				}
 				t.Run(cell.name, func(t *testing.T) {
 					rs := startRequestServer(t)
 					defer rs.stop(t)
@@ -269,7 +264,7 @@ func TestRequestPathOutcomes(t *testing.T) {
 					for i := 1; i <= n; i++ {
 						frames = append(frames,
 							frame{kind: fBegin, ch: 1, name: cell.handler},
-							requestFrame(k.kind, 1, uint64(i), cell.proc),
+							requestFrame(ki, 1, uint64(i), cell.proc),
 							frame{kind: fEnd, ch: 1})
 					}
 					p.write(append(frames, sentinel(1)...))
@@ -279,10 +274,10 @@ func TestRequestPathOutcomes(t *testing.T) {
 					for _, f := range got {
 						switch {
 						case f.kind == fCredit:
-						case dispatched && f.kind == fReply:
+						case dispatched && f.kind == fReplyB:
 							perID++
-							if f.id != uint64(perID) || f.val != 0 {
-								t.Fatalf("SYNC reply %d: id=%d val=%d", perID, f.id, f.val)
+							if f.id != uint64(perID) || len(f.data) != 0 {
+								t.Fatalf("SYNC reply %d: id=%d payload %x, want an empty REPLYB", perID, f.id, f.data)
 							}
 						case f.kind == fError && f.id == 0:
 							blockErrs++
@@ -336,13 +331,13 @@ func TestRequestPathOutcomes(t *testing.T) {
 				// one and the last request is exactly one past it.
 				frames := []frame{
 					{kind: fBegin, ch: 1, name: "gate"},
-					{kind: fCall, ch: 1, name: "hold"},
+					{kind: fCallB, ch: 1, name: "hold"},
 				}
 				for i := 1; i <= adaptiveInitWindow; i++ {
-					frames = append(frames, requestFrame(k.kind, 1, uint64(i), k.proc))
+					frames = append(frames, requestFrame(ki, 1, uint64(i), k.proc))
 				}
 				// The channel is a black hole from here on.
-				frames = append(frames, requestFrame(fQuery, 1, 9999, "p"), frame{kind: fEnd, ch: 1})
+				frames = append(frames, requestFrame(1, 1, 9999, "p"), frame{kind: fEnd, ch: 1})
 				p.write(append(frames, sentinel(2)...))
 				got := p.readUntilReply(2, sentinelID)
 
@@ -370,6 +365,108 @@ func TestRequestPathOutcomes(t *testing.T) {
 			})
 		})
 	}
+
+	// CALL (0x03) and QUERY (0x04) carried int64 vectors before the
+	// veneer moved onto CALLB/QUERYB: from a client they are unknown
+	// kinds, and connection-fatal.
+	for _, retired := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"retired CALL", []byte{0x03, 1, 1, 'p', 0}},     // ch 1, "p", no arguments
+		{"retired QUERY", []byte{0x04, 1, 1, 1, 'p', 0}}, // ch 1, id 1, "p", no arguments
+	} {
+		t.Run(retired.name, func(t *testing.T) {
+			rs := startRequestServer(t)
+			defer rs.stop(t)
+			p := dialRaw(t, rs.addr)
+			defer p.close()
+			begin := appendFrame(nil, &frame{kind: fBegin, ch: 1, name: "h"})
+			if _, err := p.conn.Write(append(begin, retired.raw...)); err != nil {
+				t.Fatal(err)
+			}
+			p.expectDropped()
+			waitViolations(t, rs.srv, 1)
+		})
+	}
+
+	// A payload an Expose'd proc cannot decode as varints is that
+	// procedure's failure, not the connection's: a query gets its own
+	// ERROR, a call poisons its block (the block's later query reports
+	// it), and a sibling channel still answers.
+	t.Run("malformed int arguments", func(t *testing.T) {
+		rs := startRequestServer(t)
+		defer rs.stop(t)
+		p := dialRaw(t, rs.addr)
+		defer p.close()
+		bad := []byte{0x80} // a varint cut short
+		frames := []frame{
+			{kind: fBegin, ch: 1, name: "h"},
+			{kind: fQueryB, ch: 1, id: 1, name: "p", data: bad},
+			{kind: fEnd, ch: 1},
+			{kind: fBegin, ch: 1, name: "h"},
+			{kind: fCallB, ch: 1, name: "p", data: bad},
+			{kind: fQueryB, ch: 1, id: 2, name: "p"},
+			{kind: fEnd, ch: 1},
+		}
+		p.write(append(frames, sentinel(2)...))
+		errs := 0
+		for _, f := range p.readUntilReply(2, sentinelID) {
+			switch {
+			case f.kind == fCredit:
+			case f.kind == fError && f.ch == 1 && f.id == uint64(errs+1) && strings.Contains(f.name, "malformed varint"):
+				errs++
+			default:
+				t.Fatalf("unexpected frame kind=0x%02x ch=%d id=%d %q", byte(f.kind), f.ch, f.id, f.name)
+			}
+		}
+		if errs != 2 {
+			t.Fatalf("%d per-id ERRORs naming the malformed payload, want 2 (the query's, the poisoned block's)", errs)
+		}
+		if v := rs.srv.Stats().ProtocolViolations; v != 0 {
+			t.Fatalf("ProtocolViolations = %d: a malformed argument payload dropped the connection", v)
+		}
+	})
+
+	// Expose and ExposeBytes merge under one name, in either order: "h"
+	// registered p first, "gate" bp first, and both answer both.
+	t.Run("one name, both tables", func(t *testing.T) {
+		rs := startRequestServer(t)
+		defer rs.stop(t)
+		p := dialRaw(t, rs.addr)
+		defer p.close()
+		var frames []frame
+		for i, h := range []string{"h", "gate"} {
+			ch := uint32(i + 1)
+			frames = append(frames,
+				frame{kind: fBegin, ch: ch, name: h},
+				frame{kind: fQueryB, ch: ch, id: 1, name: "p"},
+				frame{kind: fQueryB, ch: ch, id: 2, name: "bp", data: requestPayload},
+				frame{kind: fEnd, ch: ch})
+		}
+		p.write(frames)
+		replies := map[uint32]int{}
+		var f frame
+		for n := 0; n < 4; {
+			if err := p.fr.readFrame(&f); err != nil {
+				t.Fatalf("after %d replies %v: %v", n, replies, err)
+			}
+			answered := f.kind == fReplyB &&
+				(f.id == 1 && bytes.Equal(f.data, ints(7)) || f.id == 2 && len(f.data) == 0)
+			Release(f.data)
+			switch {
+			case f.kind == fCredit:
+			case answered:
+				replies[f.ch]++
+				n++
+			default:
+				t.Fatalf("unexpected frame kind=0x%02x ch=%d id=%d %q", byte(f.kind), f.ch, f.id, f.name)
+			}
+		}
+		if replies[1] != 2 || replies[2] != 2 {
+			t.Fatalf("replies per channel %v, want both procedures answered on both handlers", replies)
+		}
+	})
 }
 
 // TestBracketViolationsDropConnection pins the three protocol
@@ -384,7 +481,7 @@ func TestBracketViolationsDropConnection(t *testing.T) {
 		{"BEGIN inside a poisoned block", []frame{{kind: fBegin, ch: 1, name: "nonesuch"}, {kind: fBegin, ch: 1, name: "h"}}},
 		{"END on a fresh channel", []frame{{kind: fEnd, ch: 1}}},
 		{"END after END", []frame{{kind: fBegin, ch: 1, name: "h"}, {kind: fEnd, ch: 1}, {kind: fEnd, ch: 1}}},
-		{"REPLY from the client", []frame{{kind: fReply, ch: 1, id: 1, val: 1}}},
+		{"REPLY from the client", []frame{{kind: fReplyB, ch: 1, id: 1}}},
 		{"CREDIT from the client", []frame{{kind: fBegin, ch: 1, name: "h"}, {kind: fCredit, ch: 1, id: 8}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -450,6 +547,128 @@ func TestChannelCapBoundsOpenChannels(t *testing.T) {
 	if st.Quarantines != 0 {
 		t.Fatalf("Quarantines = %d, want 0", st.Quarantines)
 	}
+	srv.Close()
+	if err := base.settle(rt); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPanickingCallGivesBackCreditAndPayload pins that every admitted
+// call returns its credit and its payload on every path. A panicking
+// call unwound past both, and the calls after it in its poisoned block
+// never ran, so 128 blocks of {panicking CallBytes, CallBytes} wedged
+// the channel at its initial window with a slab pinned. Poisoning
+// itself stays: a later query in such a block reports the panic.
+func TestPanickingCallGivesBackCreditAndPayload(t *testing.T) {
+	base := takeLeakBaseline()
+	rt := core.New(core.ConfigAll.WithWorkers(2))
+	srv := NewServer(rt)
+	srv.ExposeBytes("svc", rt.NewHandler("svc"), map[string]BytesProc{
+		"boom": func([]byte) []byte { panic("boom") },
+		"ok":   func([]byte) []byte { return nil },
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	mux, err := DialMux("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := mux.NewSession()
+
+	const blocks = 2000
+	payload := make([]byte, 100)
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < blocks; i++ {
+			err := rs.Separate("svc", func(s *Session) error {
+				if err := s.CallBytes("boom", payload); err != nil {
+					return err
+				}
+				return s.CallBytes("ok", payload)
+			})
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- rs.Separate("svc", func(s *Session) error {
+			if err := s.CallBytes("boom", payload); err != nil {
+				return err
+			}
+			if _, err := s.QueryBytes("ok", payload); err == nil || !strings.Contains(err.Error(), "panic on handler") {
+				return fmt.Errorf("query after a panicking call: err = %v, want the handler panic", err)
+			}
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		st := srv.Stats()
+		t.Fatalf("wedged: BytesIn %d, CreditsGranted %d, SlabsInUse %d", st.BytesIn, st.CreditsGranted, st.SlabsInUse)
+	}
+	mux.Close()
+	srv.Close()
+	if err := base.settle(rt); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCloseDropsChannelFromWriter pins what CLOSE leaves in the
+// connection's writer: nothing. A peer that never reads and cycles
+// BEGIN/CLOSE over fresh ids parked one window advertisement, and kept
+// one deferred queue, per id for the connection's life; now the parked
+// backlog and the writer's per-channel records stay under a constant
+// whatever the cycle count.
+func TestCloseDropsChannelFromWriter(t *testing.T) {
+	base := takeLeakBaseline()
+	rt := core.New(core.ConfigAll)
+	srv := NewServer(rt)
+	srv.WriteBudget = 64 // full after a dozen advertisements
+	srv.Expose("h", rt.NewHandler("h"), map[string]Proc{"p": func([]int64) int64 { return 0 }})
+	ln := newPipeListener()
+	go srv.Serve(ln)
+
+	// net.Pipe has no buffering: the server's writer wedges on its first
+	// flush, so everything after the batch's budget is deferred.
+	conn := ln.dial(t)
+	conn.SetDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
+	const cycles = 5 * maxChannels
+	var buf []byte
+	for ch := uint32(1); ch <= cycles; ch++ {
+		buf = appendFrame(buf, &frame{kind: fBegin, ch: ch, name: "h"})
+		buf = appendFrame(buf, &frame{kind: fClose, ch: ch})
+	}
+	if _, err := conn.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	// Every channel's advertisement reached the writer: the server has
+	// handled every frame.
+	if !chaosPoll(func() bool { return srv.Stats().Frames == cycles }) {
+		t.Fatalf("server accepted %d advertisements, want %d", srv.Stats().Frames, cycles)
+	}
+
+	const bound = 16
+	st := srv.Stats()
+	srv.mu.Lock()
+	records := 0
+	for cw := range srv.writers {
+		cw.mu.Lock()
+		records += len(cw.rr) - cw.rrHead
+		cw.mu.Unlock()
+	}
+	srv.mu.Unlock()
+	if st.MaxParkedFrames > bound || records > bound {
+		t.Fatalf("after %d BEGIN/CLOSE cycles: %d frames parked at peak, %d channel queues in the writer; want both <= %d",
+			cycles, st.MaxParkedFrames, records, bound)
+	}
+	conn.Close()
 	srv.Close()
 	if err := base.settle(rt); err != nil {
 		t.Fatal(err)

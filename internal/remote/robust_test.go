@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -260,7 +261,7 @@ func TestIdleTimeoutTearsDownStalledPeer(t *testing.T) {
 	time.Sleep(3 * srv.IdleTimeout)
 	var buf []byte
 	buf = appendFrame(buf, &frame{kind: fBegin, ch: 1, name: "calc"})
-	buf = appendFrame(buf, &frame{kind: fQuery, ch: 1, id: 1, name: "add", args: []int64{2, 3}})
+	buf = appendFrame(buf, &frame{kind: fQueryB, ch: 1, id: 1, name: "add", data: ints(2, 3)})
 	buf = appendFrame(buf, &frame{kind: fEnd, ch: 1})
 	if _, err := quiet.Write(buf); err != nil {
 		t.Fatalf("quiet connection was torn down: %v", err)
@@ -277,9 +278,10 @@ func TestIdleTimeoutTearsDownStalledPeer(t *testing.T) {
 		}
 		break
 	}
-	if f.kind != fReply || f.id != 1 || f.val != 5 {
-		t.Fatalf("quiet connection: expected REPLY id=1 val=5, got kind=0x%02x id=%d val=%d", byte(f.kind), f.id, f.val)
+	if f.kind != fReplyB || f.id != 1 || !bytes.Equal(f.data, ints(5)) {
+		t.Fatalf("quiet connection: expected REPLYB id=1 of 5, got kind=0x%02x id=%d %x", byte(f.kind), f.id, f.data)
 	}
+	Release(f.data)
 	if got := srv.Stats().PeerStalls; got != 1 {
 		t.Fatalf("PeerStalls = %d, want 1", got)
 	}

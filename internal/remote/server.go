@@ -3,6 +3,7 @@ package remote
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"os"
 	"sync"
@@ -13,15 +14,15 @@ import (
 )
 
 // Proc is a named procedure bound to handler-owned state. It runs under
-// the handler's exclusion like any other logged call.
+// the handler's exclusion like any other logged call. It is the int64
+// veneer over BytesProc: see Server.Expose.
 type Proc func(args []int64) int64
 
 // BytesProc is a named procedure taking and returning opaque byte
-// payloads, for service messages that do not fit int64 vectors. It
-// runs under the handler's exclusion like any other logged call.
+// payloads, the one shape every request has on the wire. It runs under
+// the handler's exclusion like any other logged call.
 //
-// Ownership: the request payload is valid (and read-only — small
-// payloads may be interned and shared) only for the duration of the
+// Ownership: the request payload is valid only for the duration of the
 // invocation; the runtime releases its slab afterwards, so a proc that
 // wants to keep bytes must copy them. The return value is encoded
 // into the reply before that release, so it may alias the request
@@ -74,8 +75,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	handlers map[string]*core.Handler
-	procs    map[string]map[string]Proc
-	bprocs   map[string]map[string]BytesProc
+	procs    map[string]map[string]BytesProc // copied on write: channels read theirs unlocked
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
 	writers  map[*connWriter]struct{}
@@ -103,31 +103,45 @@ func NewServer(rt *core.Runtime) *Server {
 	return &Server{
 		rt:       rt,
 		handlers: map[string]*core.Handler{},
-		procs:    map[string]map[string]Proc{},
-		bprocs:   map[string]map[string]BytesProc{},
+		procs:    map[string]map[string]BytesProc{},
 		conns:    map[net.Conn]struct{}{},
 		writers:  map[*connWriter]struct{}{},
 	}
 }
 
-// Expose registers a handler under a public name with its callable
-// procedures. Procedures must only touch state owned by h.
+// Expose registers a handler under a public name with its int64
+// procedures. Procedures must only touch state owned by h. Each is
+// wrapped into a BytesProc that decodes its arguments from a payload of
+// zigzag varints and encodes its result as one (the int veneer, see
+// the package doc), and merged into the name's table like ExposeBytes.
 func (s *Server) Expose(name string, h *core.Handler, procs map[string]Proc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.handlers[name] = h
-	s.procs[name] = procs
+	wrapped := make(map[string]BytesProc, len(procs))
+	for fn, p := range procs {
+		wrapped[fn] = func(payload []byte) []byte {
+			args, ok := readInts(payload)
+			if !ok {
+				// A procedure failure, reported like any panic in one: an
+				// ERROR for a query, a poisoned block for a call.
+				panic("remote: malformed varint argument payload")
+			}
+			return appendInts(nil, []int64{p(args)})
+		}
+	}
+	s.ExposeBytes(name, h, wrapped)
 }
 
 // ExposeBytes registers a handler's bytes procedures under a public
-// name. A handler may carry both int64 and bytes procedures (Expose
-// and ExposeBytes compose; the two namespaces are independent, keyed
-// by the frame kind the client sent).
+// name. Registrations under one name merge into one procedure table
+// (Expose and ExposeBytes compose); a later procedure of the same name
+// replaces an earlier one.
 func (s *Server) ExposeBytes(name string, h *core.Handler, procs map[string]BytesProc) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	table := make(map[string]BytesProc, len(s.procs[name])+len(procs))
+	maps.Copy(table, s.procs[name])
+	maps.Copy(table, procs)
 	s.handlers[name] = h
-	s.bprocs[name] = procs
+	s.procs[name] = table
 }
 
 // ServerStats aggregates the write-path counters of every connection
@@ -238,8 +252,8 @@ type svChan struct {
 	cl      *core.Client
 	sess    *core.Session
 	release func()
-	procs   map[string]Proc
-	bprocs  map[string]BytesProc
+	procs   map[string]BytesProc
+	q       chanQueue // this channel's deferred frames in the connection's writer
 
 	// outstanding counts admitted-but-uncompleted requests (the credit
 	// window in use); pendGrant accumulates completions awaiting a
@@ -267,8 +281,8 @@ type svChan struct {
 	lastAdjust time.Time // previous controller run
 	lastParked uint64    // writer's cumulative parked count then
 
-	// errmsg poisons an open block whose BEGIN or CALL failed (unknown
-	// handler/procedure, reservation after shutdown): CALLs are
+	// errmsg poisons an open block whose BEGIN or CALLB failed (unknown
+	// handler/procedure, reservation after shutdown): calls are
 	// dropped, queries and syncs reply with the error, END clears it.
 	// The client sees exactly what a local poisoned session shows — the
 	// failure at every synchronization point until the block ends.
@@ -308,7 +322,7 @@ func (c *serverConn) newChan(ch uint32) *svChan {
 	}
 	sc.limit.Store(adaptiveInitWindow)
 	c.chans[ch] = sc
-	c.grant(ch, adaptiveInitWindow-bootstrapCredits)
+	c.grant(sc, ch, adaptiveInitWindow-bootstrapCredits)
 	return sc
 }
 
@@ -398,23 +412,18 @@ func (c *serverConn) busy() bool {
 	return false
 }
 
-// reply ships a REPLY/ERROR for (ch, id) through the batching writer,
-// deferring past the byte budget — never blocking, since it runs on
-// the reader or a completion callback.
-func (c *serverConn) reply(ch uint32, id uint64, v int64, err error) {
-	f := frame{kind: fReply, ch: ch, id: id, val: v}
+// reply ships a REPLYB (or, for a non-nil err, an ERROR) for (ch, id)
+// through the batching writer, deferring past the byte budget — never
+// blocking, since it runs on the reader or a completion callback. The
+// payload is either encoded into the batch before this returns or
+// parked as a deep copy (frameDeferred detaches data), so the caller
+// may release whatever out aliases immediately afterwards.
+func (c *serverConn) reply(sc *svChan, ch uint32, id uint64, out []byte, err error) {
+	f := frame{kind: fReplyB, ch: ch, id: id, data: out}
 	if err != nil {
 		f = frame{kind: fError, ch: ch, id: id, name: err.Error()}
 	}
-	c.cw.frameDeferred(&f) // ok=false means the connection died; nothing to do
-}
-
-// replyBytes ships a REPLYB through the batching writer. The payload
-// is either encoded into the batch before this returns or parked as a
-// deep copy (frameDeferred detaches data), so the caller may release
-// whatever out aliases immediately afterwards.
-func (c *serverConn) replyBytes(ch uint32, id uint64, out []byte) {
-	c.cw.frameDeferred(&frame{kind: fReplyB, ch: ch, id: id, data: out})
+	c.cw.frameDeferred(&sc.q, &f) // ok=false: the connection died or the channel closed
 }
 
 // poison marks the open block failed and ships the id-0 block-level
@@ -428,18 +437,17 @@ func (c *serverConn) replyBytes(ch uint32, id uint64, out []byte) {
 // provably still queued, never because of unrelated later congestion.
 func (c *serverConn) poison(sc *svChan, ch uint32, msg string) {
 	sc.errmsg = msg
-	if sc.poisonSeq != 0 && c.cw.drainedParked(ch) < sc.poisonSeq {
+	if sc.poisonSeq != 0 && c.cw.drainedParked(&sc.q) < sc.poisonSeq {
 		return // this channel's previous block error is still queued
 	}
-	f := frame{kind: fError, ch: ch, id: 0, name: msg}
-	_, seq := c.cw.frameDeferred(&f)
-	sc.poisonSeq = seq
+	_, sc.poisonSeq = c.cw.frameDeferred(&sc.q, &frame{kind: fError, ch: ch, id: 0, name: msg})
 }
 
 // grant ships n request credits to the channel.
-func (c *serverConn) grant(ch uint32, n int64) {
-	c.s.creditsGranted.Add(uint64(n))
-	c.cw.frameDeferred(&frame{kind: fCredit, ch: ch, id: uint64(n)})
+func (c *serverConn) grant(sc *svChan, ch uint32, n int64) {
+	if ok, _ := c.cw.frameDeferred(&sc.q, &frame{kind: fCredit, ch: ch, id: uint64(n)}); ok {
+		c.s.creditsGranted.Add(uint64(n))
+	}
 }
 
 // admit charges one unit of the channel's credit window for a received
@@ -463,9 +471,9 @@ func (c *serverConn) quarantine(sc *svChan, ch uint32) {
 	if sc.release != nil {
 		sc.release()
 	}
-	sc.sess, sc.release, sc.procs, sc.bprocs, sc.errmsg = nil, nil, nil, nil, ""
+	sc.sess, sc.release, sc.procs, sc.errmsg = nil, nil, nil, ""
 	c.s.quarantines.Add(1)
-	c.cw.frameDeferred(&frame{kind: fError, ch: ch, id: 0, name: ErrCreditOverrun.Error()})
+	c.cw.frameDeferred(&sc.q, &frame{kind: fError, ch: ch, id: 0, name: ErrCreditOverrun.Error()})
 }
 
 // credit returns one unit of the channel's window after a request
@@ -487,7 +495,7 @@ func (c *serverConn) credit(sc *svChan, ch uint32) {
 		return
 	}
 	if n = c.adjustWindow(sc, ch, n); n > 0 {
-		c.grant(ch, n)
+		c.grant(sc, ch, n)
 	}
 }
 
@@ -523,7 +531,6 @@ func (c *serverConn) handleFrame(f *frame) bool {
 		s.mu.Lock()
 		h := s.handlers[f.name]
 		procs := s.procs[f.name]
-		bprocs := s.bprocs[f.name]
 		s.mu.Unlock()
 		if h == nil {
 			c.poison(sc, f.ch, fmt.Sprintf("unknown handler %q", f.name))
@@ -534,7 +541,7 @@ func (c *serverConn) handleFrame(f *frame) bool {
 			c.poison(sc, f.ch, err.Error())
 			return true
 		}
-		sc.sess, sc.release, sc.procs, sc.bprocs = sess, release, procs, bprocs
+		sc.sess, sc.release, sc.procs = sess, release, procs
 
 	case fEnd:
 		if sc == nil || !sc.open() {
@@ -543,53 +550,40 @@ func (c *serverConn) handleFrame(f *frame) bool {
 		if sc.release != nil {
 			sc.release()
 		}
-		sc.sess, sc.release, sc.procs, sc.bprocs, sc.errmsg = nil, nil, nil, nil, ""
+		sc.sess, sc.release, sc.procs, sc.errmsg = nil, nil, nil, ""
 
 	case fClose:
 		// Channel retired, possibly mid-block: END the block so the
-		// handler is released, then forget the channel. A frame for
-		// this channel id never arrives again (ids are not reused).
+		// handler is released, drop its deferred frames from the writer
+		// (completions still in flight ship nothing), then forget the
+		// channel. A frame for this channel id never arrives again (ids
+		// are not reused).
 		if sc != nil {
 			if sc.release != nil {
 				sc.release()
 			}
+			c.cw.closeQueue(&sc.q)
 			delete(c.chans, f.ch)
 		}
 
-	case fCall, fQuery, fCallB, fQueryB, fSync:
+	case fCallB, fQueryB, fSync:
 		return c.request(sc, f)
 
 	default:
-		// A server->client (or unknown) kind from the client; a REPLYB's
-		// payload still goes back to its slab.
+		// A server->client, retired or unknown kind from the client; a
+		// REPLYB's payload still goes back to its slab.
 		Release(f.data)
 		return false
 	}
 	return true
 }
 
-// lookup resolves the procedure a request names in the namespace of
-// its kind: CALL/QUERY in the int64 procedures, CALLB/QUERYB in the
-// bytes procedures. SYNC names none and always resolves.
-func (sc *svChan) lookup(f *frame) (proc Proc, bproc BytesProc, ok bool) {
-	switch f.kind {
-	case fCall, fQuery:
-		proc, ok = sc.procs[f.name]
-	case fCallB, fQueryB:
-		bproc, ok = sc.bprocs[f.name]
-	default:
-		ok = true
-	}
-	return proc, bproc, ok
-}
-
-// request is the one path of the five credit-consuming kinds (CALL,
-// QUERY, CALLB, QUERYB, SYNC): checked against the block bracket,
-// charged to the window, failed right here on the reader if the block
-// is poisoned or the procedure unknown, and only then logged onto the
-// session in the kind's own way. Every exit that does not log the
-// request releases its bytes payload (nil for the other kinds) and,
-// unless the channel was quarantined, returns its credit.
+// request is the one path of the three credit-consuming kinds (CALLB,
+// QUERYB, SYNC): checked against the block bracket, charged to the
+// window, failed right here on the reader if the block is poisoned or
+// the procedure unknown, and only then logged onto the session in the
+// kind's own way. Every path releases the request's payload and, unless
+// the channel was quarantined, returns its credit.
 func (c *serverConn) request(sc *svChan, f *frame) bool {
 	if sc == nil || !sc.open() {
 		Release(f.data)
@@ -603,15 +597,11 @@ func (c *serverConn) request(sc *svChan, f *frame) bool {
 		c.quarantine(sc, f.ch) // client overran its credit window
 		return true
 	}
-	isCall := f.kind == fCall || f.kind == fCallB
 	msg := sc.errmsg
-	proc, bproc, ok := sc.lookup(f)
-	if msg == "" && !ok {
+	proc := sc.procs[f.name]
+	if msg == "" && proc == nil && f.kind != fSync {
 		msg = fmt.Sprintf("unknown procedure %q", f.name)
-		if f.kind == fCallB || f.kind == fQueryB {
-			msg = fmt.Sprintf("unknown bytes procedure %q", f.name)
-		}
-		if isCall {
+		if f.kind == fCallB {
 			// No reply to carry it: poison the block, and the error
 			// surfaces at the next synchronization point, like a
 			// handler-side failure.
@@ -620,88 +610,61 @@ func (c *serverConn) request(sc *svChan, f *frame) bool {
 	}
 	if msg != "" {
 		Release(f.data)
-		if !isCall { // a call is dropped, like on a local poisoned session
-			c.reply(f.ch, f.id, 0, errors.New(msg))
+		if f.kind != fCallB { // a call is dropped, like on a local poisoned session
+			c.reply(sc, f.ch, f.id, nil, errors.New(msg))
 		}
 		c.credit(sc, f.ch)
 		return true
 	}
 
 	// Logged from here on. The closures capture copies of what they need
-	// from f — the reader reuses it for the next frame — and the credit
-	// comes back from the completion, after the reply: a replenished
-	// client's next request can never observe the connection before its
-	// predecessor's reply was accepted.
-	ch, id := f.ch, f.id
+	// from f — the reader reuses it for the next frame; the payload is a
+	// slab sub-slice with its own reference, so it stays valid after the
+	// reader decodes the next frame — and the credit comes back from the
+	// completion, after the reply: a replenished client's next request
+	// can never observe the connection before its predecessor's reply
+	// was accepted.
+	ch, id, payload, sess := f.ch, f.id, f.data, sc.sess
 	switch f.kind {
-	case fCall:
-		args := copyArgs(f.args)
-		sc.sess.Call(func() {
-			proc(args)
-			c.credit(sc, ch)
-		})
-
-	case fQuery:
-		// The non-blocking path: log the query as a future and keep
-		// demultiplexing; the completion callback runs on the handler
-		// (or pool worker) that resolves it and ships the reply from
-		// there through the shared batching writer.
-		args := copyArgs(f.args)
-		sc.sess.CallFuture(func() any { return proc(args) }).
-			OnComplete(func(v any, err error) {
-				if err != nil {
-					c.reply(ch, id, 0, err)
-				} else {
-					c.reply(ch, id, v.(int64), nil)
-				}
-				c.credit(sc, ch)
-			})
-
 	case fCallB:
-		// Zero-copy handoff: the payload is a slab sub-slice with its
-		// own reference, so it stays valid after the reader decodes the
-		// next frame; the proc borrows it and the completion releases.
-		payload := f.data
-		sc.sess.Call(func() {
-			bproc(payload)
-			Release(payload)
-			c.credit(sc, ch)
+		// CallAlways: the call runs even on a session an earlier call of
+		// the block poisoned — skipping the proc then — and the deferred
+		// release runs past a panicking proc, so the payload and the
+		// credit come back on every path.
+		sess.CallAlways(func() {
+			defer c.done(sc, ch, payload)
+			if sess.Err() == nil {
+				proc(payload)
+			}
 		})
 
 	case fQueryB:
-		// Same non-blocking future path as QUERY, with one ordering
-		// constraint on top: the reply is encoded (or parked as a deep
-		// copy) BEFORE the request payload is released, because the
-		// proc's return may alias the request (an echo, a sub-slice).
-		payload := f.data
-		sc.sess.CallFuture(func() any { return bproc(payload) }).
+		// The non-blocking path: log the query as a future and keep
+		// demultiplexing; the completion callback runs on the handler
+		// (or pool worker) that resolves it and ships the reply from
+		// there through the shared batching writer. The reply is encoded
+		// (or parked as a deep copy) BEFORE the request payload is
+		// released, because the proc's return may alias the request (an
+		// echo, a sub-slice).
+		sess.CallFuture(func() any { return proc(payload) }).
 			OnComplete(func(v any, err error) {
-				if err != nil {
-					c.reply(ch, id, 0, err)
-				} else {
-					out, _ := v.([]byte)
-					c.replyBytes(ch, id, out)
-				}
-				Release(payload)
-				c.credit(sc, ch)
+				out, _ := v.([]byte)
+				c.reply(sc, ch, id, out, err)
+				c.done(sc, ch, payload)
 			})
 
 	case fSync:
-		sc.sess.SyncFuture().OnComplete(func(_ any, err error) {
-			c.reply(ch, id, 0, err)
+		sess.SyncFuture().OnComplete(func(_ any, err error) {
+			c.reply(sc, ch, id, nil, err)
 			c.credit(sc, ch)
 		})
 	}
 	return true
 }
 
-// copyArgs detaches an argument vector from the decoder's reused
-// buffer: calls and queries execute after the reader has moved on.
-func copyArgs(args []int64) []int64 {
-	if len(args) == 0 {
-		return nil
-	}
-	out := make([]int64, len(args))
-	copy(out, args)
-	return out
+// done completes a logged request: its payload goes back to its slab
+// and its credit to the window.
+func (c *serverConn) done(sc *svChan, ch uint32, payload []byte) {
+	Release(payload)
+	c.credit(sc, ch)
 }

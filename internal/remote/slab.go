@@ -35,12 +35,10 @@ const (
 	// little-endian, immediately before the payload bytes.
 	slabHeaderSize = 8
 
-	// magicPooled marks a live slab-carved payload; magicStatic marks a
-	// permanent interned payload (Release is a no-op); magicDead is the
+	// magicPooled marks a live slab-carved payload; magicDead is the
 	// poison Release writes so a second Release of the same payload
 	// panics instead of corrupting a refcount.
 	magicPooled = 0x51B0_0C1E
-	magicStatic = 0x51B0_57A7
 	magicDead   = 0x51B0_DEAD
 
 	// Slab size classes: power-of-two capacities from minSlabShift to
@@ -181,9 +179,8 @@ func (a *slabAlloc) close() {
 }
 
 // payloadHeader reads the 8-byte header preceding a payload. The
-// header lives in the same allocation as the payload (a slab, or a
-// static intern chunk), so the pointer arithmetic stays inside one
-// object.
+// header lives in the same slab as the payload, so the pointer
+// arithmetic stays inside one object.
 func payloadHeader(b []byte) []byte {
 	p := unsafe.Pointer(unsafe.SliceData(b))
 	return unsafe.Slice((*byte)(unsafe.Add(p, -slabHeaderSize)), slabHeaderSize)
@@ -193,19 +190,15 @@ func payloadHeader(b []byte) []byte {
 // decoder hands out — a server proc's request payload, a client's
 // QueryBytes reply — must be released exactly once when the holder is
 // done with it; the slab recycles when its last payload is released.
-// Nil and empty payloads are no-ops, as are interned payloads (small
-// repeated payloads are served from a permanent per-connection cache).
-// Releasing the same payload twice, or a []byte the decoder never
-// handed out, panics: both are ownership bugs that would otherwise
-// corrupt a refcount silently.
+// Nil and empty payloads are no-ops. Releasing the same payload twice,
+// or a []byte the decoder never handed out, panics: both are ownership
+// bugs that would otherwise corrupt a refcount silently.
 func Release(b []byte) {
 	if len(b) == 0 {
 		return
 	}
 	hdr := payloadHeader(b)
 	switch binary.LittleEndian.Uint32(hdr) {
-	case magicStatic:
-		return
 	case magicPooled:
 	case magicDead:
 		panic("remote: double Release of bytes payload")
@@ -218,15 +211,4 @@ func Release(b []byte) {
 	s := slabTable.all[idx]
 	slabTable.mu.Unlock()
 	s.release()
-}
-
-// newStaticPayload builds a permanent interned payload: a heap chunk
-// with a static header, so Release is a no-op and the entry can be
-// handed out any number of times. Interned payloads are shared — the
-// read-only contract on decoded payloads is what makes that sound.
-func newStaticPayload(b []byte) []byte {
-	chunk := make([]byte, slabHeaderSize+len(b))
-	binary.LittleEndian.PutUint32(chunk, magicStatic)
-	copy(chunk[slabHeaderSize:], b)
-	return chunk[slabHeaderSize : slabHeaderSize+len(b) : slabHeaderSize+len(b)]
 }

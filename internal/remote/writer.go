@@ -2,6 +2,7 @@ package remote
 
 import (
 	"io"
+	"slices"
 	"sync"
 
 	"scoopqs/internal/future"
@@ -93,13 +94,12 @@ type connWriter struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	buf       []byte // batch being filled by producers
-	bufN      int    // frames in buf
-	spare     []byte // previous batch, being written / ready for reuse
-	parked    map[uint32]*chanQueue
-	parkedLen int      // deferred frames across all channels
-	rr        []uint32 // round-robin rotation of channels with queued frames
-	rrHead    int      // consumed prefix of rr (amortized-O(1) pops)
+	buf       []byte       // batch being filled by producers
+	bufN      int          // frames in buf
+	spare     []byte       // previous batch, being written / ready for reuse
+	parkedLen int          // deferred frames across all channels
+	rr        []*chanQueue // round-robin rotation of the queues holding frames
+	rrHead    int          // consumed prefix of rr (amortized-O(1) pops)
 	drain     *future.Future
 	closed    bool
 	err       error
@@ -109,14 +109,17 @@ type connWriter struct {
 }
 
 // chanQueue is one channel's deferred-frame FIFO plus its park/drain
-// sequence counters. The counters outlive the frames — an entry stays
-// in the map until the writer dies — because coalescing decisions
-// (the server's block errors) compare them after the queue emptied.
+// sequence counters, guarded by the writer's lock. The server's channel
+// record owns it — the writer only holds the queues that have frames,
+// in rr — so the counters outlive the frames for coalescing decisions
+// (the server's block errors) and the whole record goes with its
+// channel.
 type chanQueue struct {
 	frames  []frame
 	head    int    // consumed prefix of frames (amortized-O(1) pops)
 	issued  uint64 // frames ever parked on this channel
 	drained uint64 // of those, how many left the queue (flushed or discarded)
+	closed  bool   // the channel is gone (CLOSE): its frames are refused
 }
 
 // len is the channel's queued-frame count.
@@ -138,7 +141,6 @@ func newConnWriter(w io.Writer, budget int, onErr func(error)) *connWriter {
 		lowWater: budget / 2,
 		buf:      make([]byte, 0, writerHighWater),
 		spare:    make([]byte, 0, writerHighWater),
-		parked:   map[uint32]*chanQueue{},
 		done:     make(chan struct{}),
 	}
 	cw.cond = sync.NewCond(&cw.mu)
@@ -146,19 +148,32 @@ func newConnWriter(w io.Writer, budget int, onErr func(error)) *connWriter {
 	return cw
 }
 
-// drainedParked reports how many of ch's deferred frames have left its
-// parked queue (flushed onto a batch, or discarded by teardown).
-// Compared against the sequence number frameDeferred returns, it tells
-// a producer whether an earlier deferred frame is still queued — which
-// is what lets optional frames (the server's coalesced block errors)
-// be skipped only while a predecessor genuinely still covers them.
-func (cw *connWriter) drainedParked(ch uint32) uint64 {
+// drainedParked reports how many of q's deferred frames have left it
+// (flushed onto a batch, or discarded). Compared against the sequence
+// number frameDeferred returns, it tells a producer whether an earlier
+// deferred frame is still queued — which is what lets optional frames
+// (the server's coalesced block errors) be skipped only while a
+// predecessor genuinely still covers them.
+func (cw *connWriter) drainedParked(q *chanQueue) uint64 {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	if q := cw.parked[ch]; q != nil {
-		return q.drained
+	return q.drained
+}
+
+// closeQueue retires a channel's queue (CLOSE): its deferred frames are
+// dropped and counted in Dropped, and frameDeferred refuses the
+// channel's later frames, so a completion finishing after the CLOSE
+// ships neither reply nor credit and the writer keeps no trace of it.
+func (cw *connWriter) closeQueue(q *chanQueue) {
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	q.closed = true
+	if n := q.len(); n > 0 {
+		cw.st.Dropped += uint64(n)
+		cw.parkedLen -= n
+		q.frames, q.head = nil, 0
+		cw.rr = slices.DeleteFunc(cw.rr, func(o *chanQueue) bool { return o == q })
 	}
-	return 0
 }
 
 // parkedTotal is the cumulative count of frames ever deferred past the
@@ -252,20 +267,20 @@ func (cw *connWriter) frame(f *frame) bool {
 }
 
 // frameDeferred encodes f onto the current batch if the budget allows,
-// and otherwise parks a detached copy to be appended when the batch
-// drains — it never blocks, making it the only legal producer path on
-// the server's reader-driven demux side (completion callbacks run on
-// the reader or a pool worker). ok is false when the writer is dead.
-// parkedSeq is zero when the frame went straight onto the batch, else
-// the frame's 1-based position in its channel's deferred sequence: the
-// frame has left the queue once drainedParked(f.ch) reaches it. FIFO
-// order within a channel is preserved (once a channel has anything
-// parked, its later frames park behind it — and once anything at all
-// is parked, every later frame parks, keeping the backlog honest);
-// across channels the refill round-robins.
-func (cw *connWriter) frameDeferred(f *frame) (ok bool, parkedSeq uint64) {
+// and otherwise parks a detached copy on q, f's channel queue, to be
+// appended when the batch drains — it never blocks, making it the only
+// legal producer path on the server's reader-driven demux side
+// (completion callbacks run on the reader or a pool worker). ok is
+// false when the writer is dead or q closed. parkedSeq is zero when the
+// frame went straight onto the batch, else the frame's 1-based position
+// in q's deferred sequence: the frame has left the queue once
+// drainedParked(q) reaches it. FIFO order within a channel is preserved
+// (once a channel has anything parked, its later frames park behind it
+// — and once anything at all is parked, every later frame parks,
+// keeping the backlog honest); across channels the refill round-robins.
+func (cw *connWriter) frameDeferred(q *chanQueue, f *frame) (ok bool, parkedSeq uint64) {
 	cw.mu.Lock()
-	if cw.closed {
+	if cw.closed || q.closed {
 		cw.mu.Unlock()
 		return false, 0
 	}
@@ -277,22 +292,14 @@ func (cw *connWriter) frameDeferred(f *frame) (ok bool, parkedSeq uint64) {
 		}
 		return true, 0
 	}
-	// Park a copy that owns its fields: the caller may reuse f (and
-	// its args) — or Release f's slab payload — the moment we return.
+	// Park a copy that owns its payload: the caller may reuse f — or
+	// Release f's slab payload — the moment we return.
 	pf := *f
-	if len(f.args) > 0 {
-		pf.args = append([]int64(nil), f.args...)
-	}
 	if len(f.data) > 0 {
 		pf.data = append([]byte(nil), f.data...)
 	}
-	q := cw.parked[f.ch]
-	if q == nil {
-		q = &chanQueue{}
-		cw.parked[f.ch] = q
-	}
 	if q.len() == 0 {
-		cw.rr = append(cw.rr, f.ch)
+		cw.rr = append(cw.rr, q)
 	}
 	q.frames = append(q.frames, pf)
 	q.issued++
@@ -317,10 +324,9 @@ func (cw *connWriter) frameDeferred(f *frame) (ok bool, parkedSeq uint64) {
 // consumed prefixes are compacted away once they dominate their array.
 func (cw *connWriter) refillLocked() {
 	for cw.parkedLen > 0 && len(cw.buf) < cw.budget {
-		ch := cw.rr[cw.rrHead]
-		cw.rr[cw.rrHead] = 0
+		q := cw.rr[cw.rrHead]
+		cw.rr[cw.rrHead] = nil
 		cw.rrHead++
-		q := cw.parked[ch]
 		cw.appendLocked(&q.frames[q.head])
 		cw.st.Frames-- // appendLocked recounts; the frame was counted when parked
 		q.frames[q.head] = frame{}
@@ -334,7 +340,7 @@ func (cw *connWriter) refillLocked() {
 				q.frames = nil // one burst must not pin the queue's array
 			}
 		} else {
-			cw.rr = append(cw.rr, ch) // still backlogged: back of the rotation
+			cw.rr = append(cw.rr, q) // still backlogged: back of the rotation
 		}
 	}
 	switch {
@@ -349,11 +355,9 @@ func (cw *connWriter) refillLocked() {
 }
 
 // discardParkedLocked empties every channel's deferred queue (counting
-// the frames drained), for the teardown paths; cw.mu must be held. The
-// queue entries themselves stay in the map: their counters answer
-// late drainedParked calls.
+// the frames drained), for the teardown paths; cw.mu must be held.
 func (cw *connWriter) discardParkedLocked() {
-	for _, q := range cw.parked {
+	for _, q := range cw.rr[cw.rrHead:] {
 		q.drained += uint64(q.len())
 		q.frames, q.head = nil, 0
 	}
