@@ -167,8 +167,8 @@
 // k state-machine parks instead of k compensation goroutines. Stats
 // counts FuturesCreated and AwaitParks; TestAwaitSpawnReduction pins
 // the effect and the benchmark reports core.call_future_ns and
-// core.await_parks_per_kop (the remote layer's query pipelining rides
-// the same mechanism).
+// core.await_parks_per_kop (the remote client's query pipelining rides
+// the same futures; the server mints none).
 //
 // The remote layer (internal/remote) extends the private-queue model
 // over sockets with a multiplexed binary transport: one connection
@@ -176,16 +176,16 @@
 // wire channel), frames are a fixed-header/varint codec with zero
 // allocations per message, and each connection is served by exactly
 // one reader and one batching writer goroutine at both ends — the
-// server demultiplexes every channel onto real core.Sessions through
-// the non-blocking futures path. The write path is credit-flow
+// server demultiplexes every channel onto real core.Sessions and logs
+// each request, call, query or sync, as one call whose handler writes
+// the reply itself. The write path is credit-flow
 // controlled, so request logging is bounded as well as non-blocking:
 // each channel holds a request window the server advertises and sizes
 // from the channel's drain rate, the shared writer caps its pending
 // batch at a byte budget, a connection holds a capped number of
 // channels, and a stalled peer therefore pins bounded memory instead
 // of an ever-growing batch. There is one client type (DialMux or
-// NewMux, then Mux.NewSession) and two server options (WriteBudget,
-// IdleTimeout). The
+// NewMux, then Mux.NewSession) and one server option (IdleTimeout). The
 // client-side cost is that the request-logging operations of a
 // RemoteSession — Call, QueryAsync, Query, Sync (and any frame send at
 // the byte budget) — can now park the calling goroutine until the

@@ -148,26 +148,16 @@ func (c *Client) release1(s *Session) {
 	}
 }
 
-// Reserve opens a single-handler separate block without the lexical
+// TryReserve opens a single-handler separate block without the lexical
 // callback shape: it returns the session plus an idempotent release
 // function that logs the END marker (and releases the handler lock in
-// lock-based mode). It exists for message-driven drivers — the remote
-// package's socket-backed private queues — that cannot express a block
-// as one function call. Forgetting to call release wedges the handler
-// exactly as a never-ending separate block would; prefer Separate.
-func (c *Client) Reserve(h *Handler) (*Session, func()) {
-	s, release, err := c.TryReserve(h)
-	if err != nil {
-		panic(err)
-	}
-	return s, release
-}
-
-// TryReserve is Reserve with an error instead of a panic when the
-// runtime is shutting down (ErrShutdown). It exists for the remote
-// demultiplexer, whose connection reader serves many logical clients
-// at once: a reservation racing Shutdown must fail that one channel,
-// not unwind the goroutine every channel shares.
+// lock-based mode). It exists for the remote demultiplexer, whose
+// socket-backed private queues cannot express a block as one function
+// call and whose connection reader serves many logical clients at once:
+// a reservation racing Shutdown fails that one channel with ErrShutdown,
+// not the goroutine every channel shares. Forgetting to call release
+// wedges the handler exactly as a never-ending separate block would;
+// prefer Separate.
 func (c *Client) TryReserve(h *Handler) (*Session, func(), error) {
 	s, err := c.tryReserve1(h)
 	if err != nil {
@@ -333,7 +323,6 @@ func (c *Client) waitForChange(sessions []*Session) {
 	c.unlockMany(sessions)
 	if qoq {
 		c.rt.stats.syncsPerformed.Add(1)
-		c.rt.stats.syncsExecuted.Add(1)
 		first.q.Enqueue(call{kind: callSync})
 	}
 	c.parkWaiting(first)

@@ -134,12 +134,11 @@ func Configs() []Config {
 // Stats is a snapshot of the runtime's instrumentation counters (the
 // "SCOOP-specific instrumentation" the paper's §7 calls for).
 type Stats struct {
-	AsyncCalls     int64 // calls logged via Session.Call
+	AsyncCalls     int64 // calls logged via Session.Call or CallAlways (the latter: every request a remote server logs)
 	RemoteQueries  int64 // packaged queries executed on the handler
 	LocalQueries   int64 // client-side query executions
 	SyncsPerformed int64 // sync round-trips that reached the handler
 	SyncsElided    int64 // syncs skipped by dynamic coalescing
-	SyncsExecuted  int64 // sync barriers issued in total: parking round-trips (SyncNow) plus non-blocking SyncFuture barriers (the remote SYNC path)
 	Reservations   int64 // single-handler separate blocks entered
 	MultiResGroups int64 // multi-handler reservations: SeparateMany blocks, one per SeparateWhen its handler evaluates (one handler, QoQ), else one per SeparateWhen attempt, the handler-made ones included
 	GuardRetries   int64 // wait-condition attempts that ended without effect: a handler-evaluated SeparateWhen's first evaluation if false (re-evaluations in place are not attempts), every false evaluation of a client-evaluated one
@@ -148,7 +147,7 @@ type Stats struct {
 	EndsProcessed  int64 // blocks ended by handlers: END markers, the wait markers of failed guards and guard requests whose first evaluation failed
 
 	// Futures counters.
-	FuturesCreated int64 // futures minted by CallFuture/QueryAsync
+	FuturesCreated int64 // futures minted by CallFuture/QueryAsync (none by a remote server)
 	AwaitParks     int64 // handler state machines parked in the awaiting state
 
 	// Handler state-machine counters, the same with and without a pool.
@@ -177,7 +176,6 @@ type statsCounters struct {
 	localQueries   atomic.Int64
 	syncsPerformed atomic.Int64
 	syncsElided    atomic.Int64
-	syncsExecuted  atomic.Int64
 	reservations   atomic.Int64
 	multiResGroups atomic.Int64
 	guardRetries   atomic.Int64
@@ -197,7 +195,6 @@ func (s *statsCounters) snapshot() Stats {
 		LocalQueries:   s.localQueries.Load(),
 		SyncsPerformed: s.syncsPerformed.Load(),
 		SyncsElided:    s.syncsElided.Load(),
-		SyncsExecuted:  s.syncsExecuted.Load(),
 		Reservations:   s.reservations.Load(),
 		MultiResGroups: s.multiResGroups.Load(),
 		GuardRetries:   s.guardRetries.Load(),

@@ -200,7 +200,10 @@ func TestReserveReleaseIdempotent(t *testing.T) {
 	h := rt.NewHandler("h")
 	c := rt.NewClient()
 	n := 0
-	s, release := c.Reserve(h)
+	s, release, err := c.TryReserve(h)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.Call(func() { n++ })
 	release()
 	release() // second call must be a no-op, not a double END
@@ -216,7 +219,10 @@ func TestReserveLockBasedHoldsHandler(t *testing.T) {
 	defer rt.Shutdown()
 	h := rt.NewHandler("h")
 	c := rt.NewClient()
-	s, release := c.Reserve(h)
+	s, release, err := c.TryReserve(h)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.Call(func() {})
 
 	blocked := make(chan struct{})

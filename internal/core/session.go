@@ -143,7 +143,7 @@ func (s *Session) Call(fn func()) { s.logCall(callCall, fn) }
 // CallAlways logs an asynchronous call that runs even on a poisoned
 // session — the discipline runCont applies to await continuations — for
 // a call that owns something it must give back whatever happened
-// earlier in the block (the remote server's request credit and
+// earlier in the block (the remote server's reply, request credit and
 // payload). fn tells a poisoned session by Err() != nil and skips its
 // work then; a panic in fn poisons the session like a panicking Call.
 func (s *Session) CallAlways(fn func()) { s.logCall(callAlways, fn) }
@@ -196,7 +196,6 @@ func (s *Session) SyncNow() {
 		return
 	}
 	rt.stats.syncsPerformed.Add(1)
-	rt.stats.syncsExecuted.Add(1)
 	var t0 int64
 	if obs.Enabled() {
 		t0 = obs.Now()
@@ -290,20 +289,6 @@ func (s *Session) CallFuture(qfn func() any) *future.Future {
 	s.synced = false
 	s.q.Enqueue(call{kind: callFuture, qfn: qfn, fut: fut})
 	return fut
-}
-
-// SyncFuture logs a non-blocking sync barrier: the returned future
-// resolves (with a nil value) once every previously logged request of
-// this separate block has executed on the handler. It is the
-// demultiplexer's sync — a message-driven client that must not block
-// (the remote server's connection reader) gets the quiescence guarantee
-// of Sync as a completion callback instead of a parked goroutine. The
-// handler does not park at the client's disposal afterwards, so the
-// session is not marked synced; a handler-side panic before the barrier
-// fails the future with the session's *HandlerError.
-func (s *Session) SyncFuture() *future.Future {
-	s.h.rt.stats.syncsExecuted.Add(1)
-	return s.CallFuture(func() any { return nil })
 }
 
 // checkErr surfaces a handler-side panic to the client.

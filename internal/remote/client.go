@@ -510,9 +510,8 @@ func (s *Session) Query(fn string, args ...int64) (int64, error) {
 
 // Sync brings the remote handler to a quiescent point on this block's
 // private queue: when Sync returns, every previously logged call has
-// executed. It is a SYNC frame resolved through the server's
-// non-blocking barrier (core.Session.SyncFuture) and answered by an
-// empty REPLYB.
+// executed. It is a SYNC frame, logged on the server like any request
+// and answered by the handler with an empty REPLYB once it reaches it.
 func (s *Session) Sync() error {
 	f, err := s.rs.pipelined(&frame{kind: fSync, ch: s.rs.ch}, true)
 	if err != nil {

@@ -257,7 +257,7 @@ func TestSlowPeerBoundsServerWriter(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					rt := core.New(m.cfg)
 					srv := NewServer(rt)
-					srv.WriteBudget = budget
+					srv.writeBudget = budget
 					for i := 0; i < sessions; i++ {
 						h := rt.NewHandler("h")
 						c := new(int64)
@@ -604,7 +604,7 @@ func TestCreditWindowThrottlesAdmission(t *testing.T) {
 func TestPoisonErrorsCoalesceUnderBackpressure(t *testing.T) {
 	rt := core.New(core.ConfigAll)
 	srv := NewServer(rt)
-	srv.WriteBudget = 128 // tiny: the first parked frame marks congestion
+	srv.writeBudget = 128 // tiny: the first parked frame marks congestion
 	ln := newPipeListener()
 	go srv.Serve(ln)
 	defer func() {

@@ -13,27 +13,27 @@
 // carries a channel id, so the separate blocks of hundreds of logical
 // clients interleave on one stream while each channel keeps its own
 // private-queue ordering. The server end demultiplexes frames into
-// per-channel core.Session state and drives every reply through the
-// runtime's non-blocking futures path, so one reader goroutine and one
+// per-channel core.Session state, so one reader goroutine and one
 // writer goroutine serve all the channels of a connection — no
 // goroutine per logical client anywhere.
 //
 // Because the reader goroutine serves every channel, nothing it does
 // may block: reservations use the queue-of-queues (the server requires
-// a QoQ configuration), queries are logged with core.Session.CallFuture
-// and replied to from completion callbacks, and sync handshakes ride
-// core.Session.SyncFuture. All replies are id-tagged and may resolve in
-// any order; per-block ordering comes from the handler executing each
-// private queue in order, exactly as for local clients.
+// a QoQ configuration), and every request — call, query or sync — is
+// logged as one asynchronous call that the handler runs and, for a
+// query or sync, answers by writing the reply itself. Replies are
+// id-tagged and may resolve in any order across channels; per-block
+// ordering comes from the handler executing each private queue in
+// order, exactly as for local clients.
 //
 // # Flow control
 //
 // The write path is bounded on both ends. Each connection's batching
 // writer caps its pending batch at a soft byte budget: client-side
 // producers park at the cap until the batch drains below low water,
-// while server-side completion callbacks (which must never block)
-// defer their reply inside the writer instead. On top of the budget,
-// every channel carries a credit window — advertised by the server
+// while server-side handlers answering requests (which must never
+// block) defer their reply inside the writer instead. On top of the
+// budget, every channel carries a credit window — advertised by the server
 // with a CREDIT frame when the channel first appears, consumed one
 // credit per logged request, replenished in batches as requests
 // complete — so the server's deferred replies are bounded by

@@ -6,10 +6,12 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"scoopqs/internal/core"
+	"scoopqs/internal/future"
 )
 
 // The request kinds — the frames that consume a credit — and the int
@@ -553,20 +555,10 @@ func TestChannelCapBoundsOpenChannels(t *testing.T) {
 	}
 }
 
-// TestPanickingCallGivesBackCreditAndPayload pins that every admitted
-// call returns its credit and its payload on every path. A panicking
-// call unwound past both, and the calls after it in its poisoned block
-// never ran, so 128 blocks of {panicking CallBytes, CallBytes} wedged
-// the channel at its initial window with a slab pinned. Poisoning
-// itself stays: a later query in such a block reports the panic.
-func TestPanickingCallGivesBackCreditAndPayload(t *testing.T) {
-	base := takeLeakBaseline()
-	rt := core.New(core.ConfigAll.WithWorkers(2))
-	srv := NewServer(rt)
-	srv.ExposeBytes("svc", rt.NewHandler("svc"), map[string]BytesProc{
-		"boom": func([]byte) []byte { panic("boom") },
-		"ok":   func([]byte) []byte { return nil },
-	})
+// startMuxServer serves srv on a loopback listener and dials one Mux
+// to it.
+func startMuxServer(t *testing.T, srv *Server) *Mux {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -576,47 +568,166 @@ func TestPanickingCallGivesBackCreditAndPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := mux.NewSession()
+	return mux
+}
 
-	const blocks = 2000
-	payload := make([]byte, 100)
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < blocks; i++ {
-			err := rs.Separate("svc", func(s *Session) error {
-				if err := s.CallBytes("boom", payload); err != nil {
-					return err
-				}
-				return s.CallBytes("ok", payload)
+// TestPanickingCallGivesBackCreditAndPayload pins that every admitted
+// request returns its credit and its payload on every path, whichever
+// kind panicked. A panicking call once unwound past both, and the calls
+// after it in its poisoned block never ran, so 128 blocks of
+// {panicking CallBytes, CallBytes} wedged the channel at its initial
+// window with a slab pinned. Poisoning itself stays: after a panicking
+// call or query the block's later calls do not run, and its later
+// queries and syncs fail with the same text a panicking query gets.
+func TestPanickingCallGivesBackCreditAndPayload(t *testing.T) {
+	const want = `remote: server: scoopqs: panic on handler "svc": boom`
+	for _, k := range []struct {
+		name string
+		kind frameKind // of the request that panics
+	}{{"CALLB", fCallB}, {"QUERYB", fQueryB}} {
+		t.Run(k.name, func(t *testing.T) {
+			base := takeLeakBaseline()
+			rt := core.New(core.ConfigAll.WithWorkers(2))
+			srv := NewServer(rt)
+			var late atomic.Int64 // calls that ran behind a panic in their block
+			srv.ExposeBytes("svc", rt.NewHandler("svc"), map[string]BytesProc{
+				"boom": func([]byte) []byte { panic("boom") },
+				"ok":   func([]byte) []byte { return nil },
+				"late": func([]byte) []byte { late.Add(1); return nil },
 			})
-			if err != nil {
-				done <- err
-				return
+			mux := startMuxServer(t, srv)
+			rs := mux.NewSession()
+
+			const blocks = 2000
+			payload := make([]byte, 100)
+			done := make(chan error, 1)
+			go func() {
+				for i := 0; i < blocks; i++ {
+					err := rs.Separate("svc", func(s *Session) error {
+						var futs []*future.Future
+						if k.kind == fCallB {
+							if err := s.CallBytes("boom", payload); err != nil {
+								return err
+							}
+						} else {
+							f, err := s.QueryBytesAsync("boom", payload)
+							if err != nil {
+								return err
+							}
+							futs = append(futs, f)
+						}
+						if err := s.CallBytes("late", payload); err != nil {
+							return err
+						}
+						f, err := s.QueryBytesAsync("ok", payload)
+						if err != nil {
+							return err
+						}
+						errs := []error{s.Sync()}
+						for _, f := range append(futs, f) {
+							_, err := rs.AwaitBytes(f)
+							errs = append(errs, err)
+						}
+						for _, err := range errs {
+							if err == nil || err.Error() != want {
+								return fmt.Errorf("block %d: err = %v, want %q", i, err, want)
+							}
+						}
+						return nil
+					})
+					if err != nil {
+						done <- err
+						return
+					}
+				}
+				done <- nil
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(20 * time.Second):
+				st := srv.Stats()
+				t.Fatalf("wedged: BytesIn %d, CreditsGranted %d, SlabsInUse %d", st.BytesIn, st.CreditsGranted, st.SlabsInUse)
 			}
-		}
-		done <- rs.Separate("svc", func(s *Session) error {
-			if err := s.CallBytes("boom", payload); err != nil {
-				return err
+			if n := late.Load(); n != 0 {
+				t.Fatalf("%d calls ran behind a panic in their block, want 0", n)
 			}
-			if _, err := s.QueryBytes("ok", payload); err == nil || !strings.Contains(err.Error(), "panic on handler") {
-				return fmt.Errorf("query after a panicking call: err = %v, want the handler panic", err)
+			mux.Close()
+			srv.Close()
+			if err := base.settle(rt); err != nil {
+				t.Fatal(err)
 			}
-			return nil
 		})
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(20 * time.Second):
-		st := srv.Stats()
-		t.Fatalf("wedged: BytesIn %d, CreditsGranted %d, SlabsInUse %d", st.BytesIn, st.CreditsGranted, st.SlabsInUse)
 	}
-	mux.Close()
-	srv.Close()
-	if err := base.settle(rt); err != nil {
-		t.Fatal(err)
+}
+
+// TestServerRequestsMintNoFutures pins that the server answers from the
+// handler: every request of every kind — CALLB, QUERYB, SYNC and the int
+// veneer's calls and queries — is one asynchronous call on the server
+// runtime, and none of them mints a future.
+func TestServerRequestsMintNoFutures(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			base := takeLeakBaseline()
+			rt := core.New(core.ConfigAll.WithWorkers(workers))
+			srv := NewServer(rt)
+			h := rt.NewHandler("svc")
+			srv.ExposeBytes("svc", h, map[string]BytesProc{"echo": func(p []byte) []byte { return p }})
+			srv.Expose("svc", h, map[string]Proc{"inc": func(a []int64) int64 { return a[0] + 1 }})
+			mux := startMuxServer(t, srv)
+			rs := mux.NewSession()
+
+			const blocks = 200
+			const perBlock = 5 // CALLB, QUERYB, int call, int query, SYNC
+			payload := []byte("payload")
+			for i := 0; i < blocks; i++ {
+				err := rs.Separate("svc", func(s *Session) error {
+					if err := s.CallBytes("echo", payload); err != nil {
+						return err
+					}
+					qb, err := s.QueryBytesAsync("echo", payload)
+					if err != nil {
+						return err
+					}
+					if err := s.Call("inc", int64(i)); err != nil {
+						return err
+					}
+					q, err := s.QueryAsync("inc", int64(i))
+					if err != nil {
+						return err
+					}
+					if err := s.Sync(); err != nil {
+						return err
+					}
+					out, err := rs.AwaitBytes(qb)
+					if err != nil || !bytes.Equal(out, payload) {
+						return fmt.Errorf("QUERYB echo = %q, %v", out, err)
+					}
+					Release(out)
+					if v, err := rs.Await(q); err != nil || v != int64(i)+1 {
+						return fmt.Errorf("int query = %d, %v; want %d", v, err, i+1)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := rt.Stats()
+			if st.FuturesCreated != 0 {
+				t.Fatalf("server runtime minted %d futures for %d requests, want 0", st.FuturesCreated, blocks*perBlock)
+			}
+			if st.AsyncCalls != blocks*perBlock {
+				t.Fatalf("AsyncCalls = %d, want one per request (%d)", st.AsyncCalls, blocks*perBlock)
+			}
+			mux.Close()
+			srv.Close()
+			if err := base.settle(rt); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -630,7 +741,7 @@ func TestCloseDropsChannelFromWriter(t *testing.T) {
 	base := takeLeakBaseline()
 	rt := core.New(core.ConfigAll)
 	srv := NewServer(rt)
-	srv.WriteBudget = 64 // full after a dozen advertisements
+	srv.writeBudget = 64 // full after a dozen advertisements
 	srv.Expose("h", rt.NewHandler("h"), map[string]Proc{"p": func([]int64) int64 { return 0 }})
 	ln := newPipeListener()
 	go srv.Serve(ln)

@@ -40,12 +40,13 @@ type BytesProc func(payload []byte) []byte
 //
 // Nothing on the reader path may block — that is what lets one
 // goroutine serve hundreds of channels — so the server requires a
-// runtime with QoQ reservations (non-blocking enqueues) and drives
-// every query and sync through the non-blocking futures path; replies
-// are shipped from completion callbacks.
+// runtime with QoQ reservations (non-blocking enqueues) and logs every
+// request, call, query or sync alike, as one asynchronous call on the
+// channel's session: the handler runs it in private-queue order and,
+// for a query or sync, writes the reply itself.
 //
 // The write path is bounded end to end. The writer's pending batch is
-// capped at WriteBudget bytes; replies that do not fit are deferred
+// capped at a byte budget; replies that do not fit are deferred
 // inside the writer until the batch drains, and the deferred backlog
 // is in turn bounded by the per-channel credit window: the server
 // advertises credits when a channel first appears, each admitted
@@ -58,11 +59,8 @@ type BytesProc func(payload []byte) []byte
 // quarantined: its handler is released, its frames are dropped, and
 // the connection's other channels carry on untouched.
 type Server struct {
-	rt *core.Runtime
-
-	// WriteBudget is the byte cap on each connection writer's pending
-	// batch; 0 selects the default. Set before Serve.
-	WriteBudget int
+	rt          *core.Runtime
+	writeBudget int // each connection writer's batch cap; 0 = defaultWriteBudget (tests shrink it)
 
 	// IdleTimeout, when positive, arms a read deadline on every
 	// connection with a channel holding a reservation hostage — a block
@@ -258,7 +256,7 @@ type svChan struct {
 	// outstanding counts admitted-but-uncompleted requests (the credit
 	// window in use); pendGrant accumulates completions awaiting a
 	// batched CREDIT replenishment. Both are touched by the reader and
-	// by completion callbacks on handler/pool goroutines.
+	// by requests completing on handler/pool goroutines.
 	outstanding atomic.Int64
 	pendGrant   atomic.Int64
 
@@ -270,7 +268,7 @@ type svChan struct {
 
 	// quarantined marks a channel that overran its window: its frames
 	// are dropped without reply or credit (set by the reader, read by
-	// completion callbacks).
+	// completing requests).
 	quarantined atomic.Bool
 
 	// Window-controller state, all under amu (the controller runs on
@@ -304,7 +302,7 @@ type svChan struct {
 func (sc *svChan) open() bool { return sc.sess != nil || sc.errmsg != "" }
 
 // serverConn is the per-connection demultiplexer state shared by the
-// reader and the completion callbacks it arms.
+// reader and the requests it logs.
 type serverConn struct {
 	s     *Server
 	cw    *connWriter
@@ -329,9 +327,9 @@ func (c *serverConn) newChan(ch uint32) *svChan {
 // serveConn demultiplexes one connection's frames onto local sessions.
 func (s *Server) serveConn(conn net.Conn) {
 	// A reply-write failure closes the connection so the reader
-	// unwedges; completion callbacks keep feeding the writer harmlessly
-	// (dead writers drop frames).
-	cw := newConnWriter(conn, s.WriteBudget, func(error) { conn.Close() })
+	// unwedges; handlers still running requests keep feeding the writer
+	// harmlessly (dead writers drop frames).
+	cw := newConnWriter(conn, s.writeBudget, func(error) { conn.Close() })
 	s.mu.Lock()
 	s.writers[cw] = struct{}{}
 	s.mu.Unlock()
@@ -414,7 +412,7 @@ func (c *serverConn) busy() bool {
 
 // reply ships a REPLYB (or, for a non-nil err, an ERROR) for (ch, id)
 // through the batching writer, deferring past the byte budget — never
-// blocking, since it runs on the reader or a completion callback. The
+// blocking, since it runs on the reader or inside a request. The
 // payload is either encoded into the batch before this returns or
 // parked as a deep copy (frameDeferred detaches data), so the caller
 // may release whatever out aliases immediately afterwards.
@@ -581,9 +579,9 @@ func (c *serverConn) handleFrame(f *frame) bool {
 // request is the one path of the three credit-consuming kinds (CALLB,
 // QUERYB, SYNC): checked against the block bracket, charged to the
 // window, failed right here on the reader if the block is poisoned or
-// the procedure unknown, and only then logged onto the session in the
-// kind's own way. Every path releases the request's payload and, unless
-// the channel was quarantined, returns its credit.
+// the procedure unknown, and only then logged onto the session as one
+// call. Every path releases the request's payload and, unless the
+// channel was quarantined, returns its credit.
 func (c *serverConn) request(sc *svChan, f *frame) bool {
 	if sc == nil || !sc.open() {
 		Release(f.data)
@@ -597,9 +595,10 @@ func (c *serverConn) request(sc *svChan, f *frame) bool {
 		c.quarantine(sc, f.ch) // client overran its credit window
 		return true
 	}
-	msg := sc.errmsg
-	proc := sc.procs[f.name]
-	if msg == "" && proc == nil && f.kind != fSync {
+	msg, proc := sc.errmsg, sc.procs[f.name]
+	if f.kind == fSync {
+		proc = nil // a barrier runs nothing (its frame names no procedure)
+	} else if msg == "" && proc == nil {
 		msg = fmt.Sprintf("unknown procedure %q", f.name)
 		if f.kind == fCallB {
 			// No reply to carry it: poison the block, and the error
@@ -617,48 +616,35 @@ func (c *serverConn) request(sc *svChan, f *frame) bool {
 		return true
 	}
 
-	// Logged from here on. The closures capture copies of what they need
-	// from f — the reader reuses it for the next frame; the payload is a
-	// slab sub-slice with its own reference, so it stays valid after the
-	// reader decodes the next frame — and the credit comes back from the
-	// completion, after the reply: a replenished client's next request
-	// can never observe the connection before its predecessor's reply
-	// was accepted.
-	ch, id, payload, sess := f.ch, f.id, f.data, sc.sess
-	switch f.kind {
-	case fCallB:
-		// CallAlways: the call runs even on a session an earlier call of
-		// the block poisoned — skipping the proc then — and the deferred
-		// release runs past a panicking proc, so the payload and the
-		// credit come back on every path.
-		sess.CallAlways(func() {
-			defer c.done(sc, ch, payload)
-			if sess.Err() == nil {
-				proc(payload)
+	// Logged from here on, as one call run in private-queue order (all a
+	// reply needs to keep the block's order), capturing copies from f,
+	// which the reader reuses. CallAlways runs even on a poisoned session:
+	// the proc is skipped, a query or sync answers the session's error. A
+	// panicking proc is answered with core's *HandlerError, then re-raised
+	// so core poisons the session. The reply goes out before the payload
+	// is released (the return may alias it), and the credit comes back
+	// last: a replenished client's next request never overtakes the reply.
+	kind, ch, id, payload, sess := f.kind, f.ch, f.id, f.data, sc.sess
+	sess.CallAlways(func() {
+		var out []byte
+		err := sess.Err()
+		defer func() {
+			r := recover()
+			if r != nil {
+				err = &core.HandlerError{Handler: sess.Handler().Name(), Value: r}
 			}
-		})
-
-	case fQueryB:
-		// The non-blocking path: log the query as a future and keep
-		// demultiplexing; the completion callback runs on the handler
-		// (or pool worker) that resolves it and ships the reply from
-		// there through the shared batching writer. The reply is encoded
-		// (or parked as a deep copy) BEFORE the request payload is
-		// released, because the proc's return may alias the request (an
-		// echo, a sub-slice).
-		sess.CallFuture(func() any { return proc(payload) }).
-			OnComplete(func(v any, err error) {
-				out, _ := v.([]byte)
+			if kind != fCallB {
 				c.reply(sc, ch, id, out, err)
-				c.done(sc, ch, payload)
-			})
-
-	case fSync:
-		sess.SyncFuture().OnComplete(func(_ any, err error) {
-			c.reply(sc, ch, id, nil, err)
-			c.credit(sc, ch)
-		})
-	}
+			}
+			c.done(sc, ch, payload)
+			if r != nil {
+				panic(r)
+			}
+		}()
+		if err == nil && proc != nil {
+			out = proc(payload)
+		}
+	})
 	return true
 }
 

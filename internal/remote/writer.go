@@ -52,8 +52,8 @@ func (s *writerStats) fold(o writerStats) {
 }
 
 // connWriter is the single writer goroutine of a connection: every
-// producer — a logical client logging requests, a handler's completion
-// callback shipping a reply — hands its frame to an in-memory batch
+// producer — a logical client logging requests, a handler answering
+// one — hands its frame to an in-memory batch
 // under a short mutex, and the goroutine flushes the batch with one
 // conn.Write.
 //
@@ -75,8 +75,8 @@ func (s *writerStats) fold(o writerStats) {
 //     pressure only.
 //   - frameDeferred (non-blocking, server side): the frame is moved to
 //     a per-channel parked queue and appended once the batch drains.
-//     The caller — a completion callback on the reader or a pool
-//     worker — never blocks, which the demux path requires. Parked
+//     The caller — the reader, or a handler running a request —
+//     never blocks, which the demux path requires. Parked
 //     frames are bounded by the credit window (one reply per admitted
 //     request), not by this writer.
 //
@@ -162,7 +162,7 @@ func (cw *connWriter) drainedParked(q *chanQueue) uint64 {
 
 // closeQueue retires a channel's queue (CLOSE): its deferred frames are
 // dropped and counted in Dropped, and frameDeferred refuses the
-// channel's later frames, so a completion finishing after the CLOSE
+// channel's later frames, so a request finishing after the CLOSE
 // ships neither reply nor credit and the writer keeps no trace of it.
 func (cw *connWriter) closeQueue(q *chanQueue) {
 	cw.mu.Lock()
@@ -231,7 +231,7 @@ func (cw *connWriter) takeDrainersLocked() *future.Future {
 // (write failure, or close/kill) — the frame is dropped then, which is
 // correct for both ends: a dead connection delivers nothing either
 // way. This is the client-side producer path; it may block, so it must
-// never run on a reader goroutine or inside a completion callback.
+// never run on a reader goroutine or on a server handler.
 func (cw *connWriter) frame(f *frame) bool {
 	for {
 		cw.mu.Lock()
@@ -270,7 +270,7 @@ func (cw *connWriter) frame(f *frame) bool {
 // and otherwise parks a detached copy on q, f's channel queue, to be
 // appended when the batch drains — it never blocks, making it the only
 // legal producer path on the server's reader-driven demux side
-// (completion callbacks run on the reader or a pool worker). ok is
+// (replies are written by the handler running the request). ok is
 // false when the writer is dead or q closed. parkedSeq is zero when the
 // frame went straight onto the batch, else the frame's 1-based position
 // in q's deferred sequence: the frame has left the queue once

@@ -155,8 +155,8 @@ type Executor struct {
 	// injCount mirrors the injector's length so sweeps can skip the
 	// mutex when it is empty.
 	injCount atomic.Int64
-	stopping  atomic.Bool // mirror of stopped for lock-free fast paths
-	seq       uint64      // worker seed counter, mu-guarded
+	stopping atomic.Bool // mirror of stopped for lock-free fast paths
+	seq      uint64      // worker seed counter, mu-guarded
 
 	spawns      atomic.Int64 // compensation workers spawned
 	workerParks atomic.Int64 // times a worker went idle
@@ -165,9 +165,9 @@ type Executor struct {
 	localPushes atomic.Int64 // tasks pushed onto a local deque
 
 	// Fork-join counters (see task.go).
-	tasksSpawned  atomic.Int64 // TaskGroup.Spawn calls
-	taskSteals    atomic.Int64 // fork-join tasks taken from another worker
-	taskWaitParks atomic.Int64 // TaskGroup.Wait parks after helping found nothing
+	tasksSpawned  atomic.Int64  // TaskGroup.Spawn calls
+	taskSteals    atomic.Int64  // fork-join tasks taken from another worker
+	taskWaitParks atomic.Int64  // TaskGroup.Wait parks after helping found nothing
 	helpSeq       atomic.Uint64 // victim rotation for worker-less helpers
 }
 
