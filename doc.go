@@ -178,7 +178,9 @@
 // one reader and one batching writer goroutine at both ends — the
 // server demultiplexes every channel onto real core.Sessions and logs
 // each request, call, query or sync, as one call whose handler writes
-// the reply itself. The write path is credit-flow
+// the reply itself; in steady state the server allocates nothing per
+// request (pooled request records, recycled payload slabs, replies
+// encoded into the writer's batch). The write path is credit-flow
 // controlled, so request logging is bounded as well as non-blocking:
 // each channel holds a request window the server advertises and sizes
 // from the channel's drain rate, the shared writer caps its pending

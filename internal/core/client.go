@@ -104,12 +104,22 @@ func (c *Client) session(h *Handler) *Session {
 	return s
 }
 
-// tryReserve1 registers the client's private queue with the handler
-// (the separate rule). In QoQ mode this is a non-blocking enqueue into
-// the queue-of-queues; in lock-based mode the client first takes the
-// handler's lock and holds it until the block ends (Fig. 2 semantics:
-// other clients wait until it is finished). Fails with ErrShutdown.
-func (c *Client) tryReserve1(h *Handler) (*Session, error) {
+// TryReserve opens a single-handler separate block without the lexical
+// callback shape (the separate rule): it registers the client's private
+// queue with the handler and returns it. In QoQ mode this is a
+// non-blocking enqueue into the queue-of-queues; in lock-based mode the
+// client first takes the handler's lock and holds it until End (Fig. 2
+// semantics: other clients wait until it is finished). It fails with
+// ErrShutdown, and then nothing is reserved.
+//
+// It exists for the remote demultiplexer, whose socket-backed private
+// queues cannot express a block as one function call and whose
+// connection reader serves many logical clients at once: a reservation
+// racing Shutdown fails that one channel, not the goroutine every
+// channel shares. Every successful TryReserve must be matched by
+// exactly one End; forgetting it wedges the handler exactly as a
+// never-ending separate block would. Prefer Separate.
+func (c *Client) TryReserve(h *Handler) (*Session, error) {
 	if !c.rt.cfg.QoQ {
 		c.lockHandler(h)
 	}
@@ -139,38 +149,14 @@ func (c *Client) lockHandler(h *Handler) {
 	c.blockEnd()
 }
 
-// release1 ends the separate block: log END and, in lock-based mode,
-// give up the handler lock.
-func (c *Client) release1(s *Session) {
+// End ends the block TryReserve opened on s: it logs the END marker
+// and, in lock-based mode, gives up the handler lock. Call it once per
+// reservation; s belongs to the client's cache again afterwards.
+func (c *Client) End(s *Session) {
 	s.end()
 	if !c.rt.cfg.QoQ {
 		s.h.resMu.Unlock()
 	}
-}
-
-// TryReserve opens a single-handler separate block without the lexical
-// callback shape: it returns the session plus an idempotent release
-// function that logs the END marker (and releases the handler lock in
-// lock-based mode). It exists for the remote demultiplexer, whose
-// socket-backed private queues cannot express a block as one function
-// call and whose connection reader serves many logical clients at once:
-// a reservation racing Shutdown fails that one channel with ErrShutdown,
-// not the goroutine every channel shares. Forgetting to call release
-// wedges the handler exactly as a never-ending separate block would;
-// prefer Separate.
-func (c *Client) TryReserve(h *Handler) (*Session, func(), error) {
-	s, err := c.tryReserve1(h)
-	if err != nil {
-		return nil, nil, err
-	}
-	released := false
-	return s, func() {
-		if released {
-			return
-		}
-		released = true
-		c.release1(s)
-	}, nil
 }
 
 // Separate runs body within a single-handler separate block:
@@ -182,11 +168,11 @@ func (c *Client) TryReserve(h *Handler) (*Session, func(), error) {
 // blocks in QoQ mode. If body panics the block is still terminated
 // correctly before the panic propagates.
 func (c *Client) Separate(h *Handler, body func(*Session)) {
-	s, err := c.tryReserve1(h)
+	s, err := c.TryReserve(h)
 	if err != nil {
 		panic(err)
 	}
-	defer c.release1(s)
+	defer c.End(s)
 	body(s)
 }
 

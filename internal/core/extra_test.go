@@ -194,24 +194,32 @@ func TestQuickCounterMatchesSequentialModel(t *testing.T) {
 	}
 }
 
-func TestReserveReleaseIdempotent(t *testing.T) {
+func TestTryReserveEnd(t *testing.T) {
 	rt := New(ConfigAll)
 	defer rt.Shutdown()
 	h := rt.NewHandler("h")
 	c := rt.NewClient()
 	n := 0
-	s, release, err := c.TryReserve(h)
+	s, err := c.TryReserve(h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Call(func() { n++ })
-	release()
-	release() // second call must be a no-op, not a double END
+	c.End(s)
+	// The ended session is the client's cached queue again: the next
+	// block reuses it and observes the first block's call.
 	c.Separate(h, func(s2 *Session) {
+		if s2 != s {
+			t.Fatal("block after End did not reuse the cached session")
+		}
 		if got := Query(s2, func() int { return n }); got != 1 {
 			t.Fatalf("n = %d, want 1", got)
 		}
 	})
+	rt.Shutdown()
+	if _, err := c.TryReserve(h); err != ErrShutdown {
+		t.Fatalf("TryReserve after Shutdown = %v, want ErrShutdown", err)
+	}
 }
 
 func TestReserveLockBasedHoldsHandler(t *testing.T) {
@@ -219,7 +227,7 @@ func TestReserveLockBasedHoldsHandler(t *testing.T) {
 	defer rt.Shutdown()
 	h := rt.NewHandler("h")
 	c := rt.NewClient()
-	s, release, err := c.TryReserve(h)
+	s, err := c.TryReserve(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +244,11 @@ func TestReserveLockBasedHoldsHandler(t *testing.T) {
 		t.Fatal("lock-based reservation did not exclude the second client")
 	case <-time.After(50 * time.Millisecond):
 	}
-	release()
+	c.End(s)
 	select {
 	case <-blocked:
 	case <-time.After(5 * time.Second):
-		t.Fatal("release did not let the second client in")
+		t.Fatal("End did not let the second client in")
 	}
 }
 

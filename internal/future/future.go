@@ -12,6 +12,12 @@
 // select loops, or an OnComplete callback for continuation-passing
 // (the shape the M:N executor uses to reschedule an awaiting handler).
 //
+// A future costs one allocation, the cell itself, until somebody waits
+// on it: the Done channel is made on demand, by Done or by a Get on a
+// pending future, and the first OnComplete callback is held in the
+// cell. A future resolved through callbacks alone, or read with TryGet
+// after resolution, never makes a channel.
+//
 // The package is deliberately dependency-free: core and remote both
 // build on it, and it knows about neither.
 package future
@@ -20,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrNone is the failure of combinators invoked with no futures.
@@ -38,11 +45,18 @@ func (e *PanicError) Error() string {
 // use New (or Completed/Failed for pre-resolved cells). All methods are
 // safe for concurrent use by any number of goroutines.
 type Future struct {
-	mu   sync.Mutex
-	done chan struct{} // closed on completion
-	val  any
-	err  error
-	cbs  []func(v any, err error) // pending callbacks, nil once run
+	mu sync.Mutex
+	// resolved is set, under mu, once val and err hold the result; read
+	// without mu it answers TryGet, Get's fast path and first-wins.
+	resolved atomic.Bool
+	done     chan struct{} // made on demand (Done, or Get while pending); closed on resolution
+	val      any
+	err      error
+	// cb is the first pending callback and more the later ones, in
+	// registration order; both nil once run. A lone callback, the common
+	// case, costs no slice.
+	cb   func(v any, err error)
+	more *[]func(v any, err error)
 
 	// origin is an opaque provenance tag (core stores the handler whose
 	// session will resolve the future). Then/Map copy it to derived
@@ -52,9 +66,17 @@ type Future struct {
 	origin any
 }
 
+// closedDone is what Done returns once the future has resolved without
+// anybody having asked for its channel before.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // New returns an incomplete future.
 func New() *Future {
-	return &Future{done: make(chan struct{})}
+	return &Future{}
 }
 
 // Completed returns a future already resolved with v.
@@ -79,33 +101,35 @@ func (f *Future) Complete(v any) bool { return f.resolve(v, nil) }
 // the resolution.
 func (f *Future) Fail(err error) bool { return f.resolve(nil, err) }
 
-// resolve installs the result (first caller wins), closes Done, and
-// runs the callbacks registered so far, in registration order, on the
-// calling goroutine.
+// resolve installs the result (first caller wins), closes Done if
+// anybody made it, and runs the callbacks registered so far, in
+// registration order, on the calling goroutine.
 func (f *Future) resolve(v any, err error) bool {
+	if f.resolved.Load() {
+		return false
+	}
 	f.mu.Lock()
-	if f.isDoneLocked() {
+	if f.resolved.Load() {
 		f.mu.Unlock()
 		return false
 	}
 	f.val, f.err = v, err
-	cbs := f.cbs
-	f.cbs = nil
-	close(f.done)
+	f.resolved.Store(true)
+	cb, more := f.cb, f.more
+	f.cb, f.more = nil, nil
+	if f.done != nil {
+		close(f.done)
+	}
 	f.mu.Unlock()
-	for _, cb := range cbs {
+	if cb != nil {
 		cb(v, err)
 	}
-	return true
-}
-
-func (f *Future) isDoneLocked() bool {
-	select {
-	case <-f.done:
-		return true
-	default:
-		return false
+	if more != nil {
+		for _, fn := range *more {
+			fn(v, err)
+		}
 	}
+	return true
 }
 
 // SetOrigin records an opaque provenance tag on the future. The
@@ -127,23 +151,37 @@ func (f *Future) Origin() any {
 }
 
 // Done returns a channel closed when the future resolves. It is the
-// select-friendly view of completion.
-func (f *Future) Done() <-chan struct{} { return f.done }
+// select-friendly view of completion. The channel is made by the first
+// call on a pending future; called after resolution, Done returns an
+// already-closed channel shared by every resolved future.
+func (f *Future) Done() <-chan struct{} {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.done == nil {
+		if f.resolved.Load() {
+			return closedDone
+		}
+		f.done = make(chan struct{})
+	}
+	return f.done
+}
 
 // TryGet reports the result without blocking. ok is false while the
 // future is incomplete.
 func (f *Future) TryGet() (v any, err error, ok bool) {
-	select {
-	case <-f.done:
-		return f.val, f.err, true
-	default:
+	if !f.resolved.Load() {
 		return nil, nil, false
 	}
+	return f.val, f.err, true
 }
 
-// Get blocks until the future resolves and returns its result.
+// Get blocks until the future resolves and returns its result. Only a
+// Get that finds the future pending makes (through Done) the channel it
+// waits on.
 func (f *Future) Get() (any, error) {
-	<-f.done
+	if !f.resolved.Load() {
+		<-f.Done()
+	}
 	return f.val, f.err
 }
 
@@ -166,14 +204,20 @@ func (f *Future) Await() any {
 // resolvers (handlers, the executor's wake path) call it inline.
 func (f *Future) OnComplete(fn func(v any, err error)) {
 	f.mu.Lock()
-	if !f.isDoneLocked() {
-		f.cbs = append(f.cbs, fn)
+	if !f.resolved.Load() {
+		switch {
+		case f.cb == nil:
+			f.cb = fn
+		case f.more == nil:
+			f.more = &[]func(v any, err error){fn}
+		default:
+			*f.more = append(*f.more, fn)
+		}
 		f.mu.Unlock()
 		return
 	}
-	v, err := f.val, f.err
 	f.mu.Unlock()
-	fn(v, err)
+	fn(f.val, f.err)
 }
 
 // Then returns a future resolved with fn applied to this future's

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestCompleteAndGet(t *testing.T) {
@@ -49,6 +50,57 @@ func TestDoneChannel(t *testing.T) {
 	case <-f.Done():
 	case <-time.After(time.Second):
 		t.Fatal("Done not closed after completion")
+	}
+}
+
+// A future resolved before anybody asked for its channel has none; Done
+// must still read as closed, and Get/TryGet must see the value.
+func TestDoneAfterResolve(t *testing.T) {
+	viaCallback := New()
+	viaCallback.OnComplete(func(any, error) {})
+	viaCallback.Complete(5)
+	for _, f := range []*Future{Completed(5), viaCallback} {
+		select {
+		case <-f.Done():
+		default:
+			t.Fatal("Done of a resolved future is not closed")
+		}
+		if v, err, ok := f.TryGet(); !ok || err != nil || v.(int) != 5 {
+			t.Fatalf("TryGet = %v, %v, %v", v, err, ok)
+		}
+		if v, err := f.Get(); err != nil || v.(int) != 5 {
+			t.Fatalf("Get = %v, %v", v, err)
+		}
+	}
+}
+
+// The callback path a remote caller takes — New, one OnComplete,
+// Complete — costs the cell and nothing else: no channel nobody waits
+// on, no slice for a lone callback.
+func TestFutureCallbackPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are pinned for the non-race build")
+	}
+	var n int
+	cb := func(any, error) { n++ }
+	allocs := testing.AllocsPerRun(1000, func() {
+		f := New()
+		f.OnComplete(cb)
+		f.Complete(nil)
+	})
+	if allocs != 1 {
+		t.Fatalf("New+OnComplete+Complete = %.1f allocs, want 1", allocs)
+	}
+	if n == 0 {
+		t.Fatal("callback never ran")
+	}
+}
+
+// Future stays in the 96-byte size class: the lazy channel and the
+// inline first callback must not grow it.
+func TestFutureSize(t *testing.T) {
+	if got := unsafe.Sizeof(Future{}); got > 96 {
+		t.Fatalf("sizeof(Future) = %d, want <= 96", got)
 	}
 }
 
@@ -173,9 +225,10 @@ func TestAny(t *testing.T) {
 }
 
 // TestConcurrentResolution hammers a future from many goroutines; with
-// -race this checks the first-wins protocol and callback publication.
+// -race this checks the first-wins protocol, callback publication, and
+// the on-demand Done channel made by waiters while resolvers close it.
 func TestConcurrentResolution(t *testing.T) {
-	const goroutines = 16
+	const goroutines = 20
 	for iter := 0; iter < 200; iter++ {
 		f := New()
 		var wins, cbs atomic.Int64
@@ -185,7 +238,7 @@ func TestConcurrentResolution(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				switch g % 3 {
+				switch g % 5 {
 				case 0:
 					if f.Complete(g) {
 						wins.Add(1)
@@ -194,8 +247,17 @@ func TestConcurrentResolution(t *testing.T) {
 					if f.Fail(fmt.Errorf("err %d", g)) {
 						wins.Add(1)
 					}
-				default:
+				case 2:
 					f.OnComplete(func(any, error) { cbs.Add(1) })
+				case 3:
+					if v, err := f.Get(); v == nil && err == nil {
+						t.Error("Get returned before resolution")
+					}
+				default:
+					<-f.Done()
+					if _, _, ok := f.TryGet(); !ok {
+						t.Error("Done closed before resolution")
+					}
 				}
 			}()
 		}
@@ -205,7 +267,7 @@ func TestConcurrentResolution(t *testing.T) {
 		}
 		want := 0
 		for g := 0; g < goroutines; g++ {
-			if g%3 == 2 {
+			if g%5 == 2 {
 				want++
 			}
 		}

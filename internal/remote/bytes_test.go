@@ -416,3 +416,41 @@ func TestRemoteBytesUnknownProc(t *testing.T) {
 		t.Fatalf("poisoned block err = %v", err)
 	}
 }
+
+// Awaiting a future with the method of the other reply shape is an
+// error that names the right method, not a runtime type-assertion
+// panic; Await gives the bytes reply it refuses back to its slab.
+func TestAwaitWrongKind(t *testing.T) {
+	base := takeLeakBaseline()
+	addr, _, shutdown := startBytesServer(t, core.ConfigAll)
+	m, err := DialMux("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := m.NewSession()
+	err = rs.Separate("store", func(s *Session) error {
+		fb, err := s.QueryBytesAsync("echo", bytes.Repeat([]byte{1}, slabPayload))
+		if err != nil {
+			return err
+		}
+		if _, err := rs.Await(fb); err == nil || !strings.Contains(err.Error(), "AwaitBytes") {
+			t.Errorf("Await on a bytes future: err = %v, want one naming AwaitBytes", err)
+		}
+		fi, err := s.QueryAsync("add", 1)
+		if err != nil {
+			return err
+		}
+		if p, err := rs.AwaitBytes(fi); p != nil || err == nil || !strings.Contains(err.Error(), "takes Await") {
+			t.Errorf("AwaitBytes on an int future = %v, %v; want an error naming Await", p, err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	shutdown()
+	if err := base.settle(nil); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -71,6 +71,10 @@ type RemoteSession struct {
 	credits    int64
 	creditWait *future.Future
 
+	// blk is the Session every Separate body of this logical client
+	// receives: it names nothing but rs, so one per RemoteSession does.
+	blk Session
+
 	// blockErr holds a block-level failure the server reported with an
 	// id-0 ERROR frame (unknown handler, reservation after shutdown,
 	// unknown procedure in a call) — the cases a fire-and-forget block
@@ -303,22 +307,32 @@ func (rs *RemoteSession) failPending(err error) {
 	}
 }
 
-// Await blocks until f resolves and returns its value. Replies arrive
-// on the mux's reader goroutine, so awaiting never drives the
-// connection — and a dead connection fails every pending future, so
-// Await cannot hang on one.
+// Await blocks until an int query's or a sync's future resolves and
+// returns its value. Replies arrive on the mux's reader goroutine, so
+// awaiting never drives the connection — and a dead connection fails
+// every pending future, so Await cannot hang on one. On a bytes query's
+// future it returns an error naming AwaitBytes and releases the reply
+// payload it refuses, so a mistaken Await does not pin its slab.
 func (rs *RemoteSession) Await(f *future.Future) (int64, error) {
 	v, err := f.Get()
 	if err != nil {
 		return 0, err
 	}
-	return v.(int64), nil
+	n, ok := v.(int64)
+	if !ok {
+		if p, isBytes := v.([]byte); isBytes {
+			Release(p)
+		}
+		return 0, fmt.Errorf("remote: Await on a future of %T; a bytes query's future takes AwaitBytes", v)
+	}
+	return n, nil
 }
 
 // AwaitBytes blocks until a bytes query's future resolves and returns
 // its payload. The payload is slab-owned: the caller must Release it
 // when done (future.Of[[]byte] works on the same future for callers
-// who prefer the typed view — the ownership contract is identical).
+// who prefer the typed view — the ownership contract is identical). On
+// an int query's or a sync's future it returns an error naming Await.
 func (rs *RemoteSession) AwaitBytes(f *future.Future) ([]byte, error) {
 	v, err := f.Get()
 	if err != nil {
@@ -327,7 +341,11 @@ func (rs *RemoteSession) AwaitBytes(f *future.Future) ([]byte, error) {
 	if v == nil {
 		return nil, nil
 	}
-	return v.([]byte), nil
+	p, ok := v.([]byte)
+	if !ok {
+		return nil, fmt.Errorf("remote: AwaitBytes on a future of %T; an int query's or a sync's future takes Await", v)
+	}
+	return p, nil
 }
 
 // Flush blocks until every pipelined future handed out so far has
@@ -350,7 +368,8 @@ func (rs *RemoteSession) Flush() error {
 	return rs.m.Err()
 }
 
-// Session is a remote separate block in progress.
+// Session is a remote separate block in progress. Each RemoteSession
+// owns one, handed to every Separate body it runs.
 type Session struct {
 	rs *RemoteSession
 }
@@ -371,7 +390,7 @@ func (rs *RemoteSession) Separate(handler string, body func(s *Session) error) e
 	if err := rs.send(&frame{kind: fBegin, ch: rs.ch, name: handler}); err != nil {
 		return err
 	}
-	bodyErr := body(&Session{rs: rs})
+	bodyErr := body(&rs.blk)
 	endErr := rs.send(&frame{kind: fEnd, ch: rs.ch})
 	// Consume any block-level failure: either it belongs to this block
 	// (fire-and-forget BEGIN/CALL misfire) or to an earlier one whose

@@ -82,6 +82,7 @@ func (m *Mux) NewSession() *RemoteSession {
 		pending: map[uint64]pendingReq{},
 		credits: bootstrapCredits,
 	}
+	rs.blk.rs = rs
 	if m.err != nil {
 		// A dead mux will never run another teardown sweep, so a
 		// session registered now would hang its callers forever.

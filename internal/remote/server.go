@@ -43,7 +43,10 @@ type BytesProc func(payload []byte) []byte
 // runtime with QoQ reservations (non-blocking enqueues) and logs every
 // request, call, query or sync alike, as one asynchronous call on the
 // channel's session: the handler runs it in private-queue order and,
-// for a query or sync, writes the reply itself.
+// for a query or sync, writes the reply itself. In steady state the
+// server allocates nothing per request: the call is a pooled request
+// record, the payload a view into a recycled slab, and the reply is
+// encoded straight into the writer's batch.
 //
 // The write path is bounded end to end. The writer's pending batch is
 // capped at a byte budget; replies that do not fit are deferred
@@ -245,13 +248,12 @@ func (s *Server) Close() {
 // svChan is the server end of one logical client: a demultiplexed
 // channel with its own core.Client (so concurrent channels can hold
 // separate private queues on the same handler) and, while a block is
-// open, the session/release pair of the reservation.
+// open, the session of the reservation.
 type svChan struct {
-	cl      *core.Client
-	sess    *core.Session
-	release func()
-	procs   map[string]BytesProc
-	q       chanQueue // this channel's deferred frames in the connection's writer
+	cl    *core.Client
+	sess  *core.Session // non-nil while a healthy block holds the handler
+	procs map[string]BytesProc
+	q     chanQueue // this channel's deferred frames in the connection's writer
 
 	// outstanding counts admitted-but-uncompleted requests (the credit
 	// window in use); pendGrant accumulates completions awaiting a
@@ -301,6 +303,16 @@ type svChan struct {
 // (healthy or poisoned).
 func (sc *svChan) open() bool { return sc.sess != nil || sc.errmsg != "" }
 
+// end closes the channel's block, if any: a healthy reservation logs
+// its END (releasing the handler), and the bracket state is cleared, so
+// a second end is a no-op. Runs on the reader.
+func (sc *svChan) end() {
+	if sc.sess != nil {
+		sc.cl.End(sc.sess)
+	}
+	sc.sess, sc.procs, sc.errmsg = nil, nil, ""
+}
+
 // serverConn is the per-connection demultiplexer state shared by the
 // reader and the requests it logs.
 type serverConn struct {
@@ -340,9 +352,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// Client vanished (or Close tore the conn down): END every open
 		// block so no handler stays reserved by a dead channel.
 		for _, sc := range c.chans {
-			if sc.release != nil {
-				sc.release()
-			}
+			sc.end()
 		}
 		conn.Close()
 		cw.close()
@@ -466,10 +476,7 @@ func (c *serverConn) admit(sc *svChan) bool {
 // channels on the same connection are untouched. Runs on the reader.
 func (c *serverConn) quarantine(sc *svChan, ch uint32) {
 	sc.quarantined.Store(true)
-	if sc.release != nil {
-		sc.release()
-	}
-	sc.sess, sc.release, sc.procs, sc.errmsg = nil, nil, nil, ""
+	sc.end()
 	c.s.quarantines.Add(1)
 	c.cw.frameDeferred(&sc.q, &frame{kind: fError, ch: ch, id: 0, name: ErrCreditOverrun.Error()})
 }
@@ -534,21 +541,18 @@ func (c *serverConn) handleFrame(f *frame) bool {
 			c.poison(sc, f.ch, fmt.Sprintf("unknown handler %q", f.name))
 			return true
 		}
-		sess, release, err := sc.cl.TryReserve(h)
+		sess, err := sc.cl.TryReserve(h)
 		if err != nil {
 			c.poison(sc, f.ch, err.Error())
 			return true
 		}
-		sc.sess, sc.release, sc.procs = sess, release, procs
+		sc.sess, sc.procs = sess, procs
 
 	case fEnd:
 		if sc == nil || !sc.open() {
 			return false // END without a block
 		}
-		if sc.release != nil {
-			sc.release()
-		}
-		sc.sess, sc.release, sc.procs, sc.errmsg = nil, nil, nil, ""
+		sc.end()
 
 	case fClose:
 		// Channel retired, possibly mid-block: END the block so the
@@ -557,9 +561,7 @@ func (c *serverConn) handleFrame(f *frame) bool {
 		// channel. A frame for this channel id never arrives again (ids
 		// are not reused).
 		if sc != nil {
-			if sc.release != nil {
-				sc.release()
-			}
+			sc.end()
 			c.cw.closeQueue(&sc.q)
 			delete(c.chans, f.ch)
 		}
@@ -617,35 +619,73 @@ func (c *serverConn) request(sc *svChan, f *frame) bool {
 	}
 
 	// Logged from here on, as one call run in private-queue order (all a
-	// reply needs to keep the block's order), capturing copies from f,
-	// which the reader reuses. CallAlways runs even on a poisoned session:
-	// the proc is skipped, a query or sync answers the session's error. A
-	// panicking proc is answered with core's *HandlerError, then re-raised
-	// so core poisons the session. The reply goes out before the payload
-	// is released (the return may alias it), and the credit comes back
-	// last: a replenished client's next request never overtakes the reply.
-	kind, ch, id, payload, sess := f.kind, f.ch, f.id, f.data, sc.sess
-	sess.CallAlways(func() {
-		var out []byte
-		err := sess.Err()
-		defer func() {
-			r := recover()
-			if r != nil {
-				err = &core.HandlerError{Handler: sess.Handler().Name(), Value: r}
-			}
-			if kind != fCallB {
-				c.reply(sc, ch, id, out, err)
-			}
-			c.done(sc, ch, payload)
-			if r != nil {
-				panic(r)
-			}
-		}()
-		if err == nil && proc != nil {
-			out = proc(payload)
-		}
-	})
+	// reply needs to keep the block's order), carrying copies from f,
+	// which the reader reuses, in a pooled record (see request.run).
+	r, _ := requestPool.Get().(*request)
+	if r == nil {
+		r = new(request)
+		r.fn = r.run
+	}
+	r.c, r.sc, r.sess, r.proc = c, sc, sc.sess, proc
+	r.payload, r.id, r.ch, r.kind = f.data, f.id, f.ch, f.kind
+	sc.sess.CallAlways(r.fn)
 	return true
+}
+
+// request is one logged CALLB, QUERYB or SYNC, from the reader to its
+// run on the handler. Records come from requestPool, so a request
+// costs no allocation in steady state; fn is the record's run method
+// value, bound once when the record is made, and what CallAlways logs.
+type request struct {
+	c       *serverConn
+	sc      *svChan
+	sess    *core.Session
+	proc    BytesProc // nil for SYNC
+	payload []byte
+	id      uint64
+	ch      uint32
+	kind    frameKind
+	fn      func()
+}
+
+// requestPool recycles request records. It has no New, since one that
+// bound run would be an initialization cycle: serverConn.request makes
+// a missing record itself.
+var requestPool sync.Pool
+
+// run executes the request on the handler. It first copies the record
+// out and puts it back, zeroed, so a pooled record never holds a
+// payload, a session or a channel. CallAlways runs it even on a
+// poisoned session: the proc is skipped, a query or sync answers the
+// session's error. A panicking proc is answered with core's
+// *HandlerError, then re-raised so core poisons the session. The reply
+// goes out before the payload is released (the return may alias it),
+// and the credit comes back last: a replenished client's next request
+// never overtakes the reply.
+func (r *request) run() {
+	c, sc, sess, proc := r.c, r.sc, r.sess, r.proc
+	payload, id, ch, kind := r.payload, r.id, r.ch, r.kind
+	*r = request{fn: r.fn}
+	requestPool.Put(r)
+
+	var out []byte
+	err := sess.Err()
+	defer func() {
+		rec := recover()
+		if rec != nil {
+			err = &core.HandlerError{Handler: sess.Handler().Name(), Value: rec}
+		}
+		if kind != fCallB {
+			c.reply(sc, ch, id, out, err)
+		}
+		c.done(sc, ch, payload)
+		if rec != nil {
+			panic(rec)
+		}
+	}()
+	if err == nil && proc != nil {
+		out = proc(payload)
+	}
 }
 
 // done completes a logged request: its payload goes back to its slab
