@@ -266,7 +266,9 @@ type (
 	Client = core.Client
 	// Config selects one of the paper's runtime variants.
 	Config = core.Config
-	// Stats is a snapshot of runtime instrumentation counters.
+	// Stats is a snapshot of runtime instrumentation counters. The
+	// per-request ones (AsyncCalls, LocalQueries, SyncsElided) include a
+	// block's requests once the block has ended.
 	Stats = core.Stats
 	// HandlerError reports a panic that occurred in a handler call.
 	HandlerError = core.HandlerError

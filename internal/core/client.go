@@ -34,6 +34,32 @@ type Client struct {
 	// waitingOn is the handler this client is currently blocked on in
 	// a sync or query, nil when running. Read by DetectDeadlock.
 	waitingOn atomic.Pointer[Handler]
+
+	// The per-request counts since the last flush: plain adds on the
+	// request path, folded into the runtime's Stats at the client's
+	// synchronization points. A handler evaluating a guard in place
+	// counts for the parked client; the park/unpark hand-off orders it.
+	calls, localQueries, syncsElided int64
+}
+
+// flush adds the client's per-request counts to the runtime's Stats and
+// zeroes them. It runs before the client parks in a sync or packaged
+// query and when a block ends (Session.end, Session.endWaiting): every
+// count reaches Stats once the block that made it has ended.
+func (c *Client) flush() {
+	st := &c.rt.stats
+	if c.calls != 0 {
+		st.asyncCalls.Add(c.calls)
+		c.calls = 0
+	}
+	if c.localQueries != 0 {
+		st.localQueries.Add(c.localQueries)
+		c.localQueries = 0
+	}
+	if c.syncsElided != 0 {
+		st.syncsElided.Add(c.syncsElided)
+		c.syncsElided = 0
+	}
 }
 
 // blockBegin/blockEnd bracket operations that block the calling

@@ -133,12 +133,20 @@ func Configs() []Config {
 
 // Stats is a snapshot of the runtime's instrumentation counters (the
 // "SCOOP-specific instrumentation" the paper's §7 calls for).
+//
+// AsyncCalls, LocalQueries and SyncsElided are counted per request by
+// the client that made the request and reach Stats at its next
+// synchronization point: a SyncNow or packaged query that parks it, or
+// the end of the block. Once every block has ended they are exact; a
+// snapshot taken while a client is mid-block lacks that client's
+// requests since its last such point. Every other counter is added
+// when its event happens.
 type Stats struct {
-	AsyncCalls     int64 // calls logged via Session.Call or CallAlways (the latter: every request a remote server logs)
+	AsyncCalls     int64 // calls logged via Session.Call or CallAlways (the latter: every request a remote server logs), counted at the client's next sync point or block end
 	RemoteQueries  int64 // packaged queries executed on the handler
-	LocalQueries   int64 // client-side query executions
+	LocalQueries   int64 // client-side query executions, counted at the client's next sync point or block end
 	SyncsPerformed int64 // sync round-trips that reached the handler
-	SyncsElided    int64 // syncs skipped by dynamic coalescing
+	SyncsElided    int64 // syncs skipped by dynamic coalescing, counted at the client's next sync point or block end
 	Reservations   int64 // single-handler separate blocks entered
 	MultiResGroups int64 // multi-handler reservations: SeparateMany blocks, one per SeparateWhen its handler evaluates (one handler, QoQ), else one per SeparateWhen attempt, the handler-made ones included
 	GuardRetries   int64 // wait-condition attempts that ended without effect: a handler-evaluated SeparateWhen's first evaluation if false (re-evaluations in place are not attempts), every false evaluation of a client-evaluated one
@@ -283,7 +291,10 @@ func (rt *Runtime) trackFuture(f *future.Future) {
 // Config returns the runtime's configuration.
 func (rt *Runtime) Config() Config { return rt.cfg }
 
-// Stats returns a snapshot of the instrumentation counters.
+// Stats returns a snapshot of the instrumentation counters. AsyncCalls,
+// LocalQueries and SyncsElided include a block's requests once the block
+// has ended (or its client has since parked in a sync or packaged
+// query); see Stats.
 func (rt *Runtime) Stats() Stats {
 	st := rt.stats.snapshot()
 	if rt.exec != nil {

@@ -149,8 +149,7 @@ func (s *Session) Call(fn func()) { s.logCall(callCall, fn) }
 func (s *Session) CallAlways(fn func()) { s.logCall(callAlways, fn) }
 
 func (s *Session) logCall(kind callKind, fn func()) {
-	rt := s.h.rt
-	rt.stats.asyncCalls.Add(1)
+	s.owner.calls++
 	if s.onHandler {
 		// Logged by a guard the handler is evaluating: the handler must
 		// not become a second producer of the private queue, and with
@@ -174,7 +173,7 @@ func (s *Session) logCall(kind callKind, fn func()) {
 func (s *Session) Sync() {
 	rt := s.h.rt
 	if rt.cfg.DynElide && s.synced {
-		rt.stats.syncsElided.Add(1)
+		s.owner.syncsElided++
 		if obs.Enabled() {
 			obs.Emit(obs.KindSyncElide, uint64(s.h.id), 0)
 		}
@@ -196,6 +195,7 @@ func (s *Session) SyncNow() {
 		return
 	}
 	rt.stats.syncsPerformed.Add(1)
+	s.owner.flush()
 	var t0 int64
 	if obs.Enabled() {
 		t0 = obs.Now()
@@ -231,6 +231,7 @@ func (s *Session) queryRemote(qfn func() any) any {
 	if s.onHandler {
 		return qfn() // a guard on the handler itself; its recover poisons the session
 	}
+	s.owner.flush()
 	var t0 int64
 	if obs.Enabled() {
 		t0 = obs.Now()
@@ -309,8 +310,10 @@ func (s *Session) Err() error {
 }
 
 // end logs the END marker (the separate rule appends call(x, end)),
-// releasing the handler to serve other clients.
+// releasing the handler to serve other clients. The owner's counts are
+// flushed first, so a block counted in EndsProcessed is counted in full.
 func (s *Session) end() {
+	s.owner.flush()
 	s.q.Enqueue(call{kind: callEnd})
 	s.synced = false
 	s.inUse = false
@@ -321,6 +324,7 @@ func (s *Session) end() {
 // fires nobody. keep leaves the session marked in use, for a block the
 // handler itself will reserve again.
 func (s *Session) endWaiting(gen int64, keep bool) {
+	s.owner.flush()
 	s.q.Enqueue(call{kind: callWait, at: gen})
 	s.synced = false
 	s.inUse = keep
@@ -338,7 +342,7 @@ func Query[T any](s *Session, f func() T) T {
 	rt := s.h.rt
 	if rt.cfg.clientSideQuery() {
 		s.Sync()
-		rt.stats.localQueries.Add(1)
+		s.owner.localQueries++
 		v := f()
 		s.checkErr()
 		return v
@@ -375,6 +379,6 @@ func LocalQuery[T any](s *Session, f func() T) T {
 	if !s.synced {
 		panic("scoopqs: LocalQuery on unsynced session (miscompiled static elision)")
 	}
-	s.h.rt.stats.localQueries.Add(1)
+	s.owner.localQueries++
 	return f()
 }
