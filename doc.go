@@ -156,9 +156,9 @@
 //
 // Compensation is a last resort, though: the futures subsystem lets
 // handler code wait without blocking at all. Session.CallFuture (and
-// the typed QueryAsync) log a query whose result resolves a Future
-// instead of round-tripping, and Handler.Await parks the handler state
-// machine in a dedicated awaiting state: the handler is logically
+// QueryAsync, its generic form) log a query whose result resolves a
+// Future instead of round-tripping, and Handler.Await parks the handler
+// state machine in a dedicated awaiting state: the handler is logically
 // still inside the request that armed the await — queue wakes do not
 // reschedule it, and no further request of the session runs — but its
 // worker goes back to the pool. The future's completion makes the
@@ -274,7 +274,7 @@ type (
 	HandlerError = core.HandlerError
 	// Future is the completion cell resolved by asynchronous queries
 	// (Session.CallFuture, QueryAsync, the remote client's pipelined
-	// queries). See internal/future for combinators (All, Any, Then).
+	// queries): read it with Get, TryGet, Done or OnComplete.
 	Future = future.Future
 	// DeadlockCycle is a cycle in the wait-for graph found by
 	// Runtime.DetectDeadlock (queries can deadlock, §2.5; reservations
@@ -313,24 +313,8 @@ func QueryRemote[T any](s *Session, f func() T) T { return core.QueryRemote(s, f
 // with a future that resolves with f's result once the handler reaches
 // it, observing every previously logged call of the block. Wait with
 // Client.Await (shutdown-aware), Handler.Await (parks the handler
-// state machine instead of a pool worker), or the Future itself. For a
-// typed view that spares the caller the any-assertions, wrap the result
-// (or use QueryAsyncTyped): future.Of[T] gives Get() (T, error), Then,
-// and Map.
+// state machine instead of a pool worker), or the Future itself.
 func QueryAsync[T any](s *Session, f func() T) *Future { return core.QueryAsync(s, f) }
-
-// TypedFuture is the typed veneer over Future: Get() (T, error),
-// TryGet, Then, and future.Map for type-changing transforms. Build one
-// with future.Of[T] or QueryAsyncTyped.
-type TypedFuture[T any] = future.Typed[T]
-
-// QueryAsyncTyped is QueryAsync returning the typed veneer directly:
-//
-//	fut := scoopqs.QueryAsyncTyped(s, func() int { return n })
-//	n, err := fut.Get()
-func QueryAsyncTyped[T any](s *Session, f func() T) TypedFuture[T] {
-	return future.Of[T](core.QueryAsync(s, f))
-}
 
 // NewFuture returns an unresolved completion cell, for code that
 // produces a value asynchronously itself (e.g. a Handler.Await

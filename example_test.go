@@ -87,11 +87,11 @@ func Example_multiReservation() {
 	// Output: 70 130 200
 }
 
-// Typed futures: QueryAsyncTyped logs an asynchronous query and hands
-// back a typed view, so awaiting code gets (T, error) instead of
-// (any, error) plus an assertion. Then/Map derive further futures; the
-// whole pipeline resolves once the handler executes the query.
-func Example_typedFutures() {
+// Futures: QueryAsync logs an asynchronous query and returns at once;
+// the future resolves once the handler reaches the query, after every
+// call logged before it, and Client.Await waits for it outside the
+// block.
+func Example_futures() {
 	rt := scoopqs.New(scoopqs.ConfigAll.WithWorkers(2))
 	defer rt.Shutdown()
 
@@ -99,15 +99,14 @@ func Example_typedFutures() {
 	n := 0
 
 	c := rt.NewClient()
-	var doubled scoopqs.TypedFuture[int]
+	var fut *scoopqs.Future
 	c.Separate(counter, func(s *scoopqs.Session) {
 		for i := 0; i < 5; i++ {
 			s.Call(func() { n++ })
 		}
-		fut := scoopqs.QueryAsyncTyped(s, func() int { return n })
-		doubled = fut.Then(func(v int) int { return v * 2 })
+		fut = scoopqs.QueryAsync(s, func() int { return n * 2 })
 	})
-	v, err := doubled.Get()
+	v, err := c.Await(fut)
 	fmt.Println(v, err)
 	// Output: 10 <nil>
 }

@@ -375,8 +375,8 @@ func (c *Client) parkWaiting(s *Session) {
 //   - after Runtime.Shutdown an unresolved future can never resolve,
 //     so Await returns ErrShutdown instead of hanging.
 //
-// The error is *HandlerError when the future's query panicked; use
-// f.Await to re-panic instead, matching Query's contract.
+// The error is *HandlerError when the future's query panicked; Query
+// re-panics that error at the client instead.
 func (c *Client) Await(f *future.Future) (any, error) {
 	if v, err, ok := f.TryGet(); ok {
 		return v, err

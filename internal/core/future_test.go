@@ -48,7 +48,7 @@ func TestCallFutureObservesPriorCalls(t *testing.T) {
 	}
 }
 
-func TestQueryAsyncTyped(t *testing.T) {
+func TestQueryAsync(t *testing.T) {
 	rt := New(ConfigAll.WithWorkers(2))
 	defer rt.Shutdown()
 	h := rt.NewHandler("h")
@@ -57,8 +57,8 @@ func TestQueryAsyncTyped(t *testing.T) {
 	c.Separate(h, func(s *Session) {
 		fut = QueryAsync(s, func() string { return "qs" })
 	})
-	if v := fut.Await(); v.(string) != "qs" {
-		t.Fatalf("QueryAsync = %v", v)
+	if v, err := c.Await(fut); err != nil || v.(string) != "qs" {
+		t.Fatalf("QueryAsync = %v, %v", v, err)
 	}
 }
 
@@ -78,16 +78,6 @@ func TestFuturePanicPropagatesThroughAwait(t *testing.T) {
 			if !errors.As(err, &he) || fmt.Sprint(he.Value) != "kapow" {
 				t.Fatalf("Await error = %v, want *HandlerError(kapow)", err)
 			}
-			// Future.Await re-panics, matching Query's contract.
-			func() {
-				defer func() {
-					if r := recover(); r != err {
-						t.Errorf("Future.Await panicked with %v, want %v", r, err)
-					}
-				}()
-				fut.Await()
-				t.Error("Future.Await returned on a failed future")
-			}()
 			// The panic poisoned that session; a new block still works.
 			c.Separate(h, func(s *Session) {
 				if got := Query(s, func() int { return 7 }); got != 7 {
@@ -293,6 +283,43 @@ func TestAwaitAfterShutdownSurfacesErrShutdown(t *testing.T) {
 				}
 			case <-time.After(10 * time.Second):
 				t.Fatal("Await hung after Shutdown")
+			}
+		})
+	}
+}
+
+// A query that returns a promise nobody resolves leaves its flattened
+// future pending after the handler has drained. Shutdown must fail that
+// straggler from the registry; Get, unlike Client.Await, does not watch
+// the runtime going down, so only the registry can release it.
+func TestShutdownFailsOrphanedFuture(t *testing.T) {
+	for _, m := range futureModes {
+		t.Run(m.name, func(t *testing.T) {
+			rt := New(m.cfg)
+			h := rt.NewHandler("h")
+			c := rt.NewClient()
+			var fut *future.Future
+			c.Separate(h, func(s *Session) {
+				fut = s.CallFuture(func() any { return future.New() })
+				s.Sync()
+			})
+			if _, _, ok := fut.TryGet(); ok {
+				t.Fatal("future flattened onto an orphaned promise resolved before Shutdown")
+			}
+			rt.Shutdown()
+
+			errc := make(chan error, 1)
+			go func() {
+				_, err := fut.Get()
+				errc <- err
+			}()
+			select {
+			case err := <-errc:
+				if !errors.Is(err, ErrShutdown) {
+					t.Fatalf("orphaned future after Shutdown = %v, want ErrShutdown", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("orphaned future still pending 10 s after Shutdown")
 			}
 		})
 	}

@@ -498,6 +498,12 @@ func (h *Handler) execOne(s *Session, c call) (ended bool) {
 		// (a callGuard's generation is zero).
 		h.cur = nil
 		h.rt.stats.endsProcessed.Add(1)
+		if c.kind == callEnd && s.errPub.Load() != nil {
+			// A panic poisons its block only. The client may have reused
+			// the session before the panic landed (Client.session checks
+			// for poison at reservation), so its next block starts clean.
+			s.errPub.Store(nil)
+		}
 		if c.kind != callEnd {
 			h.waiters = append(h.waiters, waiter{s.wait, c.at})
 		} else if len(h.waiters) > 0 { // else not even the store of the list's header: every END pays it

@@ -126,9 +126,9 @@ type Session struct {
 	replyVal any
 	replyErr error
 
-	// errPub poisons the session after a handler-side panic. Written
-	// only by the handler; read by the client, hence atomic
-	// publication.
+	// errPub poisons the session after a handler-side panic, until the
+	// handler reaches the block's END. Written only by the handler; read
+	// by the client, hence atomic publication.
 	errPub atomic.Pointer[HandlerError]
 }
 
@@ -275,9 +275,8 @@ func (s *Session) CallFuture(qfn func() any) *future.Future {
 	rt := s.h.rt
 	rt.stats.futuresCreated.Add(1)
 	fut := future.New()
-	// The origin tag attributes awaits on this future — and on any
-	// Then/Map derivative, which inherit it — to the handler whose
-	// session resolves it (deadlock detection's await edges).
+	// The origin tag attributes awaits on this future to the handler
+	// whose session resolves it (deadlock detection's await edges).
 	fut.SetOrigin(s.h)
 	rt.trackFuture(fut)
 	if s.onHandler { // see Call

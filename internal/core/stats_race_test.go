@@ -299,8 +299,10 @@ func TestStatsSnapshotDuringStorm(t *testing.T) {
 						futs[i] = QueryAsync(s, func() int64 { return sums[i] })
 					})
 				}
-				if _, err := c.Await(future.All(futs...)); err != nil {
-					t.Fatal(err)
+				for _, f := range futs {
+					if _, err := c.Await(f); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			close(stop)

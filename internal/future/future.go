@@ -6,11 +6,11 @@
 // exactly once, either with a value (Complete) or an error (Fail);
 // later resolutions are ignored, which makes racing completers — a
 // handler finishing a query versus a runtime failing stragglers at
-// shutdown, or the contestants of Any — safe by construction. Consumers
-// observe the result through whichever shape fits their control flow:
-// a blocking Get/Await, a non-blocking TryGet, a Done channel for
-// select loops, or an OnComplete callback for continuation-passing
-// (the shape the M:N executor uses to reschedule an awaiting handler).
+// shutdown — safe by construction. Consumers observe the result through
+// whichever shape fits their control flow: a blocking Get, a
+// non-blocking TryGet, a Done channel for select loops, or an
+// OnComplete callback for continuation-passing (the shape the M:N
+// executor uses to reschedule an awaiting handler).
 //
 // A future costs one allocation, the cell itself, until somebody waits
 // on it: the Done channel is made on demand, by Done or by a Get on a
@@ -23,23 +23,9 @@
 package future
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
-
-// ErrNone is the failure of combinators invoked with no futures.
-var ErrNone = errors.New("future: no futures")
-
-// PanicError wraps a panic recovered from a Then transform.
-type PanicError struct {
-	Value any // the recovered panic value
-}
-
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("future: panic in Then: %v", e.Value)
-}
 
 // Future is a write-once completion cell. The zero value is not usable;
 // use New (or Completed/Failed for pre-resolved cells). All methods are
@@ -59,10 +45,8 @@ type Future struct {
 	more *[]func(v any, err error)
 
 	// origin is an opaque provenance tag (core stores the handler whose
-	// session will resolve the future). Then/Map copy it to derived
-	// futures, so awaiting a derivative is still attributable to the
-	// underlying query — which is what lets deadlock detection follow
-	// await edges through transformation chains.
+	// session will resolve the future), which lets deadlock detection
+	// follow a handler's await to the handler it waits on.
 	origin any
 }
 
@@ -134,9 +118,7 @@ func (f *Future) resolve(v any, err error) bool {
 
 // SetOrigin records an opaque provenance tag on the future. The
 // runtime tags each future minted by CallFuture with the handler that
-// will resolve it; Then and Map propagate the tag to derived futures.
-// Combinators over several futures (All, Any) have no single origin
-// and leave their results untagged.
+// will resolve it; a future made with New carries no tag.
 func (f *Future) SetOrigin(o any) {
 	f.mu.Lock()
 	f.origin = o
@@ -185,18 +167,6 @@ func (f *Future) Get() (any, error) {
 	return f.val, f.err
 }
 
-// Await blocks until the future resolves and returns its value,
-// panicking with the error if the future failed. This mirrors the
-// panic-propagation contract of core.Query: a handler-side panic
-// surfaces at the client's synchronization point.
-func (f *Future) Await() any {
-	v, err := f.Get()
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // OnComplete registers fn to run when the future resolves. If the
 // future is already resolved, fn runs immediately on the calling
 // goroutine; otherwise it runs on the resolving goroutine, after the
@@ -218,87 +188,4 @@ func (f *Future) OnComplete(fn func(v any, err error)) {
 	}
 	f.mu.Unlock()
 	fn(f.val, f.err)
-}
-
-// Then returns a future resolved with fn applied to this future's
-// value. Errors bypass fn and propagate; a panic in fn fails the
-// derived future with a *PanicError. fn runs on the resolving
-// goroutine (or inline if already resolved) and must not block.
-func (f *Future) Then(fn func(v any) any) *Future {
-	out := New()
-	out.SetOrigin(f.Origin())
-	f.OnComplete(func(v any, err error) {
-		if err != nil {
-			out.Fail(err)
-			return
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				out.Fail(&PanicError{Value: r})
-			}
-		}()
-		out.Complete(fn(v))
-	})
-	return out
-}
-
-// All returns a future that resolves once every input has resolved:
-// with the slice of values (index-aligned with fs) if all succeeded,
-// or with the error of the lowest-indexed failure otherwise. All of no
-// futures completes immediately with an empty slice.
-func All(fs ...*Future) *Future {
-	out := New()
-	if len(fs) == 0 {
-		out.Complete([]any{})
-		return out
-	}
-	var (
-		mu      sync.Mutex
-		left    = len(fs)
-		vals    = make([]any, len(fs))
-		errIdx  = -1
-		firstEr error
-	)
-	for i, f := range fs {
-		i, f := i, f
-		f.OnComplete(func(v any, err error) {
-			mu.Lock()
-			vals[i] = v
-			if err != nil && (errIdx == -1 || i < errIdx) {
-				errIdx, firstEr = i, err
-			}
-			left--
-			done := left == 0
-			e := firstEr
-			mu.Unlock()
-			if !done {
-				return
-			}
-			if e != nil {
-				out.Fail(e)
-				return
-			}
-			out.Complete(vals)
-		})
-	}
-	return out
-}
-
-// Any returns a future that resolves like the first input to resolve,
-// value or error. Any of no futures fails with ErrNone.
-func Any(fs ...*Future) *Future {
-	if len(fs) == 0 {
-		return Failed(ErrNone)
-	}
-	out := New()
-	for _, f := range fs {
-		f.OnComplete(func(v any, err error) {
-			if err != nil {
-				out.Fail(err)
-				return
-			}
-			out.Complete(v)
-		})
-	}
-	return out
 }

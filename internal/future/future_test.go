@@ -104,18 +104,6 @@ func TestFutureSize(t *testing.T) {
 	}
 }
 
-func TestAwaitPanicsOnError(t *testing.T) {
-	want := errors.New("handler exploded")
-	f := Failed(want)
-	defer func() {
-		if r := recover(); r != want {
-			t.Fatalf("Await panicked with %v, want %v", r, want)
-		}
-	}()
-	f.Await()
-	t.Fatal("Await returned on a failed future")
-}
-
 func TestCallbacksBeforeCompletionRunInOrder(t *testing.T) {
 	f := New()
 	var got []int
@@ -145,82 +133,6 @@ func TestCallbackAfterCompletionRunsImmediately(t *testing.T) {
 	})
 	if !ran {
 		t.Fatal("callback on a completed future did not run inline")
-	}
-}
-
-func TestThen(t *testing.T) {
-	f := New()
-	g := f.Then(func(v any) any { return v.(int) + 1 })
-	f.Complete(1)
-	if v, err := g.Get(); err != nil || v.(int) != 2 {
-		t.Fatalf("Then = %v, %v", v, err)
-	}
-
-	e := errors.New("upstream")
-	if _, err := Failed(e).Then(func(v any) any { return v }).Get(); err != e {
-		t.Fatalf("Then did not propagate error: %v", err)
-	}
-
-	_, err := Completed(0).Then(func(v any) any { panic("bad transform") }).Get()
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Value != "bad transform" {
-		t.Fatalf("Then panic surfaced as %v", err)
-	}
-}
-
-func TestAll(t *testing.T) {
-	fs := []*Future{New(), New(), New()}
-	all := All(fs...)
-	fs[2].Complete(3)
-	fs[0].Complete(1)
-	if _, _, ok := all.TryGet(); ok {
-		t.Fatal("All completed early")
-	}
-	fs[1].Complete(2)
-	v, err := all.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := v.([]any)
-	for i, want := range []int{1, 2, 3} {
-		if vals[i].(int) != want {
-			t.Fatalf("All values %v", vals)
-		}
-	}
-
-	if v, err := All().Get(); err != nil || len(v.([]any)) != 0 {
-		t.Fatalf("All() = %v, %v", v, err)
-	}
-}
-
-func TestAllFailsWithLowestIndexedError(t *testing.T) {
-	fs := []*Future{New(), New(), New()}
-	all := All(fs...)
-	e1 := errors.New("one")
-	e0 := errors.New("zero")
-	fs[1].Fail(e1)
-	fs[2].Complete(2)
-	fs[0].Fail(e0)
-	if _, err := all.Get(); err != e0 {
-		t.Fatalf("All error = %v, want the lowest-indexed failure %v", err, e0)
-	}
-}
-
-func TestAny(t *testing.T) {
-	fs := []*Future{New(), New()}
-	first := Any(fs...)
-	fs[1].Complete("second input, first to finish")
-	v, err := first.Get()
-	if err != nil || v.(string) == "" {
-		t.Fatalf("Any = %v, %v", v, err)
-	}
-	fs[0].Complete("late")
-	if v2, _ := first.Get(); v2 != v {
-		t.Fatal("Any result changed after a late completion")
-	}
-
-	if _, err := Any().Get(); !errors.Is(err, ErrNone) {
-		t.Fatalf("Any() = %v, want ErrNone", err)
 	}
 }
 
@@ -274,33 +186,5 @@ func TestConcurrentResolution(t *testing.T) {
 		if int(cbs.Load()) != want {
 			t.Fatalf("iter %d: %d callbacks ran, want %d", iter, cbs.Load(), want)
 		}
-	}
-}
-
-// TestAllAnyUnderRace resolves inputs from concurrent goroutines.
-func TestAllAnyUnderRace(t *testing.T) {
-	const n = 32
-	fs := make([]*Future, n)
-	for i := range fs {
-		fs[i] = New()
-	}
-	all := All(fs...)
-	first := Any(fs...)
-	var wg sync.WaitGroup
-	for i := range fs {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fs[i].Complete(i)
-		}()
-	}
-	wg.Wait()
-	v, err := all.Get()
-	if err != nil || len(v.([]any)) != n {
-		t.Fatalf("All = %v, %v", v, err)
-	}
-	if _, err := first.Get(); err != nil {
-		t.Fatal(err)
 	}
 }

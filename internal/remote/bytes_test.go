@@ -348,8 +348,8 @@ func TestRemoteBytesEcho(t *testing.T) {
 	}
 }
 
-// Pipelined bytes queries resolve through plain futures, so the typed
-// future.Of[[]byte] view works on them unchanged.
+// Pipelined bytes queries resolve through plain futures, awaited in
+// logging order after all of them are in flight.
 func TestRemoteBytesPipelined(t *testing.T) {
 	addr, _, shutdown := startBytesServer(t, core.ConfigAll)
 	defer shutdown()
@@ -359,16 +359,16 @@ func TestRemoteBytesPipelined(t *testing.T) {
 
 	const k = 32
 	err := c.Separate("store", func(s *Session) error {
-		futs := make([]future.Typed[[]byte], 0, k)
+		futs := make([]*future.Future, 0, k)
 		for i := 0; i < k; i++ {
 			f, err := s.QueryBytesAsync("echo", []byte(fmt.Sprintf("msg-%08d-%s", i, strings.Repeat("z", 100))))
 			if err != nil {
 				return err
 			}
-			futs = append(futs, future.Of[[]byte](f))
+			futs = append(futs, f)
 		}
 		for i, f := range futs {
-			p, err := f.Get()
+			p, err := c.AwaitBytes(f)
 			if err != nil {
 				return err
 			}

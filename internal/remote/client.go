@@ -330,9 +330,9 @@ func (rs *RemoteSession) Await(f *future.Future) (int64, error) {
 
 // AwaitBytes blocks until a bytes query's future resolves and returns
 // its payload. The payload is slab-owned: the caller must Release it
-// when done (future.Of[[]byte] works on the same future for callers
-// who prefer the typed view — the ownership contract is identical). On
-// an int query's or a sync's future it returns an error naming Await.
+// when done, as must any other reader of the future (Get, OnComplete).
+// On an int query's or a sync's future it returns an error naming
+// Await.
 func (rs *RemoteSession) AwaitBytes(f *future.Future) ([]byte, error) {
 	v, err := f.Get()
 	if err != nil {
@@ -499,8 +499,8 @@ func (s *Session) CallBytes(fn string, p []byte) error {
 // QueryAsync it pays no round-trip and observes every previously
 // logged call of this block. The request payload p is encoded before
 // return (the caller keeps ownership); the reply payload is slab-owned
-// and must be Released by whoever takes it from the future (AwaitBytes
-// or future.Of[[]byte]).
+// and must be Released by whoever takes it from the future (AwaitBytes,
+// or the future's own Get or OnComplete).
 func (s *Session) QueryBytesAsync(fn string, p []byte) (*future.Future, error) {
 	return s.rs.pipelined(&frame{kind: fQueryB, ch: s.rs.ch, name: fn, data: p}, false)
 }

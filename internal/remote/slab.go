@@ -13,8 +13,8 @@ import (
 // sub-slice of a slab, preceded in the slab by an 8-byte header (a
 // magic word plus the slab's index in the global table) that lets
 // Release find its slab without the caller carrying anything but the
-// []byte itself — which is what lets payloads ride plain futures
-// (future.Of[[]byte]) and ordinary function signatures.
+// []byte itself — which is what lets payloads ride plain futures and
+// ordinary function signatures.
 //
 // Lifecycle: the decoder's allocator holds one reference on its
 // current slab and adds one per payload carved from it. Release drops
