@@ -182,11 +182,11 @@
 // request (pooled request records, recycled payload slabs, replies
 // encoded into the writer's batch). The write path is credit-flow
 // controlled, so request logging is bounded as well as non-blocking:
-// each channel holds a request window the server advertises and sizes
-// from the channel's drain rate, the shared writer caps its pending
-// batch at a byte budget, a connection holds a capped number of
-// channels, and a stalled peer therefore pins bounded memory instead
-// of an ever-growing batch. There is one client type (DialMux or
+// each channel holds a fixed request window both ends know (1024
+// credits, given back as requests complete), the shared writer caps
+// its pending batch at a byte budget, a connection holds a capped
+// number of channels, and a stalled peer therefore pins bounded memory
+// instead of an ever-growing batch. There is one client type (DialMux or
 // NewMux, then Mux.NewSession) and one server option (IdleTimeout). The
 // client-side cost is that the request-logging operations of a
 // RemoteSession — Call, QueryAsync, Query, Sync (and any frame send at

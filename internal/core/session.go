@@ -361,7 +361,7 @@ func QueryRemote[T any](s *Session, f func() T) T {
 // QueryAsync is the typed veneer over Session.CallFuture: it logs f as
 // an asynchronous query and returns a future that resolves with f's
 // (boxed) result. Resolve it with Client.Await (shutdown-aware), the
-// future's own Get/Await, or — from handler code on a pooled runtime —
+// future's own Get, or — from handler code on a pooled runtime —
 // Handler.Await, which parks the handler state machine instead of a
 // worker.
 func QueryAsync[T any](s *Session, f func() T) *future.Future {

@@ -33,11 +33,10 @@ const (
 	KindGuardWait    // span: client parked in SeparateWhen until its block is started or re-reserved (arg = ns, id = handler)
 
 	// internal/remote
-	KindFlush        // instant: one conn.Write (arg = batch bytes)
-	KindWriterStall  // span: producer parked at the byte budget (arg = ns)
-	KindCreditWait   // span: admission parked at zero credits (arg = ns, id = channel)
-	KindRoundTrip    // span: pipelined request→reply (arg = ns, id = channel)
-	KindWindowResize // instant: adaptive credit-window retarget (arg = new window, id = channel)
+	KindFlush       // instant: one conn.Write (arg = batch bytes)
+	KindWriterStall // span: producer parked at the byte budget (arg = ns)
+	KindCreditWait  // span: admission parked at zero credits (arg = ns, id = channel)
+	KindRoundTrip   // span: pipelined request→reply (arg = ns, id = channel)
 
 	// internal/chaos
 	KindChaosFault // instant: injected fault (arg = faultKind code, id = conn)
@@ -66,7 +65,6 @@ var kindNames = [kindMax]string{
 	KindWriterStall:  "remote.writer_stall",
 	KindCreditWait:   "remote.credit_wait",
 	KindRoundTrip:    "remote.roundtrip",
-	KindWindowResize: "remote.window_resize",
 	KindChaosFault:   "chaos.fault",
 	KindChaosDelay:   "chaos.delay",
 }

@@ -257,7 +257,7 @@ func chaosTraffic(srv *Server, addr string, sc chaosScenario, seed int64) error 
 	if max := stats.MaxBatchBytes; max > defaultWriteBudget+4096 {
 		return fmt.Errorf("pending batch grew to %d bytes (budget %d)", max, defaultWriteBudget)
 	}
-	const parkedBound = (chaosVictims+chaosSurvivors+1)*adaptiveMaxWindow + 16
+	const parkedBound = (chaosVictims+chaosSurvivors+1)*window + 16
 	if max := stats.MaxParkedFrames; max > parkedBound {
 		return fmt.Errorf("%d frames parked (bound %d)", max, parkedBound)
 	}

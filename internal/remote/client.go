@@ -9,24 +9,6 @@ import (
 	"scoopqs/internal/obs"
 )
 
-// bootstrapCredits is the request window a channel starts with before
-// the server's advertisement arrives: enough to pipeline the opening
-// burst, small enough that a misbehaving server cannot be flooded. The
-// server knows this constant too — its initial CREDIT grant tops the
-// channel up to its initial window (adaptiveInitWindow).
-const bootstrapCredits = 64
-
-// Client-side hard limits on CREDIT grants, in the same spirit as the
-// decoder's: a malformed or malicious stream must not be able to wedge
-// or unbound the client. A single grant beyond maxCreditGrant (or a
-// zero grant) is a protocol violation; the accumulated balance is
-// clamped at maxCreditBalance so no grant sequence can overflow the
-// admission arithmetic.
-const (
-	maxCreditGrant   = 1 << 32
-	maxCreditBalance = 1 << 40
-)
-
 // RemoteSession is one logical client multiplexed onto a Mux: its
 // private queues ride a shared connection instead of an in-process
 // lock-free queue, identified on the wire by a channel id. Like a
@@ -41,12 +23,13 @@ const (
 // local runtime's separate-block semantics.
 //
 // Fire-and-forget is bounded, not unlimited: each channel holds a
-// credit window (advertised and replenished by the server with CREDIT
-// frames), and every request-logging operation — Call, QueryAsync,
-// Query, Sync — consumes one credit, parking the caller when the
-// window is exhausted until completions replenish it. The connection's
-// shared writer additionally parks producers (including BEGIN/END)
-// while its pending batch is at the byte budget. Both parks end in
+// credit window (window credits at the start, replenished by the
+// server with CREDIT frames), and every request-logging operation —
+// Call, QueryAsync, Query, Sync — consumes one credit, parking the
+// caller when the window is exhausted until completions replenish it.
+// The connection's shared writer additionally parks producers
+// (including BEGIN/END) while its pending batch is at the byte
+// budget. Both parks end in
 // bounded memory on a healthy connection and in a fast failure on a
 // dead one; because they can block, remote operations must not be
 // called from a Future.OnComplete callback (which runs on the mux's
@@ -175,21 +158,24 @@ func (rs *RemoteSession) acquireCredit() error {
 }
 
 // addCredits applies a CREDIT grant and releases parked admissions.
-// Called by the mux reader, which has already validated the grant; the
-// balance is clamped so even a flood of maximal grants stays within
-// the admission arithmetic.
-func (rs *RemoteSession) addCredits(n int64) {
+// Called by the mux reader. It reports false, applying nothing, for a
+// zero grant or one that would lift the balance above window: a server
+// only gives back credits of completed requests, so an honest grant
+// never does either.
+func (rs *RemoteSession) addCredits(n uint64) bool {
 	rs.mu.Lock()
-	rs.credits += n
-	if rs.credits > maxCreditBalance {
-		rs.credits = maxCreditBalance
+	if n == 0 || n > uint64(window-rs.credits) {
+		rs.mu.Unlock()
+		return false
 	}
+	rs.credits += int64(n)
 	w := rs.creditWait
 	rs.creditWait = nil
 	rs.mu.Unlock()
 	if w != nil {
 		w.Complete(nil)
 	}
+	return true
 }
 
 // register allocates a pipeline id and parks p under it until the

@@ -27,7 +27,7 @@ var (
 	ErrProtocol = errors.New("remote: protocol violation")
 
 	// ErrCreditOverrun reports a peer that ignored the credit window
-	// and flooded requests past its advertised allowance. The server
+	// and flooded requests past its window allowance. The server
 	// quarantines the offending channel (its handler is released, its
 	// requests are dropped) but keeps the connection and its other
 	// channels alive.

@@ -236,14 +236,11 @@ func TestWriterDeferredParksPastBudget(t *testing.T) {
 // paired subtest kills the connection mid-stall instead and requires a
 // clean unwedge.
 func TestSlowPeerBoundsServerWriter(t *testing.T) {
-	// The budget sits below even the bootstrap-window reply volume:
-	// the credit layer caps what a stalled client can have in flight
-	// at bootstrapCredits per channel, so a larger budget would bound
-	// the batch before the byte cap ever engaged (which is the point,
-	// but not what this test wants to observe).
+	// The budget sits far below the window's reply volume: a larger
+	// budget would bound the batch before the byte cap ever engaged
+	// (which is the point, but not what this test wants to observe).
 	const (
 		budget   = 256
-		window   = adaptiveMaxWindow // the most any channel's window can reach
 		sessions = 2
 		qper     = 2048
 	)
@@ -502,9 +499,8 @@ func TestWriteFailureFailsPendingPromptly(t *testing.T) {
 }
 
 // TestCreditWindowThrottlesAdmission pins the client-side admission
-// gate: with the handler gated shut nothing completes, so the window
-// controller never runs and the window stays at its initial size —
-// exactly adaptiveInitWindow requests are admitted, and the next one
+// gate: with the handler gated shut nothing completes, so no credit
+// comes back — exactly window requests are admitted, and the next one
 // parks (CreditStalls) until completions replenish the window.
 func TestCreditWindowThrottlesAdmission(t *testing.T) {
 	rt := core.New(core.ConfigAll)
@@ -532,7 +528,6 @@ func TestCreditWindowThrottlesAdmission(t *testing.T) {
 	defer mux.Close()
 	rs := mux.NewSession()
 
-	const window = adaptiveInitWindow
 	const total = window + 32
 	var admitted atomic.Int64
 	futs := make([]*future.Future, 0, total)
@@ -555,7 +550,7 @@ func TestCreditWindowThrottlesAdmission(t *testing.T) {
 	}()
 
 	// With the handler gated, no replies flow, so no credits come back:
-	// admission must stop at exactly the initial window.
+	// admission must stop at exactly the window.
 	deadline := time.Now().Add(20 * time.Second)
 	for admitted.Load() < window {
 		if time.Now().After(deadline) {
@@ -630,8 +625,7 @@ func TestPoisonErrorsCoalesceUnderBackpressure(t *testing.T) {
 
 	// Wait until the server has consumed the whole flood (every frame
 	// accepted by its writer), then check the deferred queue stayed
-	// small: the initial window grant plus at most one coalesced
-	// poison, not one per cycle.
+	// small: at most one coalesced poison, not one per cycle.
 	deadline := time.Now().Add(20 * time.Second)
 	for srv.Stats().FramesParked == 0 {
 		if time.Now().After(deadline) {
@@ -658,9 +652,11 @@ func TestPoisonErrorsCoalesceUnderBackpressure(t *testing.T) {
 }
 
 // TestBogusCreditGrantFailsMux pins the client-side grant validation:
-// a zero or absurd CREDIT count is a protocol violation that fails the
-// mux — applied blindly, a huge count would go negative in int64 and
-// park every admission forever with no error.
+// a zero CREDIT count, or one lifting the balance past the window, is a
+// protocol violation that fails the mux — applied blindly, a huge count
+// would go negative in int64 and park every admission forever with no
+// error. A fresh session already holds a full window, so even a grant
+// of 1 is past it.
 func TestBogusCreditGrantFailsMux(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -668,6 +664,7 @@ func TestBogusCreditGrantFailsMux(t *testing.T) {
 	}{
 		{"zero", 0},
 		{"huge", 1 << 63},
+		{"past the window", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cli, sv := net.Pipe()
@@ -739,8 +736,11 @@ func TestPoisonResendsAfterDrain(t *testing.T) {
 	}
 
 	// Congest the writer with failing blocks while nobody reads: the
-	// coalescing must cap the deferred poisons at one.
-	for i := 0; i < 6; i++ {
+	// coalescing must cap the deferred poisons at one. A poison is 31
+	// bytes against the 64-byte budget, so the writer's first batch
+	// (blocked in Write) and the next one hold at most three each:
+	// eight blocks park one however late the writer takes its batch.
+	for i := 0; i < 8; i++ {
 		if !c.handleFrame(&frame{kind: fBegin, ch: 1, name: "nonesuchA"}) {
 			t.Fatal("BEGIN rejected")
 		}
@@ -749,7 +749,7 @@ func TestPoisonResendsAfterDrain(t *testing.T) {
 		}
 	}
 	if st := cw.stats(); st.Parked < 1 || st.Parked > 2 {
-		t.Fatalf("deferred poisons = %d over 6 failing blocks, want coalesced to 1-2", st.Parked)
+		t.Fatalf("deferred poisons = %d over 8 failing blocks, want coalesced to 1-2", st.Parked)
 	}
 
 	// Drain: the queued poison flushes.
@@ -795,9 +795,8 @@ func TestCreditOverrunQuarantinesChannel(t *testing.T) {
 			rt := core.New(mode.cfg)
 			gate := make(chan struct{})
 			srv := NewServer(rt)
-			// Nothing completes behind the gate, so the window stays at
-			// its initial size for the whole flood.
-			const window = adaptiveInitWindow
+			// Nothing completes behind the gate, so no credit comes back
+			// during the flood.
 			srv.Expose("gate", rt.NewHandler("gate"), map[string]Proc{
 				"tick": func([]int64) int64 { <-gate; return 0 },
 			})
@@ -828,7 +827,7 @@ func TestCreditOverrunQuarantinesChannel(t *testing.T) {
 
 			var buf []byte
 			buf = appendFrame(buf, &frame{kind: fBegin, ch: 1, name: "gate"})
-			for i := 0; i < window+bootstrapCredits; i++ {
+			for i := 0; i < window+64; i++ {
 				buf = appendFrame(buf, &frame{kind: fCallB, ch: 1, name: "tick"})
 			}
 			if _, err := conn.Write(buf); err != nil {
@@ -836,18 +835,12 @@ func TestCreditOverrunQuarantinesChannel(t *testing.T) {
 			}
 
 			// The server's verdict arrives in-band: one id-0 ERROR on the
-			// abused channel naming the overrun. CREDIT advertisements may
-			// precede it.
+			// abused channel naming the overrun, and nothing before it —
+			// nothing has completed, so no credit has come back.
 			fr := newFrameReader(conn)
 			var f frame
-			for {
-				if err := fr.readFrame(&f); err != nil {
-					t.Fatalf("reading quarantine verdict: %v", err)
-				}
-				if f.kind == fCredit {
-					continue
-				}
-				break
+			if err := fr.readFrame(&f); err != nil {
+				t.Fatalf("reading quarantine verdict: %v", err)
 			}
 			if f.kind != fError || f.ch != 1 || f.id != 0 {
 				t.Fatalf("expected block-level ERROR on channel 1, got kind=0x%02x ch=%d id=%d", byte(f.kind), f.ch, f.id)
@@ -881,7 +874,7 @@ func TestCreditOverrunQuarantinesChannel(t *testing.T) {
 				if err := fr.readFrame(&f); err != nil {
 					t.Fatalf("reading sibling channel reply: %v", err)
 				}
-				if f.kind == fCredit || (f.kind == fError && f.ch == 1) {
+				if f.kind == fError && f.ch == 1 {
 					continue
 				}
 				break

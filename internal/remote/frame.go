@@ -33,22 +33,18 @@
 // producers park at the cap until the batch drains below low water,
 // while server-side handlers answering requests (which must never
 // block) defer their reply inside the writer instead. On top of the
-// budget, every channel carries a credit window — advertised by the server
-// with a CREDIT frame when the channel first appears, consumed one
-// credit per logged request, replenished in batches as requests
-// complete — so the server's deferred replies are bounded by
-// window × channels even under a peer that stopped reading. Each
-// channel's window tracks an EWMA of its drain rate with AIMD dynamics
-// (adaptive.go) — grown additively while the channel keeps its writer
-// fed, halved when its replies congest the connection's writer — so a
-// fast consumer earns a deep pipeline while a slow one is throttled
-// toward the minimum. Opening a channel is not credit-gated, so the
-// live channels of a connection are capped instead (maxChannels). A
-// channel that overruns its window is quarantined, not fatal: the
-// server releases its handler, reports ErrCreditOverrun on the
-// channel, and drops its subsequent frames, while the connection and
-// its other channels keep working. Idle peers are handled at
-// connection scope:
+// budget, every channel carries a credit window of window requests, a
+// constant both ends compile in: a channel opens with a full window
+// (nothing is advertised), each logged request consumes one credit,
+// and completions give credits back in CREDIT frames of window/8 — so
+// the server's deferred replies are bounded by window × channels even
+// under a peer that stopped reading. Opening a channel is not
+// credit-gated, so the live channels of a connection are capped
+// instead (maxChannels). A channel that overruns its window is
+// quarantined, not fatal: the server releases its handler, reports
+// ErrCreditOverrun on the channel, and drops its subsequent frames,
+// while the connection and its other channels keep working. Idle peers
+// are handled at connection scope:
 // with Server.IdleTimeout set, a peer holding a block open with
 // nothing in flight is torn down (ErrPeerStalled) instead of pinning
 // server state forever.
@@ -93,12 +89,9 @@
 //	                                        as the channel's sticky
 //	                                        block error and surfaced at
 //	                                        its next sync point
-//	CREDIT(0x83)  n:uvarint                 grant the channel n request
-//	                                        credits (flow control): the
-//	                                        initial window advertisement
-//	                                        on channel creation, then
-//	                                        replenishment as requests
-//	                                        complete
+//	CREDIT(0x83)  n:uvarint                 give the channel back n
+//	                                        request credits as requests
+//	                                        complete (flow control)
 //	REPLYB(0x84)  id:uvarint payload:bytes  query/sync result
 //
 // payload is a uvarint length followed by that many raw bytes, the
@@ -165,12 +158,20 @@ const (
 
 	// maxChannels caps the live channels of one connection. Opening a
 	// channel is not credit-gated — each BEGIN on a fresh id costs the
-	// server a channel record, a core.Client and a window advertisement
-	// in the writer — so without the cap a peer walking channel ids
-	// (and never reading) grows all three without limit. Far above any
+	// server a channel record and a core.Client — so without the cap a
+	// peer walking channel ids grows both without limit. Far above any
 	// honest mux: a channel is a logical client, not a request.
 	maxChannels = 4096
 )
+
+// window is every channel's credit window: how many requests (CALLB,
+// QUERYB, SYNC) it may have admitted but not yet completed. Both ends
+// compile it in: a client opens each channel with window credits, the
+// server quarantines a channel past it and gives completed requests'
+// credits back in CREDIT frames of window/8. It bounds the server's
+// deferred replies, and with them the write path's memory, at
+// window × channels, far above the writer's typical flush.
+const window = 1024
 
 // frame is the decoded wire message. One frame struct is reused across
 // reads: name strings are interned per connection and payloads are

@@ -80,7 +80,7 @@ func (m *Mux) NewSession() *RemoteSession {
 		m:       m,
 		ch:      m.nextCh,
 		pending: map[uint64]pendingReq{},
-		credits: bootstrapCredits,
+		credits: window,
 	}
 	rs.blk.rs = rs
 	if m.err != nil {
@@ -233,20 +233,16 @@ func (m *Mux) readLoop() {
 			}
 			rs.resolve(&f)
 		case fCredit:
-			if f.id == 0 || f.id > maxCreditGrant {
-				// A zero or absurd grant is a protocol violation, not
-				// arithmetic input: applied blindly, a huge count would
-				// go negative in int64 and park every admission forever.
-				m.fail(fmt.Errorf("remote: credit grant of %d outside (0, %d]: %w", f.id, uint64(maxCreditGrant), ErrProtocol))
-				return
-			}
 			m.mu.Lock()
 			rs := m.chans[f.ch]
 			m.mu.Unlock()
 			if rs == nil {
 				continue // channel retired; stale grant
 			}
-			rs.addCredits(int64(f.id))
+			if !rs.addCredits(f.id) {
+				m.fail(fmt.Errorf("remote: credit grant of %d on channel %d: zero or past its %d-credit window: %w", f.id, f.ch, window, ErrProtocol))
+				return
+			}
 		default:
 			m.fail(fmt.Errorf("remote: unexpected frame kind 0x%02x from server: %w", byte(f.kind), ErrProtocol))
 			return

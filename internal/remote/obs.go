@@ -18,10 +18,6 @@ var (
 	// roundTripHist is a pipelined request's send→reply latency,
 	// observed at the client as its future resolves.
 	roundTripHist = obs.Default().Hist("remote.roundtrip_ns")
-	// windowHist is the adaptive credit-window target after each
-	// resize: its spread shows how far the controller moved windows
-	// from their initial size over a run.
-	windowHist = obs.Default().Hist("remote.window")
 	// payloadHist is the size of each decoded bytes payload
 	// (fCallB/fQueryB/fReplyB), observed on both ends of the wire.
 	payloadHist = obs.Default().Hist("remote.bytes_payload")

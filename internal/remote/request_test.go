@@ -124,8 +124,8 @@ func (p *rawPeer) expectDropped() {
 
 // requestServer is the fixture of the request-path tests: handler "h"
 // answers at once, handler "gate" blocks in "hold" until the gate opens
-// (so nothing logged behind it completes and the window controller
-// never runs). Both expose the int proc "p" and the bytes proc "bp"
+// (so nothing logged behind it completes and no credit comes back).
+// Both expose the int proc "p" and the bytes proc "bp"
 // under one name, registered in opposite orders.
 type requestServer struct {
 	rt   *core.Runtime
@@ -205,12 +205,10 @@ func sentinel(ch uint32) []frame {
 // back. The last cells pin the veneer's edges: the retired int kinds,
 // a malformed argument payload, and one name carrying both tables.
 func TestRequestPathOutcomes(t *testing.T) {
-	const initialGrant = adaptiveInitWindow - bootstrapCredits
-
 	// returned is how many one-request blocks the inline cells run: more
-	// than any window the controller can reach, so a path that kept its
-	// credit would walk the channel into a quarantine.
-	const returned = adaptiveMaxWindow + 64
+	// than the window, so a path that kept its credit would walk the
+	// channel into a quarantine.
+	const returned = window + 64
 
 	for ki, k := range requestKinds {
 		t.Run(k.name, func(t *testing.T) {
@@ -256,11 +254,11 @@ func TestRequestPathOutcomes(t *testing.T) {
 
 					// A SYNC names no procedure, so in a healthy block it is
 					// simply dispatched: it completes on the handler, and a
-					// raw peer must then stay inside the bootstrap window.
+					// raw peer must then stay inside the window.
 					dispatched := k.kind == fSync && cell.handler == "h"
 					n := returned
 					if dispatched {
-						n = bootstrapCredits / 2
+						n = 32
 					}
 					var frames []frame
 					for i := 1; i <= n; i++ {
@@ -316,7 +314,7 @@ func TestRequestPathOutcomes(t *testing.T) {
 					if st.Quarantines != 0 || st.ProtocolViolations != 0 {
 						t.Fatalf("quarantines %d, violations %d; want none", st.Quarantines, st.ProtocolViolations)
 					}
-					if !dispatched && st.CreditsGranted <= initialGrant {
+					if !dispatched && st.CreditsGranted == 0 {
 						t.Fatalf("CreditsGranted = %d after %d requests: nothing replenished", st.CreditsGranted, n)
 					}
 				})
@@ -329,13 +327,13 @@ func TestRequestPathOutcomes(t *testing.T) {
 				defer p.close()
 
 				// One held call plus a full window of requests behind it:
-				// nothing completes, so the window is exactly the initial
-				// one and the last request is exactly one past it.
+				// nothing completes, so no credit comes back, and the last
+				// request is exactly one past the window.
 				frames := []frame{
 					{kind: fBegin, ch: 1, name: "gate"},
 					{kind: fCallB, ch: 1, name: "hold"},
 				}
-				for i := 1; i <= adaptiveInitWindow; i++ {
+				for i := 1; i <= window; i++ {
 					frames = append(frames, requestFrame(ki, 1, uint64(i), k.proc))
 				}
 				// The channel is a black hole from here on.
@@ -343,10 +341,11 @@ func TestRequestPathOutcomes(t *testing.T) {
 				p.write(append(frames, sentinel(2)...))
 				got := p.readUntilReply(2, sentinelID)
 
+				// No CREDIT either: a channel opens with a full window, and
+				// neither channel has completed a grant's worth.
 				overruns := 0
 				for _, f := range got {
 					switch {
-					case f.kind == fCredit:
 					case f.kind == fError && f.ch == 1 && f.id == 0 && strings.Contains(f.name, "credit window overrun"):
 						overruns++
 					default:
@@ -360,9 +359,9 @@ func TestRequestPathOutcomes(t *testing.T) {
 				if st.Quarantines != 1 || st.ProtocolViolations != 0 {
 					t.Fatalf("quarantines %d, violations %d; want 1 and 0", st.Quarantines, st.ProtocolViolations)
 				}
-				if st.CreditsGranted != 2*initialGrant {
-					t.Fatalf("CreditsGranted = %d, want the two initial grants (%d): a quarantined channel is not replenished",
-						st.CreditsGranted, 2*initialGrant)
+				if st.CreditsGranted != 0 {
+					t.Fatalf("CreditsGranted = %d, want 0: nothing is advertised, and a quarantined channel is not replenished",
+						st.CreditsGranted)
 				}
 			})
 		})
@@ -515,26 +514,25 @@ func TestStrayReplyBytesReleasesPayload(t *testing.T) {
 
 // TestChannelCapBoundsOpenChannels closes the hole the credit window
 // does not cover: opening a channel is not credit-gated, and every
-// fresh id costs the server a channel record, a core.Client and a
-// window advertisement. A peer that never reads and walks channel ids
-// is dropped at maxChannels+1, with at most one deferred frame per
-// channel behind the wedged writer.
+// fresh id costs the server a channel record, a core.Client and, for a
+// BEGIN naming no handler, a block error in the writer. A peer that
+// never reads and walks channel ids is dropped at maxChannels+1, with
+// at most one deferred frame per channel behind the wedged writer.
 func TestChannelCapBoundsOpenChannels(t *testing.T) {
 	base := takeLeakBaseline()
 	rt := core.New(core.ConfigAll)
 	srv := NewServer(rt)
-	srv.Expose("h", rt.NewHandler("h"), map[string]Proc{"p": func([]int64) int64 { return 0 }})
 	ln := newPipeListener()
 	go srv.Serve(ln)
 
 	// net.Pipe has no buffering: the server's writer wedges on its first
-	// flush and every later advertisement is deferred behind it.
+	// flush and every later block error is deferred behind it.
 	conn := ln.dial(t)
 	conn.SetDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
 	p := &rawPeer{t: t, conn: conn, fr: newFrameReader(conn)}
 	var buf []byte
 	for ch := uint32(1); ch <= maxChannels+1; ch++ {
-		buf = appendFrame(buf, &frame{kind: fBegin, ch: ch, name: "h"})
+		buf = appendFrame(buf, &frame{kind: fBegin, ch: ch, name: "nonesuch"})
 		buf = appendFrame(buf, &frame{kind: fEnd, ch: ch})
 	}
 	conn.Write(buf) //nolint:errcheck // the server hangs up before the tail is consumed
@@ -575,8 +573,8 @@ func startMuxServer(t *testing.T, srv *Server) *Mux {
 // request returns its credit and its payload on every path, whichever
 // kind panicked. A panicking call once unwound past both, and the calls
 // after it in its poisoned block never ran, so 128 blocks of
-// {panicking CallBytes, CallBytes} wedged the channel at its initial
-// window with a slab pinned. Poisoning itself stays: after a panicking
+// {panicking CallBytes, CallBytes} wedged the channel with its credits
+// spent and a slab pinned. Poisoning itself stays: after a panicking
 // call or query the block's later calls do not run, and its later
 // queries and syncs fail with the same text a panicking query gets.
 func TestPanickingCallGivesBackCreditAndPayload(t *testing.T) {
@@ -735,16 +733,15 @@ func TestServerRequestsMintNoFutures(t *testing.T) {
 
 // TestCloseDropsChannelFromWriter pins what CLOSE leaves in the
 // connection's writer: nothing. A peer that never reads and cycles
-// BEGIN/CLOSE over fresh ids parked one window advertisement, and kept
-// one deferred queue, per id for the connection's life; now the parked
-// backlog and the writer's per-channel records stay under a constant
-// whatever the cycle count.
+// BEGIN/CLOSE over fresh ids parks one frame per id — the id-0 ERROR of
+// a BEGIN naming no handler — and once kept one deferred queue per id
+// for the connection's life; now the parked backlog and the writer's
+// per-channel records stay under a constant whatever the cycle count.
 func TestCloseDropsChannelFromWriter(t *testing.T) {
 	base := takeLeakBaseline()
 	rt := core.New(core.ConfigAll)
 	srv := NewServer(rt)
-	srv.writeBudget = 64 // full after a dozen advertisements
-	srv.Expose("h", rt.NewHandler("h"), map[string]Proc{"p": func([]int64) int64 { return 0 }})
+	srv.writeBudget = 64 // full after a couple of block errors
 	ln := newPipeListener()
 	go srv.Serve(ln)
 
@@ -755,16 +752,16 @@ func TestCloseDropsChannelFromWriter(t *testing.T) {
 	const cycles = 5 * maxChannels
 	var buf []byte
 	for ch := uint32(1); ch <= cycles; ch++ {
-		buf = appendFrame(buf, &frame{kind: fBegin, ch: ch, name: "h"})
+		buf = appendFrame(buf, &frame{kind: fBegin, ch: ch, name: "nonesuch"})
 		buf = appendFrame(buf, &frame{kind: fClose, ch: ch})
 	}
 	if _, err := conn.Write(buf); err != nil {
 		t.Fatal(err)
 	}
-	// Every channel's advertisement reached the writer: the server has
+	// Every channel's block error reached the writer: the server has
 	// handled every frame.
 	if !chaosPoll(func() bool { return srv.Stats().Frames == cycles }) {
-		t.Fatalf("server accepted %d advertisements, want %d", srv.Stats().Frames, cycles)
+		t.Fatalf("server accepted %d block errors, want %d", srv.Stats().Frames, cycles)
 	}
 
 	const bound = 16

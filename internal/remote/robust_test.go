@@ -92,113 +92,6 @@ func TestTerminalErrorsDistinguishable(t *testing.T) {
 	})
 }
 
-// adaptiveTestConn builds the minimal serverConn the window controller
-// needs: a writer over a drained pipe and a stats-only Server. The
-// returned channel starts at the adaptive initial window, uncongested.
-func adaptiveTestConn(t *testing.T) (*serverConn, *svChan, func()) {
-	t.Helper()
-	cli, peer := net.Pipe()
-	go io.Copy(io.Discard, peer) //nolint:errcheck
-	cw := newConnWriter(cli, 0, nil)
-	c := &serverConn{s: &Server{}, cw: cw, chans: map[uint32]*svChan{}}
-	sc := &svChan{target: adaptiveInitWindow, lastAdjust: time.Now(), lastParked: cw.parkedTotal()}
-	sc.limit.Store(adaptiveInitWindow)
-	return c, sc, func() {
-		cw.close()
-		cli.Close()
-		peer.Close()
-	}
-}
-
-// TestAdaptiveWindowGrows pins the additive-increase path and the
-// grow-by-granting mechanism: with a hot drain-rate estimate and no
-// congestion, one controller run raises the target by one step and the
-// returned grant carries the extra allowance on top of the batch's
-// completions, so limit tracks exactly what the client was extended.
-func TestAdaptiveWindowGrows(t *testing.T) {
-	c, sc, done := adaptiveTestConn(t)
-	defer done()
-	sc.ewmaRate = 1e6 // far above any target: the ceiling never binds
-	sc.lastAdjust = time.Now().Add(-time.Second)
-
-	const n = 64 // completions in this grant batch
-	grant := c.adjustWindow(sc, 1, n)
-	wantTarget := int64(adaptiveInitWindow + adaptiveAIStep)
-	if sc.target != wantTarget {
-		t.Fatalf("target = %d, want %d", sc.target, wantTarget)
-	}
-	if got := sc.limit.Load(); got != wantTarget {
-		t.Fatalf("limit = %d, want %d", got, wantTarget)
-	}
-	if want := int64(n + adaptiveAIStep); grant != want {
-		t.Fatalf("grant = %d, want %d (completions + growth)", grant, want)
-	}
-	if got := c.s.windowResizes.Load(); got != 1 {
-		t.Fatalf("windowResizes = %d, want 1", got)
-	}
-}
-
-// TestAdaptiveWindowBacksOff pins the multiplicative-decrease path and
-// the shrink-by-withholding mechanism: congestion (the writer's parked
-// counter advanced since the last decision) halves the target, and the
-// shrink is realized by withholding replenishment — never more than the
-// batch carries — so the enforced limit only ever drops by credits that
-// were genuinely not re-extended.
-func TestAdaptiveWindowBacksOff(t *testing.T) {
-	c, sc, done := adaptiveTestConn(t)
-	defer done()
-	sc.lastParked = sc.lastParked + 7 // pretend frames parked since last run
-
-	const n = 16 // fewer completions than the halving wants to withhold
-	grant := c.adjustWindow(sc, 1, n)
-	wantTarget := int64(adaptiveInitWindow / 2)
-	if sc.target != wantTarget {
-		t.Fatalf("target = %d, want %d", sc.target, wantTarget)
-	}
-	if grant != 0 {
-		t.Fatalf("grant = %d, want 0 (whole batch withheld)", grant)
-	}
-	// The limit fell by exactly the withheld batch, not to the target:
-	// the remaining shrink happens over future batches.
-	if got, want := sc.limit.Load(), int64(adaptiveInitWindow-n); got != want {
-		t.Fatalf("limit = %d, want %d", got, want)
-	}
-
-	// Sustained congestion drives the target to the floor and no lower;
-	// the limit follows batch by batch and grants never go negative.
-	for i := 0; i < 64; i++ {
-		sc.lastParked += 3
-		if g := c.adjustWindow(sc, 1, n); g < 0 {
-			t.Fatalf("negative grant %d on iteration %d", g, i)
-		}
-	}
-	if sc.target != adaptiveMinWindow {
-		t.Fatalf("floored target = %d, want %d", sc.target, int64(adaptiveMinWindow))
-	}
-	if got := sc.limit.Load(); got < adaptiveMinWindow {
-		t.Fatalf("limit %d fell below the enforceable floor %d", got, int64(adaptiveMinWindow))
-	}
-}
-
-// TestAdaptiveWindowCapped pins the growth ceiling: however hot the
-// drain rate, the target saturates at the legacy fixed window, so the
-// adaptive deferred-reply bound never exceeds the static one.
-func TestAdaptiveWindowCapped(t *testing.T) {
-	c, sc, done := adaptiveTestConn(t)
-	defer done()
-	for i := 0; i < 64; i++ {
-		sc.ewmaRate = 1e9 // keep the estimate hot across the decay of each run
-		sc.lastAdjust = time.Now().Add(-time.Second)
-		c.adjustWindow(sc, 1, 64)
-	}
-	if sc.target != adaptiveMaxWindow {
-		t.Fatalf("saturated target = %d, want %d", sc.target, int64(adaptiveMaxWindow))
-	}
-	if got := sc.limit.Load(); got != adaptiveMaxWindow {
-		t.Fatalf("saturated limit = %d, want %d", got, int64(adaptiveMaxWindow))
-	}
-}
-
 // TestIdleTimeoutTearsDownStalledPeer pins the idle-deadline policy: a
 // peer that goes silent with a block open is torn down (counted as a
 // peer stall) and its handler freed, while a quiet connection with no
@@ -246,8 +139,7 @@ func TestIdleTimeoutTearsDownStalledPeer(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	// The teardown reaches the wire: past the server's initial CREDIT
-	// advertisement, the stalled peer's stream ends. io.Copy returns nil
+	// The teardown reaches the wire: the stalled peer's stream ends. io.Copy returns nil
 	// on EOF; only a still-open connection trips the read deadline.
 	stalled.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
 	if _, err := io.Copy(io.Discard, stalled); err != nil && !errors.Is(err, net.ErrClosed) {
@@ -269,14 +161,8 @@ func TestIdleTimeoutTearsDownStalledPeer(t *testing.T) {
 	quiet.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
 	fr := newFrameReader(quiet)
 	var f frame
-	for {
-		if err := fr.readFrame(&f); err != nil {
-			t.Fatalf("quiet connection reply: %v", err)
-		}
-		if f.kind == fCredit {
-			continue
-		}
-		break
+	if err := fr.readFrame(&f); err != nil {
+		t.Fatalf("quiet connection reply: %v", err)
 	}
 	if f.kind != fReplyB || f.id != 1 || !bytes.Equal(f.data, ints(5)) {
 		t.Fatalf("quiet connection: expected REPLYB id=1 of 5, got kind=0x%02x id=%d %x", byte(f.kind), f.id, f.data)

@@ -51,16 +51,14 @@ type BytesProc func(payload []byte) []byte
 // The write path is bounded end to end. The writer's pending batch is
 // capped at a byte budget; replies that do not fit are deferred
 // inside the writer until the batch drains, and the deferred backlog
-// is in turn bounded by the per-channel credit window: the server
-// advertises credits when a channel first appears, each admitted
-// request consumes one, and completions replenish them in batches — so
-// a stalled or slow peer caps this server's memory at
+// is in turn bounded by the per-channel credit window: a channel opens
+// with window credits, known to both ends, each admitted request
+// consumes one, and completions replenish them in batches — so a
+// stalled or slow peer caps this server's memory at
 // budget + window×channels reply frames instead of growing without
-// limit. Windows are sized per channel from the observed drain rate,
-// with AIMD backoff on congestion and a hard ceiling (see adaptive.go).
-// A channel that overruns its window (a client ignoring credits) is
-// quarantined: its handler is released, its frames are dropped, and
-// the connection's other channels carry on untouched.
+// limit. A channel that overruns its window (a client ignoring
+// credits) is quarantined: its handler is released, its frames are
+// dropped, and the connection's other channels carry on untouched.
 type Server struct {
 	rt          *core.Runtime
 	writeBudget int // each connection writer's batch cap; 0 = defaultWriteBudget (tests shrink it)
@@ -84,7 +82,6 @@ type Server struct {
 	closed   bool
 
 	creditsGranted atomic.Uint64
-	windowResizes  atomic.Uint64
 	quarantines    atomic.Uint64
 	peerStalls     atomic.Uint64
 	violations     atomic.Uint64
@@ -155,9 +152,9 @@ type ServerStats struct {
 	FramesParked    uint64 // frames deferred past the write budget (total)
 	MaxBatchBytes   uint64 // peak pending batch across connections (≤ budget + one frame)
 	MaxParkedFrames uint64 // peak deferred backlog: ≤ window×channels replies, plus pending grants and ≤1 block error per channel
-	CreditsGranted  uint64 // request credits advertised + replenished
+	CreditsGranted  uint64 // request credits replenished
 
-	WindowResizes      uint64 // adaptive window target changes (see adaptive.go)
+	WindowResizes      uint64 // always 0: the credit window is the constant window; kept for existing readers
 	Quarantines        uint64 // channels quarantined for overrunning their credit window
 	PeerStalls         uint64 // connections torn down by the idle deadline (ErrPeerStalled)
 	ProtocolViolations uint64 // connections dropped for unrecoverable protocol violations
@@ -189,7 +186,6 @@ func (s *Server) Stats() ServerStats {
 		MaxBatchBytes:      agg.MaxBatchBytes,
 		MaxParkedFrames:    agg.MaxParkedFrames,
 		CreditsGranted:     s.creditsGranted.Load(),
-		WindowResizes:      s.windowResizes.Load(),
 		Quarantines:        s.quarantines.Load(),
 		PeerStalls:         s.peerStalls.Load(),
 		ProtocolViolations: s.violations.Load(),
@@ -262,24 +258,10 @@ type svChan struct {
 	outstanding atomic.Int64
 	pendGrant   atomic.Int64
 
-	// limit is the enforced credit window: the allowance actually
-	// extended to the client (bootstrap + grants − withheld), moved
-	// toward target at grant batches. Read by the reader's admission
-	// check, written under amu.
-	limit atomic.Int64
-
 	// quarantined marks a channel that overran its window: its frames
 	// are dropped without reply or credit (set by the reader, read by
 	// completing requests).
 	quarantined atomic.Bool
-
-	// Window-controller state, all under amu (the controller runs on
-	// whichever goroutine crosses a grant-batch boundary).
-	amu        sync.Mutex
-	target     int64     // where the controller wants the window
-	ewmaRate   float64   // drain-rate estimate, completions/sec
-	lastAdjust time.Time // previous controller run
-	lastParked uint64    // writer's cumulative parked count then
 
 	// errmsg poisons an open block whose BEGIN or CALLB failed (unknown
 	// handler/procedure, reservation after shutdown): calls are
@@ -319,21 +301,6 @@ type serverConn struct {
 	s     *Server
 	cw    *connWriter
 	chans map[uint32]*svChan
-}
-
-// newChan initializes the server end of a fresh channel and advertises
-// its initial credit window (topping the client up from its bootstrap).
-func (c *serverConn) newChan(ch uint32) *svChan {
-	sc := &svChan{
-		cl:         c.s.rt.NewClient(),
-		target:     adaptiveInitWindow,
-		lastAdjust: time.Now(),
-		lastParked: c.cw.parkedTotal(),
-	}
-	sc.limit.Store(adaptiveInitWindow)
-	c.chans[ch] = sc
-	c.grant(sc, ch, adaptiveInitWindow-bootstrapCredits)
-	return sc
 }
 
 // serveConn demultiplexes one connection's frames onto local sessions.
@@ -451,22 +418,6 @@ func (c *serverConn) poison(sc *svChan, ch uint32, msg string) {
 	_, sc.poisonSeq = c.cw.frameDeferred(&sc.q, &frame{kind: fError, ch: ch, id: 0, name: msg})
 }
 
-// grant ships n request credits to the channel.
-func (c *serverConn) grant(sc *svChan, ch uint32, n int64) {
-	if ok, _ := c.cw.frameDeferred(&sc.q, &frame{kind: fCredit, ch: ch, id: uint64(n)}); ok {
-		c.s.creditsGranted.Add(uint64(n))
-	}
-}
-
-// admit charges one unit of the channel's credit window for a received
-// request. It reports false when the client overran its window — only
-// possible for a peer ignoring CREDIT frames (the client-side
-// admission gate cannot overrun) — which is the bound that keeps
-// deferred replies finite.
-func (c *serverConn) admit(sc *svChan) bool {
-	return sc.outstanding.Add(1) <= sc.limit.Load()
-}
-
 // quarantine cuts off a channel that overran its credit window without
 // dropping the connection: the handler is released (the offender
 // cannot hold a reservation hostage), one id-0 ERROR tells the peer
@@ -483,24 +434,22 @@ func (c *serverConn) quarantine(sc *svChan, ch uint32) {
 
 // credit returns one unit of the channel's window after a request
 // completed (executed, replied, or dropped by a poisoned block) and
-// replenishes the client in CREDIT frames of limit/8 completions; each
-// replenishment is also the window controller's decision point (see
-// adaptive.go). Runs on the reader or on handler/pool goroutines; never
-// blocks.
+// replenishes the client in CREDIT frames of window/8 completions.
+// Only completions are granted back, so the client's balance never
+// exceeds window. Runs on the reader or on handler/pool goroutines;
+// never blocks.
 func (c *serverConn) credit(sc *svChan, ch uint32) {
 	sc.outstanding.Add(-1)
 	if sc.quarantined.Load() {
 		return // no replenishment for a quarantined channel
 	}
-	if sc.pendGrant.Add(1) < sc.limit.Load()/8 { // limit >= adaptiveMinWindow: a batch is never empty
+	if sc.pendGrant.Add(1) < window/8 {
 		return
 	}
-	n := sc.pendGrant.Swap(0)
-	if n <= 0 {
-		return
-	}
-	if n = c.adjustWindow(sc, ch, n); n > 0 {
-		c.grant(sc, ch, n)
+	if n := sc.pendGrant.Swap(0); n > 0 {
+		if ok, _ := c.cw.frameDeferred(&sc.q, &frame{kind: fCredit, ch: ch, id: uint64(n)}); ok {
+			c.s.creditsGranted.Add(uint64(n))
+		}
 	}
 }
 
@@ -528,7 +477,10 @@ func (c *serverConn) handleFrame(f *frame) bool {
 			if len(c.chans) >= maxChannels {
 				return false // more live channels than a connection may hold
 			}
-			sc = c.newChan(f.ch)
+			// A fresh channel already holds a full window of credits:
+			// the client opens with window, so nothing is advertised.
+			sc = &svChan{cl: s.rt.NewClient()}
+			c.chans[f.ch] = sc
 		}
 		if sc.open() {
 			return false // BEGIN inside an open block
@@ -592,9 +544,12 @@ func (c *serverConn) request(sc *svChan, f *frame) bool {
 	if n := len(f.data); n > 0 {
 		c.s.bytesIn.Add(uint64(n))
 	}
-	if !c.admit(sc) {
+	if sc.outstanding.Add(1) > window {
+		// Only a peer ignoring the window gets here (the client-side
+		// admission gate cannot overrun): the bound that keeps
+		// deferred replies finite.
 		Release(f.data)
-		c.quarantine(sc, f.ch) // client overran its credit window
+		c.quarantine(sc, f.ch)
 		return true
 	}
 	msg, proc := sc.errmsg, sc.procs[f.name]

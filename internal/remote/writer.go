@@ -57,7 +57,7 @@ func (s *writerStats) fold(o writerStats) {
 // under a short mutex, and the goroutine flushes the batch with one
 // conn.Write.
 //
-// The flush policy is adaptive batching: an idle connection flushes a
+// The flush policy is batching on demand: an idle connection flushes a
 // frame as soon as it arrives; while a write is in flight, new frames
 // accumulate into the next batch, so under pipelined load the batch
 // grows to match the connection's drain rate and the protocol pays one
@@ -174,16 +174,6 @@ func (cw *connWriter) closeQueue(q *chanQueue) {
 		q.frames, q.head = nil, 0
 		cw.rr = slices.DeleteFunc(cw.rr, func(o *chanQueue) bool { return o == q })
 	}
-}
-
-// parkedTotal is the cumulative count of frames ever deferred past the
-// budget — a monotone congestion signal: the count advancing between
-// two reads means the write path pushed past its byte budget in the
-// interval. The adaptive window controller keys its backoff on it.
-func (cw *connWriter) parkedTotal() uint64 {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	return cw.st.Parked
 }
 
 // appendLocked encodes f onto the current batch; cw.mu must be held.
