@@ -51,19 +51,16 @@
 // single handler may read all the state: when the guard is false the
 // client logs a wait marker in place of END on every session of the
 // block and parks; each handler treats the marker as the end of the
-// block and files the client; an ordinary END reserves the filed clients
-// again by enqueueing their private queues into the queue-of-queues
-// itself. The client's next event is a sync it logged before parking: it
-// wakes with the block reserved and synced, re-evaluates the guard
-// locally, and runs the body or logs the marker again. The block is
-// filed on each of its handlers and a generation counter lets exactly
-// one of them re-reserve the whole set atomically, under the same
-// per-handler spinlocks, taken in id order, as a client's own
-// multi-reservation. Without the queue-of-queues (Config.QoQ false) a
-// handler can neither hold a block for a parked client nor reserve on
-// its behalf, because the client must hold the handler locks: guards
-// run on the client there too, and the END only unparks the client,
-// which locks and reserves afresh.
+// block and files the client; an ordinary END wakes a filed client,
+// which reserves the whole set again itself, as one multi-reservation
+// under the per-handler spinlocks taken in id order, re-evaluates the
+// guard, and runs the body or logs the marker again. The block is filed
+// on each of its handlers and a generation counter lets exactly one of
+// them wake the client. Without the queue-of-queues (Config.QoQ false) a
+// handler cannot hold a block for a parked client, because the client
+// must hold the handler locks: guards run on the client there too, and
+// the END unparks the client, which locks and reserves afresh. No
+// handler ever reserves a block on a client's behalf.
 //
 // A handler that retires (Runtime.Shutdown) wakes the clients still
 // filed with it, and their SeparateWhen panics with ErrShutdown.

@@ -320,7 +320,7 @@ const (
 // zero-argument call to an int64 procedure) — no reads,
 // no credit accounting, just frames. Written raw to a server
 // connection, it is a peer that ignores CREDIT entirely; a server with
-// a window of w must quarantine the channel after admitting at most its
+// a window of w must drop the connection after admitting at most its
 // allowance, which is what the chaos experiment asserts.
 func Flood(handler, proc string, n int) []byte {
 	buf := make([]byte, 0, 16+len(handler)+n*(4+len(proc)))

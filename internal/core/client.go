@@ -293,12 +293,19 @@ func (c *Client) SeparateWhen(hs []*Handler, guard func([]*Session) bool, body f
 	// One release for guard, wake-up and body: a panicking guard (say on
 	// a poisoned session) must end the block too, or the handlers wedge.
 	defer func() { c.releaseMany(sessions) }()
-	if qoq := c.rt.cfg.QoQ; qoq && len(sessions) == 1 {
+	if c.rt.cfg.QoQ && len(sessions) == 1 {
 		// The one handler owns everything the guard may read, so it
-		// answers: callGuard comes back like a sync, once the guard holds.
+		// answers: callGuard comes back like a sync, once the guard holds,
+		// with the block started and the handler synced on it.
+		s := sessions[0]
 		c.wait.sessions, c.wait.guard = sessions, guard
-		sessions[0].q.Enqueue(call{kind: callGuard})
-		c.parkWaiting(sessions[0])
+		s.q.Enqueue(call{kind: callGuard})
+		c.parkWaiting(s)
+		if c.wait.sessions == nil {
+			panic(ErrShutdown) // released by a retiring handler
+		}
+		s.synced = true
+		s.checkErr()
 	} else {
 		// No single handler may read all of a multi-handler block's
 		// state, and without the queue-of-queues no handler can hold a
@@ -308,12 +315,10 @@ func (c *Client) SeparateWhen(hs []*Handler, guard func([]*Session) bool, body f
 		for !guard(sessions) {
 			c.rt.stats.guardRetries.Add(1)
 			c.waitForChange(sessions)
-			if !qoq {
-				// The wait gave the handler locks up. Nothing is held
-				// while re-reserving, which may panic (Shutdown).
-				sessions = nil
-				sessions = c.reserveMany(hs)
-			}
+			// The client wakes unreserved. Nothing is held while
+			// re-reserving, which may panic (Shutdown).
+			sessions = nil
+			sessions = c.reserveMany(hs)
 		}
 	}
 	body(sessions)
@@ -322,27 +327,21 @@ func (c *Client) SeparateWhen(hs []*Handler, guard func([]*Session) bool, body f
 // waitForChange gives up a block whose guard failed and parks the client
 // until the state the guard read may have changed: every session gets
 // the callWait marker in place of END, and the handlers fire the wait
-// record at their next ordinary END (fireWaiters). Under QoQ the client
-// wakes on the sync pre-logged behind the first marker, with the block
-// reserved again, no lock or channel touched; otherwise unreserved.
+// record at their next ordinary END (fireWaiters), waking the client
+// with nothing reserved.
 func (c *Client) waitForChange(sessions []*Session) {
-	qoq, first := c.rt.cfg.QoQ, sessions[0]
 	c.wait.sessions = sessions
 	gen := c.wait.gen.Add(1) // odd: armed
 	for _, s := range sessions {
-		s.endWaiting(gen, qoq)
+		s.endWaiting(gen)
 	}
 	c.unlockMany(sessions)
-	if qoq {
-		c.rt.stats.syncsPerformed.Add(1)
-		first.q.Enqueue(call{kind: callSync})
-	}
-	c.parkWaiting(first)
+	c.parkWaiting(sessions[0])
 }
 
-// parkWaiting parks the client on s until a handler has started or
-// re-reserved its waiting block — under QoQ the handler is then synced on
-// s — or, retiring, has released it (Shutdown).
+// parkWaiting parks the client on s until a handler has started its
+// waiting block (callGuard) or released it: fired it (callWait) or,
+// retiring, given it up (Shutdown).
 func (c *Client) parkWaiting(s *Session) {
 	var t0 int64
 	if obs.Enabled() {
@@ -355,13 +354,6 @@ func (c *Client) parkWaiting(s *Session) {
 		d := obs.Now() - t0
 		guardWaitHist.Observe(d)
 		obs.Emit(obs.KindGuardWait, uint64(s.h.id), d)
-	}
-	if c.rt.cfg.QoQ {
-		if c.wait.sessions == nil {
-			panic(ErrShutdown)
-		}
-		s.synced = true
-		s.checkErr()
 	}
 }
 

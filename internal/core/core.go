@@ -32,6 +32,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -148,7 +150,7 @@ type Stats struct {
 	SyncsPerformed int64 // sync round-trips that reached the handler
 	SyncsElided    int64 // syncs skipped by dynamic coalescing, counted at the client's next sync point or block end
 	Reservations   int64 // single-handler separate blocks entered
-	MultiResGroups int64 // multi-handler reservations: SeparateMany blocks, one per SeparateWhen its handler evaluates (one handler, QoQ), else one per SeparateWhen attempt, the handler-made ones included
+	MultiResGroups int64 // multi-handler reservations: SeparateMany blocks, one per SeparateWhen its handler evaluates (one handler, QoQ), else one per SeparateWhen attempt
 	GuardRetries   int64 // wait-condition attempts that ended without effect: a handler-evaluated SeparateWhen's first evaluation if false (re-evaluations in place are not attempts), every false evaluation of a client-evaluated one
 	SessionsNew    int64 // private queues freshly allocated
 	SessionsReused int64 // private queues taken from the client cache
@@ -238,24 +240,14 @@ type Runtime struct {
 	// of hanging.
 	downC chan struct{}
 
-	// futShards track futures minted by CallFuture that have not yet
-	// resolved, so Shutdown can fail the stragglers with ErrShutdown.
-	// (Deadlock detection reads the resolving handler straight off the
-	// future's own origin tag, so the registry is a plain set.) Sharded:
-	// every async query touches the registry twice (mint and resolve),
-	// and a single mutex would be a runtime-global contention point on
-	// the very path built for throughput.
-	futShards [futShardCount]futShard
-	futSeq    atomic.Uint64
+	// flat holds the CallFuture futures resolveFuture chained onto
+	// another future and that are still pending: the only ones that can
+	// outlive their handler (every other one resolves before its handler
+	// retires), so Shutdown fails them with ErrShutdown.
+	flatMu sync.Mutex
+	flat   map[*future.Future]struct{}
 
 	wg sync.WaitGroup
-}
-
-const futShardCount = 16 // power of two
-
-type futShard struct {
-	mu sync.Mutex
-	m  map[*future.Future]struct{} // pending futures
 }
 
 // New creates a runtime with the given configuration.
@@ -263,28 +255,12 @@ func New(cfg Config) *Runtime {
 	rt := &Runtime{
 		cfg:   cfg,
 		downC: make(chan struct{}),
-	}
-	for i := range rt.futShards {
-		rt.futShards[i].m = map[*future.Future]struct{}{}
+		flat:  map[*future.Future]struct{}{},
 	}
 	if cfg.Workers > 0 {
 		rt.exec = sched.NewExecutor(cfg.Workers)
 	}
 	return rt
-}
-
-// trackFuture registers f with the runtime until it resolves, so
-// Shutdown can fail futures no retired handler will ever complete.
-func (rt *Runtime) trackFuture(f *future.Future) {
-	sh := &rt.futShards[rt.futSeq.Add(1)%futShardCount]
-	sh.mu.Lock()
-	sh.m[f] = struct{}{}
-	sh.mu.Unlock()
-	f.OnComplete(func(any, error) {
-		sh.mu.Lock()
-		delete(sh.m, f)
-		sh.mu.Unlock()
-	})
 }
 
 // Config returns the runtime's configuration.
@@ -352,18 +328,12 @@ func (rt *Runtime) Shutdown() {
 	if rt.exec != nil {
 		rt.exec.Stop()
 	}
-	// Handlers drain every accepted request before retiring, so any
-	// future still pending now was dropped on the floor (teardown of a
-	// never-ended block); fail it rather than leave waiters hanging.
-	var orphans []*future.Future
-	for i := range rt.futShards {
-		sh := &rt.futShards[i]
-		sh.mu.Lock()
-		for f := range sh.m {
-			orphans = append(orphans, f)
-		}
-		sh.mu.Unlock()
-	}
+	// Handlers drain every accepted request before retiring, so a
+	// future still pending now is one flattened onto a promise nobody
+	// will complete; fail it rather than leave waiters hanging.
+	rt.flatMu.Lock()
+	orphans := slices.Collect(maps.Keys(rt.flat))
+	rt.flatMu.Unlock()
 	for _, f := range orphans {
 		f.Fail(ErrShutdown)
 	}

@@ -291,13 +291,30 @@ func TestAwaitAfterShutdownSurfacesErrShutdown(t *testing.T) {
 // A query that returns a promise nobody resolves leaves its flattened
 // future pending after the handler has drained. Shutdown must fail that
 // straggler from the registry; Get, unlike Client.Await, does not watch
-// the runtime going down, so only the registry can release it.
+// the runtime going down, so only the registry can release it. The
+// registry holds flattened futures only: one that resolves on its
+// handler, directly or through a resolved promise, leaves no entry.
 func TestShutdownFailsOrphanedFuture(t *testing.T) {
 	for _, m := range futureModes {
 		t.Run(m.name, func(t *testing.T) {
 			rt := New(m.cfg)
 			h := rt.NewHandler("h")
 			c := rt.NewClient()
+			registered := func() int {
+				rt.flatMu.Lock()
+				defer rt.flatMu.Unlock()
+				return len(rt.flat)
+			}
+			c.Separate(h, func(s *Session) {
+				for i := 0; i < 64; i++ {
+					s.CallFuture(func() any { return i })
+					s.CallFuture(func() any { return future.Completed(i) })
+				}
+				s.Sync()
+			})
+			if n := registered(); n != 0 {
+				t.Fatalf("%d futures registered after a batch resolved, want 0", n)
+			}
 			var fut *future.Future
 			c.Separate(h, func(s *Session) {
 				fut = s.CallFuture(func() any { return future.New() })
@@ -305,6 +322,9 @@ func TestShutdownFailsOrphanedFuture(t *testing.T) {
 			})
 			if _, _, ok := fut.TryGet(); ok {
 				t.Fatal("future flattened onto an orphaned promise resolved before Shutdown")
+			}
+			if n := registered(); n != 1 {
+				t.Fatalf("%d futures registered with one flattened onto a pending promise, want 1", n)
 			}
 			rt.Shutdown()
 

@@ -161,8 +161,10 @@ func TestGuardRingNoLostWakeup(t *testing.T) {
 
 // (c) A two-handler wait is filed on both handlers and fired by one.
 // Here b is kept busy, so it processes the waiter's callWait only after
-// a has fired the record, re-reserved the block and the block has run:
-// b must drop the stale entry, not reserve the client a second time.
+// a has fired the record, the client has reserved its block again and
+// the block has run: b must drop the stale entry, not wake the client a
+// second time. The client re-reserves itself in every configuration, so
+// both of its cached private queues are reused.
 func TestSeparateWhenStaleWaitIsDropped(t *testing.T) {
 	forEachGuardConfig(t, func(t *testing.T, cfg Config) {
 		rt := New(cfg)
@@ -206,9 +208,9 @@ func TestSeparateWhenStaleWaitIsDropped(t *testing.T) {
 		if bodies != 1 || ran != 1 {
 			t.Fatalf("body ran %d times, its call on b %d times; want 1 and 1", bodies, ran)
 		}
-		if st := rt.Stats(); st.GuardRetries != 1 || st.MultiResGroups != 2 {
-			t.Fatalf("GuardRetries = %d, MultiResGroups = %d; want 1 and 2 (b reserved the client again?)",
-				st.GuardRetries, st.MultiResGroups)
+		if st := rt.Stats(); st.GuardRetries != 1 || st.MultiResGroups != 2 || st.SessionsReused != 2 {
+			t.Fatalf("GuardRetries = %d, MultiResGroups = %d, SessionsReused = %d; want 1, 2 and 2",
+				st.GuardRetries, st.MultiResGroups, st.SessionsReused)
 		}
 		if len(b.waiters) != 0 {
 			t.Fatalf("b still files %d waiters", len(b.waiters))
@@ -370,8 +372,8 @@ func TestWaiterEnabledByStartedWaiter(t *testing.T) {
 }
 
 // (c) Waiters whose guard holds run in filing order. One write enables
-// all K; the handler starts them one by one (QoQ: directly, or by
-// re-reserving them in list order), each after the previous one's END.
+// all K; the handler starts them one by one (QoQ: directly), each after
+// the previous one's END.
 // Lock-based configurations wake them all to race for the handler lock,
 // which promises no order: there every body must still run, once.
 func TestWaitersRunInFilingOrder(t *testing.T) {
@@ -454,9 +456,9 @@ func TestWaitersBypassIsBounded(t *testing.T) {
 
 // (e) A single-handler and a two-handler waiter filed on the same
 // handler: under QoQ the first is evaluated and started by a itself, the
-// second re-reserved for its client to evaluate; both are served by the
-// one write, and b drops its stale entry for the second at its next END
-// without reserving anybody.
+// second woken for its client to reserve again and evaluate; both are
+// served by the one write, and b drops its stale entry for the second at
+// its next END without waking anybody.
 func TestMixedWaitersOnOneHandler(t *testing.T) {
 	forEachGuardConfig(t, func(t *testing.T, cfg Config) {
 		rt := New(cfg)

@@ -523,7 +523,7 @@ func (h *Handler) execOne(s *Session, c call) (ended bool) {
 		// An asynchronous query: execute and resolve the future; nobody
 		// is parked on the session, so the handler just moves on.
 		v, err := h.execQuery(s, c.qfn)
-		resolveFuture(c.fut, v, err)
+		h.rt.resolveFuture(c.fut, v, err)
 	case callSync:
 		// The sync rule: the client is parked in wait; release it.
 		// drain then goes straight back to dequeueing this same
@@ -568,14 +568,22 @@ func (h *Handler) execQuery(s *Session, qfn func() any) (v any, err error) {
 // resolveFuture resolves fut with a query result, flattening futures:
 // a query that returns a *future.Future chains fut to it instead of
 // boxing it, so a pipeline of asynchronous hops completes end to end
-// once the final value exists.
-func resolveFuture(fut *future.Future, v any, err error) {
+// once the final value exists. While chained, fut is in rt.flat.
+func (rt *Runtime) resolveFuture(fut *future.Future, v any, err error) {
 	if err != nil {
 		fut.Fail(err)
 		return
 	}
 	if inner, ok := v.(*future.Future); ok {
-		inner.OnComplete(func(iv any, ierr error) { resolveFuture(fut, iv, ierr) })
+		rt.flatMu.Lock()
+		rt.flat[fut] = struct{}{}
+		rt.flatMu.Unlock()
+		inner.OnComplete(func(iv any, ierr error) {
+			rt.flatMu.Lock()
+			delete(rt.flat, fut)
+			rt.flatMu.Unlock()
+			rt.resolveFuture(fut, iv, ierr)
+		})
 		return
 	}
 	fut.Complete(v)
@@ -603,13 +611,10 @@ func (h *Handler) guardHolds(s *Session) bool {
 // block queued in the queue-of-queues waits for at most the waiters
 // filed ahead of it: new ones only come out of that queue.
 //
-// A client-evaluated block is reserved again, the state its guard read
-// may have changed. It is filed on all its handlers; the generation
-// CompareAndSwap lets exactly one act and the rest drop the entry. Under
-// QoQ the firing handler makes the reservation itself (the client wakes
-// on the sync it pre-logged); in lock-based mode it wakes the client
-// unreserved, to lock and reserve afresh — as it does under QoQ when the
-// reservation fails because the runtime is shutting down.
+// A client-evaluated block is woken unreserved, the state its guard read
+// may have changed, and its client reserves it again. It is filed on all
+// its handlers; the generation CompareAndSwap lets exactly one act and
+// the rest drop the entry.
 func (h *Handler) fireWaiters() {
 	keep := h.waiters[:0]
 	for _, w := range h.waiters {
@@ -619,9 +624,7 @@ func (h *Handler) fireWaiters() {
 		case w.gen == 0:
 			h.cur = w.rec.sessions[0]
 			h.cur.parker.Unpark()
-		case !w.rec.gen.CompareAndSwap(w.gen, w.gen+1): // stale
-		case h.rt.cfg.QoQ && h.rt.enqueueGroup(w.rec.sessions, h.onWorker): // reserved again
-		default: // lock-based, or shutting down
+		case w.rec.gen.CompareAndSwap(w.gen, w.gen+1): // else stale
 			w.rec.release()
 		}
 	}
@@ -630,7 +633,7 @@ func (h *Handler) fireWaiters() {
 }
 
 // releaseWaiters wakes every client still filed with a retiring handler,
-// unreserved: nothing will start or re-reserve it any more, and its
+// unreserved: nothing will start or wake it any more, and its
 // SeparateWhen panics with ErrShutdown.
 func (h *Handler) releaseWaiters() {
 	for _, w := range h.waiters {
@@ -643,7 +646,7 @@ func (h *Handler) releaseWaiters() {
 
 // enqueueGroup registers a block's sessions — one per handler, in id
 // order — as one atomic group, holding every handler's reservation
-// spinlock (§3.3; uncontended in lock-based mode, whose callers hold the
+// spinlock (§3.3; uncontended in lock-based mode, whose caller holds the
 // handler locks). w is as for enqueue; false means shutting down.
 func (rt *Runtime) enqueueGroup(ss []*Session, w *sched.Worker) bool {
 	for _, s := range ss {

@@ -24,7 +24,7 @@ var (
 	// guardWaitHist is how long a SeparateWhen client sits parked: from
 	// its guard request to being started when the handler evaluates the
 	// guard (one sync round trip if it holds at once), else from a failed
-	// evaluation to the re-reservation a state change triggers.
+	// evaluation to the wake-up a state change triggers.
 	guardWaitHist = obs.Default().Hist("core.guard_wait_ns")
 )
 

@@ -52,7 +52,7 @@ type call struct {
 }
 
 // waitRec is a client's wait-condition record: what the handlers of a
-// waiting block need to start or re-reserve the client later.
+// waiting block need to start or wake the client later.
 //
 // A single-handler block under QoQ logs callGuard and parks: the handler
 // evaluates guard itself and, while it is false, keeps the record filed.
@@ -64,8 +64,9 @@ type call struct {
 // client arms the record (gen becomes odd) before logging callWait(gen)
 // on every session of the block; each of those handlers files the
 // record, and the first to process an ordinary END afterwards fires it
-// by moving gen on with a CompareAndSwap, so exactly one handler
-// re-reserves the client and the others drop their entry as stale.
+// by moving gen on with a CompareAndSwap, so exactly one handler wakes
+// the client, which reserves its block again itself, and the others
+// drop their entry as stale.
 // sessions is then written only while the record is disarmed and read
 // only by the handler that won the CompareAndSwap, which orders the
 // accesses.
@@ -76,9 +77,9 @@ type waitRec struct {
 }
 
 // release wakes the record's parked client with nothing reserved, leaving
-// sessions nil to say so. A lock-based client always wakes like that and
-// reserves afresh; a QoQ client otherwise wakes with its block started or
-// reserved, and takes this for Shutdown (parkWaiting). Only for the
+// sessions nil to say so. A client-evaluated guard always wakes like that
+// and reserves afresh; a callGuard client otherwise wakes with its block
+// started, and takes this for Shutdown (SeparateWhen). Only for the
 // handler that holds the record: its evaluator, or the winner of the
 // generation CompareAndSwap.
 func (r *waitRec) release() {
@@ -278,10 +279,9 @@ func (s *Session) CallFuture(qfn func() any) *future.Future {
 	// The origin tag attributes awaits on this future to the handler
 	// whose session resolves it (deadlock detection's await edges).
 	fut.SetOrigin(s.h)
-	rt.trackFuture(fut)
 	if s.onHandler { // see Call
 		v, err := s.h.execQuery(s, qfn)
-		resolveFuture(fut, v, err)
+		rt.resolveFuture(fut, v, err)
 		return fut
 	}
 	// The handler executes qfn and moves on without parking at the
@@ -320,13 +320,12 @@ func (s *Session) end() {
 
 // endWaiting ends the block like end, but with the marker of a failed
 // guard: the handler files the owner's wait record (armed at gen) and
-// fires nobody. keep leaves the session marked in use, for a block the
-// handler itself will reserve again.
-func (s *Session) endWaiting(gen int64, keep bool) {
+// fires nobody.
+func (s *Session) endWaiting(gen int64) {
 	s.owner.flush()
 	s.q.Enqueue(call{kind: callWait, at: gen})
 	s.synced = false
-	s.inUse = keep
+	s.inUse = false
 }
 
 // Query executes a synchronous query and returns its result. Depending

@@ -30,7 +30,7 @@ const (
 	KindQuery        // span: synchronous query end-to-end (arg = ns, id = handler)
 	KindSync         // span: sync round-trip end-to-end (arg = ns, id = handler)
 	KindSyncElide    // instant: a sync skipped by dynamic coalescing (id = handler)
-	KindGuardWait    // span: client parked in SeparateWhen until its block is started or re-reserved (arg = ns, id = handler)
+	KindGuardWait    // span: client parked in SeparateWhen until its block is started or woken (arg = ns, id = handler)
 
 	// internal/remote
 	KindFlush       // instant: one conn.Write (arg = batch bytes)

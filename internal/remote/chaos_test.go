@@ -273,11 +273,11 @@ func chaosVictim(srv *Server, addr string, sc chaosScenario, seed int64) error {
 	switch {
 	case sc.abuse:
 		defer conn.Close()
-		if _, err := conn.Write(chaos.Flood("chaos-abuse", "hold", 4096)); err != nil {
-			return fmt.Errorf("abuse flood write: %w", err)
-		}
-		if !chaosPoll(func() bool { return srv.Stats().Quarantines >= 1 }) {
-			return errors.New("flood of 4096 uncredited calls was never quarantined")
+		// The server hangs up at the first call past the window, so the
+		// tail of the flood may find the connection gone.
+		conn.Write(chaos.Flood("chaos-abuse", "hold", 4096)) //nolint:errcheck
+		if !chaosPoll(func() bool { return srv.Stats().ProtocolViolations >= 1 }) {
+			return errors.New("flood of 4096 uncredited calls never dropped its connection")
 		}
 		return nil
 
@@ -360,7 +360,7 @@ func chaosPoll(cond func() bool) bool {
 // widths 1 and 4. Each run asserts the robustness contract — server
 // memory stays bounded, every victim future resolves (with terminal
 // errors when the connection died), resolved echoes are byte-intact,
-// survivors complete with exact counter values, quarantine/idle
+// survivors complete with exact counter values, overrun/idle
 // enforcement fires, and nothing leaks goroutines. Fault sequences
 // replay from the printed seed.
 func TestChaosSweep(t *testing.T) {

@@ -40,23 +40,21 @@
 // the server's deferred replies are bounded by window × channels even
 // under a peer that stopped reading. Opening a channel is not
 // credit-gated, so the live channels of a connection are capped
-// instead (maxChannels). A channel that overruns its window is
-// quarantined, not fatal: the server releases its handler, reports
-// ErrCreditOverrun on the channel, and drops its subsequent frames,
-// while the connection and its other channels keep working. Idle peers
-// are handled at connection scope:
-// with Server.IdleTimeout set, a peer holding a block open with
-// nothing in flight is torn down (ErrPeerStalled) instead of pinning
-// server state forever.
+// instead (maxChannels). A channel that overruns its window breaks
+// the protocol like any malformed frame: only a raw-frame peer can do
+// it (a Mux takes a credit before every request), so the server drops
+// that peer's connection, ENDing every block it held. Idle peers are
+// handled at connection scope too: with Server.IdleTimeout set, a peer
+// holding a block open with nothing in flight is torn down
+// (ErrPeerStalled) instead of pinning server state forever.
 //
 // Failures surface through typed, errors.Is-matchable sentinels.
 // Terminal for the connection or channel: ErrClosed (deliberate local
 // Close — the one "failure" that is clean), ErrProtocol (the peer
-// broke the framing contract), ErrCreditOverrun, ErrPeerStalled. A
-// bare transport error (connection reset, unexpected EOF) wraps none
-// of them, which is how callers distinguish "the operator closed
-// this" from "the network ate it": only the latter is worth a
-// reconnect-and-retry.
+// broke the framing contract), ErrPeerStalled. A bare transport error
+// (connection reset, unexpected EOF) wraps none of them, which is how
+// callers distinguish "the operator closed this" from "the network ate
+// it": only the latter is worth a reconnect-and-retry.
 //
 // The client-side consequence of the bounded write path: Call,
 // QueryAsync, Query, and Sync can park the calling goroutine (at a
@@ -167,10 +165,10 @@ const (
 // window is every channel's credit window: how many requests (CALLB,
 // QUERYB, SYNC) it may have admitted but not yet completed. Both ends
 // compile it in: a client opens each channel with window credits, the
-// server quarantines a channel past it and gives completed requests'
-// credits back in CREDIT frames of window/8. It bounds the server's
-// deferred replies, and with them the write path's memory, at
-// window × channels, far above the writer's typical flush.
+// server drops the connection of a channel that overruns it and gives
+// completed requests' credits back in CREDIT frames of window/8. It
+// bounds the server's deferred replies, and with them the write path's
+// memory, at window × channels, far above the writer's typical flush.
 const window = 1024
 
 // frame is the decoded wire message. One frame struct is reused across

@@ -56,9 +56,9 @@ type BytesProc func(payload []byte) []byte
 // consumes one, and completions replenish them in batches — so a
 // stalled or slow peer caps this server's memory at
 // budget + window×channels reply frames instead of growing without
-// limit. A channel that overruns its window (a client ignoring
-// credits) is quarantined: its handler is released, its frames are
-// dropped, and the connection's other channels carry on untouched.
+// limit. A channel that overruns its window (a peer ignoring credits)
+// is a protocol violation like any other: the connection is dropped,
+// and every block it held is ENDed.
 type Server struct {
 	rt          *core.Runtime
 	writeBudget int // each connection writer's batch cap; 0 = defaultWriteBudget (tests shrink it)
@@ -82,7 +82,6 @@ type Server struct {
 	closed   bool
 
 	creditsGranted atomic.Uint64
-	quarantines    atomic.Uint64
 	peerStalls     atomic.Uint64
 	violations     atomic.Uint64
 	bytesIn        atomic.Uint64
@@ -155,9 +154,8 @@ type ServerStats struct {
 	CreditsGranted  uint64 // request credits replenished
 
 	WindowResizes      uint64 // always 0: the credit window is the constant window; kept for existing readers
-	Quarantines        uint64 // channels quarantined for overrunning their credit window
 	PeerStalls         uint64 // connections torn down by the idle deadline (ErrPeerStalled)
-	ProtocolViolations uint64 // connections dropped for unrecoverable protocol violations
+	ProtocolViolations uint64 // connections dropped for protocol violations (a credit overrun included)
 
 	BytesIn  uint64 // payload bytes decoded from CALLB/QUERYB frames
 	BytesOut uint64 // payload bytes encoded into REPLYB frames
@@ -186,7 +184,6 @@ func (s *Server) Stats() ServerStats {
 		MaxBatchBytes:      agg.MaxBatchBytes,
 		MaxParkedFrames:    agg.MaxParkedFrames,
 		CreditsGranted:     s.creditsGranted.Load(),
-		Quarantines:        s.quarantines.Load(),
 		PeerStalls:         s.peerStalls.Load(),
 		ProtocolViolations: s.violations.Load(),
 		BytesIn:            s.bytesIn.Load(),
@@ -257,11 +254,6 @@ type svChan struct {
 	// by requests completing on handler/pool goroutines.
 	outstanding atomic.Int64
 	pendGrant   atomic.Int64
-
-	// quarantined marks a channel that overran its window: its frames
-	// are dropped without reply or credit (set by the reader, read by
-	// completing requests).
-	quarantined atomic.Bool
 
 	// errmsg poisons an open block whose BEGIN or CALLB failed (unknown
 	// handler/procedure, reservation after shutdown): calls are
@@ -373,13 +365,9 @@ func (s *Server) serveConn(conn net.Conn) {
 // the next frame (more requests, or the END releasing the handler).
 // Channels with outstanding requests do NOT count — a pipelining
 // client legitimately goes write-silent while its replies execute, and
-// the ball is in this server's court until they complete. Quarantined
-// channels don't count either: their handler is already released.
+// the ball is in this server's court until they complete.
 func (c *serverConn) busy() bool {
 	for _, sc := range c.chans {
-		if sc.quarantined.Load() {
-			continue
-		}
 		if sc.open() && sc.outstanding.Load() == 0 {
 			return true
 		}
@@ -418,20 +406,6 @@ func (c *serverConn) poison(sc *svChan, ch uint32, msg string) {
 	_, sc.poisonSeq = c.cw.frameDeferred(&sc.q, &frame{kind: fError, ch: ch, id: 0, name: msg})
 }
 
-// quarantine cuts off a channel that overran its credit window without
-// dropping the connection: the handler is released (the offender
-// cannot hold a reservation hostage), one id-0 ERROR tells the peer
-// why, and from here on the channel's frames are dropped without
-// reply, credit, or replenishment — a peer that proved it ignores the
-// window gets no further ability to consume writer memory. Honest
-// channels on the same connection are untouched. Runs on the reader.
-func (c *serverConn) quarantine(sc *svChan, ch uint32) {
-	sc.quarantined.Store(true)
-	sc.end()
-	c.s.quarantines.Add(1)
-	c.cw.frameDeferred(&sc.q, &frame{kind: fError, ch: ch, id: 0, name: ErrCreditOverrun.Error()})
-}
-
 // credit returns one unit of the channel's window after a request
 // completed (executed, replied, or dropped by a poisoned block) and
 // replenishes the client in CREDIT frames of window/8 completions.
@@ -440,9 +414,6 @@ func (c *serverConn) quarantine(sc *svChan, ch uint32) {
 // never blocks.
 func (c *serverConn) credit(sc *svChan, ch uint32) {
 	sc.outstanding.Add(-1)
-	if sc.quarantined.Load() {
-		return // no replenishment for a quarantined channel
-	}
 	if sc.pendGrant.Add(1) < window/8 {
 		return
 	}
@@ -453,24 +424,13 @@ func (c *serverConn) credit(sc *svChan, ch uint32) {
 	}
 }
 
-// handleFrame processes one client frame. It reports false on
-// unrecoverable protocol violations, which are connection-fatal: the
-// framing layer has no way to resynchronize with a client whose
-// channel state diverged. The recoverable violation — a credit-window
-// overrun, where the stream is still well-formed — quarantines the
-// offending channel instead (see quarantine).
+// handleFrame processes one client frame. It reports false on a
+// protocol violation, which is connection-fatal: every channel of a
+// connection belongs to the one peer that broke the contract, and the
+// framing layer has no way to resynchronize with it.
 func (c *serverConn) handleFrame(f *frame) bool {
 	s := c.s
 	sc := c.chans[f.ch]
-	if sc != nil && sc.quarantined.Load() {
-		// A quarantined channel is a black hole: every frame —
-		// including CLOSE, so the entry survives as a tombstone and
-		// the channel id cannot be resurrected fresh — is dropped
-		// without reply or credit. A dropped bytes payload still goes
-		// back to its slab (nil for the non-bytes kinds).
-		Release(f.data)
-		return true
-	}
 	switch f.kind {
 	case fBegin:
 		if sc == nil {
@@ -534,8 +494,8 @@ func (c *serverConn) handleFrame(f *frame) bool {
 // QUERYB, SYNC): checked against the block bracket, charged to the
 // window, failed right here on the reader if the block is poisoned or
 // the procedure unknown, and only then logged onto the session as one
-// call. Every path releases the request's payload and, unless the
-// channel was quarantined, returns its credit.
+// call. Every path releases the request's payload, and every admitted
+// request returns its credit.
 func (c *serverConn) request(sc *svChan, f *frame) bool {
 	if sc == nil || !sc.open() {
 		Release(f.data)
@@ -545,12 +505,11 @@ func (c *serverConn) request(sc *svChan, f *frame) bool {
 		c.s.bytesIn.Add(uint64(n))
 	}
 	if sc.outstanding.Add(1) > window {
-		// Only a peer ignoring the window gets here (the client-side
-		// admission gate cannot overrun): the bound that keeps
-		// deferred replies finite.
+		// Only a peer ignoring the window gets here (a Mux takes a
+		// credit before every request): the bound that keeps deferred
+		// replies finite.
 		Release(f.data)
-		c.quarantine(sc, f.ch)
-		return true
+		return false
 	}
 	msg, proc := sc.errmsg, sc.procs[f.name]
 	if f.kind == fSync {
