@@ -92,9 +92,9 @@ func (c *Client) curWorker() *sched.Worker {
 	return nil
 }
 
-// session returns a private queue for h, reusing the cached one when
-// this client's previous block on h has ended, else allocating fresh
-// (Fig. 8: "freshly created or taken from a cache of queues").
+// session returns a private queue for h, reusing an idle one from the
+// client's cache, else allocating fresh (Fig. 8: "freshly created or
+// taken from a cache of queues").
 //
 // Reuse is re-armed by the END handoff itself, with no handshake: once
 // the client has logged END, re-enqueueing the same session into the
@@ -105,12 +105,24 @@ func (c *Client) curWorker() *sched.Worker {
 // version spun waiting for the handler to consume END and fell back to
 // a fresh queue after 128 polls, which made SessionsNew climb whenever
 // a handler was scheduled out too long.)
+//
+// The cache holds the first session of each handler, and the common
+// hit is that one map lookup. A client with blocks open on h at once —
+// the remote server's connection reader serves all of its channels with
+// one client — or whose last block on h is still poisoned finds it busy
+// and takes the next idle, clean session chained behind it
+// (Session.next), chaining a fresh one only when none is. So a client
+// holds as many sessions on h as it ever had blocks open (or poisoned)
+// on h at once.
 func (c *Client) session(h *Handler) *Session {
-	if s, ok := c.cache[h]; ok && !s.inUse && s.errPub.Load() == nil {
-		s.inUse = true
-		s.synced = false
-		c.rt.stats.sessionsReused.Add(1)
-		return s
+	first := c.cache[h]
+	for s := first; s != nil; s = s.next {
+		if !s.inUse && s.errPub.Load() == nil {
+			s.inUse = true
+			s.synced = false
+			c.rt.stats.sessionsReused.Add(1)
+			return s
+		}
 	}
 	q := queue.NewSPSC[call](0)
 	// Logging a request on a parked handler makes it runnable. The hook
@@ -122,10 +134,13 @@ func (c *Client) session(h *Handler) *Session {
 		owner:  c,
 		q:      q,
 		parker: sched.NewParker(),
-		wait:   &c.wait,
 		inUse:  true,
 	}
-	c.cache[h] = s
+	if first == nil {
+		c.cache[h] = s
+	} else {
+		s.next, first.next = first.next, s
+	}
 	c.rt.stats.sessionsNew.Add(1)
 	return s
 }

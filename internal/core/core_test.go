@@ -608,6 +608,60 @@ func TestSessionReuseAcrossBlocks(t *testing.T) {
 	}
 }
 
+// One client with two blocks open on a handler at once — the shape of
+// the remote server's connection reader, whose one client serves every
+// channel — needs two private queues, and keeps them: the second
+// TryReserve finds the cached session mid-block and takes (or, the
+// first time, chains) another, and once both blocks have ended the
+// next pair reuses the same two. The blocks run whole, in reservation
+// order.
+func TestOverlappingBlocksReuseIdleSessions(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			rt := New(ConfigAll.WithWorkers(workers))
+			defer rt.Shutdown()
+			h := rt.NewHandler("h")
+			var log []int // owned by h
+			one := func() { log = append(log, 1) }
+			two := func() { log = append(log, 2) }
+			c := rt.NewClient()
+			const pairs = 1000
+			for i := 0; i < pairs; i++ {
+				a, err := c.TryReserve(h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := c.TryReserve(h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a == b {
+					t.Fatal("two open blocks share one session")
+				}
+				b.Call(two)
+				a.Call(one)
+				a.Call(one)
+				b.Call(two)
+				c.End(a)
+				c.End(b)
+			}
+			var got []int
+			c.Separate(h, func(s *Session) { got = Query(s, func() []int { return log }) })
+			if len(got) != 4*pairs {
+				t.Fatalf("%d calls ran, want %d", len(got), 4*pairs)
+			}
+			for i := 0; i < len(got); i += 4 {
+				if got[i] != 1 || got[i+1] != 1 || got[i+2] != 2 || got[i+3] != 2 {
+					t.Fatalf("pair %d ran %v, want [1 1 2 2]: the first reservation's block whole, then the second's", i/4, got[i:i+4])
+				}
+			}
+			if st := rt.Stats(); st.SessionsNew != 2 {
+				t.Fatalf("SessionsNew = %d, want 2 (one per block open at once)", st.SessionsNew)
+			}
+		})
+	}
+}
+
 func TestMultiReservationDeduplicates(t *testing.T) {
 	rt := New(ConfigAll)
 	defer rt.Shutdown()

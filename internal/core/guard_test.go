@@ -583,6 +583,85 @@ func TestShutdownReleasesFiledWaiters(t *testing.T) {
 	})
 }
 
+// TestGuardShapeAllocs pins the runtime's share of a guarded block: none.
+// With the program's guard, body, query and call closures made once,
+// a single-handler SeparateWhen whose guard holds allocates nothing at
+// all, and a turn-shaped ping-pong — two clients on one handler, each
+// waiting for its parity — allocates next to nothing: whatever a
+// guarded block costs the guard workload is the closures the program
+// makes per block.
+func TestGuardShapeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool Puts at random; counts are pinned for the non-race build")
+	}
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			rt := New(ConfigAll.WithWorkers(workers))
+			defer rt.Shutdown()
+			h := rt.NewHandler("h")
+			hs := []*Handler{h}
+			x := 0 // owned by h
+			holds := func() bool { return x >= 0 }
+			guard := func(ss []*Session) bool { return Query(ss[0], holds) }
+			inc := func() { x++ }
+			body := func(ss []*Session) { ss[0].Call(inc) }
+			c := rt.NewClient()
+			block := func() { c.SeparateWhen(hs, guard, body) }
+			for i := 0; i < 1000; i++ {
+				block()
+			}
+			if allocs := testing.AllocsPerRun(2000, block); allocs != 0 {
+				t.Errorf("a guarded block whose guard holds = %.4f allocs, want 0", allocs)
+			}
+
+			if allocs := turnAllocsPerBlock(rt, 5000); allocs > 0.01 {
+				t.Errorf("a turn block = %.4f allocs, want <= 0.01", allocs)
+			}
+		})
+	}
+}
+
+// turnAllocsPerBlock runs the turn shape on a fresh handler of rt — two
+// clients passing a counter back and forth, each blocking on a guard
+// until it is its parity's turn — warms it, and returns the process's
+// allocations per block over the next 2×rounds blocks.
+func turnAllocsPerBlock(rt *Runtime, rounds int) float64 {
+	h := rt.NewHandler("turn")
+	hs := []*Handler{h}
+	turn := 0 // owned by h
+	start := [2]chan int{make(chan int), make(chan int)}
+	done := make(chan struct{})
+	for parity := range 2 {
+		go func() {
+			c := rt.NewClient()
+			mine := func() bool { return turn%2 == parity }
+			guard := func(ss []*Session) bool { return Query(ss[0], mine) }
+			pass := func() { turn++ }
+			body := func(ss []*Session) { ss[0].Call(pass) }
+			for n := range start[parity] {
+				for range n {
+					c.SeparateWhen(hs, guard, body)
+				}
+				done <- struct{}{}
+			}
+		}()
+	}
+	play := func(n int) {
+		start[0] <- n
+		start[1] <- n
+		<-done
+		<-done
+	}
+	play(1000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	play(rounds)
+	runtime.ReadMemStats(&after)
+	close(start[0])
+	close(start[1])
+	return float64(after.Mallocs-before.Mallocs) / float64(2*rounds)
+}
+
 // Session and call are pinned to their allocation size classes. call is
 // copied through every private-queue node. Session sits in the 96-byte
 // class next to its SPSC queue, allocated in the same breath: when it

@@ -505,7 +505,7 @@ func (h *Handler) execOne(s *Session, c call) (ended bool) {
 			s.errPub.Store(nil)
 		}
 		if c.kind != callEnd {
-			h.waiters = append(h.waiters, waiter{s.wait, c.at})
+			h.waiters = append(h.waiters, waiter{&s.owner.wait, c.at})
 		} else if len(h.waiters) > 0 { // else not even the store of the list's header: every END pays it
 			h.fireWaiters()
 		}
@@ -595,7 +595,8 @@ func (rt *Runtime) resolveFuture(fut *future.Future, v any, err error) {
 // wake to re-raise the error at checkErr.
 func (h *Handler) guardHolds(s *Session) bool {
 	s.onHandler = true
-	v, _ := h.execQuery(s, func() any { return s.wait.guard(s.wait.sessions) })
+	w := &s.owner.wait
+	v, _ := h.execQuery(s, func() any { return w.guard(w.sessions) })
 	s.onHandler, s.synced = false, false
 	return s.errPub.Load() != nil || v.(bool)
 }

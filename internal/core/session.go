@@ -112,10 +112,10 @@ type Session struct {
 	// the owner is parked, and the park/unpark hand-off orders it.
 	onHandler bool
 
-	// wait is the owning client's wait record, here so a handler
-	// processing callWait or callGuard reaches it without touching the
-	// Client.
-	wait *waitRec
+	// next chains the owner's further sessions on h behind the one its
+	// cache holds: those opened while every session before them was
+	// mid-block or poisoned (Client.session). Client-owned.
+	next *Session
 
 	// one backs the session slice of a single-handler SeparateMany /
 	// SeparateWhen block (reserveMany), which then allocates nothing.

@@ -712,7 +712,7 @@ func TestPoisonResendsAfterDrain(t *testing.T) {
 	cw := newConnWriter(sv, budget, nil)
 	defer cw.kill()
 	defer sv.Close()
-	c := &serverConn{s: srv, cw: cw, chans: map[uint32]*svChan{}}
+	c := newServerConn(srv, cw)
 
 	cli.SetReadDeadline(time.Now().Add(20 * time.Second)) //nolint:errcheck
 	fr := newFrameReader(cli)

@@ -13,9 +13,11 @@
 // carries a channel id, so the separate blocks of hundreds of logical
 // clients interleave on one stream while each channel keeps its own
 // private-queue ordering. The server end demultiplexes frames into
-// per-channel core.Session state, so one reader goroutine and one
-// writer goroutine serve all the channels of a connection — no
-// goroutine per logical client anywhere.
+// per-channel core.Session state, all drawn from the connection's one
+// core.Client, so one reader goroutine and one writer goroutine serve
+// all the channels of a connection — no goroutine per logical client
+// anywhere, and private queues per handler only as many as blocks open
+// on it at once.
 //
 // Because the reader goroutine serves every channel, nothing it does
 // may block: reservations use the queue-of-queues (the server requires
@@ -156,9 +158,10 @@ const (
 
 	// maxChannels caps the live channels of one connection. Opening a
 	// channel is not credit-gated — each BEGIN on a fresh id costs the
-	// server a channel record and a core.Client — so without the cap a
-	// peer walking channel ids grows both without limit. Far above any
-	// honest mux: a channel is a logical client, not a request.
+	// server a channel record, and a private queue while blocks stay
+	// open on it — so without the cap a peer walking channel ids grows
+	// both without limit. Far above any honest mux: a channel is a
+	// logical client, not a request.
 	maxChannels = 4096
 )
 

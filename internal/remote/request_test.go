@@ -493,10 +493,10 @@ func TestStrayReplyBytesReleasesPayload(t *testing.T) {
 
 // TestChannelCapBoundsOpenChannels closes the hole the credit window
 // does not cover: opening a channel is not credit-gated, and every
-// fresh id costs the server a channel record, a core.Client and, for a
-// BEGIN naming no handler, a block error in the writer. A peer that
-// never reads and walks channel ids is dropped at maxChannels+1, with
-// at most one deferred frame per channel behind the wedged writer.
+// fresh id costs the server a channel record and, for a BEGIN naming
+// no handler, a block error in the writer. A peer that never reads and
+// walks channel ids is dropped at maxChannels+1, with at most one
+// deferred frame per channel behind the wedged writer.
 func TestChannelCapBoundsOpenChannels(t *testing.T) {
 	base := takeLeakBaseline()
 	rt := core.New(core.ConfigAll)
@@ -758,5 +758,160 @@ func TestCloseDropsChannelFromWriter(t *testing.T) {
 	srv.Close()
 	if err := base.settle(rt); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServerSessionsPerHandler pins what a connection's channels cost
+// the server runtime: private queues per handler, as many as blocks
+// were open on it at once, not one per channel and handler. 64 logical
+// clients of one Mux take turns running one block on each of 8
+// handlers, so no two blocks overlap, and the server makes 8 sessions.
+func TestServerSessionsPerHandler(t *testing.T) {
+	const clients, handlers = 64, 8
+	base := takeLeakBaseline()
+	rt := core.New(core.ConfigAll)
+	srv := NewServer(rt)
+	counts := make([]int64, handlers) // counts[i] owned by handler i
+	for i := range handlers {
+		srv.Expose(handlerName(i), rt.NewHandler(handlerName(i)), map[string]Proc{
+			"inc": func([]int64) int64 { counts[i]++; return counts[i] },
+		})
+	}
+	mux := startMuxServer(t, srv)
+	rss := make([]*RemoteSession, clients)
+	for i := range rss {
+		rss[i] = mux.NewSession()
+	}
+	for h := range handlers {
+		for i, rs := range rss {
+			err := rs.Separate(handlerName(h), func(s *Session) error {
+				v, err := s.Query("inc")
+				if err == nil && v != int64(i+1) {
+					err = fmt.Errorf("inc on %s = %d, want %d", handlerName(h), v, i+1)
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := rt.Stats(); st.SessionsNew != handlers {
+		t.Fatalf("SessionsNew = %d, want %d (one per handler): %d channels × %d handlers would be %d",
+			st.SessionsNew, handlers, clients, handlers, clients*handlers)
+	}
+	mux.Close()
+	srv.Close()
+	if err := base.settle(rt); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOverlappingChannelsShareHandler runs two channels with blocks open
+// on one handler at once, on raw frames: BEGIN A, BEGIN B, CALLB A,
+// CALLB B, QUERYB A, QUERYB B, END A, END B, round after round, the
+// BEGIN order swapping every round. The connection's one client holds
+// a session per open block, and the handler runs each block whole, in
+// BEGIN order. In one round A's call panics: that poisons A's query
+// only, and in the next round B, which BEGINs first, takes the session
+// A's block poisoned and answers cleanly. Two fresh channels after
+// both close reuse the same two sessions.
+func TestOverlappingChannelsShareHandler(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			base := takeLeakBaseline()
+			rt := core.New(core.ConfigAll.WithWorkers(workers))
+			srv := NewServer(rt)
+			var log []byte // owned by h: the tag of every rec that ran
+			srv.ExposeBytes("h", rt.NewHandler("h"), map[string]BytesProc{
+				"rec": func(p []byte) []byte {
+					log = append(log, p[0])
+					return append([]byte(nil), log...)
+				},
+				"boom": func([]byte) []byte { panic("boom") },
+			})
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.Serve(ln)
+			p := dialRaw(t, ln.Addr().String())
+
+			var want []byte // the log the handler must have written
+			var id uint64
+			// round runs one round of overlapping blocks on channels a and
+			// b, tagged by their ids, a BEGINning first; poisoned makes a's
+			// call the panicking one.
+			round := func(a, b uint32, poisoned bool) {
+				t.Helper()
+				call := "rec"
+				if poisoned {
+					call = "boom"
+				}
+				tag := func(ch uint32) []byte { return []byte{byte('0' + ch)} }
+				idA, idB := id+1, id+2
+				id += 2
+				p.write([]frame{
+					{kind: fBegin, ch: a, name: "h"},
+					{kind: fBegin, ch: b, name: "h"},
+					{kind: fCallB, ch: a, name: call, data: tag(a)},
+					{kind: fCallB, ch: b, name: "rec", data: tag(b)},
+					{kind: fQueryB, ch: a, id: idA, name: "rec", data: tag(a)},
+					{kind: fQueryB, ch: b, id: idB, name: "rec", data: tag(b)},
+					{kind: fEnd, ch: a},
+					{kind: fEnd, ch: b},
+				})
+				got := map[uint64]frame{}
+				var f frame
+				for len(got) < 2 {
+					if err := p.fr.readFrame(&f); err != nil {
+						t.Fatalf("reading replies %d and %d: %v", idA, idB, err)
+					}
+					data := append([]byte(nil), f.data...)
+					Release(f.data)
+					f.data = data
+					switch {
+					case f.kind == fCredit:
+					case (f.kind == fReplyB || f.kind == fError) && (f.id == idA || f.id == idB):
+						got[f.id] = f
+					default:
+						t.Fatalf("unexpected frame kind %d ch %d id %d %q", f.kind, f.ch, f.id, f.name)
+					}
+				}
+				if fa := got[idA]; poisoned {
+					if fa.kind != fError || !strings.Contains(fa.name, "boom") {
+						t.Fatalf("poisoned block's query: kind %d %q, want the ERROR of its panicking call", fa.kind, fa.name)
+					}
+				} else {
+					want = append(want, tag(a)[0], tag(a)[0])
+					if fa.kind != fReplyB || !bytes.Equal(fa.data, want) {
+						t.Fatalf("channel %d's query: kind %d %q %q, want log %q", a, fa.kind, fa.name, fa.data, want)
+					}
+				}
+				want = append(want, tag(b)[0], tag(b)[0])
+				if fb := got[idB]; fb.kind != fReplyB || !bytes.Equal(fb.data, want) {
+					t.Fatalf("channel %d's query: kind %d %q %q, want log %q", b, fb.kind, fb.name, fb.data, want)
+				}
+			}
+
+			const rounds, poisonAt = 40, 20
+			for r := range rounds {
+				if r%2 == 0 {
+					round(1, 2, r == poisonAt)
+				} else {
+					round(2, 1, false)
+				}
+			}
+			p.write([]frame{{kind: fClose, ch: 1}, {kind: fClose, ch: 2}})
+			round(3, 4, false)
+			if st := rt.Stats(); st.SessionsNew != 2 {
+				t.Fatalf("SessionsNew = %d, want 2 (one per block open at once)", st.SessionsNew)
+			}
+			p.close()
+			srv.Close()
+			if err := base.settle(rt); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -34,9 +34,10 @@ type BytesProc func(payload []byte) []byte
 // the framed, multiplexed protocol. Each accepted connection is served
 // by exactly two goroutines regardless of how many logical clients it
 // carries: a reader that demultiplexes frames into per-channel
-// core.Session state, and a batching writer every reply funnels
-// through. Frames are replayed onto real sessions, so remote clients
-// get the same ordering and no-interleaving guarantees as local ones.
+// core.Session state, all taken from one core.Client per connection,
+// and a batching writer every reply funnels through. Frames are
+// replayed onto real sessions, so remote clients get the same ordering
+// and no-interleaving guarantees as local ones.
 //
 // Nothing on the reader path may block — that is what lets one
 // goroutine serve hundreds of channels — so the server requires a
@@ -239,11 +240,9 @@ func (s *Server) Close() {
 }
 
 // svChan is the server end of one logical client: a demultiplexed
-// channel with its own core.Client (so concurrent channels can hold
-// separate private queues on the same handler) and, while a block is
-// open, the session of the reservation.
+// channel and, while a block is open, the session of its reservation,
+// taken from the connection's client.
 type svChan struct {
-	cl    *core.Client
 	sess  *core.Session // non-nil while a healthy block holds the handler
 	procs map[string]BytesProc
 	q     chanQueue // this channel's deferred frames in the connection's writer
@@ -278,21 +277,37 @@ type svChan struct {
 func (sc *svChan) open() bool { return sc.sess != nil || sc.errmsg != "" }
 
 // end closes the channel's block, if any: a healthy reservation logs
-// its END (releasing the handler), and the bracket state is cleared, so
-// a second end is a no-op. Runs on the reader.
-func (sc *svChan) end() {
+// its END on cl, the connection's client (releasing the handler), and
+// the bracket state is cleared, so a second end is a no-op. Runs on the
+// reader.
+func (sc *svChan) end(cl *core.Client) {
 	if sc.sess != nil {
-		sc.cl.End(sc.sess)
+		cl.End(sc.sess)
 	}
 	sc.sess, sc.procs, sc.errmsg = nil, nil, ""
 }
 
 // serverConn is the per-connection demultiplexer state shared by the
 // reader and the requests it logs.
+//
+// cl is the one core.Client of all the connection's channels: the
+// reader is the only goroutine that reserves, logs requests or ENDs for
+// any of them (a request running on a handler reads only its session's
+// Err and Handler). Channels with blocks open on one handler at once
+// get a session each, and a BEGIN takes any idle one of the handler
+// (Client.session), so sessions scale with blocks open at once, not
+// with channels.
 type serverConn struct {
 	s     *Server
 	cw    *connWriter
+	cl    *core.Client
 	chans map[uint32]*svChan
+}
+
+// newServerConn is the demultiplexer state of a fresh connection
+// writing through cw.
+func newServerConn(s *Server, cw *connWriter) *serverConn {
+	return &serverConn{s: s, cw: cw, cl: s.rt.NewClient(), chans: map[uint32]*svChan{}}
 }
 
 // serveConn demultiplexes one connection's frames onto local sessions.
@@ -304,14 +319,14 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.mu.Lock()
 	s.writers[cw] = struct{}{}
 	s.mu.Unlock()
-	c := &serverConn{s: s, cw: cw, chans: map[uint32]*svChan{}}
+	c := newServerConn(s, cw)
 	fr := newFrameReader(conn)
 	defer fr.close()
 	defer func() {
 		// Client vanished (or Close tore the conn down): END every open
 		// block so no handler stays reserved by a dead channel.
 		for _, sc := range c.chans {
-			sc.end()
+			sc.end(c.cl)
 		}
 		conn.Close()
 		cw.close()
@@ -439,7 +454,7 @@ func (c *serverConn) handleFrame(f *frame) bool {
 			}
 			// A fresh channel already holds a full window of credits:
 			// the client opens with window, so nothing is advertised.
-			sc = &svChan{cl: s.rt.NewClient()}
+			sc = &svChan{}
 			c.chans[f.ch] = sc
 		}
 		if sc.open() {
@@ -453,7 +468,7 @@ func (c *serverConn) handleFrame(f *frame) bool {
 			c.poison(sc, f.ch, fmt.Sprintf("unknown handler %q", f.name))
 			return true
 		}
-		sess, err := sc.cl.TryReserve(h)
+		sess, err := c.cl.TryReserve(h)
 		if err != nil {
 			c.poison(sc, f.ch, err.Error())
 			return true
@@ -464,7 +479,7 @@ func (c *serverConn) handleFrame(f *frame) bool {
 		if sc == nil || !sc.open() {
 			return false // END without a block
 		}
-		sc.end()
+		sc.end(c.cl)
 
 	case fClose:
 		// Channel retired, possibly mid-block: END the block so the
@@ -473,7 +488,7 @@ func (c *serverConn) handleFrame(f *frame) bool {
 		// channel. A frame for this channel id never arrives again (ids
 		// are not reused).
 		if sc != nil {
-			sc.end()
+			sc.end(c.cl)
 			c.cw.closeQueue(&sc.q)
 			delete(c.chans, f.ch)
 		}
