@@ -70,13 +70,13 @@
 // A handler is one resumable state machine, whatever runs it: idle (no
 // known work), ready (made runnable, not yet picked up), running,
 // running-dirty (a wake arrived during the run and forces one more pass
-// before idling), awaiting (parked inside a request on an unresolved
-// future, Handler.Await) and done. A wake — a reservation, a request
-// logged on a parked handler, an awaited future resolving, Shutdown —
-// moves it to ready exactly once, and whoever drives it then calls
-// Handler.Step, which runs the paper's handler loop (Fig. 7) until the
-// queues run dry, the future is unresolved, or a fairness budget of 1024
-// requests is spent, and returns.
+// before idling) and done. A handler runs each request to completion
+// before it takes the next (the run rule), so it is never inside a
+// request it is not running. A wake — a reservation, a request logged
+// on a parked handler, Shutdown — moves it to ready exactly once, and
+// whoever drives it then calls Handler.Step, which runs the paper's
+// handler loop (Fig. 7) until the queues run dry or a fairness budget of
+// 1024 requests is spent, and returns.
 //
 // Config.Workers chooses the driver. With Workers == 0 (the default, and
 // the paper's design) every handler owns a goroutine that parks whenever
@@ -103,7 +103,7 @@
 // to another handler, a wait condition — notifies the pool, which
 // spawns a replacement worker, so delegation chains deeper than the
 // pool cannot deadlock it. Stats exposes the state machine's counters
-// (Schedules, HandlerParks, AwaitParks; the same in both modes) and the
+// (Schedules, HandlerParks; the same in both modes) and the
 // pool's (WorkerSpawns, WorkerParks, Steals, InjectorPushes,
 // LocalPushes); `go run ./bench --workload handoff` compares the two
 // drivers, on a 10k-handler token ring among others
@@ -151,21 +151,17 @@
 // TestChainMatchesAcrossImpls checks every paradigm, including the
 // fork-join "cxx" stand-in, against the sequential reference.
 //
-// Compensation is a last resort, though: the futures subsystem lets
-// handler code wait without blocking at all. Session.CallFuture (and
-// QueryAsync, its generic form) log a query whose result resolves a
-// Future instead of round-tripping, and Handler.Await parks the handler
-// state machine in a dedicated awaiting state: the handler is logically
-// still inside the request that armed the await — queue wakes do not
-// reschedule it, and no further request of the session runs — but its
-// worker goes back to the pool. The future's completion makes the
-// handler ready again and the continuation runs first, so the run
-// rule's ordering is preserved while a depth-k delegation chain costs
-// k state-machine parks instead of k compensation goroutines. Stats
-// counts FuturesCreated and AwaitParks; TestAwaitSpawnReduction pins
-// the effect and the benchmark reports core.call_future_ns and
-// core.await_parks_per_kop (the remote client's query pipelining rides
-// the same futures; the server mints none).
+// Futures are client-side. Session.CallFuture (and QueryAsync, its
+// generic form) log a query whose result resolves a Future instead of
+// round-tripping, so a client can log several queries before it waits
+// for any; whatever the query returns is the value, a Future included.
+// The client resolves it with Client.Await, which returns ErrShutdown
+// rather than hang past Shutdown, or with the Future's own Get, TryGet,
+// Done or OnComplete. A handler drains every request it accepted
+// before it retires, so every CallFuture future has resolved by the
+// time Shutdown returns. Stats counts FuturesCreated, and the benchmark
+// reports core.call_future_ns (the remote client's query pipelining
+// rides the same futures; the server mints none).
 //
 // The remote layer (internal/remote) extends the private-queue model
 // over sockets with a multiplexed binary transport: one connection
@@ -198,7 +194,7 @@
 //
 // All three layers are observable (internal/obs): scheduler dispatch
 // waits, worker parks, steals, and task spawn/join; handler state
-// transitions, await-park durations, and call/query/sync end-to-end
+// transitions, guard waits, and call/query/sync end-to-end
 // latencies; remote flush sizes, writer stalls, credit waits, and
 // per-channel round-trips. Events land in per-worker lock-free ring
 // buffers exportable as Chrome trace_event JSON (Perfetto-loadable;
@@ -309,14 +305,8 @@ func QueryRemote[T any](s *Session, f func() T) T { return core.QueryRemote(s, f
 // QueryAsync logs f as an asynchronous query: it returns immediately
 // with a future that resolves with f's result once the handler reaches
 // it, observing every previously logged call of the block. Wait with
-// Client.Await (shutdown-aware), Handler.Await (parks the handler
-// state machine instead of a pool worker), or the Future itself.
+// Client.Await (shutdown-aware) or the Future itself.
 func QueryAsync[T any](s *Session, f func() T) *Future { return core.QueryAsync(s, f) }
-
-// NewFuture returns an unresolved completion cell, for code that
-// produces a value asynchronously itself (e.g. a Handler.Await
-// continuation completing a promise it returned earlier).
-func NewFuture() *Future { return future.New() }
 
 // LocalQuery executes f on the client with no synchronization; legal
 // only when the handler is synced on this session (after Sync/SyncNow

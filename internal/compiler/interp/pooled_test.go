@@ -6,7 +6,6 @@ import (
 
 	"scoopqs/internal/compiler/passes"
 	"scoopqs/internal/core"
-	"scoopqs/internal/future"
 )
 
 // The interpreter's sync accounting must hold on the M:N executor
@@ -30,81 +29,6 @@ func TestCopyLoopPooledWorkers(t *testing.T) {
 			checkSquares(t, out)
 			if st.SyncsPerformed != 1 {
 				t.Errorf("optimized SyncsPerformed = %d, want 1", st.SyncsPerformed)
-			}
-		})
-	}
-}
-
-// An IR method whose implementation delegates to a second handler via
-// Handler.Await must, in pooled mode, park the handler's state machine
-// instead of holding a worker — visible as AwaitParks in core.Stats.
-// The program's observable result is unaffected.
-func TestPooledMethodDelegationParks(t *testing.T) {
-	const n = 8
-	src := `func f(n) handlers(g) arrays() {
-entry:
-  i = const 0
-  jmp loop
-loop:
-  c = lt i, n
-  br c, body, done
-body:
-  async g pull(i)
-  i = add i, 1
-  jmp loop
-done:
-  sync g
-  v = qlocal g acc()
-  ret v
-}
-`
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			f := parse(t, src)
-			rt := core.New(core.ConfigAll.WithWorkers(workers))
-			defer rt.Shutdown()
-			hg := rt.NewHandler("g")
-			hb := rt.NewHandler("b")
-			c := rt.NewClient()
-
-			var acc int64
-			methods := map[string]func([]int64) int64{
-				// pull(i) delegates the doubling to handler b and
-				// accumulates the result in a continuation: the arming
-				// request does not complete until cont has run, so the
-				// IR-level sync below observes every accumulation.
-				"pull": func(a []int64) int64 {
-					var inner *future.Future
-					hg.AsClient().Separate(hb, func(s *core.Session) {
-						x := a[0]
-						inner = s.CallFuture(func() any { return 2 * x })
-					})
-					hg.Await(inner, func(v any, err error) {
-						if err == nil {
-							acc += v.(int64)
-						}
-					})
-					return 0
-				},
-				"acc": func([]int64) int64 { return acc },
-			}
-
-			var got int64
-			var err error
-			c.Separate(hg, func(s *core.Session) {
-				got, err = Run(f, &Env{
-					Ints:     map[string]int64{"n": n},
-					Handlers: map[string]SessionOps{"g": HandlerBinding{Session: s, Methods: methods}},
-				})
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := int64(n * (n - 1)); got != want {
-				t.Fatalf("got %d, want %d", got, want)
-			}
-			if st := rt.Stats(); st.AwaitParks == 0 {
-				t.Errorf("AwaitParks = 0, want > 0: pooled delegation should park the state machine")
 			}
 		})
 	}

@@ -65,8 +65,8 @@ var Langs = []string{"cxx", "erlang", "go", "haskell", "Qs"}
 var GuardNames = []string{"boundedbuf", "santa"}
 
 // RunGuard executes one guard-heavy Qs workload under cfg, returning
-// the workload runtime's final stats snapshot (guard retries, await
-// parks) alongside the self-check result.
+// the workload runtime's final stats snapshot (guard retries,
+// multi-reservations) alongside the self-check result.
 func RunGuard(bench string, cfg core.Config, p Params) (core.Stats, error) {
 	switch bench {
 	case "boundedbuf":

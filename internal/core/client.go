@@ -373,14 +373,14 @@ func (c *Client) parkWaiting(s *Session) {
 }
 
 // Await blocks until f resolves and returns its result. It is the
-// client-side synchronization point of the futures subsystem:
+// synchronization point of the futures subsystem:
 //
-//   - for a worker-hosted client (handler code on a pool that
-//     cannot use the continuation-passing Handler.Await) the wait is
+//   - for a worker-hosted client (handler code on a pool) the wait is
 //     bracketed with the executor's compensation hooks, like any other
 //     blocking operation;
-//   - after Runtime.Shutdown an unresolved future can never resolve,
-//     so Await returns ErrShutdown instead of hanging.
+//   - after Runtime.Shutdown a future nothing resolved (one made with
+//     future.New, say) never will, so Await returns ErrShutdown
+//     instead of hanging.
 //
 // The error is *HandlerError when the future's query panicked; Query
 // re-panics that error at the client instead.
@@ -394,8 +394,8 @@ func (c *Client) Await(f *future.Future) (any, error) {
 	case <-f.Done():
 		return f.Get()
 	case <-c.rt.downC:
-		// Shutdown fails tracked stragglers itself; re-check so a
-		// future that resolved while we raced the close is honored.
+		// Re-check so a future that resolved while we raced the close
+		// is honored.
 		if v, err, ok := f.TryGet(); ok {
 			return v, err
 		}

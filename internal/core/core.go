@@ -32,20 +32,17 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
 	"sync"
 	"sync/atomic"
 
-	"scoopqs/internal/future"
 	"scoopqs/internal/sched"
 )
 
 // ErrShutdown is the panic value raised when a client enters a
 // separate block (reserves a handler) after Runtime.Shutdown. It is
-// also the error that fails futures left unresolved by Shutdown and
-// the error Client.Await returns when waiting past Shutdown, so an
-// awaiting client surfaces a clean error instead of hanging.
+// also the error Client.Await returns when waiting past Shutdown on a
+// future nothing resolved, so an awaiting client surfaces a clean
+// error instead of hanging.
 var ErrShutdown = errors.New("scoopqs: reservation after Shutdown")
 
 // Config selects a SCOOP runtime variant. The zero value is the
@@ -158,10 +155,10 @@ type Stats struct {
 
 	// Futures counters.
 	FuturesCreated int64 // futures minted by CallFuture/QueryAsync (none by a remote server)
-	AwaitParks     int64 // handler state machines parked in the awaiting state
+	AwaitParks     int64 // always 0: a handler has no awaiting state; kept because bench/trace.go reads it
 
 	// Handler state-machine counters, the same with and without a pool.
-	Schedules    int64 // handler activations: made runnable by a wake, a spent step budget or an awaited future, each followed by one Step
+	Schedules    int64 // handler activations: made runnable by a wake or a spent step budget, each followed by one Step
 	HandlerParks int64 // handlers parked mid-session awaiting their client
 
 	// Pool counters, from here down; all zero when Config.Workers == 0.
@@ -193,7 +190,6 @@ type statsCounters struct {
 	sessionsReused atomic.Int64
 	endsProcessed  atomic.Int64
 	futuresCreated atomic.Int64
-	awaitParks     atomic.Int64
 	schedules      atomic.Int64
 	handlerParks   atomic.Int64
 }
@@ -212,7 +208,6 @@ func (s *statsCounters) snapshot() Stats {
 		SessionsReused: s.sessionsReused.Load(),
 		EndsProcessed:  s.endsProcessed.Load(),
 		FuturesCreated: s.futuresCreated.Load(),
-		AwaitParks:     s.awaitParks.Load(),
 		Schedules:      s.schedules.Load(),
 		HandlerParks:   s.handlerParks.Load(),
 	}
@@ -240,13 +235,6 @@ type Runtime struct {
 	// of hanging.
 	downC chan struct{}
 
-	// flat holds the CallFuture futures resolveFuture chained onto
-	// another future and that are still pending: the only ones that can
-	// outlive their handler (every other one resolves before its handler
-	// retires), so Shutdown fails them with ErrShutdown.
-	flatMu sync.Mutex
-	flat   map[*future.Future]struct{}
-
 	wg sync.WaitGroup
 }
 
@@ -255,7 +243,6 @@ func New(cfg Config) *Runtime {
 	rt := &Runtime{
 		cfg:   cfg,
 		downC: make(chan struct{}),
-		flat:  map[*future.Future]struct{}{},
 	}
 	if cfg.Workers > 0 {
 		rt.exec = sched.NewExecutor(cfg.Workers)
@@ -327,15 +314,6 @@ func (rt *Runtime) Shutdown() {
 	rt.wg.Wait()
 	if rt.exec != nil {
 		rt.exec.Stop()
-	}
-	// Handlers drain every accepted request before retiring, so a
-	// future still pending now is one flattened onto a promise nobody
-	// will complete; fail it rather than leave waiters hanging.
-	rt.flatMu.Lock()
-	orphans := slices.Collect(maps.Keys(rt.flat))
-	rt.flatMu.Unlock()
-	for _, f := range orphans {
-		f.Fail(ErrShutdown)
 	}
 	close(rt.downC)
 }

@@ -37,15 +37,8 @@ func (d DeadlockCycle) String() string {
 // DetectDeadlock scans the wait-for graph and returns the cycles it
 // finds (nil when none). Only cycles among handlers are reported;
 // external clients blocked on a deadlocked handler are victims, not
-// participants.
-//
-// Two kinds of wait edge are followed: synchronous queries (the
-// handler's own client blocked on its target) and awaits — a handler
-// parked mid-request on a future, charged to the handler whose session
-// will resolve it. The attribution is the future's origin tag, which
-// CallFuture sets. A hand-made future (future.New) has no origin and
-// contributes no edge: await attribution is best-effort, exactly as
-// advisory as the rest of the graph.
+// participants. The one kind of wait edge is a blocked query: the
+// handler's own client (AsClient) waiting on its target.
 func (rt *Runtime) DetectDeadlock() []DeadlockCycle {
 	rt.mu.Lock()
 	handlers := make([]*Handler, len(rt.handlers))
@@ -55,12 +48,6 @@ func (rt *Runtime) DetectDeadlock() []DeadlockCycle {
 	// next[h] = the handler h is currently waiting on.
 	next := make(map[*Handler]*Handler, len(handlers))
 	for _, h := range handlers {
-		if f := h.awaitingOn.Load(); f != nil {
-			if origin, ok := f.Origin().(*Handler); ok && origin.rt == rt {
-				next[h] = origin
-				continue
-			}
-		}
 		sc := h.selfClientSnapshot()
 		if sc == nil {
 			continue

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
-
-	"scoopqs/internal/future"
 )
 
 // Construct the §2.5 query cycle and check the detector reports it.
@@ -120,133 +117,6 @@ func TestFormatDeadlocksEmpty(t *testing.T) {
 	one := []DeadlockCycle{{Handlers: []string{"x", "y"}}}
 	if got := FormatDeadlocks(one); got != "deadlock: x -> y -> x" {
 		t.Fatalf("got %q", got)
-	}
-}
-
-// Await cycle: a parks its state machine on a future only b can
-// resolve, while b parks on a future only a can resolve — no client
-// waits on a handler anywhere, so the query-edge detector used to be
-// blind to it. The detector must follow the await edges
-// (handler -> origin of the awaited future) and report the cycle.
-func TestDetectDeadlockFindsAwaitCycle(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			rt := New(ConfigAll.WithWorkers(workers)) // wedged by design; no Shutdown
-			a := rt.NewHandler("a")
-			b := rt.NewHandler("b")
-
-			// cross arms, on the executing handler, an await on a future logged
-			// on the other handler's session, and returns the promise its
-			// continuation would resolve — which it never can.
-			var cross func(self, other *Handler) any
-			cross = func(self, other *Handler) any {
-				p := future.New()
-				var inner *future.Future
-				self.AsClient().Separate(other, func(s *Session) {
-					inner = s.CallFuture(func() any {
-						if other == b {
-							return cross(b, a)
-						}
-						return nil // never reached: a is wedged by then
-					})
-				})
-				self.Await(inner, func(v any, err error) {
-					if err != nil {
-						p.Fail(err)
-						return
-					}
-					p.Complete(v)
-				})
-				return p
-			}
-			c := rt.NewClient()
-			c.Separate(a, func(s *Session) {
-				s.CallFuture(func() any { return cross(a, b) })
-			})
-
-			deadline := time.Now().Add(10 * time.Second)
-			for time.Now().Before(deadline) {
-				// Both handlers must be parked awaiting before a stable verdict.
-				if rt.Stats().AwaitParks >= 2 {
-					first := rt.DetectDeadlock()
-					second := rt.DetectDeadlock()
-					if len(first) > 0 && len(second) > 0 {
-						if !containsAll(second[0].Handlers, "a", "b") {
-							t.Fatalf("cycle %v does not contain both handlers", second[0].Handlers)
-						}
-						return
-					}
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-			t.Fatalf("await cycle never detected (await-parks=%d): %s",
-				rt.Stats().AwaitParks, FormatDeadlocks(rt.DetectDeadlock()))
-		})
-	}
-}
-
-// A three-handler await ring: each handler parks on the future of an
-// asynchronous query logged on the next handler, so the wait-for graph
-// is a ring of await edges, a -> b -> c -> a. The detector must chain
-// the origin tags of all three awaited futures.
-func TestDetectDeadlockFindsThreeHandlerAwaitCycle(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			rt := New(ConfigAll.WithWorkers(workers)) // wedged by design; no Shutdown
-			names := []string{"a", "b", "c"}
-			hs := make([]*Handler, len(names))
-			for i, n := range names {
-				hs[i] = rt.NewHandler(n)
-			}
-
-			// cross logs a future query on the next handler in the ring and
-			// awaits it. Handler c's query targets a, which is already parked
-			// awaiting — so all three wedge.
-			var cross func(i int) any
-			cross = func(i int) any {
-				self, nxt := hs[i], hs[(i+1)%len(hs)]
-				p := future.New()
-				var inner *future.Future
-				self.AsClient().Separate(nxt, func(s *Session) {
-					inner = s.CallFuture(func() any {
-						if (i+1)%len(hs) != 0 {
-							return cross(i + 1)
-						}
-						return nil // never reached: a is wedged by then
-					})
-				})
-				self.Await(inner, func(v any, err error) {
-					if err != nil {
-						p.Fail(err)
-						return
-					}
-					p.Complete(v)
-				})
-				return p
-			}
-			c := rt.NewClient()
-			c.Separate(hs[0], func(s *Session) {
-				s.CallFuture(func() any { return cross(0) })
-			})
-
-			deadline := time.Now().Add(10 * time.Second)
-			for time.Now().Before(deadline) {
-				// All three handlers must be parked awaiting for a stable verdict.
-				if rt.Stats().AwaitParks >= 3 {
-					first := rt.DetectDeadlock()
-					second := rt.DetectDeadlock()
-					if len(first) > 0 && len(second) > 0 {
-						if !containsAll(second[0].Handlers, "a", "b", "c") {
-							t.Fatalf("cycle %v does not contain all three handlers", second[0].Handlers)
-						}
-						return
-					}
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-			t.Fatalf("three-handler await cycle never detected (await-parks=%d): %s",
-				rt.Stats().AwaitParks, FormatDeadlocks(rt.DetectDeadlock()))
-		})
 	}
 }
 

@@ -47,24 +47,6 @@ type Handler struct {
 	task     *sched.Task
 	onWorker *sched.Worker
 
-	// awaitStart is the obs timestamp of the last await park, written
-	// by Step before the state moves to hAwaiting and consumed by
-	// awaitWake after its CAS out of hAwaiting — the state transition
-	// orders the accesses. Zero when recording was off at park time.
-	awaitStart int64
-
-	// awaitingOn publishes the future a parked await is waiting on, so
-	// the deadlock detector can follow await edges. Set before the
-	// handler parks, cleared on resume; advisory, like every wait edge.
-	awaitingOn atomic.Pointer[future.Future]
-
-	// pendingAwait holds the continuation armed by Handler.Await during
-	// the current request. It is only touched by code holding the
-	// handler (hRunning), and is serviced after the arming request
-	// returns: inline if the future already resolved, else by parking
-	// the state machine in hAwaiting.
-	pendingAwait *awaitReq
-
 	// resSpin is the per-handler spinlock that makes multi-handler
 	// reservations atomic (§3.3).
 	resSpin sched.SpinLock
@@ -89,17 +71,13 @@ type Handler struct {
 // Handler states. A handler is hIdle when it has no known work, hReady
 // once made runnable (ready) and until its driver calls Step, hRunning
 // while Step drains it, hRunningDirty when a wake arrived during a
-// drain (forcing one more pass before idling), hAwaiting while parked
-// mid-request on an unresolved future (Handler.Await) — logically
-// still inside the request, so queue wakes do not reschedule it; only
-// the future's completion does — and hDone once its queue-of-queues is
-// closed and drained.
+// drain (forcing one more pass before idling), and hDone once its
+// queue-of-queues is closed and drained.
 const (
 	hIdle int32 = iota
 	hReady
 	hRunning
 	hRunningDirty
-	hAwaiting
 	hDone
 )
 
@@ -108,13 +86,6 @@ const (
 type waiter struct {
 	rec *waitRec
 	gen int64
-}
-
-// awaitReq is a continuation armed by Handler.Await: run cont with the
-// future's result before touching any further request of the session.
-type awaitReq struct {
-	fut  *future.Future
-	cont func(v any, err error)
 }
 
 // NewHandler creates a handler, idle until a client gives it work: its
@@ -173,54 +144,6 @@ func (h *Handler) AsClient() *Client {
 	return h.selfClient
 }
 
-// Await registers cont to run on this handler with fut's result,
-// without blocking inside a request while fut is unresolved. It may only
-// be called from code already executing on h (a call, query, or prior
-// continuation), like AsClient.
-//
-// The continuation is deferred: it runs after the arming request
-// returns, and strictly before any further request of the session —
-// so from the rest of the system's point of view the handler is still
-// inside the arming request until cont completes, preserving the run
-// rule's no-interleaving guarantee. An unresolved future parks the
-// handler state machine in the awaiting state and Step returns: a pool
-// worker moves on (this is what lets deep delegation chains run on a
-// fixed-size pool without compensation spawns), the handler's own
-// goroutine parks. The future's completion makes the handler runnable.
-//
-// At most one Await may be armed per request; cont itself may call
-// Await again to chain. A panic in cont poisons the session exactly
-// like a panicking call; once the session is poisoned, pending
-// continuations run with the session's *HandlerError as their err so
-// the futures they resolve fail instead of hanging. Awaiting a future
-// nothing will ever resolve wedges the handler mid-request exactly as
-// a synchronous query cycle would (§2.5) — and Shutdown will wait for
-// it; DetectDeadlock follows await edges through the future's origin.
-func (h *Handler) Await(fut *future.Future, cont func(v any, err error)) {
-	if h.pendingAwait != nil {
-		panic("scoopqs: Handler.Await armed twice in one request (chain from the continuation instead)")
-	}
-	h.pendingAwait = &awaitReq{fut: fut, cont: cont}
-}
-
-// runCont executes an await continuation under the same poisoning
-// discipline as execCall — except that a poisoned session fails the
-// continuation instead of skipping it: cont is the tail of a request
-// already in flight, and dropping it would leave the futures it was
-// going to resolve pending forever, wedging every awaiter upstream.
-// cont observes the poison as its error and typically forwards it.
-func (h *Handler) runCont(s *Session, cont func(any, error), v any, err error) {
-	if e := s.errPub.Load(); e != nil {
-		v, err = nil, e
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			s.errPub.Store(&HandlerError{Handler: h.name, Value: r})
-		}
-	}()
-	cont(v, err)
-}
-
 // run drives a handler that has a goroutine of its own (Config.Workers
 // == 0): where a pool worker would move on to another handler, it parks
 // until ready unparks it. The loop of the paper's Fig. 7 is drain.
@@ -267,11 +190,6 @@ func (h *Handler) wakeFrom(w *sched.Worker) {
 			}
 		case hReady, hRunningDirty, hDone:
 			return // already scheduled, will re-check, or retired
-		case hAwaiting:
-			// Parked mid-request on a future; new queue work cannot run
-			// until the request finishes, and the future's completion
-			// callback performs the reschedule.
-			return
 		case hRunning:
 			if h.state.CompareAndSwap(hRunning, hRunningDirty) {
 				return // the running Step will make another pass
@@ -321,22 +239,6 @@ func (h *Handler) Step(w *sched.Worker) {
 			// else's pending work, and a LIFO self-push would defeat it.
 			h.ready(nil)
 			return
-		case drainAwaiting:
-			// Park the state machine, not a pool worker: return to the
-			// driver and let the future's completion reschedule us. The
-			// store may overwrite hRunningDirty — safe, because the
-			// resume path always drains, so work signalled by that lost
-			// wake is picked up then.
-			req := h.pendingAwait
-			h.rt.stats.awaitParks.Add(1)
-			h.noteRun(w, runT0)
-			if obs.Enabled() {
-				h.awaitStart = obs.Now()
-			}
-			h.awaitingOn.Store(req.fut)
-			h.state.Store(hAwaiting)
-			req.fut.OnComplete(func(any, error) { h.awaitWake() })
-			return
 		case drainEmpty:
 			// Read cur before releasing ownership: after a successful
 			// CAS to hIdle a wake may get the handler resumed on another
@@ -374,30 +276,10 @@ func (h *Handler) noteRun(w *sched.Worker, t0 int64) {
 type drainOutcome int
 
 const (
-	drainEmpty    drainOutcome = iota // no work visible right now
-	drainBudget                       // fairness budget exhausted, work may remain
-	drainAwaiting                     // parked mid-request on an unresolved future
-	drainDone                         // queue-of-queues closed and fully drained
+	drainEmpty  drainOutcome = iota // no work visible right now
+	drainBudget                     // fairness budget exhausted, work may remain
+	drainDone                       // queue-of-queues closed and fully drained
 )
-
-// awaitWake is the future-completion callback of a parked await: make
-// the handler runnable again so drain can run the continuation. The
-// CAS cannot spuriously fail — the state is stored before the callback
-// is registered, and only this callback leaves hAwaiting. The resume
-// goes through the injector: the completer's worker context is not
-// threaded through future callbacks.
-func (h *Handler) awaitWake() {
-	if h.state.CompareAndSwap(hAwaiting, hReady) {
-		if t0 := h.awaitStart; t0 != 0 {
-			h.awaitStart = 0
-			d := obs.Now() - t0
-			awaitHist.Observe(d)
-			obs.Emit(obs.KindAwaitPark, uint64(h.id), d)
-		}
-		h.awaitingOn.Store(nil)
-		h.ready(nil)
-	}
-}
 
 // drain is the handler loop of the paper's Fig. 7: dequeue private
 // queues from the queue-of-queues and run each to its END (the run and
@@ -426,26 +308,7 @@ func (h *Handler) drain(budget *int) drainOutcome {
 		s := h.cur
 		for {
 			if *budget <= 0 {
-				// Budget first even with an await armed: the requeue
-				// path preserves ordering (the next Step services the
-				// await before dequeuing), so a chain of continuations
-				// over already-resolved futures cannot monopolize a
-				// worker.
 				return drainBudget
-			}
-			// An armed await gates the session: its continuation must
-			// run before any further request. Resolved already — run it
-			// inline; unresolved — park the machine.
-			if h.pendingAwait != nil {
-				v, err, ok := h.pendingAwait.fut.TryGet()
-				if !ok {
-					return drainAwaiting
-				}
-				req := h.pendingAwait
-				h.pendingAwait = nil
-				*budget--
-				h.runCont(s, req.cont, v, err)
-				continue // the continuation may have re-armed
 			}
 			c, ok := s.q.TryDequeue()
 			if !ok {
@@ -523,7 +386,7 @@ func (h *Handler) execOne(s *Session, c call) (ended bool) {
 		// An asynchronous query: execute and resolve the future; nobody
 		// is parked on the session, so the handler just moves on.
 		v, err := h.execQuery(s, c.qfn)
-		h.rt.resolveFuture(c.fut, v, err)
+		resolveFuture(c.fut, v, err)
 	case callSync:
 		// The sync rule: the client is parked in wait; release it.
 		// drain then goes straight back to dequeueing this same
@@ -565,25 +428,11 @@ func (h *Handler) execQuery(s *Session, qfn func() any) (v any, err error) {
 	return qfn(), nil
 }
 
-// resolveFuture resolves fut with a query result, flattening futures:
-// a query that returns a *future.Future chains fut to it instead of
-// boxing it, so a pipeline of asynchronous hops completes end to end
-// once the final value exists. While chained, fut is in rt.flat.
-func (rt *Runtime) resolveFuture(fut *future.Future, v any, err error) {
+// resolveFuture resolves fut with a query result. A result that is
+// itself a *future.Future is just a value: fut completes with it.
+func resolveFuture(fut *future.Future, v any, err error) {
 	if err != nil {
 		fut.Fail(err)
-		return
-	}
-	if inner, ok := v.(*future.Future); ok {
-		rt.flatMu.Lock()
-		rt.flat[fut] = struct{}{}
-		rt.flatMu.Unlock()
-		inner.OnComplete(func(iv any, ierr error) {
-			rt.flatMu.Lock()
-			delete(rt.flat, fut)
-			rt.flatMu.Unlock()
-			rt.resolveFuture(fut, iv, ierr)
-		})
 		return
 	}
 	fut.Complete(v)

@@ -7,8 +7,7 @@ import (
 
 // The core runtime's observability instruments (see internal/obs for
 // the overhead contract): end-to-end latency of the client-visible
-// synchronization operations, plus the await-park duration that the
-// handler state machine otherwise hides entirely.
+// synchronization operations and the guard wait.
 var (
 	// callExecHist is an async call's log→execution latency — how long
 	// a request sits in its private queue before the handler runs it.
@@ -18,9 +17,6 @@ var (
 	// syncHist is the sync round-trip, client-observed (elided syncs
 	// never reach it).
 	syncHist = obs.Default().Hist("core.sync_ns")
-	// awaitHist is how long a handler sits parked on an unresolved
-	// future (Handler.Await).
-	awaitHist = obs.Default().Hist("core.await_park_ns")
 	// guardWaitHist is how long a SeparateWhen client sits parked: from
 	// its guard request to being started when the handler evaluates the
 	// guard (one sync round trip if it holds at once), else from a failed

@@ -142,11 +142,11 @@ func (s *Session) Handler() *Handler { return s.h }
 func (s *Session) Call(fn func()) { s.logCall(callCall, fn) }
 
 // CallAlways logs an asynchronous call that runs even on a poisoned
-// session — the discipline runCont applies to await continuations — for
-// a call that owns something it must give back whatever happened
-// earlier in the block (the remote server's reply, request credit and
-// payload). fn tells a poisoned session by Err() != nil and skips its
-// work then; a panic in fn poisons the session like a panicking Call.
+// session, for a call that owns something it must give back whatever
+// happened earlier in the block (the remote server's reply, request
+// credit and payload). fn tells a poisoned session by Err() != nil and
+// skips its work then; a panic in fn poisons the session like a
+// panicking Call.
 func (s *Session) CallAlways(fn func()) { s.logCall(callAlways, fn) }
 
 func (s *Session) logCall(kind callKind, fn func()) {
@@ -265,23 +265,16 @@ func (s *Session) queryRemote(qfn func() any) any {
 // session, and its result resolves the returned future instead of
 // being shipped back through a sync round-trip — the client never
 // blocks. A handler-side panic fails the future with *HandlerError and
-// poisons the session exactly like a synchronous query.
-//
-// If qfn returns a *future.Future the runtime chains instead of
-// boxing: the returned future resolves when the inner one does
-// (promise flattening). This is what lets a delegation chain pipeline
-// end to end — each hop logs the next hop's future query and returns
-// its future — with no handler blocked anywhere.
+// poisons the session exactly like a synchronous query. Whatever qfn
+// returns is the future's value, a *future.Future included. The future
+// resolves before its handler retires: a handler drains every request
+// it accepted, so Shutdown never leaves one pending.
 func (s *Session) CallFuture(qfn func() any) *future.Future {
-	rt := s.h.rt
-	rt.stats.futuresCreated.Add(1)
+	s.h.rt.stats.futuresCreated.Add(1)
 	fut := future.New()
-	// The origin tag attributes awaits on this future to the handler
-	// whose session resolves it (deadlock detection's await edges).
-	fut.SetOrigin(s.h)
 	if s.onHandler { // see Call
 		v, err := s.h.execQuery(s, qfn)
-		rt.resolveFuture(fut, v, err)
+		resolveFuture(fut, v, err)
 		return fut
 	}
 	// The handler executes qfn and moves on without parking at the
@@ -359,10 +352,8 @@ func QueryRemote[T any](s *Session, f func() T) T {
 
 // QueryAsync is the typed veneer over Session.CallFuture: it logs f as
 // an asynchronous query and returns a future that resolves with f's
-// (boxed) result. Resolve it with Client.Await (shutdown-aware), the
-// future's own Get, or — from handler code on a pooled runtime —
-// Handler.Await, which parks the handler state machine instead of a
-// worker.
+// (boxed) result. Resolve it with Client.Await (shutdown-aware) or the
+// future's own Get.
 func QueryAsync[T any](s *Session, f func() T) *future.Future {
 	return s.CallFuture(func() any { return f() })
 }

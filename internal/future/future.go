@@ -9,8 +9,7 @@
 // shutdown — safe by construction. Consumers observe the result through
 // whichever shape fits their control flow: a blocking Get, a
 // non-blocking TryGet, a Done channel for select loops, or an
-// OnComplete callback for continuation-passing (the shape the M:N
-// executor uses to reschedule an awaiting handler).
+// OnComplete callback for continuation-passing.
 //
 // A future costs one allocation, the cell itself, until somebody waits
 // on it: the Done channel is made on demand, by Done or by a Get on a
@@ -28,8 +27,8 @@ import (
 )
 
 // Future is a write-once completion cell. The zero value is not usable;
-// use New (or Completed/Failed for pre-resolved cells). All methods are
-// safe for concurrent use by any number of goroutines.
+// use New. All methods are safe for concurrent use by any number of
+// goroutines.
 type Future struct {
 	mu sync.Mutex
 	// resolved is set, under mu, once val and err hold the result; read
@@ -43,11 +42,6 @@ type Future struct {
 	// case, costs no slice.
 	cb   func(v any, err error)
 	more *[]func(v any, err error)
-
-	// origin is an opaque provenance tag (core stores the handler whose
-	// session will resolve the future), which lets deadlock detection
-	// follow a handler's await to the handler it waits on.
-	origin any
 }
 
 // closedDone is what Done returns once the future has resolved without
@@ -61,20 +55,6 @@ var closedDone = func() chan struct{} {
 // New returns an incomplete future.
 func New() *Future {
 	return &Future{}
-}
-
-// Completed returns a future already resolved with v.
-func Completed(v any) *Future {
-	f := New()
-	f.Complete(v)
-	return f
-}
-
-// Failed returns a future already resolved with err.
-func Failed(err error) *Future {
-	f := New()
-	f.Fail(err)
-	return f
 }
 
 // Complete resolves the future with v. It reports whether this call won
@@ -114,22 +94,6 @@ func (f *Future) resolve(v any, err error) bool {
 		}
 	}
 	return true
-}
-
-// SetOrigin records an opaque provenance tag on the future. The
-// runtime tags each future minted by CallFuture with the handler that
-// will resolve it; a future made with New carries no tag.
-func (f *Future) SetOrigin(o any) {
-	f.mu.Lock()
-	f.origin = o
-	f.mu.Unlock()
-}
-
-// Origin returns the provenance tag, nil if none was set.
-func (f *Future) Origin() any {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.origin
 }
 
 // Done returns a channel closed when the future resolves. It is the

@@ -59,7 +59,9 @@ func TestDoneAfterResolve(t *testing.T) {
 	viaCallback := New()
 	viaCallback.OnComplete(func(any, error) {})
 	viaCallback.Complete(5)
-	for _, f := range []*Future{Completed(5), viaCallback} {
+	direct := New()
+	direct.Complete(5)
+	for _, f := range []*Future{direct, viaCallback} {
 		select {
 		case <-f.Done():
 		default:
@@ -96,11 +98,11 @@ func TestFutureCallbackPathAllocs(t *testing.T) {
 	}
 }
 
-// Future stays in the 96-byte size class: the lazy channel and the
+// Future stays in the 80-byte size class: the lazy channel and the
 // inline first callback must not grow it.
 func TestFutureSize(t *testing.T) {
-	if got := unsafe.Sizeof(Future{}); got > 96 {
-		t.Fatalf("sizeof(Future) = %d, want <= 96", got)
+	if got := unsafe.Sizeof(Future{}); got > 80 {
+		t.Fatalf("sizeof(Future) = %d, want <= 80", got)
 	}
 }
 
@@ -123,7 +125,8 @@ func TestCallbacksBeforeCompletionRunInOrder(t *testing.T) {
 }
 
 func TestCallbackAfterCompletionRunsImmediately(t *testing.T) {
-	f := Completed(7)
+	f := New()
+	f.Complete(7)
 	ran := false
 	f.OnComplete(func(v any, err error) {
 		if v.(int) != 7 || err != nil {

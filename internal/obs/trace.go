@@ -25,7 +25,6 @@ const (
 	// internal/core
 	KindHandlerReady // instant: handler scheduled (id = handler)
 	KindHandlerRun   // span: one handler Step (arg = ns, id = handler)
-	KindAwaitPark    // span: handler parked on an await (arg = ns, id = handler)
 	KindCall         // span: async call log→execution (arg = ns, id = handler)
 	KindQuery        // span: synchronous query end-to-end (arg = ns, id = handler)
 	KindSync         // span: sync round-trip end-to-end (arg = ns, id = handler)
@@ -55,7 +54,6 @@ var kindNames = [kindMax]string{
 	KindTaskJoin:     "sched.task_join",
 	KindHandlerReady: "core.handler_ready",
 	KindHandlerRun:   "core.handler_run",
-	KindAwaitPark:    "core.await_park",
 	KindCall:         "core.call",
 	KindQuery:        "core.query",
 	KindSync:         "core.sync",
@@ -77,7 +75,6 @@ var kindDur = [kindMax]bool{
 	KindWorkerPark:  true,
 	KindTaskJoin:    true,
 	KindHandlerRun:  true,
-	KindAwaitPark:   true,
 	KindCall:        true,
 	KindQuery:       true,
 	KindSync:        true,

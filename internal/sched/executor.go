@@ -11,11 +11,7 @@ import (
 // workers. Step runs the unit until it has no immediately available
 // work; it must not block indefinitely — a Runnable that needs to wait
 // returns from Step and is handed back to the Executor (Ready) when
-// new work arrives. The wait need not be for queue input: a Runnable
-// may park itself on an external completion (core's awaiting handler
-// state registers a future callback that calls Ready), which is the
-// cheap alternative to BlockingBegin/End compensation whenever the
-// wait can be expressed as a continuation. Step is never invoked
+// new work arrives. Step is never invoked
 // concurrently for the same Runnable; the scheduling protocol of the
 // owner must guarantee that.
 //
