@@ -1,9 +1,9 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation at testing.B scale. Each BenchmarkTableN / BenchmarkFigN
-// corresponds to one table or figure; `go run ./cmd/qsbench` produces
-// the full formatted tables. Problem sizes here are the small bench
-// presets — the point is exercising the measured code paths under the
-// Go benchmark harness, with -benchmem accounting.
+// Go benchmarks of the runtime's hot paths: token-ring hand-off with
+// dedicated and pooled handlers, the request and reservation paths with
+// allocation accounting, and the Fig. 14 copy loop before and after the
+// static sync-coalescing pass. The paper's tables and figures have one
+// driver, `go run ./cmd/qsbench`.
+
 package scoopqs
 
 import (
@@ -15,211 +15,7 @@ import (
 	"scoopqs/internal/compiler/passes"
 	"scoopqs/internal/concbench"
 	"scoopqs/internal/core"
-	"scoopqs/internal/cowichan"
-	"scoopqs/internal/cowichan/qsimpl"
-	"scoopqs/internal/harness"
 )
-
-// benchConfigs are the paper's five optimization configurations.
-var benchConfigs = []core.Config{
-	core.ConfigNone, core.ConfigDynamic, core.ConfigStatic,
-	core.ConfigQoQ, core.ConfigAll,
-}
-
-const benchWorkers = 2
-
-// cowInputs precomputes kernel inputs once per benchmark.
-func cowInputs(b *testing.B) (cowichan.Params, *cowichan.Matrix, *cowichan.Mask) {
-	b.Helper()
-	p := cowichan.BenchParams()
-	seq := cowichan.NewSeq()
-	mat, _ := seq.Randmat(p)
-	mask, _ := seq.Thresh(mat, p.P)
-	return p, mat, mask
-}
-
-// BenchmarkTable1 measures the communication phase of the parallel
-// tasks under each optimization configuration (paper: Table 1). The
-// thresh kernel is used as the representative pull-heavy task; chain
-// appears in BenchmarkFig16.
-func BenchmarkTable1(b *testing.B) {
-	p, mat, _ := cowInputs(b)
-	for _, cfg := range benchConfigs {
-		cfg := cfg
-		b.Run(cfg.Name(), func(b *testing.B) {
-			im := qsimpl.New(cfg, benchWorkers)
-			defer im.Close()
-			b.ResetTimer()
-			var comm int64
-			for i := 0; i < b.N; i++ {
-				_, t := im.Thresh(mat, p.P)
-				comm += t.Comm.Nanoseconds()
-			}
-			b.ReportMetric(float64(comm)/float64(b.N), "comm-ns/op")
-		})
-	}
-}
-
-// BenchmarkFig16 measures the full chain's communication under each
-// configuration (paper: Fig. 16).
-func BenchmarkFig16(b *testing.B) {
-	p := cowichan.BenchParams()
-	for _, cfg := range benchConfigs {
-		cfg := cfg
-		b.Run(cfg.Name(), func(b *testing.B) {
-			im := qsimpl.New(cfg, benchWorkers)
-			defer im.Close()
-			b.ResetTimer()
-			var comm int64
-			for i := 0; i < b.N; i++ {
-				r := cowichan.Chain(im, p)
-				comm += r.Timing.Comm.Nanoseconds()
-			}
-			b.ReportMetric(float64(comm)/float64(b.N), "comm-ns/op")
-		})
-	}
-}
-
-// BenchmarkTable2 runs each coordination benchmark under each
-// configuration (paper: Table 2).
-func BenchmarkTable2(b *testing.B) {
-	p := concbench.BenchParams()
-	for _, bench := range concbench.Names {
-		for _, cfg := range benchConfigs {
-			bench, cfg := bench, cfg
-			b.Run(bench+"/"+cfg.Name(), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := concbench.Run(bench, "Qs", cfg, p); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig17 is the condition benchmark across configurations —
-// the case where QoQ's non-blocking reservations matter most in the
-// paper's Fig. 17.
-func BenchmarkFig17(b *testing.B) {
-	p := concbench.BenchParams()
-	for _, cfg := range benchConfigs {
-		cfg := cfg
-		b.Run(cfg.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := concbench.Run("condition", "Qs", cfg, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable3 renders the static language-characteristics table
-// (paper: Table 3 has no timings; this keeps the 1:1 bench-per-table
-// mapping and measures the render path).
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := harness.Defaults(discard{})
-		o.Table3()
-	}
-}
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-// BenchmarkFig18 measures every paradigm on the product kernel (paper:
-// Fig. 18 shows all parallel tasks per language).
-func BenchmarkFig18(b *testing.B) {
-	p, mat, mask := cowInputs(b)
-	seq := cowichan.NewSeq()
-	pts, _ := seq.Winnow(mat, mask, p.NW)
-	om, vec, _ := seq.Outer(pts)
-	for _, lang := range harness.CowLangs {
-		lang := lang
-		b.Run(lang, func(b *testing.B) {
-			im := harness.NewImpl(lang, core.ConfigAll, benchWorkers)
-			defer im.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				im.Product(om, vec)
-			}
-		})
-	}
-}
-
-// BenchmarkFig19 measures the randmat kernel per paradigm at 1 and 2
-// workers — the speedup sweep of the paper's Fig. 19 at bench scale.
-func BenchmarkFig19(b *testing.B) {
-	p := cowichan.BenchParams()
-	for _, lang := range harness.CowLangs {
-		for _, w := range []int{1, 2} {
-			lang, w := lang, w
-			b.Run(lang+"/w="+string(rune('0'+w)), func(b *testing.B) {
-				im := harness.NewImpl(lang, core.ConfigAll, w)
-				defer im.Close()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					im.Randmat(p)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkTable4 measures the chain per paradigm at 1 and 2 workers
-// (paper: Table 4 reports per-thread-count times).
-func BenchmarkTable4(b *testing.B) {
-	p := cowichan.BenchParams()
-	for _, lang := range harness.CowLangs {
-		for _, w := range []int{1, 2} {
-			lang, w := lang, w
-			b.Run(lang+"/w="+string(rune('0'+w)), func(b *testing.B) {
-				im := harness.NewImpl(lang, core.ConfigAll, w)
-				defer im.Close()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cowichan.Chain(im, p)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkTable5 runs each coordination benchmark under each paradigm
-// (paper: Table 5).
-func BenchmarkTable5(b *testing.B) {
-	p := concbench.BenchParams()
-	for _, bench := range concbench.Names {
-		for _, lang := range concbench.Langs {
-			bench, lang := bench, lang
-			b.Run(bench+"/"+lang, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := concbench.Run(bench, lang, core.ConfigAll, p); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig20 is the threadring benchmark across paradigms — the
-// pure hand-off cost comparison highlighted in the paper's Fig. 20.
-func BenchmarkFig20(b *testing.B) {
-	p := concbench.BenchParams()
-	for _, lang := range concbench.Langs {
-		lang := lang
-		b.Run(lang, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := concbench.Run("threadring", lang, core.ConfigAll, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkExecutorThreadring10k compares dedicated-goroutine and
 // pooled (M:N executor) handler execution on a threadring with 10k

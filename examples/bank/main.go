@@ -9,8 +9,8 @@
 // sharded over 64 handlers, driven over the wire through the
 // zero-copy bytes-payload transport, with the same conservation
 // invariant checked after every run — is
-// `go run ./bench --workload bank` (see bench/bank.go and README
-// "Bytes payloads").
+// `go run ./bench --workload bank` (see bench/bank.go, and README
+// "Remote" for the payload API).
 package main
 
 import (

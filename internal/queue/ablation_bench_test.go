@@ -1,12 +1,6 @@
 package queue
 
-import (
-	"fmt"
-	"sync"
-	"testing"
-
-	"scoopqs/internal/sched"
-)
+import "testing"
 
 // Ablation: the specialized queues against buffered Go channels, the
 // natural alternative substrate. The paper's §3.1 argues that
@@ -89,74 +83,4 @@ func BenchmarkAblationMPSCvsChannel(b *testing.B) {
 		close(ch)
 		<-done
 	})
-}
-
-// Ablation: how long a consumer polls before parking, on both sides of
-// the sched.WaitPolicy split.
-//
-// engaged is the sync handshake of a query: the partner answers at once,
-// and the round trip is shorter when the consumer polls and yields than
-// when it parks after the busy polls (polls=8, the idle policy).
-//
-// idlering is the queue-of-queues of a ring of handlers: each consumer is
-// woken once per revolution, so every yield it makes first is a trip
-// through the run queue that cannot find work.
-func BenchmarkAblationSpinCount(b *testing.B) {
-	for _, polls := range []sched.WaitPolicy{sched.Idle, 16, sched.Engaged, 128} {
-		b.Run(fmt.Sprintf("engaged/polls=%d", polls), func(b *testing.B) {
-			req, rsp := NewSPSC[int](0), NewSPSC[int](0)
-			req.wait, rsp.wait = polls, polls
-			go func() {
-				for {
-					v, ok := req.Dequeue()
-					if !ok {
-						rsp.Close()
-						return
-					}
-					rsp.Enqueue(v)
-				}
-			}()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				req.Enqueue(i)
-				rsp.Dequeue()
-			}
-			b.StopTimer()
-			req.Close()
-			rsp.Dequeue() // the echo goroutine has exited
-		})
-	}
-	for _, polls := range []sched.WaitPolicy{sched.Idle, sched.Engaged} {
-		b.Run(fmt.Sprintf("idlering/polls=%d", polls), func(b *testing.B) {
-			const ring = 64
-			qs := make([]*MPSC[int], ring)
-			for i := range qs {
-				qs[i] = NewMPSC[int](0)
-				qs[i].wait = polls
-			}
-			var wg sync.WaitGroup
-			for i := range qs {
-				wg.Add(1)
-				go func(in, out *MPSC[int]) {
-					defer wg.Done()
-					for {
-						left, ok := in.Dequeue()
-						if !ok {
-							return
-						}
-						if left == 0 {
-							for _, q := range qs {
-								q.Close()
-							}
-							return
-						}
-						out.Enqueue(left - 1)
-					}
-				}(qs[i], qs[(i+1)%ring])
-			}
-			b.ResetTimer()
-			qs[0].Enqueue(b.N)
-			wg.Wait()
-		})
-	}
 }

@@ -34,8 +34,7 @@ type MPSC[T any] struct {
 	inflight atomic.Int64                // producers inside TryEnqueue
 	parker   *sched.Parker
 	closed   atomic.Bool
-	wait     sched.WaitPolicy // sched.Idle; a field for the ablation benchmark
-	notify   func()           // set before use; replaces parker wakeups when non-nil
+	notify   func() // set before use; replaces parker wakeups when non-nil
 
 	// Producer-side free list: first is the oldest node not yet
 	// reclaimed, fenced by the consumer's published position. reclaim
@@ -56,7 +55,7 @@ type MPSC[T any] struct {
 // handler (or actor) with no client. The argument is ignored, as NewSPSC's.
 func NewMPSC[T any](int) *MPSC[T] {
 	stub := &mpscNode[T]{}
-	q := &MPSC[T]{tailC: stub, first: stub, parker: sched.NewParker(), wait: sched.Idle}
+	q := &MPSC[T]{tailC: stub, first: stub, parker: sched.NewParker()}
 	q.headP.Store(stub)
 	q.pos.Store(stub)
 	return q
@@ -207,7 +206,7 @@ func (q *MPSC[T]) Dequeue() (v T, ok bool) {
 		if q.Quiesced() {
 			return v, false
 		}
-		if !q.wait.Poll(i) {
+		if !sched.Idle.Poll(i) {
 			q.parker.Park()
 			i = 0
 		}

@@ -43,8 +43,7 @@ type SPSC[T any] struct {
 	head   *spscNode[T] // consumer-owned: most recently consumed node
 	parker *sched.Parker
 	closed atomic.Bool
-	wait   sched.WaitPolicy // sched.Engaged; a field for the ablation benchmark
-	notify func()           // set before use; replaces parker wakeups when non-nil
+	notify func() // set before use; replaces parker wakeups when non-nil
 
 	// pos is the consumer's published chain position: every node
 	// strictly before it has been consumed and may be reused.
@@ -60,7 +59,7 @@ type SPSC[T any] struct {
 // every caller left at 0, is ignored.
 func NewSPSC[T any](int) *SPSC[T] {
 	stub := &spscNode[T]{}
-	q := &SPSC[T]{head: stub, tail: stub, first: stub, parker: sched.NewParker(), wait: sched.Engaged}
+	q := &SPSC[T]{head: stub, tail: stub, first: stub, parker: sched.NewParker()}
 	q.pos.Store(stub)
 	return q
 }
@@ -146,7 +145,7 @@ func (q *SPSC[T]) Dequeue() (v T, ok bool) {
 			// enqueued right before closing.
 			return q.TryDequeue()
 		}
-		if !q.wait.Poll(i) {
+		if !sched.Engaged.Poll(i) {
 			q.parker.Park()
 			i = 0
 		}

@@ -95,8 +95,8 @@
 //	REPLYB(0x84)  id:uvarint payload:bytes  query/sync result
 //
 // payload is a uvarint length followed by that many raw bytes, the
-// protocol's one currency (see README "Bytes payloads" for the
-// ownership contract). Every other kind byte decodes as ErrProtocol.
+// protocol's one currency (see README "Remote" for the ownership
+// contract). Every other kind byte decodes as ErrProtocol.
 //
 // The int64 API (Proc, Session.Call/Query) is a veneer over the same
 // frames: arguments travel as a payload of zigzag varints back to back,
