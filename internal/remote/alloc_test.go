@@ -3,6 +3,7 @@ package remote
 import (
 	"encoding/binary"
 	"fmt"
+	"net"
 	"testing"
 
 	"scoopqs/internal/core"
@@ -88,5 +89,40 @@ func TestBankShapeAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestReplyPastBudgetAllocs pins the reply path behind a peer that
+// stopped reading: a handler's REPLYB is encoded onto the batch however
+// far past the byte budget it is, so it allocates nothing — no copy of
+// the frame or of its payload.
+func TestReplyPastBudgetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool Puts at random; counts are pinned for the non-race build")
+	}
+	rt := core.New(core.ConfigAll)
+	defer rt.Shutdown()
+	cli, sv := net.Pipe()
+	defer cli.Close()
+	const budget = 64
+	cw := newConnWriter(sv, budget, nil)
+	defer cw.kill()
+	defer sv.Close()
+	c := newServerConn(NewServer(rt), cw)
+	sc := &svChan{}
+
+	payload := make([]byte, 8)
+	var id uint64
+	reply := func() {
+		id++
+		c.reply(sc, 1, id, payload, nil, false)
+	}
+	// Nobody reads the pipe: the writer wedges on its first write, and
+	// the replies after it fill the batch past the budget.
+	for cw.stats().MaxBatchBytes <= budget {
+		reply()
+	}
+	if allocs := testing.AllocsPerRun(1000, reply); allocs != 0 {
+		t.Fatalf("a REPLYB past the byte budget = %.2f allocs, want 0", allocs)
 	}
 }

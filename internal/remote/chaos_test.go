@@ -250,16 +250,13 @@ func chaosTraffic(srv *Server, addr string, sc chaosScenario, seed int64) error 
 		return fmt.Errorf("survivor connection: %w", err)
 	}
 
-	// Bounded memory under every fault: the pending batch stays at the
-	// byte budget (plus one frame), and deferred replies stay within
-	// window x channels plus the per-channel grants/block errors.
-	stats := srv.Stats()
-	if max := stats.MaxBatchBytes; max > defaultWriteBudget+4096 {
-		return fmt.Errorf("pending batch grew to %d bytes (budget %d)", max, defaultWriteBudget)
-	}
-	const parkedBound = (chaosVictims+chaosSurvivors+1)*window + 16
-	if max := stats.MaxParkedFrames; max > parkedBound {
-		return fmt.Errorf("%d frames parked (bound %d)", max, parkedBound)
+	// Bounded memory under every fault: a pending batch holds at most
+	// the byte budget plus a window of replies, the largest a bytes
+	// echo, for every channel of the sweep.
+	echo := &frame{kind: fReplyB, ch: chaosVictims + chaosSurvivors, id: chaosPerSession, data: make([]byte, chaosPayloadLen)}
+	bound := replyBound(defaultWriteBudget, chaosVictims+chaosSurvivors, echo)
+	if max := srv.Stats().MaxBatchBytes; max > bound {
+		return fmt.Errorf("pending batch grew to %d bytes (credit bound %d)", max, bound)
 	}
 	return nil
 }

@@ -29,7 +29,8 @@ import (
 // caller when the window is exhausted until completions replenish it.
 // The connection's shared writer additionally parks producers
 // (including BEGIN/END) while its pending batch is at the byte
-// budget. Both parks end in
+// budget (the server's reader waits the same way on this connection's
+// unread output). Both parks end in
 // bounded memory on a healthy connection and in a fast failure on a
 // dead one; because they can block, remote operations must not be
 // called from a Future.OnComplete callback (which runs on the mux's

@@ -27,8 +27,9 @@ var (
 	// resynchronize with a diverged peer.
 	ErrProtocol = errors.New("remote: protocol violation")
 
-	// ErrPeerStalled reports a peer that stopped sending mid-activity:
-	// the server's idle deadline (Server.IdleTimeout) expired while the
-	// connection still had open blocks or admitted requests.
+	// ErrPeerStalled reports a peer that stopped sending mid-activity
+	// or stopped reading: the server's idle deadline
+	// (Server.IdleTimeout) expired while the connection held a block
+	// open with nothing in flight, or while a write to it was unread.
 	ErrPeerStalled = errors.New("remote: peer stalled past the idle deadline")
 )

@@ -160,11 +160,10 @@ func TestWriterBudgetBoundsBatch(t *testing.T) {
 	}
 }
 
-// TestWriterDeferredParksPastBudget is the non-blocking producer path:
-// past the budget, frameDeferred must park frames (keeping the batch
-// bounded) and deliver every one of them, in order, once the peer
-// drains.
-func TestWriterDeferredParksPastBudget(t *testing.T) {
+// TestWriterNoWaitAppendsPastBudget is the non-blocking producer path:
+// past the budget, frameNoWait must append without stalling and
+// deliver every frame, in order, once the peer drains.
+func TestWriterNoWaitAppendsPastBudget(t *testing.T) {
 	const budget = 1 << 10
 	cli, srv := net.Pipe()
 	defer cli.Close()
@@ -193,19 +192,13 @@ func TestWriterDeferredParksPastBudget(t *testing.T) {
 	}()
 
 	cw := newConnWriter(cli, budget, nil)
-	var q chanQueue
 	for i := 0; i < total; i++ {
-		ok, _ := cw.frameDeferred(&q, &frame{kind: fReplyB, ch: 1, id: uint64(i), data: ints(7)})
-		if !ok {
+		if !cw.frameNoWait(&frame{kind: fReplyB, ch: 1, id: uint64(i), data: ints(7)}) {
 			t.Fatalf("frame %d rejected by a healthy writer", i)
 		}
 	}
-	st := cw.stats()
-	if st.Parked == 0 {
-		t.Fatal("no frames parked: budget never engaged")
-	}
-	if st.MaxBatchBytes > budget+64 {
-		t.Fatalf("batch grew to %d bytes past budget %d", st.MaxBatchBytes, budget)
+	if st := cw.stats(); st.MaxBatchBytes <= budget || st.Stalls != 0 {
+		t.Fatalf("batch peaked at %d bytes with %d stalls: want past budget %d with none", st.MaxBatchBytes, st.Stalls, budget)
 	}
 
 	close(release)
@@ -216,28 +209,36 @@ func TestWriterDeferredParksPastBudget(t *testing.T) {
 		}
 		for i, id := range r.ids {
 			if id != uint64(i) {
-				t.Fatalf("frame %d arrived with id %d: deferred frames reordered", i, id)
+				t.Fatalf("frame %d arrived with id %d: frames past the budget reordered", i, id)
 			}
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("parked frames never delivered after the peer drained")
+		t.Fatal("frames past the budget never delivered after the peer drained")
 	}
 	cw.close()
+}
+
+// replyBound is the most a server connection's pending batch holds
+// under an honest peer: the byte budget, plus, for each of sessions
+// live channels, a window of replies no larger than reply and the
+// CREDIT frames giving their credits back, one per window/8
+// completions.
+func replyBound(budget, sessions int, reply *frame) uint64 {
+	credit := appendFrame(nil, &frame{kind: fCredit, ch: reply.ch, id: window / 8})
+	return uint64(budget + sessions*(window*len(appendFrame(nil, reply))+8*len(credit)))
 }
 
 // TestSlowPeerBoundsServerWriter is the end-to-end memory-bound test:
 // a mux client stalls its reads mid-burst (net.Pipe: the server's
 // writer wedges on its next flush), while its sessions keep pipelining
-// queries. The server's pending batch must cap at the write budget and
-// its deferred replies at the credit window — where the PR 4 writer
-// grew with the entire reply volume — and everything must complete
-// once the client resumes reading. Runs at Workers ∈ {1, 4}; the
-// paired subtest kills the connection mid-stall instead and requires a
-// clean unwedge.
+// queries. The server's pending batch grows past the write budget with
+// replies, but no further than the credit window lets it (replyBound),
+// and everything must complete once the client resumes reading. Runs
+// at Workers ∈ {1, 4}; the paired subtest kills the connection
+// mid-stall instead and requires a clean unwedge.
 func TestSlowPeerBoundsServerWriter(t *testing.T) {
-	// The budget sits far below the window's reply volume: a larger
-	// budget would bound the batch before the byte cap ever engaged
-	// (which is the point, but not what this test wants to observe).
+	// The budget sits far below the window's reply volume, so the
+	// replies, not the budget, fill the batch.
 	const (
 		budget   = 256
 		sessions = 2
@@ -296,20 +297,17 @@ func TestSlowPeerBoundsServerWriter(t *testing.T) {
 					}
 
 					// Wait until the stall visibly engaged the flow
-					// control: replies deferred past the budget.
+					// control: both sessions spent their windows.
+					bound := replyBound(budget, sessions, &frame{kind: fReplyB, ch: sessions, id: qper, data: ints(qper)})
 					deadline := time.Now().Add(20 * time.Second)
-					for srv.Stats().FramesParked == 0 {
+					for srv.Stats().MaxBatchBytes <= budget || mux.Stats().CreditStalls < sessions {
 						if time.Now().After(deadline) {
-							t.Fatalf("server never parked a reply; stats %+v", srv.Stats())
+							t.Fatalf("windows never spent; server %+v, mux %+v", srv.Stats(), mux.Stats())
 						}
 						time.Sleep(time.Millisecond)
 					}
-					st := srv.Stats()
-					if st.MaxBatchBytes > budget+64 {
-						t.Fatalf("server batch grew to %d bytes, budget %d", st.MaxBatchBytes, budget)
-					}
-					if st.MaxParkedFrames > sessions*window {
-						t.Fatalf("server parked %d frames, credit bound %d", st.MaxParkedFrames, sessions*window)
+					if st := srv.Stats(); st.MaxBatchBytes > bound {
+						t.Fatalf("server batch grew to %d bytes, credit bound %d", st.MaxBatchBytes, bound)
 					}
 
 					if kill {
@@ -342,11 +340,8 @@ func TestSlowPeerBoundsServerWriter(t *testing.T) {
 							}
 						}
 					}
-					if !kill {
-						st := srv.Stats()
-						if st.MaxBatchBytes > budget+64 {
-							t.Fatalf("server batch peaked at %d bytes after drain, budget %d", st.MaxBatchBytes, budget)
-						}
+					if st := srv.Stats(); !kill && st.MaxBatchBytes > bound {
+						t.Fatalf("server batch peaked at %d bytes after drain, credit bound %d", st.MaxBatchBytes, bound)
 					}
 				})
 			}
@@ -593,64 +588,82 @@ func TestCreditWindowThrottlesAdmission(t *testing.T) {
 	}
 }
 
-// TestPoisonErrorsCoalesceUnderBackpressure closes the hole the credit
-// window does not cover: BEGIN/END are not credit-gated, and a failing
-// BEGIN ships an id-0 block-level ERROR, so a peer that stopped
-// reading could cycle failing blocks and grow the deferred queue one
-// poison frame per block, forever. At most one id-0 ERROR per channel
-// may sit in the deferred queue while the writer is congested.
-func TestPoisonErrorsCoalesceUnderBackpressure(t *testing.T) {
+// TestPoisonFloodWaitsAtBudget closes the hole the credit window does
+// not cover: BEGIN/END are not credit-gated, and a failing BEGIN ships
+// an id-0 block-level ERROR, so a peer that stopped reading could cycle
+// failing blocks and grow the server's output one error per block,
+// forever. The reader ships those errors itself and waits at the byte
+// budget, so the server stops reading such a peer instead.
+func TestPoisonFloodWaitsAtBudget(t *testing.T) {
+	base := takeLeakBaseline()
 	rt := core.New(core.ConfigAll)
 	srv := NewServer(rt)
-	srv.writeBudget = 128 // tiny: the first parked frame marks congestion
+	const budget = 128
+	srv.writeBudget = budget
 	ln := newPipeListener()
 	go srv.Serve(ln)
-	defer func() {
-		srv.Close()
-		rt.Shutdown()
-	}()
-
-	conn := ln.dial(t)
-	defer conn.Close()
 
 	// Cycle failing blocks on one channel without ever reading: every
-	// BEGIN poisons and would queue an id-0 ERROR.
+	// BEGIN poisons and ships an id-0 ERROR.
+	conn := ln.dial(t)
 	const cycles = 500
 	var buf []byte
 	for i := 0; i < cycles; i++ {
 		buf = appendFrame(buf, &frame{kind: fBegin, ch: 1, name: "nonesuch"})
 		buf = appendFrame(buf, &frame{kind: fEnd, ch: 1})
 	}
-	conn.SetWriteDeadline(time.Now().Add(20 * time.Second)) //nolint:errcheck
-	if _, err := conn.Write(buf); err != nil {
+	wrote := flood(conn, buf)
+	expectReaderStalled(t, srv, wrote)
+	poison := appendFrame(nil, &frame{kind: fError, ch: 1, name: `unknown handler "nonesuch"`})
+	if st := srv.Stats(); st.MaxBatchBytes > budget+uint64(len(poison)) {
+		t.Fatalf("batch grew to %d bytes over %d failing blocks, budget %d + one %d-byte error",
+			st.MaxBatchBytes, cycles, budget, len(poison))
+	}
+	conn.Close()
+	<-wrote
+	srv.Close()
+	if err := base.settle(rt); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	// Wait until the server has consumed the whole flood (every frame
-	// accepted by its writer), then check the deferred queue stayed
-	// small: at most one coalesced poison, not one per cycle.
-	deadline := time.Now().Add(20 * time.Second)
-	for srv.Stats().FramesParked == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("nothing parked; stats %+v", srv.Stats())
+// flood writes buf to conn from a goroutine, since a server that stops
+// reading leaves the write blocked, and reports its result.
+func flood(conn net.Conn, buf []byte) <-chan error {
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := conn.Write(buf)
+		wrote <- err
+	}()
+	return wrote
+}
+
+// expectReaderStalled waits until a reader of srv parks at its writer's
+// byte budget — the only producer on a server that can — and checks
+// that it stays there: the writers accept no more frames, and the
+// peer's flood, wrote, does not finish.
+func expectReaderStalled(t *testing.T, srv *Server, wrote <-chan error) {
+	t.Helper()
+	stalls := func() uint64 {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		var st writerStats
+		for cw := range srv.writers {
+			st.fold(cw.stats())
 		}
-		time.Sleep(time.Millisecond)
+		return st.Stalls
 	}
-	prev := srv.Stats().Frames
-	for settled := 0; settled < 5; {
-		if time.Now().After(deadline) {
-			t.Fatal("server never quiesced")
-		}
-		time.Sleep(5 * time.Millisecond)
-		if cur := srv.Stats().Frames; cur == prev {
-			settled++
-		} else {
-			prev, settled = cur, 0
-		}
+	if !chaosPoll(func() bool { return stalls() > 0 }) {
+		t.Fatalf("the reader never waited at the byte budget; stats %+v", srv.Stats())
 	}
-	if st := srv.Stats(); st.MaxParkedFrames > 8 {
-		t.Fatalf("deferred queue grew to %d frames over %d failing blocks; poisons not coalesced (stats %+v)",
-			st.MaxParkedFrames, cycles, st)
+	frames := srv.Stats().Frames
+	select {
+	case err := <-wrote:
+		t.Fatalf("the flood finished (err %v): the server kept reading past its byte budget", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if n := srv.Stats().Frames; n != frames {
+		t.Fatalf("the writers took %d more frames from a stalled reader", n-frames)
 	}
 }
 
@@ -694,13 +707,11 @@ func TestBogusCreditGrantFailsMux(t *testing.T) {
 	}
 }
 
-// TestPoisonResendsAfterDrain pins the exactness of the id-0 ERROR
-// coalescing window: a poison is skipped only while the channel's
-// previous one is still in the deferred queue. Once that frame has
-// drained, a later failing block must ship its own id-0 ERROR even if
-// the writer happens to be congested again with unrelated traffic —
-// otherwise a fire-and-forget block would lose its work silently, the
-// exact case the id-0 ERROR exists to report.
+// TestPoisonResendsAfterDrain pins that every failing block ships its
+// own id-0 ERROR, even one that fails while the writer is congested
+// again with unrelated traffic — otherwise a fire-and-forget block
+// would lose its work silently, the exact case the id-0 ERROR exists
+// to report.
 func TestPoisonResendsAfterDrain(t *testing.T) {
 	rt := core.New(core.ConfigAll)
 	defer rt.Shutdown()
@@ -717,71 +728,53 @@ func TestPoisonResendsAfterDrain(t *testing.T) {
 	cli.SetReadDeadline(time.Now().Add(20 * time.Second)) //nolint:errcheck
 	fr := newFrameReader(cli)
 
-	// readUntilPoison drains frames until an id-0 ERROR whose message
-	// contains marker arrives, returning how many id-0 ERRORs it saw.
-	readUntilPoison := func(marker string) int {
+	// readPoisons drains frames until n id-0 ERRORs whose message
+	// contains marker have arrived.
+	readPoisons := func(marker string, n int) {
 		t.Helper()
-		poisons := 0
 		var f frame
-		for i := 0; i < 1024; i++ {
+		for seen := 0; seen < n; {
 			if err := fr.readFrame(&f); err != nil {
-				t.Fatalf("reading for %q after %d poisons: %v", marker, poisons, err)
+				t.Fatalf("reading for %q after %d of %d: %v", marker, seen, n, err)
 			}
-			if f.kind == fError && f.id == 0 {
-				poisons++
-				if strings.Contains(f.name, marker) {
-					return poisons
+			if f.kind == fError && f.id == 0 && strings.Contains(f.name, marker) {
+				seen++
+			}
+		}
+	}
+	// failBlocks runs n failing blocks on the reader's path, from a
+	// goroutine: past the byte budget it waits for this test to read.
+	failBlocks := func(name string, n int) <-chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < n; i++ {
+				if !c.handleFrame(&frame{kind: fBegin, ch: 1, name: name}) || !c.handleFrame(&frame{kind: fEnd, ch: 1}) {
+					t.Error("failing block rejected")
+					return
 				}
 			}
-		}
-		t.Fatalf("id-0 ERROR %q never arrived (%d other poisons seen)", marker, poisons)
-		return 0
+		}()
+		return done
 	}
 
-	// Congest the writer with failing blocks while nobody reads: the
-	// coalescing must cap the deferred poisons at one. A poison is 31
-	// bytes against the 64-byte budget, so the writer's first batch
-	// (blocked in Write) and the next one hold at most three each:
-	// eight blocks park one however late the writer takes its batch.
+	// A poison is 31 bytes against the 64-byte budget: eight failing
+	// blocks wait at the budget, and each ships its own error.
+	done := failBlocks("nonesuchA", 8)
+	readPoisons("nonesuchA", 8)
+	<-done
+
+	// Re-congest with unrelated replies (nobody reading again), then
+	// fail another block: its poison must still arrive.
 	for i := 0; i < 8; i++ {
-		if !c.handleFrame(&frame{kind: fBegin, ch: 1, name: "nonesuchA"}) {
-			t.Fatal("BEGIN rejected")
-		}
-		if !c.handleFrame(&frame{kind: fEnd, ch: 1}) {
-			t.Fatal("END rejected")
-		}
+		c.reply(c.chans[1], 1, 99, nil, fmt.Errorf("padding padding padding padding padding %d", i), false)
 	}
-	if st := cw.stats(); st.Parked < 1 || st.Parked > 2 {
-		t.Fatalf("deferred poisons = %d over 8 failing blocks, want coalesced to 1-2", st.Parked)
+	if st := cw.stats(); st.MaxBatchBytes <= budget {
+		t.Fatalf("could not re-congest the writer: batch peaked at %d bytes", st.MaxBatchBytes)
 	}
-
-	// Drain: the queued poison flushes.
-	readUntilPoison("nonesuchA")
-	drainDeadline := time.Now().Add(10 * time.Second)
-	for cw.drainedParked(&c.chans[1].q) == 0 {
-		if time.Now().After(drainDeadline) {
-			t.Fatal("parked poison never drained")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// Re-congest with unrelated reply traffic (nobody reading again),
-	// then fail another block: its poison must be enqueued — the old
-	// sequence number is spent, so no stale coalescing.
-	parkedBefore := cw.stats().Parked
-	for i := 0; cw.stats().Parked == parkedBefore && i < 64; i++ {
-		c.reply(c.chans[1], 1, 99, nil, fmt.Errorf("padding padding padding padding padding %d", i))
-	}
-	if cw.stats().Parked == parkedBefore {
-		t.Fatal("could not re-congest the writer")
-	}
-	if !c.handleFrame(&frame{kind: fBegin, ch: 1, name: "nonesuchB"}) {
-		t.Fatal("second failing BEGIN rejected")
-	}
-	if !c.handleFrame(&frame{kind: fEnd, ch: 1}) {
-		t.Fatal("second END rejected")
-	}
-	readUntilPoison("nonesuchB")
+	done = failBlocks("nonesuchB", 1)
+	readPoisons("nonesuchB", 1)
+	<-done
 }
 
 // TestCreditOverrunDropsConnection pins the server-side enforcement:

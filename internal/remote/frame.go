@@ -19,11 +19,11 @@
 // anywhere, and private queues per handler only as many as blocks open
 // on it at once.
 //
-// Because the reader goroutine serves every channel, nothing it does
-// may block: reservations use the queue-of-queues (the server requires
-// a QoQ configuration), and every request — call, query or sync — is
-// logged as one asynchronous call that the handler runs and, for a
-// query or sync, answers by writing the reply itself. Replies are
+// Because the reader goroutine serves every channel, it never waits on
+// another peer: reservations use the queue-of-queues (the server
+// requires a QoQ configuration), and every request — call, query or
+// sync — is logged as one asynchronous call that the handler runs and,
+// for a query or sync, answers by writing the reply itself. Replies are
 // id-tagged and may resolve in any order across channels; per-block
 // ordering comes from the handler executing each private queue in
 // order, exactly as for local clients.
@@ -31,24 +31,28 @@
 // # Flow control
 //
 // The write path is bounded on both ends. Each connection's batching
-// writer caps its pending batch at a soft byte budget: client-side
-// producers park at the cap until the batch drains below low water,
-// while server-side handlers answering requests (which must never
-// block) defer their reply inside the writer instead. On top of the
-// budget, every channel carries a credit window of window requests, a
-// constant both ends compile in: a channel opens with a full window
-// (nothing is advertised), each logged request consumes one credit,
-// and completions give credits back in CREDIT frames of window/8 — so
-// the server's deferred replies are bounded by window × channels even
-// under a peer that stopped reading. Opening a channel is not
-// credit-gated, so the live channels of a connection are capped
-// instead (maxChannels). A channel that overruns its window breaks
+// writer has a soft byte budget for its pending batch: client-side
+// producers, and the server's reader, park at the budget until the
+// batch drains below low water, while server-side handlers answering
+// requests (which serve every connection, so must not wait on one)
+// append their reply past it. Every channel carries a credit window of
+// window requests, a constant both ends compile in: a channel opens
+// with a full window (nothing is advertised), each logged request
+// consumes one credit, and completions give credits back in CREDIT
+// frames of window/8 — so the replies past the budget are bounded by
+// window × channels even under a peer that stopped reading. The
+// reader's own output (the errors of blocks and requests it fails on
+// the spot) is not credit-gated; because the reader waits at the
+// budget, a peer that floods failures without reading is no longer
+// read. Opening a channel is not credit-gated either, so the live
+// channels of a connection are capped (maxChannels). A channel that overruns its window breaks
 // the protocol like any malformed frame: only a raw-frame peer can do
 // it (a Mux takes a credit before every request), so the server drops
 // that peer's connection, ENDing every block it held. Idle peers are
 // handled at connection scope too: with Server.IdleTimeout set, a peer
-// holding a block open with nothing in flight is torn down
-// (ErrPeerStalled) instead of pinning server state forever.
+// holding a block open with nothing in flight, or leaving a server
+// write unread, is torn down (ErrPeerStalled) instead of pinning
+// server state forever.
 //
 // Failures surface through typed, errors.Is-matchable sentinels.
 // Terminal for the connection or channel: ErrClosed (deliberate local
@@ -170,8 +174,9 @@ const (
 // compile it in: a client opens each channel with window credits, the
 // server drops the connection of a channel that overruns it and gives
 // completed requests' credits back in CREDIT frames of window/8. It
-// bounds the server's deferred replies, and with them the write path's
-// memory, at window × channels, far above the writer's typical flush.
+// bounds the replies the server appends past its writer's byte budget,
+// and with them the write path's memory, at window × channels, far
+// above the writer's typical flush.
 const window = 1024
 
 // frame is the decoded wire message. One frame struct is reused across

@@ -70,9 +70,10 @@ func (p *rawPeer) close() {
 	p.fr.close()
 }
 
-// write sends the frames in one Write. The server's reader never blocks
-// on its own replies, so the write completes whether or not anyone is
-// reading them yet.
+// write sends the frames in one Write. The server's reader waits on its
+// own replies only past the writer's byte budget, far above what these
+// tests send, so the write completes whether or not anyone is reading
+// them yet.
 func (p *rawPeer) write(frames []frame) {
 	p.t.Helper()
 	var buf []byte
@@ -495,8 +496,9 @@ func TestStrayReplyBytesReleasesPayload(t *testing.T) {
 // does not cover: opening a channel is not credit-gated, and every
 // fresh id costs the server a channel record and, for a BEGIN naming
 // no handler, a block error in the writer. A peer that never reads and
-// walks channel ids is dropped at maxChannels+1, with at most one
-// deferred frame per channel behind the wedged writer.
+// walks channel ids is dropped at maxChannels+1, and its block errors,
+// which the reader ships waiting at the byte budget, never take the
+// batch past it by more than one error.
 func TestChannelCapBoundsOpenChannels(t *testing.T) {
 	base := takeLeakBaseline()
 	rt := core.New(core.ConfigAll)
@@ -505,7 +507,7 @@ func TestChannelCapBoundsOpenChannels(t *testing.T) {
 	go srv.Serve(ln)
 
 	// net.Pipe has no buffering: the server's writer wedges on its first
-	// flush and every later block error is deferred behind it.
+	// flush and every later block error piles into the batch behind it.
 	conn := ln.dial(t)
 	conn.SetDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
 	p := &rawPeer{t: t, conn: conn, fr: newFrameReader(conn)}
@@ -514,14 +516,16 @@ func TestChannelCapBoundsOpenChannels(t *testing.T) {
 		buf = appendFrame(buf, &frame{kind: fBegin, ch: ch, name: "nonesuch"})
 		buf = appendFrame(buf, &frame{kind: fEnd, ch: ch})
 	}
-	conn.Write(buf) //nolint:errcheck // the server hangs up before the tail is consumed
+	wrote := flood(conn, buf) // the server hangs up before the tail is consumed
 	waitViolations(t, srv, 1)
 	p.expectDropped()
 	p.close()
+	<-wrote
 
-	st := srv.Stats()
-	if st.MaxParkedFrames > maxChannels+8 {
-		t.Fatalf("deferred queue grew to %d frames over %d channels", st.MaxParkedFrames, maxChannels)
+	poison := appendFrame(nil, &frame{kind: fError, ch: maxChannels, name: `unknown handler "nonesuch"`})
+	if st := srv.Stats(); st.MaxBatchBytes > defaultWriteBudget+uint64(len(poison)) {
+		t.Fatalf("batch grew to %d bytes over %d channels, budget %d + one %d-byte error",
+			st.MaxBatchBytes, maxChannels, defaultWriteBudget, len(poison))
 	}
 	srv.Close()
 	if err := base.settle(rt); err != nil {
@@ -708,56 +712,75 @@ func TestServerRequestsMintNoFutures(t *testing.T) {
 }
 
 // TestCloseDropsChannelFromWriter pins what CLOSE leaves in the
-// connection's writer: nothing. A peer that never reads and cycles
-// BEGIN/CLOSE over fresh ids parks one frame per id — the id-0 ERROR of
-// a BEGIN naming no handler — and once kept one deferred queue per id
-// for the connection's life; now the parked backlog and the writer's
-// per-channel records stay under a constant whatever the cycle count.
+// connection's writer: nothing of the channel's own. A peer that never
+// reads and cycles BEGIN/CLOSE over fresh ids makes the reader ship one
+// block error per id — a BEGIN naming no handler — so the reader waits
+// at the byte budget and stops reading the peer, with the batch never
+// past the budget by more than one error, whatever the cycle count.
 func TestCloseDropsChannelFromWriter(t *testing.T) {
 	base := takeLeakBaseline()
 	rt := core.New(core.ConfigAll)
 	srv := NewServer(rt)
-	srv.writeBudget = 64 // full after a couple of block errors
+	const budget = 64 // full after a couple of block errors
+	srv.writeBudget = budget
 	ln := newPipeListener()
 	go srv.Serve(ln)
 
 	// net.Pipe has no buffering: the server's writer wedges on its first
-	// flush, so everything after the batch's budget is deferred.
+	// flush, so the block errors after it fill the batch.
 	conn := ln.dial(t)
-	conn.SetDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
 	const cycles = 5 * maxChannels
 	var buf []byte
 	for ch := uint32(1); ch <= cycles; ch++ {
 		buf = appendFrame(buf, &frame{kind: fBegin, ch: ch, name: "nonesuch"})
 		buf = appendFrame(buf, &frame{kind: fClose, ch: ch})
 	}
-	if _, err := conn.Write(buf); err != nil {
-		t.Fatal(err)
-	}
-	// Every channel's block error reached the writer: the server has
-	// handled every frame.
-	if !chaosPoll(func() bool { return srv.Stats().Frames == cycles }) {
-		t.Fatalf("server accepted %d block errors, want %d", srv.Stats().Frames, cycles)
-	}
-
-	const bound = 16
-	st := srv.Stats()
-	srv.mu.Lock()
-	records := 0
-	for cw := range srv.writers {
-		cw.mu.Lock()
-		records += len(cw.rr) - cw.rrHead
-		cw.mu.Unlock()
-	}
-	srv.mu.Unlock()
-	if st.MaxParkedFrames > bound || records > bound {
-		t.Fatalf("after %d BEGIN/CLOSE cycles: %d frames parked at peak, %d channel queues in the writer; want both <= %d",
-			cycles, st.MaxParkedFrames, records, bound)
+	wrote := flood(conn, buf)
+	expectReaderStalled(t, srv, wrote)
+	poison := appendFrame(nil, &frame{kind: fError, ch: cycles, name: `unknown handler "nonesuch"`})
+	if st := srv.Stats(); st.MaxBatchBytes > budget+uint64(len(poison)) {
+		t.Fatalf("batch grew to %d bytes, budget %d + one %d-byte error", st.MaxBatchBytes, budget, len(poison))
 	}
 	conn.Close()
+	<-wrote
 	srv.Close()
 	if err := base.settle(rt); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloseShipsNoLateReplies pins CLOSE for requests still in flight:
+// a channel's queries held behind a gate complete after its CLOSE, and
+// neither their replies nor the CREDIT giving back their window reach
+// the wire.
+func TestCloseShipsNoLateReplies(t *testing.T) {
+	rs := startRequestServer(t)
+	defer rs.stop(t)
+	p := dialRaw(t, rs.addr)
+	defer p.close()
+
+	// Enough queries behind the gate for a CREDIT, then CLOSE; the
+	// sentinel's reply shows the reader handled the CLOSE.
+	frames := []frame{{kind: fBegin, ch: 1, name: "gate"}, {kind: fQueryB, ch: 1, id: 1, name: "hold"}}
+	for id := uint64(2); id <= window/8; id++ {
+		frames = append(frames, frame{kind: fQueryB, ch: 1, id: id, name: "p"})
+	}
+	frames = append(frames, frame{kind: fClose, ch: 1})
+	p.write(append(frames, sentinel(2)...))
+	if got := p.readUntilReply(2, sentinelID); len(got) != 0 {
+		t.Fatalf("%d frames before the sentinel's reply, want none", len(got))
+	}
+
+	// Open the gate: the closed channel's queries run, then a block on
+	// the same handler, whose reply is the next frame on the wire.
+	rs.open()
+	p.write([]frame{
+		{kind: fBegin, ch: 3, name: "gate"},
+		{kind: fQueryB, ch: 3, id: sentinelID, name: "p"},
+		{kind: fEnd, ch: 3},
+	})
+	if got := p.readUntilReply(3, sentinelID); len(got) != 0 {
+		t.Fatalf("a closed channel shipped %d frames (first kind 0x%02x ch %d)", len(got), byte(got[0].kind), got[0].ch)
 	}
 }
 

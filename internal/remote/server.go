@@ -3,6 +3,7 @@ package remote
 import (
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"net"
 	"os"
@@ -39,7 +40,7 @@ type BytesProc func(payload []byte) []byte
 // replayed onto real sessions, so remote clients get the same ordering
 // and no-interleaving guarantees as local ones.
 //
-// Nothing on the reader path may block — that is what lets one
+// The reader never waits on another peer — that is what lets one
 // goroutine serve hundreds of channels — so the server requires a
 // runtime with QoQ reservations (non-blocking enqueues) and logs every
 // request, call, query or sync alike, as one asynchronous call on the
@@ -49,17 +50,20 @@ type BytesProc func(payload []byte) []byte
 // record, the payload a view into a recycled slab, and the reply is
 // encoded straight into the writer's batch.
 //
-// The write path is bounded end to end. The writer's pending batch is
-// capped at a byte budget; replies that do not fit are deferred
-// inside the writer until the batch drains, and the deferred backlog
-// is in turn bounded by the per-channel credit window: a channel opens
+// The write path is bounded end to end. A handler's reply never waits:
+// it is appended to the writer's batch whatever its size, and the
+// per-channel credit window bounds those replies — a channel opens
 // with window credits, known to both ends, each admitted request
-// consumes one, and completions replenish them in batches — so a
-// stalled or slow peer caps this server's memory at
-// budget + window×channels reply frames instead of growing without
-// limit. A channel that overruns its window (a peer ignoring credits)
-// is a protocol violation like any other: the connection is dropped,
-// and every block it held is ENDed.
+// consumes one, and completions replenish them in batches. The
+// reader's own frames — the id-0 error of a failing block, the error
+// and credit of a request it fails on the spot — are the only output
+// no credit gates; they wait at the writer's byte budget like any
+// client producer, so a peer that stops reading is no longer read. A
+// stalled or slow peer thus caps this server's batch at budget +
+// window × live channels replies instead of growing without limit. A
+// channel that overruns its window (a peer ignoring credits) is a
+// protocol violation like any other: the connection is dropped, and
+// every block it held is ENDed.
 type Server struct {
 	rt          *core.Runtime
 	writeBudget int // each connection writer's batch cap; 0 = defaultWriteBudget (tests shrink it)
@@ -67,10 +71,11 @@ type Server struct {
 	// IdleTimeout, when positive, arms a read deadline on every
 	// connection with a channel holding a reservation hostage — a block
 	// open with no requests in flight, where the peer owes the next
-	// frame: a peer silent in that state for longer is torn down with
-	// ErrPeerStalled, releasing its handlers. Quiet connections with no
-	// open blocks, and peers merely waiting for their replies, are
-	// never timed out. Set before Serve.
+	// frame — and a write deadline on every write to any connection. A
+	// peer silent in that state, or leaving a write unread, for longer
+	// is torn down with ErrPeerStalled, releasing its handlers. Quiet
+	// connections with no open blocks, and peers merely waiting for
+	// their replies, are never timed out. Set before Serve.
 	IdleTimeout time.Duration
 
 	mu       sync.Mutex
@@ -149,13 +154,12 @@ type ServerStats struct {
 	Flushes uint64 // conn.Write calls
 	Dropped uint64 // frames accepted but never delivered (dead connections)
 
-	FramesParked    uint64 // frames deferred past the write budget (total)
-	MaxBatchBytes   uint64 // peak pending batch across connections (≤ budget + one frame)
-	MaxParkedFrames uint64 // peak deferred backlog: ≤ window×channels replies, plus pending grants and ≤1 block error per channel
-	CreditsGranted  uint64 // request credits replenished
+	FramesParked   uint64 // always 0: replies are appended, never parked; kept for existing readers
+	MaxBatchBytes  uint64 // peak pending batch of one connection: ≤ budget + one frame, plus replies and their CREDITs, ≤ window per live channel
+	CreditsGranted uint64 // request credits replenished
 
 	WindowResizes      uint64 // always 0: the credit window is the constant window; kept for existing readers
-	PeerStalls         uint64 // connections torn down by the idle deadline (ErrPeerStalled)
+	PeerStalls         uint64 // connections torn down by the idle deadline, read or write (ErrPeerStalled)
 	ProtocolViolations uint64 // connections dropped for protocol violations (a credit overrun included)
 
 	BytesIn  uint64 // payload bytes decoded from CALLB/QUERYB frames
@@ -181,9 +185,7 @@ func (s *Server) Stats() ServerStats {
 		Frames:             agg.Frames,
 		Flushes:            agg.Flushes,
 		Dropped:            agg.Dropped,
-		FramesParked:       agg.Parked,
 		MaxBatchBytes:      agg.MaxBatchBytes,
-		MaxParkedFrames:    agg.MaxParkedFrames,
 		CreditsGranted:     s.creditsGranted.Load(),
 		PeerStalls:         s.peerStalls.Load(),
 		ProtocolViolations: s.violations.Load(),
@@ -245,7 +247,10 @@ func (s *Server) Close() {
 type svChan struct {
 	sess  *core.Session // non-nil while a healthy block holds the handler
 	procs map[string]BytesProc
-	q     chanQueue // this channel's deferred frames in the connection's writer
+
+	// closed is set by the reader at CLOSE: a request completing after
+	// it ships neither reply nor credit.
+	closed atomic.Bool
 
 	// outstanding counts admitted-but-uncompleted requests (the credit
 	// window in use); pendGrant accumulates completions awaiting a
@@ -260,16 +265,6 @@ type svChan struct {
 	// The client sees exactly what a local poisoned session shows — the
 	// failure at every synchronization point until the block ends.
 	errmsg string
-
-	// poisonSeq is the deferred-queue sequence number of this channel's
-	// last block-level id-0 ERROR (zero when it went straight onto the
-	// batch). While that frame is still queued, further poisons are
-	// skipped: BEGIN/END are not credit-gated, so without this a peer
-	// that stopped reading could cycle failing blocks and grow the
-	// deferred queue without limit — and the client coalesces block
-	// errors anyway (first-wins until a synchronization point), so a
-	// second queued one adds memory without information.
-	poisonSeq uint64
 }
 
 // open reports whether the channel is inside a BEGIN..END bracket
@@ -315,7 +310,17 @@ func (s *Server) serveConn(conn net.Conn) {
 	// A reply-write failure closes the connection so the reader
 	// unwedges; handlers still running requests keep feeding the writer
 	// harmlessly (dead writers drop frames).
-	cw := newConnWriter(conn, s.writeBudget, func(error) { conn.Close() })
+	idle := s.IdleTimeout
+	var w io.Writer = conn
+	if idle > 0 {
+		w = deadlineWriter{conn, idle}
+	}
+	cw := newConnWriter(w, s.writeBudget, func(err error) {
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			s.peerStalls.Add(1) // ErrPeerStalled: output left unread
+		}
+		conn.Close()
+	})
 	s.mu.Lock()
 	s.writers[cw] = struct{}{}
 	s.mu.Unlock()
@@ -337,7 +342,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	idle := s.IdleTimeout
 	var f frame
 	for {
 		if idle > 0 {
@@ -375,6 +379,18 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
+// deadlineWriter is a connection whose every Write must finish within
+// d: the write deadline of Server.IdleTimeout.
+type deadlineWriter struct {
+	net.Conn
+	d time.Duration
+}
+
+func (w deadlineWriter) Write(p []byte) (int, error) {
+	w.SetWriteDeadline(time.Now().Add(w.d)) //nolint:errcheck // enforcement is best effort
+	return w.Conn.Write(p)
+}
+
 // busy reports whether a silent peer is holding work hostage: a
 // channel inside a block with nothing in flight, where the peer owes
 // the next frame (more requests, or the END releasing the handler).
@@ -390,50 +406,58 @@ func (c *serverConn) busy() bool {
 	return false
 }
 
-// reply ships a REPLYB (or, for a non-nil err, an ERROR) for (ch, id)
-// through the batching writer, deferring past the byte budget — never
-// blocking, since it runs on the reader or inside a request. The
-// payload is either encoded into the batch before this returns or
-// parked as a deep copy (frameDeferred detaches data), so the caller
-// may release whatever out aliases immediately afterwards.
-func (c *serverConn) reply(sc *svChan, ch uint32, id uint64, out []byte, err error) {
+// send ships f unless a CLOSE retired sc. The reader waits at the
+// writer's byte budget (wait), like any client producer: the output
+// it waits on is its own peer's. A request running on a handler
+// appends past the budget instead, since a handler serves every
+// connection; the credit window bounds what it appends.
+func (c *serverConn) send(sc *svChan, f *frame, wait bool) bool {
+	switch {
+	case sc.closed.Load():
+		return false
+	case wait:
+		return c.cw.frame(f)
+	default:
+		return c.cw.frameNoWait(f)
+	}
+}
+
+// reply ships a REPLYB (or, for a non-nil err, an ERROR) for (ch, id).
+// The payload is encoded into the batch before this returns, so the
+// caller may release whatever out aliases immediately afterwards.
+func (c *serverConn) reply(sc *svChan, ch uint32, id uint64, out []byte, err error, wait bool) {
 	f := frame{kind: fReplyB, ch: ch, id: id, data: out}
 	if err != nil {
 		f = frame{kind: fError, ch: ch, id: id, name: err.Error()}
 	}
-	c.cw.frameDeferred(&sc.q, &f) // ok=false: the connection died or the channel closed
+	c.send(sc, &f, wait) // false: the connection died or the channel closed
 }
 
 // poison marks the open block failed and ships the id-0 block-level
 // ERROR, so even a fire-and-forget block (no query or sync of its own)
 // learns its work was dropped; queries and syncs logged before the
-// block ends keep replying with the same message per id. At most one
-// id-0 ERROR per channel sits in the writer's deferred queue at a time
-// (see svChan.poisonSeq) — the write-path memory bound must hold even
-// though BEGIN/END are not credit-gated. The coalescing window is
-// exact: a new poison is skipped only while the previous one is
-// provably still queued, never because of unrelated later congestion.
+// block ends keep replying with the same message per id. It runs on
+// the reader, so it waits at the byte budget: BEGIN and CALLB are not
+// credit-gated, and a peer failing blocks without reading is not read
+// either.
 func (c *serverConn) poison(sc *svChan, ch uint32, msg string) {
 	sc.errmsg = msg
-	if sc.poisonSeq != 0 && c.cw.drainedParked(&sc.q) < sc.poisonSeq {
-		return // this channel's previous block error is still queued
-	}
-	_, sc.poisonSeq = c.cw.frameDeferred(&sc.q, &frame{kind: fError, ch: ch, id: 0, name: msg})
+	c.send(sc, &frame{kind: fError, ch: ch, id: 0, name: msg}, true)
 }
 
 // credit returns one unit of the channel's window after a request
 // completed (executed, replied, or dropped by a poisoned block) and
 // replenishes the client in CREDIT frames of window/8 completions.
 // Only completions are granted back, so the client's balance never
-// exceeds window. Runs on the reader or on handler/pool goroutines;
-// never blocks.
-func (c *serverConn) credit(sc *svChan, ch uint32) {
+// exceeds window. Runs on the reader (wait) or on handler/pool
+// goroutines.
+func (c *serverConn) credit(sc *svChan, ch uint32, wait bool) {
 	sc.outstanding.Add(-1)
 	if sc.pendGrant.Add(1) < window/8 {
 		return
 	}
 	if n := sc.pendGrant.Swap(0); n > 0 {
-		if ok, _ := c.cw.frameDeferred(&sc.q, &frame{kind: fCredit, ch: ch, id: uint64(n)}); ok {
+		if c.send(sc, &frame{kind: fCredit, ch: ch, id: uint64(n)}, wait) {
 			c.s.creditsGranted.Add(uint64(n))
 		}
 	}
@@ -483,13 +507,12 @@ func (c *serverConn) handleFrame(f *frame) bool {
 
 	case fClose:
 		// Channel retired, possibly mid-block: END the block so the
-		// handler is released, drop its deferred frames from the writer
-		// (completions still in flight ship nothing), then forget the
-		// channel. A frame for this channel id never arrives again (ids
-		// are not reused).
+		// handler is released, mark it closed (completions still in
+		// flight ship nothing), then forget the channel. A frame for
+		// this channel id never arrives again (ids are not reused).
 		if sc != nil {
 			sc.end(c.cl)
-			c.cw.closeQueue(&sc.q)
+			sc.closed.Store(true)
 			delete(c.chans, f.ch)
 		}
 
@@ -521,8 +544,8 @@ func (c *serverConn) request(sc *svChan, f *frame) bool {
 	}
 	if sc.outstanding.Add(1) > window {
 		// Only a peer ignoring the window gets here (a Mux takes a
-		// credit before every request): the bound that keeps deferred
-		// replies finite.
+		// credit before every request): the bound on the replies
+		// handlers append past the byte budget.
 		Release(f.data)
 		return false
 	}
@@ -541,9 +564,9 @@ func (c *serverConn) request(sc *svChan, f *frame) bool {
 	if msg != "" {
 		Release(f.data)
 		if f.kind != fCallB { // a call is dropped, like on a local poisoned session
-			c.reply(sc, f.ch, f.id, nil, errors.New(msg))
+			c.reply(sc, f.ch, f.id, nil, errors.New(msg), true)
 		}
-		c.credit(sc, f.ch)
+		c.credit(sc, f.ch, true)
 		return true
 	}
 
@@ -605,7 +628,7 @@ func (r *request) run() {
 			err = &core.HandlerError{Handler: sess.Handler().Name(), Value: rec}
 		}
 		if kind != fCallB {
-			c.reply(sc, ch, id, out, err)
+			c.reply(sc, ch, id, out, err, false)
 		}
 		c.done(sc, ch, payload)
 		if rec != nil {
@@ -621,5 +644,5 @@ func (r *request) run() {
 // and its credit to the window.
 func (c *serverConn) done(sc *svChan, ch uint32, payload []byte) {
 	Release(payload)
-	c.credit(sc, ch)
+	c.credit(sc, ch, false)
 }
