@@ -17,11 +17,12 @@ import (
 	"scoopqs/internal/core"
 )
 
-// BenchmarkExecutorThreadring10k compares dedicated-goroutine and
-// pooled (M:N executor) handler execution on a threadring with 10k
-// handlers — far more handlers than cores, the regime the executor
-// exists for. Each iteration builds the ring, passes the token NT
-// times, and tears the runtime down.
+// BenchmarkExecutorThreadring10k compares dedicated (a goroutine per
+// handler activation) and pooled (M:N executor) handler execution on a
+// threadring with 10k handlers — far more handlers than cores. An idle
+// handler holds no goroutine in either mode: a dedicated hop starts one,
+// a pooled hop takes a worker. Each iteration builds the ring, passes
+// the token NT times, and tears the runtime down.
 func BenchmarkExecutorThreadring10k(b *testing.B) {
 	p := concbench.Params{N: 1, M: 1, NT: 20000, NC: 1, Ring: 10000, Creatures: 4}
 	modes := []struct {

@@ -20,9 +20,9 @@
 // The five configurations of the paper's §4 are ConfigNone,
 // ConfigDynamic, ConfigStatic, ConfigQoQ and ConfigAll, the SCOOP/Qs
 // runtime. Config.Workers chooses who runs the handlers with any of
-// them: 0, the default, gives each handler a goroutine of its own, and
-// N > 0 runs every handler of the runtime on a pool of N workers
-// (Config.WithWorkers).
+// them: 0, the default, starts a goroutine for a handler whenever it has
+// work, and N > 0 runs every handler of the runtime on a pool of N
+// workers (Config.WithWorkers). An idle handler holds no goroutine.
 //
 // Quick start:
 //

@@ -67,13 +67,13 @@ type Config struct {
 	StaticElide bool
 
 	// Workers selects who runs the handlers, which are resumable state
-	// machines either way (Handler.Step). Zero gives each handler a
-	// goroutine of its own, parked while the handler has no work: the
-	// paper's original runtime shape. A positive value multiplexes all
-	// handlers of the runtime onto a pool of that many worker goroutines
-	// (the M:N executor), which take a handler off a shared ready queue
-	// whenever its queues gain work and move on when it runs dry, so
-	// millions of mostly-idle handlers cost no parked goroutines. Pool
+	// machines either way (Handler.Step). Zero starts a goroutine for a
+	// handler each time its queues gain work, which ends when it runs
+	// dry: the paper's lightweight thread per handler. A positive value
+	// multiplexes all handlers of the runtime onto a pool of that many
+	// worker goroutines (the M:N executor), which take a handler off a
+	// shared ready queue whenever its queues gain work and move on when
+	// it runs dry. Either way an idle handler holds no goroutine. Pool
 	// workers that block inside handler code (a handler synchronously
 	// querying another handler) are compensated with replacement workers,
 	// so delegation chains deeper than the pool cannot deadlock it.
@@ -114,7 +114,7 @@ func (c Config) Name() string {
 }
 
 // WithWorkers returns a copy of the configuration running on a pool of
-// n workers (n == 0 restores a goroutine per handler).
+// n workers (n == 0 restores a goroutine per handler activation).
 func (c Config) WithWorkers(n int) Config {
 	c.Workers = n
 	return c
@@ -221,8 +221,8 @@ type Runtime struct {
 	cfg   Config
 	stats statsCounters
 
-	// exec is the shared M:N worker pool; nil when every handler has a
-	// goroutine of its own (Config.Workers == 0).
+	// exec is the shared M:N worker pool; nil when each handler
+	// activation starts a goroutine of its own (Config.Workers == 0).
 	exec *sched.Executor
 
 	mu       sync.Mutex

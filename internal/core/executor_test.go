@@ -284,10 +284,9 @@ func TestExecutorStatsCounters(t *testing.T) {
 }
 
 // A block longer than the step budget: the handler re-queues itself in
-// the middle of it — on a pool through the injector, on its own goroutine
-// by unparking itself, so that its next Park returns at once — and must
-// come back to the same private queue, with another client's block
-// waiting behind it.
+// the middle of it — on a pool through the injector, without one by
+// starting its next goroutine — and must come back to the same private
+// queue, with another client's block waiting behind it.
 func TestBudgetRequeueKeepsOrder(t *testing.T) {
 	const calls = 3*stepBudget + 1
 	for _, workers := range []int{0, 1, 4} {

@@ -678,13 +678,14 @@ func TestHotStructSizes(t *testing.T) {
 	}
 }
 
-// A handler on its own goroutine parks as soon as drain finds it without
-// a client (hIdle, then Handler.parker), so in a ring every hop's wakeFrom
-// unparks a handler that is parked or on its way there, and each
-// confirming query parks the passing handler's client side in turn. A
-// wake-up lost on either edge stops the token. Shutdown then finds all 64
-// handlers parked idle (they have had nothing to do since the token
-// stopped) and must release them.
+// A handler without a pool has a goroutine only while it has work: drain
+// finds it without a client, Step takes it to hIdle and returns, and its
+// goroutine ends. So in a ring every hop's wakeFrom makes the hIdle→hReady
+// CAS of a handler that is idle or on its way there and starts its next
+// goroutine with go, and each confirming query parks the passing handler's
+// client side in turn. A wake-up lost on either edge stops the token.
+// Shutdown then finds all 64 handlers idle (they have had nothing to do
+// since the token stopped) and must retire them.
 // CI runs it under -race at GOMAXPROCS 1, 2 and 4.
 func TestIdleRingNoLostWakeup(t *testing.T) {
 	const ring, hops = 64, 20000
@@ -693,37 +694,107 @@ func TestIdleRingNoLostWakeup(t *testing.T) {
 			before := runtime.NumGoroutine()
 			rt := New(cfg)
 			hs := make([]*Handler, ring)
-			tokens := make([]int, ring) // tokens[i] owned by hs[i]
 			for i := range hs {
 				hs[i] = rt.NewHandler("ring")
 			}
-			done := make(chan int, 1)
-			var pass func(i, v int)
-			pass = func(i, v int) {
-				if v == 0 {
-					done <- i
-					return
-				}
-				next := (i + 1) % ring
-				hs[i].AsClient().Separate(hs[next], func(s *Session) {
-					s.Call(func() { tokens[next] = v - 1 })
-					if got := Query(s, func() int { return tokens[next] }); got != v-1 {
-						t.Errorf("hop %d: handler %d holds %d", hops-v, next, got)
-					}
-					s.Call(func() { pass(next, v-1) })
-				})
-			}
-			rt.NewClient().Separate(hs[0], func(s *Session) {
-				s.Call(func() { pass(0, hops) })
-			})
-			within(t, "the ring", func() {
-				if finisher := <-done; finisher != hops%ring {
-					t.Errorf("finisher = %d, want %d", finisher, hops%ring)
-				}
-			})
-			time.Sleep(time.Millisecond) // the last handlers reach their park
-			within(t, "Shutdown of parked handlers", rt.Shutdown)
+			passToken(t, rt, hs, hops)
+			time.Sleep(time.Millisecond) // the last handlers go idle
+			within(t, "Shutdown of idle handlers", rt.Shutdown)
 			settle(t, "the handler goroutines exiting", func() bool { return runtime.NumGoroutine() <= before })
 		})
+	}
+}
+
+// passToken sends a token hops times round the ring hs, each hop a block
+// of the passing handler on the next: it sets the next handler's slot,
+// confirms it with a query and passes the token on. It returns once the
+// token has stopped at the handler hops%len(hs).
+func passToken(t *testing.T, rt *Runtime, hs []*Handler, hops int) {
+	t.Helper()
+	ring := len(hs)
+	tokens := make([]int, ring) // tokens[i] owned by hs[i]
+	done := make(chan int, 1)
+	var pass func(i, v int)
+	pass = func(i, v int) {
+		if v == 0 {
+			done <- i
+			return
+		}
+		next := (i + 1) % ring
+		hs[i].AsClient().Separate(hs[next], func(s *Session) {
+			s.Call(func() { tokens[next] = v - 1 })
+			if got := Query(s, func() int { return tokens[next] }); got != v-1 {
+				t.Errorf("hop %d: handler %d holds %d", hops-v, next, got)
+			}
+			s.Call(func() { pass(next, v-1) })
+		})
+	}
+	rt.NewClient().Separate(hs[0], func(s *Session) {
+		s.Call(func() { pass(0, hops) })
+	})
+	within(t, "the ring", func() {
+		if finisher := <-done; finisher != hops%ring {
+			t.Errorf("finisher = %d, want %d", finisher, hops%ring)
+		}
+	})
+}
+
+// Without a pool an idle handler holds no goroutine: creating 10 000
+// adds none, and once a ring of 64 of them stops passing its token the
+// goroutines its hops started have all ended, before Shutdown.
+func TestIdleHandlersHoldNoGoroutines(t *testing.T) {
+	const handlers, ring, hops = 10000, 64, 20000
+	before := runtime.NumGoroutine()
+	rt := New(ConfigAll)
+	hs := make([]*Handler, handlers)
+	for i := range hs {
+		hs[i] = rt.NewHandler("idle")
+	}
+	if added := runtime.NumGoroutine() - before; added > 0 {
+		t.Errorf("%d idle handlers added %d goroutines, want 0", handlers, added)
+	}
+	passToken(t, rt, hs[:ring], hops)
+	settle(t, "the ring's goroutines ending before Shutdown", func() bool { return runtime.NumGoroutine() <= before })
+	within(t, "Shutdown", rt.Shutdown)
+}
+
+// Each block on an idle handler without a pool is one activation, and
+// the goroutine it starts runs the handler's bound stepFn: a wake
+// allocates nothing.
+func TestDedicatedWakeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool Puts at random; counts are pinned for the non-race build")
+	}
+	rt := New(ConfigAll)
+	defer rt.Shutdown()
+	h := rt.NewHandler("h")
+	c := rt.NewClient()
+	x := 0 // owned by h
+	inc := func() { x++ }
+	body := func(s *Session) {
+		s.Call(inc)
+		s.SyncNow()
+	}
+	runs := 0
+	run := func() {
+		runs++
+		c.Separate(h, body)
+		for h.state.Load() != hIdle {
+			runtime.Gosched()
+		}
+	}
+	for range 100 {
+		run()
+	}
+	st0 := rt.Stats()
+	runs = 0
+	if allocs := testing.AllocsPerRun(2000, run); allocs != 0 {
+		t.Errorf("a block on an idle dedicated handler = %.4f allocs, want 0", allocs)
+	}
+	// A handler that goes idle mid-block, its client preempted past the
+	// engaged wait, is woken once more by the client's next request.
+	st := rt.Stats()
+	if got, want := st.Schedules-st0.Schedules, int64(runs)+st.HandlerParks-st0.HandlerParks; got != want {
+		t.Errorf("Schedules rose by %d over %d blocks (%d mid-block parks), want %d", got, runs, st.HandlerParks-st0.HandlerParks, want)
 	}
 }

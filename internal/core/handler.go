@@ -16,10 +16,10 @@ import (
 // touched from calls and queries executed through that handler.
 //
 // A handler is one resumable state machine (the h* states; Step, drain,
-// wakeFrom) and Config.Workers chooses who drives it: a goroutine of its
-// own that parks whenever Step returns (run, the paper's runtime), or
-// the runtime's worker pool, where it occupies a goroutine only while it
-// has work.
+// wakeFrom) and Config.Workers chooses who drives it: a goroutine started
+// for each activation that ends when Step returns (the paper's runtime),
+// or the runtime's worker pool. Either way it occupies a goroutine only
+// while it has work.
 type Handler struct {
 	rt   *Runtime
 	id   int64
@@ -34,16 +34,16 @@ type Handler struct {
 	// Scheduling state (see the h* constants). cur is the session pinned
 	// mid-drain, owned by whichever goroutine holds the hRunning state;
 	// the wake/Step protocol guarantees exclusive, happens-before-ordered
-	// access. Exactly one of parker and task is set (see ready): where
-	// the handler's own goroutine waits between Steps, or its scheduling
-	// token on the pool, allocated once so wakes never heap-allocate.
-	// onWorker is the pool worker currently executing Step, nil on the
-	// handler's own goroutine; it is only read by code running on this
-	// handler (the same goroutine), which is what lets a handler's own
-	// enqueues take the executor's local-deque fast path.
+	// access. Exactly one of stepFn and task is set (see ready): the
+	// body of the goroutine each activation starts, or the scheduling
+	// token on the pool, each made once so wakes never heap-allocate.
+	// onWorker is the pool worker currently executing Step, nil on a
+	// goroutine of the handler's own; it is only read by code running on
+	// this handler (the same goroutine), which is what lets a handler's
+	// own enqueues take the executor's local-deque fast path.
 	state    atomic.Int32
 	cur      *Session
-	parker   *sched.Parker
+	stepFn   func()
 	task     *sched.Task
 	onWorker *sched.Worker
 
@@ -88,8 +88,8 @@ type waiter struct {
 	gen int64
 }
 
-// NewHandler creates a handler, idle until a client gives it work: its
-// own goroutine parked, or off the pool's ready queue.
+// NewHandler creates a handler, idle until a client gives it work: no
+// goroutine, and off the pool's ready queue.
 func (rt *Runtime) NewHandler(name string) *Handler {
 	rt.mu.Lock()
 	if rt.down {
@@ -112,8 +112,7 @@ func (rt *Runtime) NewHandler(name string) *Handler {
 	if rt.exec != nil {
 		h.task = sched.NewTask(h)
 	} else {
-		h.parker = sched.NewParker()
-		go h.run()
+		h.stepFn = func() { h.Step(nil) }
 	}
 	rt.mu.Unlock()
 	return h
@@ -144,23 +143,15 @@ func (h *Handler) AsClient() *Client {
 	return h.selfClient
 }
 
-// run drives a handler that has a goroutine of its own (Config.Workers
-// == 0): where a pool worker would move on to another handler, it parks
-// until ready unparks it. The loop of the paper's Fig. 7 is drain.
-func (h *Handler) run() {
-	for h.state.Load() != hDone {
-		h.parker.Park()
-		h.Step(nil)
-	}
-}
-
 // ready hands a handler that has just entered hReady to its driver, once
-// per entry: w's local deque or the injector (nil w) on a pool, else an
-// unpark of the handler's own goroutine.
+// per entry: w's local deque or the injector (nil w) on a pool, else a new
+// goroutine that runs one Step and ends. One Step per entry into hReady
+// is what keeps it to one goroutine at a time. stepFn, not a closure
+// here, keeps the wake free of allocations.
 func (h *Handler) ready(w *sched.Worker) {
 	h.rt.stats.schedules.Add(1)
 	if h.rt.exec == nil {
-		h.parker.Unpark()
+		go h.stepFn()
 		return
 	}
 	h.rt.exec.ReadyLocal(w, h.task)
@@ -200,16 +191,17 @@ func (h *Handler) wakeFrom(w *sched.Worker) {
 
 // stepBudget bounds the requests one Step executes before the handler
 // re-queues itself, so a handler fed by a fast client cannot starve
-// the other handlers sharing the pool (on a goroutine of its own it
-// finds itself unparked and steps again at once).
+// the other handlers sharing the pool (without a pool its re-ready
+// starts a fresh goroutine, which usually steps again at once).
 const stepBudget = 1024
 
-// Step is the driver's entry point (a pool worker w, or run with nil):
-// resume this handler and run it until it exhausts available work,
-// completes, or uses up its fairness budget. Exclusive ownership is
-// guaranteed by the wake protocol — Step runs once after each
-// transition to hReady. The worker is remembered for the duration so
-// enqueues made by this handler's code ride its local deque.
+// Step is the driver's entry point (a pool worker w, or with nil the
+// goroutine ready started): resume this handler and run it until it
+// exhausts available work, completes, or uses up its fairness budget.
+// Exclusive ownership is guaranteed by the wake protocol — Step runs
+// once after each transition to hReady. The worker is remembered for
+// the duration so enqueues made by this handler's code ride its local
+// deque.
 func (h *Handler) Step(w *sched.Worker) {
 	h.onWorker = w
 	h.state.Store(hRunning)

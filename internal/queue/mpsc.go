@@ -51,8 +51,9 @@ type MPSC[T any] struct {
 	tailC *mpscNode[T] // consumer-owned: most recently consumed node
 }
 
-// NewMPSC returns an empty queue whose consumer waits as sched.Idle: a
-// handler (or actor) with no client. The argument is ignored, as NewSPSC's.
+// NewMPSC returns an empty queue whose blocking consumer waits as
+// sched.Idle: an actor with no message. The argument is ignored, as
+// NewSPSC's.
 func NewMPSC[T any](int) *MPSC[T] {
 	stub := &mpscNode[T]{}
 	q := &MPSC[T]{tailC: stub, first: stub, parker: sched.NewParker()}

@@ -1,7 +1,10 @@
 // Package sched provides the low-level scheduling primitives used by the
-// SCOOP/Qs runtime: a Parker that blocks queue consumers (handlers) and
-// clients waiting on query synchronization, the WaitPolicy a consumer
-// polls under first, and a spin-lock for atomic multi-handler reservation.
+// SCOOP/Qs runtime: a Parker that blocks clients waiting on query
+// synchronization (and the consumers of the blocking queues), the
+// WaitPolicy a consumer polls under first, the M:N Executor that drives
+// handlers on a pool, and a spin-lock for atomic multi-handler
+// reservation. A handler itself never parks: it holds a goroutine only
+// while it has work.
 //
 // The paper's runtime is built on three layers: task switching,
 // lightweight threads, and handlers. In this reproduction goroutines are
@@ -33,8 +36,9 @@ const (
 	// Engaged is for a handler inside a block, whose client owes the next
 	// request: a query's round trip is shorter than a park/unpark cycle.
 	Engaged WaitPolicy = 64
-	// Idle is for a handler with no client, on its queue-of-queues: only
-	// SpinWait's busy polls, then Park, which is itself the yield.
+	// Idle is for a consumer nobody owes work, such as an actor on its
+	// mailbox: only SpinWait's busy polls, then Park, which is itself the
+	// yield.
 	Idle WaitPolicy = 8
 )
 
