@@ -19,20 +19,27 @@ type Client struct {
 	wait    waitRec
 	scratch []*Handler // reserveMany's sorted handler set, dead on return
 
-	// hosted is non-nil when this client's code runs on executor
-	// workers (a handler's AsClient on a pool). Blocking
-	// operations then bracket their waits with the executor's
-	// compensation hooks so the pool can spawn a replacement worker.
-	hosted *sched.Executor
+	// parker is what the client waits on, for one answer at a time: a
+	// handler reaching its sync or packaged query (which leaves its
+	// result in replyVal/replyErr), or starting or releasing its waiting
+	// block. Each park is answered by exactly one Unpark, and the
+	// hand-off orders the reply slot's accesses.
+	parker   *sched.Parker
+	replyVal any
+	replyErr error
 
 	// host is the handler whose code this client runs on (AsClient),
 	// nil for ordinary clients. It supplies the worker context for the
 	// scheduler's local-push fast path: requests this client logs wake
-	// their target on the hosting worker's own deque.
+	// their target on the hosting worker's own deque. On a pool the
+	// client's blocking operations also bracket their waits with the
+	// executor's compensation hooks, so it can spawn a replacement worker.
 	host *Handler
 
-	// waitingOn is the handler this client is currently blocked on in
-	// a sync or query, nil when running. Read by DetectDeadlock.
+	// waitingOn is the handler a host's client is blocked on in a sync
+	// or packaged query, nil when running. Only DetectDeadlock reads it,
+	// and it follows handlers' own clients only, so no other client
+	// stores it.
 	waitingOn atomic.Pointer[Handler]
 
 	// The per-request counts since the last flush: plain adds on the
@@ -67,17 +74,24 @@ func (c *Client) flush() {
 // ordinary clients; for worker-hosted clients they keep the pool
 // supplied with runnable workers (see sched.Executor).
 func (c *Client) blockBegin() {
-	if c.hosted != nil {
+	if c.host != nil && c.rt.exec != nil {
 		// The worker context lets the executor republish this worker's
 		// local queue before the goroutine parks.
-		c.hosted.BlockingBegin(c.curWorker())
+		c.rt.exec.BlockingBegin(c.host.onWorker)
 	}
 }
 
 func (c *Client) blockEnd() {
-	if c.hosted != nil {
-		c.hosted.BlockingEnd(c.curWorker())
+	if c.host != nil && c.rt.exec != nil {
+		c.rt.exec.BlockingEnd(c.host.onWorker)
 	}
+}
+
+// park waits on the client's parker until a handler answers.
+func (c *Client) park() {
+	c.blockBegin()
+	c.parker.Park()
+	c.blockEnd()
 }
 
 // curWorker returns the pool worker the client's code is currently
@@ -130,11 +144,10 @@ func (c *Client) session(h *Handler) *Session {
 	// client wakes h on its own worker's deque (the fast path).
 	q.SetNotify(func() { h.wakeFrom(c.curWorker()) })
 	s := &Session{
-		h:      h,
-		owner:  c,
-		q:      q,
-		parker: sched.NewParker(),
-		inUse:  true,
+		h:     h,
+		owner: c,
+		q:     q,
+		inUse: true,
 	}
 	if first == nil {
 		c.cache[h] = s
@@ -315,7 +328,7 @@ func (c *Client) SeparateWhen(hs []*Handler, guard func([]*Session) bool, body f
 		s := sessions[0]
 		c.wait.sessions, c.wait.guard = sessions, guard
 		s.q.Enqueue(call{kind: callGuard})
-		c.parkWaiting(s)
+		c.parkWaiting(s.h)
 		if c.wait.sessions == nil {
 			panic(ErrShutdown) // released by a retiring handler
 		}
@@ -351,24 +364,22 @@ func (c *Client) waitForChange(sessions []*Session) {
 		s.endWaiting(gen)
 	}
 	c.unlockMany(sessions)
-	c.parkWaiting(sessions[0])
+	c.parkWaiting(sessions[0].h)
 }
 
-// parkWaiting parks the client on s until a handler has started its
-// waiting block (callGuard) or released it: fired it (callWait) or,
-// retiring, given it up (Shutdown).
-func (c *Client) parkWaiting(s *Session) {
+// parkWaiting parks the client until a handler has started its waiting
+// block (callGuard) or released it: fired it (callWait) or, retiring,
+// given it up (Shutdown). h, the block's first handler, labels the trace.
+func (c *Client) parkWaiting(h *Handler) {
 	var t0 int64
 	if obs.Enabled() {
 		t0 = obs.Now()
 	}
-	c.blockBegin()
-	s.parker.Park()
-	c.blockEnd()
+	c.park()
 	if t0 != 0 {
 		d := obs.Now() - t0
 		guardWaitHist.Observe(d)
-		obs.Emit(obs.KindGuardWait, uint64(s.h.id), d)
+		obs.Emit(obs.KindGuardWait, uint64(h.id), d)
 	}
 }
 

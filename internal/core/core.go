@@ -288,8 +288,9 @@ func (rt *Runtime) Handlers() []*Handler {
 // Client is not safe for concurrent use; create one per goroutine.
 func (rt *Runtime) NewClient() *Client {
 	return &Client{
-		rt:    rt,
-		cache: make(map[*Handler]*Session),
+		rt:     rt,
+		cache:  make(map[*Handler]*Session),
+		parker: sched.NewParker(),
 	}
 }
 

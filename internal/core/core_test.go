@@ -721,3 +721,99 @@ func TestStatsSnapshot(t *testing.T) {
 		t.Errorf("unexpected stats: %+v", st)
 	}
 }
+
+// TestClientParkAnsweredOnce interleaves every wait of one client on its
+// one parker — syncs and packaged queries on two handlers, a packaged
+// query that panics, a guard its handler evaluates and a two-handler
+// guard it evaluates itself — while a second client keeps flipping the
+// guarded state. Each park must be answered by exactly one Unpark: a
+// stray one lets a later Sync return before the calls it follows have
+// run, or a packaged query return the previous reply (or none), and a
+// lost one hangs the client.
+func TestClientParkAnsweredOnce(t *testing.T) {
+	const rounds = 200
+	for _, base := range []Config{ConfigAll, ConfigNone} {
+		for _, workers := range []int{0, 2} {
+			cfg := base.WithWorkers(workers)
+			t.Run(cfg.Name(), func(t *testing.T) {
+				rt := New(cfg)
+				defer rt.Shutdown()
+				a, b := rt.NewHandler("a"), rt.NewHandler("b")
+				hs, both := [2]*Handler{a, b}, []*Handler{a, b}
+				var counts [2]int // counts[i] owned by hs[i]
+				flag := false     // owned by a
+				stop := make(chan struct{})
+				flipped := make(chan struct{})
+				go func() {
+					defer close(flipped)
+					c := rt.NewClient()
+					flip := func() { flag = !flag }
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						c.Separate(a, func(s *Session) { s.Call(flip) })
+						runtime.Gosched()
+					}
+				}()
+				within(t, "the client's rounds", func() {
+					defer close(stop)
+					c := rt.NewClient()
+					var want [2]int
+					for i := range rounds {
+						k := i % 2
+						h, n := hs[k], &counts[k]
+						inc := func() { *n++ }
+						c.Separate(h, func(s *Session) {
+							s.Call(inc)
+							want[k]++
+							s.Sync()
+							if got := LocalQuery(s, func() int { return *n }); got != want[k] {
+								t.Errorf("round %d: Sync returned with %d calls run on %s, want %d", i, got, h.name, want[k])
+							}
+							s.Call(inc)
+							want[k]++
+							if got := QueryRemote(s, func() int { return 1000*i + *n }); got != 1000*i+want[k] {
+								t.Errorf("round %d: packaged query on %s = %d, want %d", i, h.name, got, 1000*i+want[k])
+							}
+						})
+						func() {
+							defer func() {
+								if he, ok := recover().(*HandlerError); !ok || he.Value != i {
+									t.Errorf("round %d: a panicking packaged query raised %v, want its own *HandlerError", i, he)
+								}
+							}()
+							c.Separate(h, func(s *Session) {
+								QueryRemote(s, func() int { panic(i) })
+							})
+						}()
+						parity := i%3 == 0
+						holds := func() bool { return flag == parity }
+						c.SeparateWhen([]*Handler{a}, func(ss []*Session) bool {
+							return Query(ss[0], holds)
+						}, func(ss []*Session) {
+							if got := QueryRemote(ss[0], holds); !got {
+								t.Errorf("round %d: one-handler guard body started in a state its guard rejects", i)
+							}
+						})
+						c.SeparateWhen(both, func(ss []*Session) bool {
+							return Query(ss[0], holds) && Query(ss[1], func() int { return counts[1] }) == want[1]
+						}, func(ss []*Session) {
+							ss[1].Call(func() { counts[1]++ })
+							want[1]++
+							if got := QueryRemote(ss[0], holds); !got {
+								t.Errorf("round %d: two-handler guard body started in a state its guard rejects", i)
+							}
+							if got := QueryRemote(ss[1], func() int { return 1000*i + counts[1] }); got != 1000*i+want[1] {
+								t.Errorf("round %d: packaged query on b = %d, want %d", i, got, 1000*i+want[1])
+							}
+						})
+					}
+				})
+				within(t, "the flipper", func() { <-flipped })
+			})
+		}
+	}
+}

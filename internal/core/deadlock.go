@@ -6,9 +6,10 @@ import "strings"
 //
 // SCOOP/Qs excludes reservation deadlocks — reserving never blocks —
 // but queries still do, so cycles of handlers querying one another
-// wait forever (the paper's Fig. 6 variant with queries). The runtime
-// tracks, per client, which handler it is currently blocked on; a
-// handler "is" a client when it issues calls through AsClient. A cycle
+// wait forever (the paper's Fig. 6 variant with queries). A handler
+// "is" a client when it issues calls through AsClient, and the runtime
+// tracks which handler that client is currently blocked on (waitingOn;
+// other clients are victims, never in a cycle, and store nothing). A cycle
 // in the resulting wait graph is a deadlock, because the only way a
 // blocked query resumes is its target handler draining the private
 // queue, which it cannot do while itself blocked.
@@ -18,11 +19,6 @@ import "strings"
 // should be confirmed by a second call before alarms are raised; a
 // cycle present in both snapshots is genuinely stuck, since blocked
 // queries have no spurious wakeups.
-
-// waitingOn is maintained by the blocking paths in Session.
-func (c *Client) setWaiting(h *Handler) { c.waitingOn.Store(h) }
-func (c *Client) clearWaiting()         { c.waitingOn.Store(nil) }
-func (c *Client) currentWait() *Handler { return c.waitingOn.Load() }
 
 // DeadlockCycle describes one cycle in the wait-for graph, as handler
 // names in wait order.
@@ -52,7 +48,7 @@ func (rt *Runtime) DetectDeadlock() []DeadlockCycle {
 		if sc == nil {
 			continue
 		}
-		if target := sc.currentWait(); target != nil {
+		if target := sc.waitingOn.Load(); target != nil {
 			next[h] = target
 		}
 	}

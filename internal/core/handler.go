@@ -136,7 +136,6 @@ func (h *Handler) AsClient() *Client {
 		// blocking operations must notify the pool so replacements
 		// keep delegation chains deadlock-free, and its enqueues wake
 		// target handlers on the hosting worker's local deque.
-		h.selfClient.hosted = h.rt.exec
 		h.selfClient.host = h
 		h.selfClientPub.Store(h.selfClient)
 	}
@@ -339,7 +338,7 @@ func (h *Handler) execOne(s *Session, c call) (ended bool) {
 		// body starts in the very state the guard saw.
 		if c.kind == callGuard {
 			if h.guardHolds(s) {
-				s.parker.Unpark()
+				s.owner.parker.Unpark()
 				return false
 			}
 			h.rt.stats.guardRetries.Add(1)
@@ -380,16 +379,16 @@ func (h *Handler) execOne(s *Session, c call) (ended bool) {
 		v, err := h.execQuery(s, c.qfn)
 		resolveFuture(c.fut, v, err)
 	case callSync:
-		// The sync rule: the client is parked in wait; release it.
-		// drain then goes straight back to dequeueing this same
-		// private queue — the handler is now idle at the client's
-		// disposal, which is what makes client-side query
-		// execution safe.
-		s.parker.Unpark()
-	case callQueryRemote:
-		v, err := h.execQuery(s, c.qfn)
-		s.replyVal, s.replyErr = v, err
-		s.parker.Unpark()
+		// The sync rule: the client is parked in wait; release it, with
+		// the reply of a packaged query in its slot. drain then goes
+		// straight back to dequeueing this same private queue — the
+		// handler is now idle at the client's disposal, which is what
+		// makes client-side query execution safe.
+		o := s.owner
+		if c.qfn != nil {
+			o.replyVal, o.replyErr = h.execQuery(s, c.qfn)
+		}
+		o.parker.Unpark()
 	}
 	return false
 }
@@ -465,7 +464,7 @@ func (h *Handler) fireWaiters() {
 			keep = append(keep, w) // behind the waiter just started, or still false
 		case w.gen == 0:
 			h.cur = w.rec.sessions[0]
-			h.cur.parker.Unpark()
+			h.cur.owner.parker.Unpark()
 		case w.rec.gen.CompareAndSwap(w.gen, w.gen+1): // else stale
 			w.rec.release()
 		}

@@ -7,7 +7,6 @@ import (
 	"scoopqs/internal/future"
 	"scoopqs/internal/obs"
 	"scoopqs/internal/queue"
-	"scoopqs/internal/sched"
 )
 
 // HandlerError is the error recorded when a call or query executed on a
@@ -28,8 +27,7 @@ type callKind uint8
 const (
 	callCall callKind = iota
 	callAlways
-	callSync
-	callQueryRemote
+	callSync // with qfn, a packaged query (Fig. 10a)
 	callFuture
 	callEnd
 	callWait
@@ -83,9 +81,9 @@ type waitRec struct {
 // handler that holds the record: its evaluator, or the winner of the
 // generation CompareAndSwap.
 func (r *waitRec) release() {
-	first := r.sessions[0]
+	c := r.sessions[0].owner
 	r.sessions = nil
-	first.parker.Unpark()
+	c.parker.Unpark()
 }
 
 // Session is a private queue: the communication channel between one
@@ -95,10 +93,9 @@ func (r *waitRec) release() {
 // separate block that produced it and must not be shared between
 // goroutines.
 type Session struct {
-	h      *Handler
-	owner  *Client // the client this private queue belongs to
-	q      *queue.SPSC[call]
-	parker *sched.Parker // client waits here for sync/query replies
+	h     *Handler
+	owner *Client // the client this private queue belongs to
+	q     *queue.SPSC[call]
 
 	// synced tracks whether the handler is known to be parked on this
 	// private queue (dynamic sync coalescing, §3.4.1). Client-owned.
@@ -119,13 +116,8 @@ type Session struct {
 
 	// one backs the session slice of a single-handler SeparateMany /
 	// SeparateWhen block (reserveMany), which then allocates nothing.
-	// With it Session fills the 96-byte size class (TestHotStructSizes).
+	// With it Session fills the 64-byte size class (TestHotStructSizes).
 	one [1]*Session
-
-	// replyVal/replyErr carry a remote query result from handler to
-	// client; the parker handoff orders the accesses.
-	replyVal any
-	replyErr error
 
 	// errPub poisons the session after a handler-side panic, until the
 	// handler reaches the block's END. Written only by the handler; read
@@ -187,7 +179,6 @@ func (s *Session) Sync() {
 // primitive the static sync-coalescing pass emits for the one sync it
 // hoists out of a loop; application code normally wants Sync.
 func (s *Session) SyncNow() {
-	rt := s.h.rt
 	if s.onHandler {
 		// A guard on the handler itself: nothing to wait for, and the
 		// LocalQuery that statically hoisted code pairs with this is
@@ -195,29 +186,45 @@ func (s *Session) SyncNow() {
 		s.synced = true
 		return
 	}
-	rt.stats.syncsPerformed.Add(1)
-	s.owner.flush()
+	s.h.rt.stats.syncsPerformed.Add(1)
+	s.roundTrip(nil)
+	s.checkErr()
+}
+
+// roundTrip logs callSync — with qfn, a packaged query, whose reply the
+// handler leaves in the owner's slot — and parks the owner until the
+// handler has answered it. The handler then loops back to dequeue on
+// this same private queue, so s is synced.
+func (s *Session) roundTrip(qfn func() any) {
+	c := s.owner
+	c.flush()
 	var t0 int64
 	if obs.Enabled() {
 		t0 = obs.Now()
 	}
-	s.owner.setWaiting(s.h)
-	// Enqueue before blockBegin: a worker-hosted client's enqueue may
-	// park the woken handler on this worker's own deque with no wake
+	if c.host != nil {
+		c.waitingOn.Store(s.h)
+	}
+	// Enqueue before park's blockBegin: a worker-hosted client's enqueue
+	// may park the woken handler on this worker's own deque with no wake
 	// (the lone-handoff fast path), and it is blockBegin that then
 	// rouses a worker to steal it before we park.
-	s.q.Enqueue(call{kind: callSync})
-	s.owner.blockBegin()
-	s.parker.Park()
-	s.owner.blockEnd()
-	s.owner.clearWaiting()
+	s.q.Enqueue(call{kind: callSync, qfn: qfn})
+	c.park()
+	if c.host != nil {
+		c.waitingOn.Store(nil)
+	}
 	if t0 != 0 {
 		d := obs.Now() - t0
-		syncHist.Observe(d)
-		obs.Emit(obs.KindSync, uint64(s.h.id), d)
+		if qfn == nil {
+			syncHist.Observe(d)
+			obs.Emit(obs.KindSync, uint64(s.h.id), d)
+		} else {
+			queryHist.Observe(d)
+			obs.Emit(obs.KindQuery, uint64(s.h.id), d)
+		}
 	}
 	s.synced = true
-	s.checkErr()
 }
 
 // Synced reports whether the handler is known to be parked on this
@@ -227,33 +234,14 @@ func (s *Session) Synced() bool { return s.synced }
 // queryRemote packages qfn, has the handler execute it, and waits for
 // the result (the original query rule, Fig. 10a).
 func (s *Session) queryRemote(qfn func() any) any {
-	rt := s.h.rt
-	rt.stats.remoteQueries.Add(1)
+	s.h.rt.stats.remoteQueries.Add(1)
 	if s.onHandler {
 		return qfn() // a guard on the handler itself; its recover poisons the session
 	}
-	s.owner.flush()
-	var t0 int64
-	if obs.Enabled() {
-		t0 = obs.Now()
-	}
-	s.owner.setWaiting(s.h)
-	// Enqueue before blockBegin — see SyncNow.
-	s.q.Enqueue(call{kind: callQueryRemote, qfn: qfn})
-	s.owner.blockBegin()
-	s.parker.Park()
-	s.owner.blockEnd()
-	s.owner.clearWaiting()
-	if t0 != 0 {
-		d := obs.Now() - t0
-		queryHist.Observe(d)
-		obs.Emit(obs.KindQuery, uint64(s.h.id), d)
-	}
-	v, err := s.replyVal, s.replyErr
-	s.replyVal, s.replyErr = nil, nil
-	// After the reply the handler loops back to dequeue on this same
-	// private queue: it is synced from the client's point of view.
-	s.synced = true
+	s.roundTrip(qfn)
+	c := s.owner
+	v, err := c.replyVal, c.replyErr
+	c.replyVal, c.replyErr = nil, nil
 	if err != nil {
 		panic(err)
 	}

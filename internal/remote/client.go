@@ -25,12 +25,13 @@ import (
 // Fire-and-forget is bounded, not unlimited: each channel holds a
 // credit window (window credits at the start, replenished by the
 // server with CREDIT frames), and every request-logging operation —
-// Call, QueryAsync, Query, Sync — consumes one credit, parking the
-// caller when the window is exhausted until completions replenish it.
-// The connection's shared writer additionally parks producers
-// (including BEGIN/END) while its pending batch is at the byte
-// budget (the server's reader waits the same way on this connection's
-// unread output). Both parks end in
+// Call, QueryAsync, Query, Sync — consumes one credit, waiting when
+// the window is exhausted until completions replenish it (one
+// MuxStats.CreditStalls per wait). The connection's shared writer
+// additionally holds producers (including BEGIN/END) while its pending
+// batch is at the byte budget, until it takes the batch (one
+// MuxStats.WriterStalls per wait; the server's reader waits the same
+// way on this connection's unread output). Both waits end in
 // bounded memory on a healthy connection and in a fast failure on a
 // dead one; because they can block, remote operations must not be
 // called from a Future.OnComplete callback (which runs on the mux's
@@ -49,11 +50,11 @@ type RemoteSession struct {
 	closed  bool
 	term    error // terminal failure recorded by the teardown sweep
 
-	// credits is the channel's remaining request window; creditWait is
-	// the future an admission parks on at zero, completed by the mux
-	// reader when a CREDIT grant arrives (or failed by the teardown).
-	credits    int64
-	creditWait *future.Future
+	// credits is the channel's remaining request window. An admission
+	// at zero waits on credit (over mu), broadcast by a CREDIT grant the
+	// mux reader applies, by Close and by the teardown (failPending).
+	credits int64
+	credit  sync.Cond
 
 	// blk is the Session every Separate body of this logical client
 	// receives: it names nothing but rs, so one per RemoteSession does.
@@ -87,12 +88,8 @@ func (rs *RemoteSession) Close() error {
 		return nil
 	}
 	rs.closed = true
-	w := rs.creditWait
-	rs.creditWait = nil
+	rs.credit.Broadcast() // release admissions waiting on this channel
 	rs.mu.Unlock()
-	if w != nil {
-		w.Fail(ErrClosed) // release admissions parked on this channel
-	}
 	rs.m.drop(rs.ch)
 	rs.m.w.frame(&frame{kind: fClose, ch: rs.ch})
 	rs.failPending(ErrClosed)
@@ -124,58 +121,47 @@ func (rs *RemoteSession) send(f *frame) error {
 }
 
 // acquireCredit consumes one unit of the channel's request window,
-// parking the caller at zero until the server's CREDIT replenishment
-// arrives. It fails fast — without parking — on a closed session or a
-// dead mux.
+// waiting at zero until the server's CREDIT replenishment arrives. It
+// fails fast — without waiting — on a closed session or a dead mux.
 func (rs *RemoteSession) acquireCredit() error {
-	for {
-		rs.mu.Lock()
-		if rs.closed || rs.term != nil {
-			rs.mu.Unlock()
-			return fmt.Errorf("remote: send: %w", rs.termErr())
-		}
-		if rs.credits > 0 {
-			rs.credits--
-			rs.mu.Unlock()
-			return nil
-		}
-		if rs.creditWait == nil {
-			rs.creditWait = future.New()
-		}
-		w := rs.creditWait
-		rs.mu.Unlock()
+	rs.mu.Lock()
+	if rs.credits == 0 && !rs.closed && rs.term == nil {
 		rs.m.creditStalls.Add(1)
 		var t0 int64
 		if obs.Enabled() {
 			t0 = obs.Now()
 		}
-		w.Get() //nolint:errcheck // wake-and-recheck; state is re-read
+		for rs.credits == 0 && !rs.closed && rs.term == nil {
+			rs.credit.Wait()
+		}
 		if t0 != 0 {
 			d := obs.Now() - t0
 			creditWaitHist.Observe(d)
 			obs.Emit(obs.KindCreditWait, uint64(rs.ch), d)
 		}
 	}
+	if rs.closed || rs.term != nil {
+		rs.mu.Unlock()
+		return fmt.Errorf("remote: send: %w", rs.termErr())
+	}
+	rs.credits--
+	rs.mu.Unlock()
+	return nil
 }
 
-// addCredits applies a CREDIT grant and releases parked admissions.
+// addCredits applies a CREDIT grant and releases waiting admissions.
 // Called by the mux reader. It reports false, applying nothing, for a
 // zero grant or one that would lift the balance above window: a server
 // only gives back credits of completed requests, so an honest grant
 // never does either.
 func (rs *RemoteSession) addCredits(n uint64) bool {
 	rs.mu.Lock()
+	defer rs.mu.Unlock()
 	if n == 0 || n > uint64(window-rs.credits) {
-		rs.mu.Unlock()
 		return false
 	}
 	rs.credits += int64(n)
-	w := rs.creditWait
-	rs.creditWait = nil
-	rs.mu.Unlock()
-	if w != nil {
-		w.Complete(nil)
-	}
+	rs.credit.Broadcast()
 	return true
 }
 
@@ -272,10 +258,10 @@ func (rs *RemoteSession) takeBlockErr() error {
 
 // failPending marks the session terminally failed, resolves every
 // outstanding pipelined future with err, and releases admissions
-// parked on credits; called when the channel or connection dies.
-// Recording term under the same lock that guards creditWait closes the
-// race where an admission parks just after the teardown's sweep — the
-// admission re-checks term before parking.
+// waiting on credits; called when the channel or connection dies.
+// Recording term under the lock an admission waits with closes the
+// race where it starts waiting just after the teardown's sweep — the
+// admission re-checks term before waiting.
 func (rs *RemoteSession) failPending(err error) {
 	rs.mu.Lock()
 	if rs.term == nil {
@@ -283,12 +269,8 @@ func (rs *RemoteSession) failPending(err error) {
 	}
 	pend := rs.pending
 	rs.pending = map[uint64]pendingReq{}
-	w := rs.creditWait
-	rs.creditWait = nil
+	rs.credit.Broadcast()
 	rs.mu.Unlock()
-	if w != nil {
-		w.Fail(err)
-	}
 	for _, p := range pend {
 		p.f.Fail(err)
 	}
@@ -398,7 +380,7 @@ func (rs *RemoteSession) Separate(handler string, body func(s *Session) error) e
 // joins the connection's current batch. On the wire it is a CALLB
 // whose payload is args as zigzag varints, encoded into the session's
 // scratch buffer. Admission is credit-bounded: at a zero window Call
-// parks until the server's replenishment arrives, so a block cannot
+// waits until the server's replenishment arrives, so a block cannot
 // outrun the server by more than the window.
 func (s *Session) Call(fn string, args ...int64) error {
 	return s.CallBytes(fn, s.rs.ints(args))
@@ -408,7 +390,7 @@ func (s *Session) Call(fn string, args ...int64) error {
 // a future and pays no round-trip. Like Query it observes every
 // previously logged call of this block; each of the connection's
 // sessions can keep up to its credit window of requests in flight at
-// once — past that, QueryAsync parks until completions replenish the
+// once — past that, QueryAsync waits until completions replenish the
 // window. Resolve the future with Await (or Flush): it completes with
 // the result as an int64, decoded by the mux reader; its error mirrors
 // Query's.

@@ -588,6 +588,67 @@ func TestCreditWindowThrottlesAdmission(t *testing.T) {
 	}
 }
 
+// TestCreditWaitReleasedOnCloseAndFailure pins the two ways out of a
+// wait at zero credits besides a grant. On a Mux whose peer never
+// answers, one more call past the window waits; closing its
+// RemoteSession from another goroutine must release it with ErrClosed,
+// and the connection dying under it with the mux's own error. Either
+// way nothing is left behind.
+func TestCreditWaitReleasedOnCloseAndFailure(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		release func(mux *Mux, conn *failAfterConn, rs *RemoteSession)
+		want    func(mux *Mux) error
+	}{
+		{"Close", func(_ *Mux, _ *failAfterConn, rs *RemoteSession) { rs.Close() }, func(*Mux) error { return ErrClosed }},
+		{"ConnDies", func(_ *Mux, conn *failAfterConn, _ *RemoteSession) { conn.Close() }, (*Mux).Err},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := takeLeakBaseline()
+			conn := newFailAfterConn()
+			mux := NewMux(conn)
+			rs := mux.NewSession()
+			s := &Session{rs: rs}
+			for i := 0; i < window; i++ {
+				if err := s.Call("spam", 1); err != nil {
+					t.Fatalf("call %d inside the window: %v", i, err)
+				}
+			}
+			admitted := make(chan error, 1)
+			go func() { admitted <- s.Call("spam", 1) }()
+			deadline := time.Now().Add(10 * time.Second)
+			for mux.Stats().CreditStalls == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("the call past the window never waited")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			select {
+			case err := <-admitted:
+				t.Fatalf("the call past the window returned %v with no credit granted", err)
+			default:
+			}
+
+			go tc.release(mux, conn, rs)
+			select {
+			case err := <-admitted:
+				if want := tc.want(mux); want == nil || !errors.Is(err, want) {
+					t.Fatalf("released admission returned %v, want %v", err, want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the admission still waits")
+			}
+			if got := mux.Stats().CreditStalls; got != 1 {
+				t.Errorf("CreditStalls = %d, want 1: one count per wait", got)
+			}
+			mux.Close()
+			if err := base.settle(nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestPoisonFloodWaitsAtBudget closes the hole the credit window does
 // not cover: BEGIN/END are not credit-gated, and a failing BEGIN ships
 // an id-0 block-level ERROR, so a peer that stopped reading could cycle

@@ -32,8 +32,8 @@
 //
 // The write path is bounded on both ends. Each connection's batching
 // writer has a soft byte budget for its pending batch: client-side
-// producers, and the server's reader, park at the budget until the
-// batch drains below low water, while server-side handlers answering
+// producers, and the server's reader, wait at the budget until the
+// writer takes the batch, while server-side handlers answering
 // requests (which serve every connection, so must not wait on one)
 // append their reply past it. Every channel carries a credit window of
 // window requests, a constant both ends compile in: a channel opens
@@ -63,7 +63,7 @@
 // it": only the latter is worth a reconnect-and-retry.
 //
 // The client-side consequence of the bounded write path: Call,
-// QueryAsync, Query, and Sync can park the calling goroutine (at a
+// QueryAsync, Query, and Sync can block the calling goroutine (at a
 // zero window, or at the byte budget), so they must not be used
 // inside Future.OnComplete callbacks, which run on the mux's reader
 // goroutine.

@@ -32,7 +32,7 @@ type Mux struct {
 	nextCh uint32
 	err    error // terminal; set once, when the connection dies
 
-	creditStalls atomic.Uint64 // admissions parked at zero credits
+	creditStalls atomic.Uint64 // admission waits at zero credits
 	bytesIn      atomic.Uint64 // payload bytes decoded from REPLYB frames
 	roundTrips   atomic.Uint64 // reply-expecting requests issued (QUERYB/SYNC)
 
@@ -82,6 +82,7 @@ func (m *Mux) NewSession() *RemoteSession {
 		pending: map[uint64]pendingReq{},
 		credits: window,
 	}
+	rs.credit.L = &rs.mu
 	rs.blk.rs = rs
 	if m.err != nil {
 		// A dead mux will never run another teardown sweep, so a
@@ -109,8 +110,8 @@ type MuxStats struct {
 	Flushes uint64 // conn.Write calls; Frames/Flushes is the mean batch
 	Dropped uint64 // frames accepted but never delivered (write failure/teardown)
 
-	WriterStalls  uint64 // producers parked at the writer's byte budget
-	CreditStalls  uint64 // admissions parked at zero per-channel credits
+	WriterStalls  uint64 // producers' waits at the writer's byte budget, one count per wait
+	CreditStalls  uint64 // admissions' waits at zero per-channel credits, one count per wait
 	MaxBatchBytes uint64 // peak pending-batch size (bounded by the budget)
 
 	// RoundTrips counts reply-expecting requests issued on this

@@ -9,10 +9,10 @@ import "scoopqs/internal/obs"
 var (
 	// flushHist is the byte size of each conn.Write batch.
 	flushHist = obs.Default().Hist("remote.flush_bytes")
-	// writerStallHist is how long a blocking producer sat parked at the
+	// writerStallHist is how long a blocking producer waited at the
 	// writer's byte budget.
 	writerStallHist = obs.Default().Hist("remote.writer_stall_ns")
-	// creditWaitHist is how long an admission sat parked at a zero
+	// creditWaitHist is how long an admission waited at a zero
 	// credit window.
 	creditWaitHist = obs.Default().Hist("remote.credit_wait_ns")
 	// roundTripHist is a pipelined request's send→reply latency,

@@ -4,7 +4,6 @@ import (
 	"io"
 	"sync"
 
-	"scoopqs/internal/future"
 	"scoopqs/internal/obs"
 )
 
@@ -15,8 +14,8 @@ const writerHighWater = 64 << 10
 
 // defaultWriteBudget is the soft byte cap on the pending batch. Below
 // it, every producer appends and moves on; at or above it, a blocking
-// producer parks until the writer drains below low water, half the
-// budget, while a reply (frameNoWait) is appended regardless.
+// producer waits until the writer takes the batch, while a reply
+// (frameNoWait) is appended regardless.
 const defaultWriteBudget = 256 << 10
 
 // writerStats is a snapshot of a connWriter's counters.
@@ -24,7 +23,7 @@ type writerStats struct {
 	Frames  uint64 // frames accepted onto a batch
 	Flushes uint64 // conn.Write calls
 	Dropped uint64 // frames accepted but never delivered (write failure or kill)
-	Stalls  uint64 // blocking producers parked at the byte budget
+	Stalls  uint64 // blocking producers' waits at the byte budget, one count per wait
 	Bytes   uint64 // payload bytes of bytes-kind frames encoded onto batches
 
 	MaxBatchBytes uint64 // peak pending-batch size
@@ -60,8 +59,8 @@ func (s *writerStats) fold(o writerStats) {
 // would grow with everything produced meanwhile. At the budget the two
 // producer paths diverge:
 //
-//   - frame (blocking): the producer parks on a drain future completed
-//     when the batch empties below low water, then retries. Producers
+//   - frame (blocking): the producer waits on room, broadcast when the
+//     writer takes the batch or dies, then appends. Producers
 //     never touch the socket; they wait on memory pressure only. A
 //     client's sessions and the server's reader produce this way: each
 //     waits on its own peer's unread output.
@@ -74,15 +73,14 @@ type connWriter struct {
 	w     io.Writer
 	onErr func(error) // called once, off the lock, when a write fails
 
-	budget   int // soft byte cap on buf
-	lowWater int // drain threshold waking stalled producers
+	budget int // soft byte cap on buf
 
 	mu     sync.Mutex
-	cond   *sync.Cond
-	buf    []byte // batch being filled by producers
-	bufN   int    // frames in buf
-	spare  []byte // previous batch, being written / ready for reuse
-	drain  *future.Future
+	cond   *sync.Cond // the writer goroutine waits here for a batch
+	room   *sync.Cond // producers wait here while buf is at the budget
+	buf    []byte     // batch being filled by producers
+	bufN   int        // frames in buf
+	spare  []byte     // previous batch, being written / ready for reuse
 	closed bool
 	err    error
 	st     writerStats
@@ -100,15 +98,15 @@ func newConnWriter(w io.Writer, budget int, onErr func(error)) *connWriter {
 		budget = defaultWriteBudget
 	}
 	cw := &connWriter{
-		w:        w,
-		onErr:    onErr,
-		budget:   budget,
-		lowWater: budget / 2,
-		buf:      make([]byte, 0, writerHighWater),
-		spare:    make([]byte, 0, writerHighWater),
-		done:     make(chan struct{}),
+		w:      w,
+		onErr:  onErr,
+		budget: budget,
+		buf:    make([]byte, 0, writerHighWater),
+		spare:  make([]byte, 0, writerHighWater),
+		done:   make(chan struct{}),
 	}
 	cw.cond = sync.NewCond(&cw.mu)
+	cw.room = sync.NewCond(&cw.mu)
 	go cw.loop()
 	return cw
 }
@@ -139,55 +137,28 @@ func (cw *connWriter) appendUnlock(f *frame) bool {
 	return true
 }
 
-// drainFutureLocked returns the future completed when the batch next
-// drains below low water (or the writer dies); cw.mu must be held.
-func (cw *connWriter) drainFutureLocked() *future.Future {
-	if cw.drain == nil {
-		cw.drain = future.New()
-	}
-	return cw.drain
-}
-
-// takeDrainersLocked claims the drain future for completion if the
-// batch is below low water (always claims when the writer is closed);
-// cw.mu must be held. The caller completes the result off the lock.
-func (cw *connWriter) takeDrainersLocked() *future.Future {
-	if cw.drain == nil {
-		return nil
-	}
-	if !cw.closed && len(cw.buf) > cw.lowWater {
-		return nil
-	}
-	d := cw.drain
-	cw.drain = nil
-	return d
-}
-
-// frame encodes f onto the current batch, parking the caller while the
-// batch is at the byte budget (the stall completes when the writer
-// drains below low water). It reports false when the writer is dead.
-// It may block, so it must never run on a mux's reader or on a server
-// handler.
+// frame encodes f onto the current batch, waiting while the batch is
+// at the byte budget until the writer takes it. It reports false when
+// the writer is dead. It may block, so it must never run on a mux's
+// reader or on a server handler.
 func (cw *connWriter) frame(f *frame) bool {
-	for {
-		cw.mu.Lock()
-		if cw.closed || len(cw.buf) < cw.budget {
-			return cw.appendUnlock(f)
-		}
+	cw.mu.Lock()
+	if !cw.closed && len(cw.buf) >= cw.budget {
 		cw.st.Stalls++
-		d := cw.drainFutureLocked()
-		cw.mu.Unlock()
 		var t0 int64
 		if obs.Enabled() {
 			t0 = obs.Now()
 		}
-		d.Get() //nolint:errcheck // wake-and-recheck; state is re-read
+		for !cw.closed && len(cw.buf) >= cw.budget {
+			cw.room.Wait()
+		}
 		if t0 != 0 {
 			dur := obs.Now() - t0
 			writerStallHist.Observe(dur)
 			obs.Emit(obs.KindWriterStall, 0, dur)
 		}
 	}
+	return cw.appendUnlock(f)
 }
 
 // frameNoWait encodes f onto the current batch whatever its size, so
@@ -221,12 +192,8 @@ func (cw *connWriter) loop() {
 		cw.buf, cw.spare = cw.spare[:0], batch
 		cw.bufN = 0
 		cw.st.Flushes++
-		// The batch just emptied: release stalled producers.
-		d := cw.takeDrainersLocked()
+		cw.room.Broadcast() // the batch just emptied
 		cw.mu.Unlock()
-		if d != nil {
-			d.Complete(nil)
-		}
 		if obs.Enabled() {
 			flushHist.Observe(int64(len(batch)))
 			obs.Emit(obs.KindFlush, 0, int64(len(batch)))
@@ -252,11 +219,8 @@ func (cw *connWriter) loop() {
 			cw.buf = cw.buf[:0]
 			cw.bufN = 0
 			cw.spare = batch[:0]
-			d := cw.takeDrainersLocked()
+			cw.room.Broadcast() // stalled producers see closed
 			cw.mu.Unlock()
-			if d != nil {
-				d.Complete(nil) // stalled producers recheck and see closed
-			}
 			if cw.onErr != nil {
 				cw.onErr(err)
 			}
@@ -276,11 +240,8 @@ func (cw *connWriter) loop() {
 func (cw *connWriter) close() {
 	cw.mu.Lock()
 	cw.closed = true
-	d := cw.takeDrainersLocked()
+	cw.room.Broadcast()
 	cw.mu.Unlock()
-	if d != nil {
-		d.Complete(nil)
-	}
 	cw.cond.Signal()
 	<-cw.done
 }
@@ -296,10 +257,7 @@ func (cw *connWriter) kill() {
 	cw.st.Dropped += uint64(cw.bufN)
 	cw.buf = cw.buf[:0]
 	cw.bufN = 0
-	d := cw.takeDrainersLocked()
+	cw.room.Broadcast()
 	cw.mu.Unlock()
-	if d != nil {
-		d.Complete(nil)
-	}
 	cw.cond.Signal()
 }

@@ -1,10 +1,17 @@
 // Package sched provides the low-level scheduling primitives used by the
-// SCOOP/Qs runtime: a Parker that blocks clients waiting on query
-// synchronization (and the consumers of the blocking queues), the
-// WaitPolicy a consumer polls under first, the M:N Executor that drives
-// handlers on a pool, and a spin-lock for atomic multi-handler
+// SCOOP/Qs runtime: a Parker, the WaitPolicy a consumer polls under
+// first, the M:N Executor that drives handlers on a pool (with its
+// fork-join TaskGroup), and a spin-lock for atomic multi-handler
 // reservation. A handler itself never parks: it holds a goroutine only
 // while it has work.
+//
+// The runtime waits in two ways. A Parker is what a client waits on,
+// one answer at a time (a sync, a packaged query, the start of its
+// guarded block), and what a blocking-queue consumer waits on. Every
+// other waiter — an idle pool worker, a parked fork-join join, a
+// connection's producer at its writer's byte budget, an admission at
+// zero credits — waits on a sync.Cond over the mutex guarding the
+// state it waits for.
 //
 // The paper's runtime is built on three layers: task switching,
 // lightweight threads, and handlers. In this reproduction goroutines are

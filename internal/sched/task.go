@@ -53,12 +53,16 @@ type TaskGroup struct {
 	pending atomic.Int64
 	panicV  atomic.Pointer[taskPanic] // first task panic, re-raised by Wait
 
-	mu      sync.Mutex
-	waiters []*Parker
+	mu   sync.Mutex
+	done sync.Cond // over mu: parked joins, broadcast by the last finish
 }
 
 // NewGroup returns an empty fork-join group on this executor.
-func (e *Executor) NewGroup() *TaskGroup { return &TaskGroup{e: e} }
+func (e *Executor) NewGroup() *TaskGroup {
+	g := &TaskGroup{e: e}
+	g.done.L = &g.mu
+	return g
+}
 
 // funcTask is one spawned closure: a one-shot Runnable carrying its own
 // scheduling token, so a spawn costs a single allocation. Its concrete
@@ -109,22 +113,18 @@ func (g *TaskGroup) Spawn(w *Worker, fn func(*Worker)) {
 	g.e.ReadyLocal(w, &ft.tok)
 }
 
-// finish retires one task; the last one out wakes every parked waiter.
-// The decrement is outside the mutex, so it pairs with Wait's
-// under-mutex pending check: a waiter that registered before the final
-// decrement is seen by the sweep below, and one that checks after it
-// observes pending == 0 and never parks.
+// finish retires one task; the last one out wakes every parked join.
+// The decrement is outside the mutex and the broadcast under it, so it
+// pairs with Wait's under-mutex pending check: a join that checked
+// before the final decrement is waiting by the broadcast, and one that
+// checks after it observes pending == 0 and never parks.
 func (g *TaskGroup) finish() {
 	if g.pending.Add(-1) != 0 {
 		return
 	}
 	g.mu.Lock()
-	ws := g.waiters
-	g.waiters = nil
+	g.done.Broadcast()
 	g.mu.Unlock()
-	for _, p := range ws {
-		p.Unpark()
-	}
 }
 
 // Wait blocks until every task spawned into the group has finished,
@@ -151,7 +151,6 @@ func (g *TaskGroup) Wait(w *Worker) {
 			emitOn(w, obs.KindTaskJoin, 0, d)
 		}()
 	}
-	var pk *Parker
 	idle := 0
 	for g.pending.Load() > 0 {
 		if g.helpOnce(w) {
@@ -165,24 +164,20 @@ func (g *TaskGroup) Wait(w *Worker) {
 		}
 		// Nothing runnable anywhere and still pending: the remaining
 		// tasks are in flight on other goroutines. Park until the last
-		// one completes the group. Registration is re-checked against
-		// pending under the group mutex (see finish), so the wake
-		// cannot be lost; BlockingBegin flushes this worker's (empty)
-		// local queues and keeps the pool's worker budget whole.
-		if pk == nil {
-			pk = NewParker()
-		}
+		// one completes the group. pending is re-checked under the
+		// group mutex (see finish), so the wake cannot be lost;
+		// BlockingBegin flushes this worker's (empty) local queues and
+		// keeps the pool's worker budget whole.
 		g.mu.Lock()
-		if g.pending.Load() == 0 {
-			g.mu.Unlock()
-			break
+		if g.pending.Load() > 0 {
+			e.taskWaitParks.Add(1)
+			e.BlockingBegin(w)
+			for g.pending.Load() > 0 {
+				g.done.Wait()
+			}
+			e.BlockingEnd(w)
 		}
-		g.waiters = append(g.waiters, pk)
 		g.mu.Unlock()
-		e.taskWaitParks.Add(1)
-		e.BlockingBegin(w)
-		pk.Park()
-		e.BlockingEnd(w)
 		idle = 0
 	}
 	if p := g.panicV.Swap(nil); p != nil {

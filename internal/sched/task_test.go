@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // The fork-join tests below were migrated from internal/tbb when its
@@ -430,5 +431,53 @@ func TestTaskCountersAdvance(t *testing.T) {
 	// Steals and parks are load-dependent; just require sanity.
 	if steals < 0 || parks < 0 {
 		t.Fatalf("negative counters: steals=%d parks=%d", steals, parks)
+	}
+}
+
+// TestTaskWaitParksUntilLastFinish drives a join down its park path: its
+// group's only task is running on a worker, blocked until released, so
+// helping finds nothing to run and Wait must park, once, and return
+// only after that task has finished.
+func TestTaskWaitParksUntilLastFinish(t *testing.T) {
+	e := NewExecutor(2)
+	defer e.Stop()
+	g := e.NewGroup()
+	started, release := make(chan struct{}), make(chan struct{})
+	var finished atomic.Bool
+	g.Spawn(nil, func(*Worker) {
+		close(started)
+		<-release
+		finished.Store(true)
+	})
+	<-started
+	joined := make(chan bool, 1)
+	go func() {
+		g.Wait(nil)
+		joined <- finished.Load()
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, _, parks := e.TaskCounters(); parks == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the join never parked")
+		}
+	}
+	select {
+	case <-joined:
+		t.Fatal("Wait returned while its only task still ran")
+	case <-time.After(10 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case ok := <-joined:
+		if !ok {
+			t.Fatal("Wait returned before its task finished")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wait still parked after the last task finished")
+	}
+	if _, _, parks := e.TaskCounters(); parks != 1 {
+		t.Errorf("TaskWaitParks = %d, want 1", parks)
 	}
 }
