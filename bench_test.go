@@ -1,5 +1,5 @@
-// Go benchmarks of the runtime's hot paths: token-ring hand-off with
-// dedicated and pooled handlers, the request and reservation paths with
+// Go benchmarks of the runtime's hot paths: token-ring hand-off over
+// many handlers, the request and reservation paths with
 // allocation accounting, and the Fig. 14 copy loop before and after the
 // static sync-coalescing pass. The paper's tables and figures have one
 // driver, `go run ./cmd/qsbench`.
@@ -7,7 +7,6 @@
 package scoopqs
 
 import (
-	"runtime"
 	"testing"
 
 	"scoopqs/internal/compiler/interp"
@@ -17,31 +16,16 @@ import (
 	"scoopqs/internal/core"
 )
 
-// BenchmarkExecutorThreadring10k compares dedicated (a goroutine per
-// handler activation) and pooled (M:N executor) handler execution on a
-// threadring with 10k handlers — far more handlers than cores. An idle
-// handler holds no goroutine in either mode: a dedicated hop starts one,
-// a pooled hop takes a worker. Each iteration builds the ring, passes
-// the token NT times, and tears the runtime down.
+// BenchmarkExecutorThreadring10k runs a threadring of 10k handlers —
+// far more handlers than cores — on the default pool: an idle handler
+// holds no goroutine, a hop takes a worker. Each iteration builds the
+// ring, passes the token NT times, and tears the runtime down.
 func BenchmarkExecutorThreadring10k(b *testing.B) {
 	p := concbench.Params{N: 1, M: 1, NT: 20000, NC: 1, Ring: 10000, Creatures: 4}
-	modes := []struct {
-		name    string
-		workers int
-	}{
-		{"dedicated", 0},
-		{"pooled", runtime.GOMAXPROCS(0)},
-	}
-	for _, m := range modes {
-		m := m
-		b.Run(m.name, func(b *testing.B) {
-			cfg := core.ConfigAll.WithWorkers(m.workers)
-			for i := 0; i < b.N; i++ {
-				if err := concbench.Run("threadring", "Qs", cfg, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if err := concbench.Run("threadring", "Qs", core.ConfigAll, p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -54,7 +38,7 @@ func BenchmarkSessionCall(b *testing.B) {
 	for _, m := range []struct {
 		name    string
 		workers int
-	}{{"dedicated", 0}, {"pooled4", 4}} {
+	}{{"default", 0}, {"pooled4", 4}} {
 		m := m
 		b.Run(m.name, func(b *testing.B) {
 			rt := core.New(core.ConfigAll.WithWorkers(m.workers))
@@ -97,7 +81,7 @@ func BenchmarkReserve(b *testing.B) {
 	for _, m := range []struct {
 		name    string
 		workers int
-	}{{"dedicated", 0}, {"pooled4", 4}} {
+	}{{"default", 0}, {"pooled4", 4}} {
 		m := m
 		b.Run(m.name, func(b *testing.B) {
 			rt := core.New(core.ConfigAll.WithWorkers(m.workers))

@@ -17,9 +17,6 @@
 //	-size      small|paper   problem sizes (paper sizes are large!)
 //	-reps      N             repetitions per measurement (median)
 //	-workers   N             worker/handler count at full width
-//	-pool      N             Qs executor pool size (0 = dedicated: a
-//	                         goroutine per handler activation, the
-//	                         paper's mode)
 //	-config    Name          restrict the optimization sweeps to one
 //	                         configuration (None|Dynamic|Static|QoQ|All)
 //	-cores     1,2,4         worker sweep for fig19/table4
@@ -109,7 +106,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	size := fs.String("size", "small", "problem sizes: small or paper")
 	reps := fs.Int("reps", 3, "repetitions per measurement")
 	workers := fs.Int("workers", 0, "workers/handlers (default: NumCPU, min 2)")
-	pool := fs.Int("pool", 0, "Qs executor pool size (0 = dedicated: a goroutine per handler activation)")
 	config := fs.String("config", "", "restrict optimization sweeps to one configuration (None, Dynamic, Static, QoQ, All)")
 	cores := fs.String("cores", "", "comma-separated worker sweep for fig19/table4")
 	tracePath := fs.String("trace", "", "record internal/obs events for the whole run and write a Chrome trace_event JSON file here")
@@ -120,10 +116,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *workers > 0 {
 		o.Workers = *workers
 	}
-	if *pool < 0 {
-		return fmt.Errorf("-pool must be >= 0")
-	}
-	o.Pool = *pool
 	if *config != "" {
 		cfg, ok := configByName(*config)
 		if !ok {

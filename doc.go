@@ -19,10 +19,10 @@
 //
 // The five configurations of the paper's §4 are ConfigNone,
 // ConfigDynamic, ConfigStatic, ConfigQoQ and ConfigAll, the SCOOP/Qs
-// runtime. Config.Workers chooses who runs the handlers with any of
-// them: 0, the default, starts a goroutine for a handler whenever it has
-// work, and N > 0 runs every handler of the runtime on a pool of N
-// workers (Config.WithWorkers). An idle handler holds no goroutine.
+// runtime. Every handler of a runtime runs on one pool of workers, sized
+// GOMAXPROCS by default and N by Config.WithWorkers(N); an idle handler
+// holds no goroutine. Handler code blocks only through the runtime
+// (queries, syncs, wait conditions), which the pool compensates for.
 //
 // Quick start:
 //

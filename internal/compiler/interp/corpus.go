@@ -12,10 +12,10 @@ import (
 // query synchronization) plus the paper's worked optimization examples
 // (the Fig. 14 copy loop, Fig. 15 with and without aliasing
 // information) and a branchy control-flow case exercising the
-// sync-set join. The same corpus backs three consumers: the
-// differential naive-vs-coalesced regression test, the pooled interp
-// tests, and qsbench -experiment compile, which runs every program on
-// all three backends (dedicated, pooled, mux transport).
+// sync-set join. The same corpus backs the differential
+// naive-vs-coalesced regression test, which runs every program on the
+// local backend at several pool sizes and over the mux transport, and
+// the benchmark's compiler ladder.
 
 // A Program is one corpus entry: a textual IR function plus the
 // runtime scaffolding needed to run it on any backend. Every handler
@@ -272,7 +272,7 @@ func (p Program) env(f *ir.Func, handlers map[string]SessionOps) *Env {
 }
 
 // RunLocal executes f (the program's function, naive or transformed)
-// against rt — dedicated or pooled, per rt's configuration — with a
+// against rt, at rt's pool size, with a
 // fresh handler and model per handler variable. It returns the
 // observable outcome and the per-run counters. Counters are snapshotted
 // before the fingerprint queries, so they count exactly the program's

@@ -8,11 +8,10 @@
 //
 // The interpreter is written against the SessionOps interface, not a
 // concrete session type, so the same IR program runs unchanged on any
-// backend: a local core.Session (dedicated goroutines or the pooled
-// M:N executor — HandlerBinding), or a remote.Session over the mux
-// transport (RemoteBinding), where every sync and local query is a
-// real wire round-trip and the static pass's eliminated syncs become
-// eliminated round-trips.
+// backend: a local core.Session at any pool size (HandlerBinding), or a
+// remote.Session over the mux transport (RemoteBinding), where every
+// sync and local query is a real wire round-trip and the static pass's
+// eliminated syncs become eliminated round-trips.
 package interp
 
 import (
@@ -89,7 +88,7 @@ func (c *Counters) roundTrip() {
 // HandlerBinding connects an IR handler variable to a live local
 // session and the methods callable on the handler's state. Method
 // closures must only touch state owned by that handler. It implements
-// SessionOps for the in-process backends (dedicated and pooled).
+// SessionOps for the in-process backend.
 type HandlerBinding struct {
 	Session *core.Session
 	Methods map[string]func(args []int64) int64

@@ -8,9 +8,8 @@ import (
 	"scoopqs/internal/core"
 )
 
-// The interpreter's sync accounting must hold on the M:N executor
-// exactly as on dedicated goroutines: pool size is a scheduling
-// detail, not a semantics knob.
+// The interpreter's sync accounting must hold at every pool size: pool
+// size is a scheduling detail, not a semantics knob.
 func TestCopyLoopPooledWorkers(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {

@@ -62,8 +62,8 @@ func runRemoteOnce(t *testing.T, p Program, hvs []string, run func(*remote.Mux) 
 }
 
 // Every corpus program must produce the identical outcome on every
-// backend — dedicated goroutines, the pooled executor at 1 and 4
-// workers, and the mux transport against a live server — naive and
+// backend — the default pool, pools of 1 and 4 workers, and the mux
+// transport against a live server — naive and
 // optimized, and the optimized variant must never pay more round-trips.
 func TestCorpusRemoteMatchesLocal(t *testing.T) {
 	for _, p := range Corpus() {
@@ -92,10 +92,10 @@ func TestCorpusRemoteMatchesLocal(t *testing.T) {
 				return out
 			}
 			local := runLocal(0, naiveF)
-			for _, workers := range []int{0, 1, 4} { // 0 = dedicated goroutines
+			for _, workers := range []int{0, 1, 4} { // 0 = the default pool
 				for _, v := range variants {
 					if out := runLocal(workers, v.f); !local.Equal(out) {
-						t.Errorf("workers=%d %s diverged from dedicated naive:\n  want: %s\n  got:  %s", workers, v.name, local, out)
+						t.Errorf("workers=%d %s diverged from default naive:\n  want: %s\n  got:  %s", workers, v.name, local, out)
 					}
 				}
 			}

@@ -11,9 +11,9 @@ import (
 // the buffer is tiny (capacity 2), so producers and consumers spend
 // most of their time parked on wait conditions rather than moving
 // data. It exists to stress SeparateWhen — guard retries, the
-// guard-wait histogram, and wakeup fairness — under both dedicated and
-// pooled scheduling. Self-check: every produced value is consumed
-// exactly once (sum conservation) and the buffer ends empty.
+// guard-wait histogram, and wakeup fairness — at every pool size.
+// Self-check: every produced value is consumed exactly once (sum
+// conservation) and the buffer ends empty.
 
 // boundedBufCap is deliberately small: the guard should fail often.
 const boundedBufCap = 2

@@ -44,9 +44,10 @@ func BenchmarkQueryElided(b *testing.B) {
 	})
 }
 
-// BenchmarkCallSync256 logs 256 calls and then syncs, per op, on a
-// handler with a goroutine of its own and on a pool of GOMAXPROCS
-// workers; ns/call is the per-call cost.
+// BenchmarkCallSync256 logs 256 calls and then syncs, per op, under the
+// ladder's two configurations: the default pool (call_dedicated, named
+// after the retired dedicated mode) and an explicit pool of GOMAXPROCS workers
+// (call_pooled); ns/call is the per-call cost.
 func BenchmarkCallSync256(b *testing.B) {
 	const batch = 256
 	for _, cfg := range []Config{ConfigAll, ConfigAll.WithWorkers(runtime.GOMAXPROCS(0))} {

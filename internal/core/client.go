@@ -31,9 +31,9 @@ type Client struct {
 	// host is the handler whose code this client runs on (AsClient),
 	// nil for ordinary clients. It supplies the worker context for the
 	// scheduler's local-push fast path: requests this client logs wake
-	// their target on the hosting worker's own deque. On a pool the
-	// client's blocking operations also bracket their waits with the
-	// executor's compensation hooks, so it can spawn a replacement worker.
+	// their target on the hosting worker's own deque. The client's
+	// blocking operations also bracket their waits with the executor's
+	// compensation hooks, so it can spawn a replacement worker.
 	host *Handler
 
 	// waitingOn is the handler a host's client is blocked on in a sync
@@ -74,7 +74,7 @@ func (c *Client) flush() {
 // ordinary clients; for worker-hosted clients they keep the pool
 // supplied with runnable workers (see sched.Executor).
 func (c *Client) blockBegin() {
-	if c.host != nil && c.rt.exec != nil {
+	if c.host != nil {
 		// The worker context lets the executor republish this worker's
 		// local queue before the goroutine parks.
 		c.rt.exec.BlockingBegin(c.host.onWorker)
@@ -82,7 +82,7 @@ func (c *Client) blockBegin() {
 }
 
 func (c *Client) blockEnd() {
-	if c.host != nil && c.rt.exec != nil {
+	if c.host != nil {
 		c.rt.exec.BlockingEnd(c.host.onWorker)
 	}
 }
@@ -95,7 +95,7 @@ func (c *Client) park() {
 }
 
 // curWorker returns the pool worker the client's code is currently
-// running on, nil for clients (and hosts) on goroutines of their own.
+// running on, nil for clients on goroutines of their own.
 // Only meaningful on the calling goroutine itself: for a
 // handler-hosted client that is exactly the goroutine executing the
 // host's Step, so the plain read is ordered.
@@ -386,7 +386,7 @@ func (c *Client) parkWaiting(h *Handler) {
 // Await blocks until f resolves and returns its result. It is the
 // synchronization point of the futures subsystem:
 //
-//   - for a worker-hosted client (handler code on a pool) the wait is
+//   - for a worker-hosted client (handler code) the wait is
 //     bracketed with the executor's compensation hooks, like any other
 //     blocking operation;
 //   - after Runtime.Shutdown a future nothing resolved (one made with

@@ -7,10 +7,11 @@
 //
 // # Model
 //
-// Every piece of shared state is owned by exactly one Handler, a
-// goroutine that executes requests one at a time. A client accesses a
-// handler's state only inside a separate block (Client.Separate and
-// friends), which reserves a private queue (Session) on the handler.
+// Every piece of shared state is owned by exactly one Handler, an
+// active object that executes requests one at a time on the runtime's
+// worker pool. A client accesses a handler's state only inside a
+// separate block (Client.Separate and friends), which reserves a
+// private queue (Session) on the handler.
 // Within the block the client logs asynchronous calls (Session.Call)
 // and synchronous queries (Query). The runtime guarantees the paper's
 // two reasoning properties:
@@ -32,6 +33,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -66,17 +68,16 @@ type Config struct {
 	// the conservatism of the static analysis on irregular code.
 	StaticElide bool
 
-	// Workers selects who runs the handlers, which are resumable state
-	// machines either way (Handler.Step). Zero starts a goroutine for a
-	// handler each time its queues gain work, which ends when it runs
-	// dry: the paper's lightweight thread per handler. A positive value
-	// multiplexes all handlers of the runtime onto a pool of that many
-	// worker goroutines (the M:N executor), which take a handler off a
-	// shared ready queue whenever its queues gain work and move on when
-	// it runs dry. Either way an idle handler holds no goroutine. Pool
-	// workers that block inside handler code (a handler synchronously
-	// querying another handler) are compensated with replacement workers,
-	// so delegation chains deeper than the pool cannot deadlock it.
+	// Workers sizes the pool of worker goroutines that runs the handlers
+	// of the runtime (the M:N executor, sched.Executor); zero means
+	// runtime.GOMAXPROCS(0) at New. A handler is a resumable state
+	// machine (Handler.Step): a worker takes it off a ready queue when
+	// its queues gain work and moves on when it runs dry, so an idle
+	// handler holds no goroutine. Handler code blocks only through the
+	// runtime — queries, syncs, wait conditions, task joins — and a worker
+	// blocked that way is compensated with a replacement, so delegation
+	// chains deeper than the pool cannot deadlock it. A channel, WaitGroup
+	// or I/O wait inside handler code holds its worker.
 	Workers int
 }
 
@@ -90,7 +91,7 @@ var (
 )
 
 // Name returns the paper's label for the configuration, suffixed with
-// the pool size when the M:N executor is selected.
+// the pool size when one is set explicitly.
 func (c Config) Name() string {
 	var base string
 	switch {
@@ -114,7 +115,7 @@ func (c Config) Name() string {
 }
 
 // WithWorkers returns a copy of the configuration running on a pool of
-// n workers (n == 0 restores a goroutine per handler activation).
+// n workers (n == 0 restores the default, GOMAXPROCS).
 func (c Config) WithWorkers(n int) Config {
 	c.Workers = n
 	return c
@@ -157,11 +158,11 @@ type Stats struct {
 	FuturesCreated int64 // futures minted by CallFuture/QueryAsync (none by a remote server)
 	AwaitParks     int64 // always 0: a handler has no awaiting state; kept because bench/trace.go reads it
 
-	// Handler state-machine counters, the same with and without a pool.
+	// Handler state-machine counters.
 	Schedules    int64 // handler activations: made runnable by a wake or a spent step budget, each followed by one Step
 	HandlerParks int64 // handlers parked mid-session awaiting their client
 
-	// Pool counters, from here down; all zero when Config.Workers == 0.
+	// Pool counters, from here down.
 	WorkerSpawns int64 // compensation workers spawned for blocked ones
 	WorkerParks  int64 // pool workers parked idle
 
@@ -221,8 +222,7 @@ type Runtime struct {
 	cfg   Config
 	stats statsCounters
 
-	// exec is the shared M:N worker pool; nil when each handler
-	// activation starts a goroutine of its own (Config.Workers == 0).
+	// exec is the M:N worker pool that runs every handler.
 	exec *sched.Executor
 
 	mu       sync.Mutex
@@ -240,14 +240,15 @@ type Runtime struct {
 
 // New creates a runtime with the given configuration.
 func New(cfg Config) *Runtime {
-	rt := &Runtime{
+	n := cfg.Workers
+	if n == 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	return &Runtime{
 		cfg:   cfg,
+		exec:  sched.NewExecutor(n),
 		downC: make(chan struct{}),
 	}
-	if cfg.Workers > 0 {
-		rt.exec = sched.NewExecutor(cfg.Workers)
-	}
-	return rt
 }
 
 // Config returns the runtime's configuration.
@@ -259,18 +260,15 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 // query); see Stats.
 func (rt *Runtime) Stats() Stats {
 	st := rt.stats.snapshot()
-	if rt.exec != nil {
-		st.WorkerSpawns, st.WorkerParks = rt.exec.Counters()
-		st.Steals, st.InjectorPushes, st.LocalPushes = rt.exec.StealCounters()
-		st.TasksSpawned, st.TaskSteals, st.TaskWaitParks = rt.exec.TaskCounters()
-	}
+	st.WorkerSpawns, st.WorkerParks = rt.exec.Counters()
+	st.Steals, st.InjectorPushes, st.LocalPushes = rt.exec.StealCounters()
+	st.TasksSpawned, st.TaskSteals, st.TaskWaitParks = rt.exec.TaskCounters()
 	return st
 }
 
 // Executor exposes the runtime's work-stealing pool so clients can run
 // fork-join work (sched.ParallelFor and friends) on the same workers
-// that serve the handlers. Nil when cfg.Workers == 0: there is no
-// shared pool to join.
+// that serve the handlers. Never nil.
 func (rt *Runtime) Executor() *sched.Executor {
 	return rt.exec
 }
@@ -295,8 +293,8 @@ func (rt *Runtime) NewClient() *Client {
 }
 
 // Shutdown stops all handlers and waits for them to exit, then stops
-// the worker pool if one is running. All separate blocks must have
-// completed; entering a block after Shutdown panics with ErrShutdown.
+// the worker pool. All separate blocks must have completed; entering a
+// block after Shutdown panics with ErrShutdown.
 func (rt *Runtime) Shutdown() {
 	rt.mu.Lock()
 	if rt.down {
@@ -313,8 +311,6 @@ func (rt *Runtime) Shutdown() {
 		h.qoq.Close()
 	}
 	rt.wg.Wait()
-	if rt.exec != nil {
-		rt.exec.Stop()
-	}
+	rt.exec.Stop()
 	close(rt.downC)
 }

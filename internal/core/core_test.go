@@ -9,8 +9,8 @@ import (
 )
 
 // forEachConfig runs the test body under all five paper configurations,
-// each in both execution modes: dedicated handler goroutines and the
-// M:N worker-pool executor (Workers = GOMAXPROCS).
+// each with the default pool size and with the same size
+// (Workers = GOMAXPROCS) set explicitly.
 func forEachConfig(t *testing.T, body func(t *testing.T, cfg Config)) {
 	t.Helper()
 	for _, cfg := range Configs() {
@@ -733,7 +733,7 @@ func TestStatsSnapshot(t *testing.T) {
 func TestClientParkAnsweredOnce(t *testing.T) {
 	const rounds = 200
 	for _, base := range []Config{ConfigAll, ConfigNone} {
-		for _, workers := range []int{0, 2} {
+		for _, workers := range []int{0, 1, 2} {
 			cfg := base.WithWorkers(workers)
 			t.Run(cfg.Name(), func(t *testing.T) {
 				rt := New(cfg)

@@ -8,7 +8,10 @@ import (
 
 // Construct the §2.5 query cycle and check the detector reports it.
 func TestDetectDeadlockFindsQueryCycle(t *testing.T) {
-	rt := New(ConfigQoQ) // wedged by design; no Shutdown
+	// Two workers: the calls meet at a WaitGroup, a wait the pool cannot
+	// see, so both must be running at once (a pool of one would hold its
+	// only worker in the first call's Wait).
+	rt := New(ConfigQoQ.WithWorkers(2)) // wedged by design; no Shutdown
 	a := rt.NewHandler("a")
 	b := rt.NewHandler("b")
 

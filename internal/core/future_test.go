@@ -9,8 +9,10 @@ import (
 	"scoopqs/internal/future"
 )
 
-// futureModes are the execution modes the futures subsystem must behave
-// identically under: dedicated goroutines and the M:N executor.
+// futureModes are the pool sizes the futures subsystem must behave
+// identically under: the default (GOMAXPROCS; the row keeps the
+// "dedicated" label of the retired goroutine-per-activation mode so
+// the subtests keep their names) and an explicit 2.
 var futureModes = []struct {
 	name string
 	cfg  Config

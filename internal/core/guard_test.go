@@ -15,8 +15,8 @@ import (
 // CompareAndSwap: multi-handler blocks, lock-based configurations), the
 // handler-owned waiter list both are filed on, and which ENDs fire it.
 
-// forEachGuardConfig runs body under all five configurations, each
-// dedicated and pooled at 1 and 4 workers.
+// forEachGuardConfig runs body under all five configurations, each on
+// the default pool and on pools of 1 and 4 workers.
 func forEachGuardConfig(t *testing.T, body func(t *testing.T, cfg Config)) {
 	t.Helper()
 	for _, base := range Configs() {
@@ -780,13 +780,15 @@ func passToken(t *testing.T, rt *Runtime, hs []*Handler, hops int) {
 	})
 }
 
-// Without a pool an idle handler holds no goroutine: creating 10 000
-// adds none, and once a ring of 64 of them stops passing its token the
-// goroutines its hops started have all ended, before Shutdown.
+// An idle handler holds no goroutine: creating 10 000 adds none to the
+// pool's own workers, and once a ring of 64 of them stops passing its
+// token, before Shutdown, what is left over is at most the pool's spare
+// workers (the executor retires a compensation worker only past twice
+// its size) — a bound independent of the number of handlers.
 func TestIdleHandlersHoldNoGoroutines(t *testing.T) {
 	const handlers, ring, hops = 10000, 64, 20000
-	before := runtime.NumGoroutine()
 	rt := New(ConfigAll)
+	before := runtime.NumGoroutine()
 	hs := make([]*Handler, handlers)
 	for i := range hs {
 		hs[i] = rt.NewHandler("idle")
@@ -795,14 +797,14 @@ func TestIdleHandlersHoldNoGoroutines(t *testing.T) {
 		t.Errorf("%d idle handlers added %d goroutines, want 0", handlers, added)
 	}
 	passToken(t, rt, hs[:ring], hops)
-	settle(t, "the ring's goroutines ending before Shutdown", func() bool { return runtime.NumGoroutine() <= before })
+	spares := runtime.GOMAXPROCS(0) // the pool's size at New
+	settle(t, "the ring's goroutines ending before Shutdown", func() bool { return runtime.NumGoroutine() <= before+spares })
 	within(t, "Shutdown", rt.Shutdown)
 }
 
-// Each block on an idle handler without a pool is one activation, and
-// the goroutine it starts runs the handler's bound stepFn: a wake
-// allocates nothing.
-func TestDedicatedWakeAllocs(t *testing.T) {
+// Each block on an idle handler is one activation, and the pool runs it
+// from the handler's own scheduling token: a wake allocates nothing.
+func TestIdleWakeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool Puts at random; counts are pinned for the non-race build")
 	}
@@ -830,7 +832,7 @@ func TestDedicatedWakeAllocs(t *testing.T) {
 	st0 := rt.Stats()
 	runs = 0
 	if allocs := testing.AllocsPerRun(2000, run); allocs != 0 {
-		t.Errorf("a block on an idle dedicated handler = %.4f allocs, want 0", allocs)
+		t.Errorf("a block on an idle handler = %.4f allocs, want 0", allocs)
 	}
 	// A handler that goes idle mid-block, its client preempted past the
 	// engaged wait, is woken once more by the client's next request.

@@ -16,10 +16,8 @@ import (
 // touched from calls and queries executed through that handler.
 //
 // A handler is one resumable state machine (the h* states; Step, drain,
-// wakeFrom) and Config.Workers chooses who drives it: a goroutine started
-// for each activation that ends when Step returns (the paper's runtime),
-// or the runtime's worker pool. Either way it occupies a goroutine only
-// while it has work.
+// wakeFrom) that the runtime's worker pool drives: it occupies a worker
+// only while it has work.
 type Handler struct {
 	rt   *Runtime
 	id   int64
@@ -34,18 +32,23 @@ type Handler struct {
 	// Scheduling state (see the h* constants). cur is the session pinned
 	// mid-drain, owned by whichever goroutine holds the hRunning state;
 	// the wake/Step protocol guarantees exclusive, happens-before-ordered
-	// access. Exactly one of stepFn and task is set (see ready): the
-	// body of the goroutine each activation starts, or the scheduling
-	// token on the pool, each made once so wakes never heap-allocate.
-	// onWorker is the pool worker currently executing Step, nil on a
-	// goroutine of the handler's own; it is only read by code running on
-	// this handler (the same goroutine), which is what lets a handler's
-	// own enqueues take the executor's local-deque fast path.
+	// access. task is the handler's scheduling token on the pool, made
+	// once so wakes never heap-allocate. onWorker is the pool worker
+	// currently executing Step; it is only read by code running on this
+	// handler (the same goroutine), which is what lets a handler's own
+	// enqueues take the executor's local-deque fast path.
 	state    atomic.Int32
 	cur      *Session
-	stepFn   func()
 	task     *sched.Task
 	onWorker *sched.Worker
+
+	// spun is set when spinForWork has spent its engaged budget and
+	// cleared when the next request runs: one idle wait spends the
+	// budget at most once, however many wakes (another client's
+	// reservation, say) force re-passes over the pinned session. Owned
+	// like cur, and stored only when it changes, so the request path
+	// does not write next to the state word that wakers CAS.
+	spun bool
 
 	// resSpin is the per-handler spinlock that makes multi-handler
 	// reservations atomic (§3.3).
@@ -109,11 +112,7 @@ func (rt *Runtime) NewHandler(name string) *Handler {
 	h.qoq.SetNotify(h.wake)
 	rt.handlers = append(rt.handlers, h)
 	rt.wg.Add(1)
-	if rt.exec != nil {
-		h.task = sched.NewTask(h)
-	} else {
-		h.stepFn = func() { h.Step(nil) }
-	}
+	h.task = sched.NewTask(h)
 	rt.mu.Unlock()
 	return h
 }
@@ -132,27 +131,21 @@ func (h *Handler) ID() int64 { return h.id }
 func (h *Handler) AsClient() *Client {
 	if h.selfClient == nil {
 		h.selfClient = h.rt.NewClient()
-		// On a pool this client's code runs on executor workers; its
-		// blocking operations must notify the pool so replacements
-		// keep delegation chains deadlock-free, and its enqueues wake
-		// target handlers on the hosting worker's local deque.
+		// This client's code runs on executor workers; its blocking
+		// operations must notify the pool so replacements keep
+		// delegation chains deadlock-free, and its enqueues wake target
+		// handlers on the hosting worker's local deque.
 		h.selfClient.host = h
 		h.selfClientPub.Store(h.selfClient)
 	}
 	return h.selfClient
 }
 
-// ready hands a handler that has just entered hReady to its driver, once
-// per entry: w's local deque or the injector (nil w) on a pool, else a new
-// goroutine that runs one Step and ends. One Step per entry into hReady
-// is what keeps it to one goroutine at a time. stepFn, not a closure
-// here, keeps the wake free of allocations.
+// ready hands a handler that has just entered hReady to the pool, once
+// per entry: w's local deque, or the injector for a nil w. One Step per
+// entry into hReady is what keeps it on one worker at a time.
 func (h *Handler) ready(w *sched.Worker) {
 	h.rt.stats.schedules.Add(1)
-	if h.rt.exec == nil {
-		go h.stepFn()
-		return
-	}
 	h.rt.exec.ReadyLocal(w, h.task)
 }
 
@@ -190,17 +183,15 @@ func (h *Handler) wakeFrom(w *sched.Worker) {
 
 // stepBudget bounds the requests one Step executes before the handler
 // re-queues itself, so a handler fed by a fast client cannot starve
-// the other handlers sharing the pool (without a pool its re-ready
-// starts a fresh goroutine, which usually steps again at once).
+// the other handlers sharing the pool.
 const stepBudget = 1024
 
-// Step is the driver's entry point (a pool worker w, or with nil the
-// goroutine ready started): resume this handler and run it until it
-// exhausts available work, completes, or uses up its fairness budget.
-// Exclusive ownership is guaranteed by the wake protocol — Step runs
-// once after each transition to hReady. The worker is remembered for
-// the duration so enqueues made by this handler's code ride its local
-// deque.
+// Step is the pool's entry point (sched.Runnable), run by worker w:
+// resume this handler and run it until it exhausts available work,
+// completes, or uses up its fairness budget. Exclusive ownership is
+// guaranteed by the wake protocol — Step runs once after each
+// transition to hReady. The worker is remembered for the duration so
+// enqueues made by this handler's code ride its local deque.
 func (h *Handler) Step(w *sched.Worker) {
 	h.onWorker = w
 	h.state.Store(hRunning)
@@ -309,6 +300,9 @@ func (h *Handler) drain(budget *int) drainOutcome {
 				continue
 			}
 			*budget--
+			if h.spun {
+				h.spun = false
+			}
 			if h.execOne(s, c) {
 				break // session ended; back to the queue-of-queues
 			}
@@ -318,13 +312,20 @@ func (h *Handler) drain(budget *int) drainOutcome {
 
 // spinForWork is the engaged wait (sched.Engaged), core's only one: the
 // client's next request after a sync handshake is usually one scheduling
-// step away, so poll before leaving the block parked.
+// step away, so poll before leaving the block parked. Once the budget is
+// spent (spun), a re-pass before the next request polls only once: the
+// worker spinning here is one other handlers may be waiting for — with a
+// pool of one, the very handler the pinned client is parked on.
 func (h *Handler) spinForWork(s *Session) bool {
+	if h.spun {
+		return !s.q.Empty()
+	}
 	for i := 0; sched.Engaged.Poll(i); i++ {
 		if !s.q.Empty() {
 			return true
 		}
 	}
+	h.spun = true
 	return false
 }
 

@@ -23,7 +23,6 @@
 package qsimpl
 
 import (
-	"sort"
 	"time"
 
 	"scoopqs/internal/core"
@@ -316,18 +315,11 @@ func (im *Impl) Winnow(m *cowichan.Matrix, mask *cowichan.Mask, nw int) ([]cowic
 		}
 		t.Comm += time.Since(t2)
 
-		// Sort and select on the client. When the runtime is pooled, the
-		// sort is fork-join work on the same executor that runs the
-		// handlers — the unified scheduler serving both workloads; in
-		// dedicated-goroutine mode there is no pool to join, so sort
-		// sequentially. Point.Less is a total order, so both paths give
-		// the identical permutation.
+		// Sort and select on the client. The sort is fork-join work on
+		// the same executor that runs the handlers — the unified
+		// scheduler serving both workloads.
 		t3 := time.Now()
-		if e := im.rt.Executor(); e != nil {
-			sched.ParallelSort(e, pts, func(a, b cowichan.Point) bool { return a.Less(b) })
-		} else {
-			sort.Slice(pts, func(a, b int) bool { return pts[a].Less(pts[b]) })
-		}
+		sched.ParallelSort(im.rt.Executor(), pts, func(a, b cowichan.Point) bool { return a.Less(b) })
 		sel = cowichan.SelectPoints(pts, nw)
 		t.Compute += time.Since(t3)
 	})

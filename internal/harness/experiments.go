@@ -20,36 +20,26 @@ func configsInOrder() []core.Config {
 	}
 }
 
-// configs returns the optimization columns of this run — Options.
-// Configs if set, else the paper's five — each carrying the selected
-// executor pool size.
+// configs returns the optimization columns of this run: Options.Configs
+// if set, else the paper's five.
 func (o Options) configs() []core.Config {
-	base := o.Configs
-	if base == nil {
-		base = configsInOrder()
+	if o.Configs == nil {
+		return configsInOrder()
 	}
-	out := make([]core.Config, len(base))
-	for i, c := range base {
-		out[i] = c.WithWorkers(o.Pool)
-	}
-	return out
+	return o.Configs
 }
 
 // configNames returns the column headers matching configs().
 func (o Options) configNames() []string {
-	if o.Configs == nil && o.Pool == 0 {
+	if o.Configs == nil {
 		return ConfigNames
 	}
-	names := make([]string, 0, len(o.configs()))
-	for _, c := range o.configs() {
+	names := make([]string, 0, len(o.Configs))
+	for _, c := range o.Configs {
 		names = append(names, c.Name())
 	}
 	return names
 }
-
-// qsCfg is the configuration the cross-paradigm experiments run the Qs
-// implementation under: everything on, pool size per Options.
-func (o Options) qsCfg() core.Config { return core.ConfigAll.WithWorkers(o.Pool) }
 
 // commTimesByConfig measures the communication time of every parallel
 // task under every configuration (the data behind Table 1 and Fig. 16).
@@ -201,7 +191,7 @@ func (o Options) parallelByLang() map[string]map[string]cowichan.Timing {
 	out := map[string]map[string]cowichan.Timing{}
 	for _, lang := range CowLangs {
 		out[lang] = map[string]cowichan.Timing{}
-		im := NewImpl(lang, o.qsCfg(), o.Workers)
+		im := NewImpl(lang, core.ConfigAll, o.Workers)
 		for _, task := range CowTasks {
 			out[lang][task] = o.MeasureTiming(func() cowichan.Timing { return RunCowTask(task, im, in) })
 		}
@@ -240,7 +230,7 @@ func (o Options) sweepByCores() map[string]map[string][]cowichan.Timing {
 			n := n
 			var im cowichan.Impl
 			withProcs(n, func() {
-				im = NewImpl(lang, o.qsCfg(), n)
+				im = NewImpl(lang, core.ConfigAll, n)
 				for _, task := range CowTasks {
 					t := o.MeasureTiming(func() cowichan.Timing { return RunCowTask(task, im, in) })
 					out[lang][task] = append(out[lang][task], t)
@@ -322,7 +312,7 @@ func (o Options) concByLang() map[string][]time.Duration {
 		for _, lang := range concbench.Langs {
 			bench, lang := bench, lang
 			d := o.MeasureWall(func() {
-				if err := concbench.Run(bench, lang, o.qsCfg(), o.Conc); err != nil {
+				if err := concbench.Run(bench, lang, core.ConfigAll, o.Conc); err != nil {
 					panic(err)
 				}
 			})

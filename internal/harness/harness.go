@@ -29,10 +29,6 @@ type Options struct {
 	// Workers is the worker/handler count for parallel kernels at full
 	// width.
 	Workers int
-	// Pool is the Qs executor pool size: 0 runs handlers on dedicated
-	// goroutines (the paper's runtime), N > 0 multiplexes them onto N
-	// pool workers (core.Config.Workers).
-	Pool int
 	// Configs restricts the optimization-sweep experiments (Table 1/2,
 	// Fig. 16/17, Summary) to these columns; nil means the paper's
 	// five.

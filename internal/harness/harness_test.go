@@ -66,13 +66,12 @@ func TestAllExperimentsRender(t *testing.T) {
 	}
 }
 
-// The Pool and Configs options must thread through to the Qs runs and
-// the rendered column headers.
+// A restricted Configs list, pool size included, must thread through to
+// the Qs runs and the rendered column headers.
 func TestPoolAndConfigOptions(t *testing.T) {
 	var buf bytes.Buffer
 	o := tinyOptions(&buf)
-	o.Pool = 2
-	o.Configs = []core.Config{core.ConfigAll}
+	o.Configs = []core.Config{core.ConfigAll.WithWorkers(2)}
 	o.Table2()
 	out := buf.String()
 	if !strings.Contains(out, "All+pool2") {

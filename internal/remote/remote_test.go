@@ -11,10 +11,12 @@ import (
 	"scoopqs/internal/future"
 )
 
-// serverModes are the runtime shapes the server suite runs under:
-// dedicated handler goroutines and the pooled M:N executor at the two
-// interesting pool widths (Workers 1 forces maximal multiplexing,
-// Workers 4 exercises the work-stealing substrate).
+// serverModes are the runtime shapes the server suite runs under: the
+// default pool (GOMAXPROCS; the row keeps the "dedicated" label of the
+// retired goroutine-per-activation mode so the subtests keep their
+// names) and the two interesting explicit widths (Workers 1 forces
+// maximal multiplexing, Workers 4 exercises the work-stealing
+// substrate).
 var serverModes = []struct {
 	name string
 	cfg  core.Config

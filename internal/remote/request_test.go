@@ -139,7 +139,11 @@ type requestServer struct {
 func startRequestServer(t *testing.T) *requestServer {
 	t.Helper()
 	base := takeLeakBaseline()
-	rt := core.New(core.ConfigAll)
+	// Two workers: "hold" blocks the gate handler on a channel, a wait
+	// the pool cannot see, while another handler must answer (the
+	// sentinel of TestCloseShipsNoLateReplies); a pool of one would hold
+	// its only worker there.
+	rt := core.New(core.ConfigAll.WithWorkers(2))
 	srv := NewServer(rt)
 	gate := make(chan struct{})
 	var once sync.Once

@@ -1,8 +1,8 @@
 // Package sched provides the low-level scheduling primitives used by the
 // SCOOP/Qs runtime: a Parker, the WaitPolicy a consumer polls under
-// first, the M:N Executor that drives handlers on a pool (with its
+// first, the M:N Executor that drives every handler on a pool (with its
 // fork-join TaskGroup), and a spin-lock for atomic multi-handler
-// reservation. A handler itself never parks: it holds a goroutine only
+// reservation. A handler itself never parks: it holds a worker only
 // while it has work.
 //
 // The runtime waits in two ways. A Parker is what a client waits on,
@@ -14,11 +14,12 @@
 // state it waits for.
 //
 // The paper's runtime is built on three layers: task switching,
-// lightweight threads, and handlers. In this reproduction goroutines are
-// the lightweight threads and the Go scheduler performs task switching;
-// Parker supplies the blocking/handoff edge between them. Handing a
-// parked goroutine a token through a buffered channel approximates the
-// paper's direct handler-to-client control transfer after a sync: the Go
+// lightweight threads, and handlers. In this reproduction the Executor
+// switches handlers on a few pool workers, goroutines the Go scheduler
+// runs beside the clients' own; Parker supplies the blocking/handoff
+// edge between a client and the handlers it waits on. Handing a parked
+// goroutine a token through a buffered channel approximates the paper's
+// direct handler-to-client control transfer after a sync: the Go
 // runtime readies exactly the waiting goroutine without a global
 // scheduler pass.
 package sched

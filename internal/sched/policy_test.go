@@ -106,3 +106,43 @@ func TestHandlerParksAfterEngagedWait(t *testing.T) {
 		rt.Shutdown()
 	}
 }
+
+// The same wait while another client keeps reserving the handler: each
+// reservation's wake marks the running handler dirty and forces a
+// re-pass over the pinned session, and the re-passes must not spend the
+// budget again. The first reservation lands before the wait starts, so
+// there is always one. On a pool of one worker a handler that spun on
+// would hold the only worker for as long as the reservations kept coming.
+func TestHandlerParksAfterEngagedWaitWhileReserved(t *testing.T) {
+	const maxReservations = 1 << 16 // bounds the queue-of-queues if the handler never parks
+	rt := core.New(core.ConfigQoQ.WithWorkers(1))
+	h := rt.NewHandler("h")
+	entered, gate := make(chan struct{}), make(chan struct{})
+	first, reserved := make(chan struct{}), make(chan struct{})
+	rt.NewClient().Separate(h, func(s *core.Session) {
+		s.Call(func() { close(entered); <-gate })
+		<-entered
+		yields := yieldsFromNow()
+		parks := rt.Stats().HandlerParks
+		go func() {
+			defer close(reserved)
+			c := rt.NewClient()
+			empty := func(*core.Session) {}
+			c.Separate(h, empty)
+			close(first)
+			for i := 1; i < maxReservations && rt.Stats().HandlerParks == parks; i++ {
+				c.Separate(h, empty)
+			}
+		}()
+		<-first
+		close(gate)
+		if !eventually(10*time.Second, func() bool { return rt.Stats().HandlerParks > parks }) {
+			t.Error("handler did not park mid-block")
+		}
+		<-reserved
+		if n := yields(); n != sched.EngagedYields {
+			t.Errorf("spinForWork yielded %d times before parking, want %d", n, sched.EngagedYields)
+		}
+	})
+	rt.Shutdown()
+}
