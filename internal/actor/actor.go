@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 
 	"scoopqs/internal/queue"
+	"scoopqs/internal/sched"
 )
 
 var ids atomic.Uint64
@@ -28,7 +29,10 @@ var ids atomic.Uint64
 type Ref struct {
 	id   uint64
 	mbox *queue.MPSC[any]
-	done chan struct{}
+	// parker is what the actor waits on for mail: the mailbox wakes
+	// nobody, so every Send unparks it after the enqueue.
+	parker *sched.Parker
+	done   chan struct{}
 }
 
 // ID returns the actor's unique id.
@@ -44,6 +48,7 @@ func (r *Ref) Send(msg any) {
 	default:
 	}
 	r.mbox.Enqueue(DeepCopy(msg))
+	r.parker.Unpark()
 }
 
 // Join blocks until the actor's body function returns.
@@ -67,8 +72,22 @@ func (c *Ctx) Receive() any {
 		c.saved = c.saved[1:]
 		return m
 	}
-	m, _ := c.self.mbox.Dequeue()
-	return m
+	return c.next()
+}
+
+// next takes the next message from the mailbox, waiting as sched.Idle
+// while it is empty: the busy polls, then Park until a Send.
+func (c *Ctx) next() any {
+	r := c.self
+	for i := 0; ; i++ {
+		if m, ok := r.mbox.TryDequeue(); ok {
+			return m
+		}
+		if !sched.Idle.Poll(i) {
+			r.parker.Park()
+			i = 0
+		}
+	}
 }
 
 // ReceiveMatch returns the first message satisfying pred, blocking
@@ -82,7 +101,7 @@ func (c *Ctx) ReceiveMatch(pred func(any) bool) any {
 		}
 	}
 	for {
-		m, _ := c.self.mbox.Dequeue()
+		m := c.next()
 		if pred(m) {
 			return m
 		}
@@ -125,9 +144,10 @@ func (c *Ctx) Reply(req Request, v any) {
 // terminates when body returns.
 func Spawn(body func(c *Ctx)) *Ref {
 	r := &Ref{
-		id:   ids.Add(1),
-		mbox: queue.NewMPSC[any](0),
-		done: make(chan struct{}),
+		id:     ids.Add(1),
+		mbox:   queue.NewMPSC[any](0),
+		parker: sched.NewParker(),
+		done:   make(chan struct{}),
 	}
 	go func() {
 		defer close(r.done)

@@ -3,6 +3,7 @@ package actor
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -53,6 +54,51 @@ func TestPerSenderFIFO(t *testing.T) {
 			t.Fatalf("sender %d: got seq %d, want %d", m.Sender, m.Seq, next[m.Sender])
 		}
 		next[m.Sender]++
+	}
+}
+
+// An actor waiting for mail parks after a handful of busy polls
+// (sched.Idle), so when the next message is only sent once the actor has
+// taken the last, every hand-off finds it parked or between its last
+// empty poll and its Park — the window a Send's Unpark must not fall
+// into. K producers race to make each hand-off so the Send, and its
+// Unpark, come from changing goroutines. A lost wake-up leaves everyone
+// waiting.
+func TestMailboxParkWakeStorm(t *testing.T) {
+	const producers, handoffs = 4, 100000
+	var produced, consumed atomic.Int64 // equal: the actor has drained
+	a := Spawn(func(c *Ctx) {
+		for i := int64(0); i < handoffs; i++ {
+			if v := c.Receive(); v != i {
+				t.Errorf("hand-off %d: Receive = %v", i, v)
+			}
+			consumed.Store(i + 1)
+		}
+	})
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				n := consumed.Load()
+				if n == handoffs {
+					return
+				}
+				if produced.CompareAndSwap(n, n+1) {
+					a.Send(n)
+				} else {
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); a.Join(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("lost wake-up: %d sent, %d received of %d", produced.Load(), consumed.Load(), handoffs)
 	}
 }
 

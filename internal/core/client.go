@@ -138,15 +138,10 @@ func (c *Client) session(h *Handler) *Session {
 			return s
 		}
 	}
-	q := queue.NewSPSC[call](0)
-	// Logging a request on a parked handler makes it runnable. The hook
-	// evaluates the producer's worker at enqueue time, so a handler-hosted
-	// client wakes h on its own worker's deque (the fast path).
-	q.SetNotify(func() { h.wakeFrom(c.curWorker()) })
 	s := &Session{
 		h:     h,
 		owner: c,
-		q:     q,
+		q:     queue.NewSPSC[call](0),
 		inUse: true,
 	}
 	if first == nil {
@@ -327,7 +322,7 @@ func (c *Client) SeparateWhen(hs []*Handler, guard func([]*Session) bool, body f
 		// with the block started and the handler synced on it.
 		s := sessions[0]
 		c.wait.sessions, c.wait.guard = sessions, guard
-		s.q.Enqueue(call{kind: callGuard})
+		s.log(call{kind: callGuard})
 		c.parkWaiting(s.h)
 		if c.wait.sessions == nil {
 			panic(ErrShutdown) // released by a retiring handler

@@ -306,9 +306,10 @@ func (rt *Runtime) Shutdown() {
 	copy(hs, rt.handlers)
 	rt.mu.Unlock()
 	for _, h := range hs {
-		// Close notifies the handler (wake), so it steps once more to
+		// The queue wakes nobody: wake h so it steps once more to
 		// observe the close and retire.
 		h.qoq.Close()
+		h.wake()
 	}
 	rt.wg.Wait()
 	rt.exec.Stop()

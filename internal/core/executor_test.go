@@ -214,6 +214,58 @@ func TestShutdownReservationRace(t *testing.T) {
 	}
 }
 
+// A reservation a closing handler rejects must wake it: the handler may
+// have seen that producer's in-flight mark at its last look, found its
+// queue-of-queues not yet quiesced and gone idle, and only the rejected
+// producer knows to make it look again. The clients keep reserving
+// through Shutdown, so that a rejection is often in flight at that look.
+func TestShutdownWakesPastRejectedReservations(t *testing.T) {
+	for _, cfg := range []Config{ConfigQoQ, pooledAll(2)} {
+		t.Run(cfg.Name(), func(t *testing.T) {
+			for round := 0; round < 100; round++ {
+				rt := New(cfg)
+				h := rt.NewHandler("h")
+				stop := make(chan struct{})
+				var wg sync.WaitGroup
+				for i := 0; i < 4; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						c := rt.NewClient()
+						for rejected := 0; ; {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							s, err := c.TryReserve(h)
+							if err != nil {
+								if rejected++; rejected%64 == 0 {
+									runtime.Gosched() // let the pool's workers run Shutdown's last steps
+								}
+								continue
+							}
+							s.Sync() // one block at a time: no backlog for Shutdown to drain
+							c.End(s)
+						}
+					}()
+				}
+				time.Sleep(100 * time.Microsecond)
+				down := make(chan struct{})
+				go func() { rt.Shutdown(); close(down) }()
+				select {
+				case <-down:
+				case <-time.After(10 * time.Second):
+					close(stop) // the wedged runtime stays behind; its clients stop spinning
+					t.Fatalf("round %d: Shutdown did not return: a rejected reservation left its handler idle", round)
+				}
+				close(stop)
+				wg.Wait()
+			}
+		})
+	}
+}
+
 // The headline scaling shape: far more handlers than workers, all
 // passing a token around a ring. 10k handlers on a GOMAXPROCS-sized
 // pool must run to completion.

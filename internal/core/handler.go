@@ -106,10 +106,6 @@ func (rt *Runtime) NewHandler(name string) *Handler {
 		name: name,
 		qoq:  queue.NewMPSC[*Session](0),
 	}
-	// Installed before the handler is published, so producers always see
-	// it. Reservations use TryEnqueueNoNotify and wake with producer
-	// context instead; this hook covers Close and rejections.
-	h.qoq.SetNotify(h.wake)
 	rt.handlers = append(rt.handlers, h)
 	rt.wg.Add(1)
 	h.task = sched.NewTask(h)
@@ -149,17 +145,18 @@ func (h *Handler) ready(w *sched.Worker) {
 	h.rt.exec.ReadyLocal(w, h.task)
 }
 
-// wake is the context-free notification hook (queue Close, rejection
-// wakes); producers that know which worker they run on use wakeFrom.
+// wake is wakeFrom without a worker context, for the wakes that bring
+// no work: Shutdown's close and a rejected reservation.
 func (h *Handler) wake() { h.wakeFrom(nil) }
 
 // wakeFrom makes the handler runnable after one of its queues gained
-// work, scheduling it on w's local deque when the producer runs on a
-// pool worker — the fast re-ready path: a handler waking the next
-// handler of a message chain keeps it on its own (warm) worker, and
-// the executor skips the condvar when anyone is already scanning. A
-// nil w is a producer on a goroutine of its own. Spurious calls are
-// cheap and safe.
+// work (Session.log, Handler.enqueue) or its queue-of-queues may have
+// quiesced; the queues themselves wake nobody. It schedules the handler
+// on w's local deque when the producer runs on a pool worker — the
+// fast re-ready path: a handler waking the next handler of a message
+// chain keeps it on its own (warm) worker, and the executor skips the
+// condvar when anyone is already scanning. A nil w is a producer on a
+// goroutine of its own. Spurious calls are cheap and safe.
 func (h *Handler) wakeFrom(w *sched.Worker) {
 	for {
 		switch h.state.Load() {
@@ -507,12 +504,15 @@ func (rt *Runtime) enqueueGroup(ss []*Session, w *sched.Worker) bool {
 	return ok
 }
 
-// enqueue registers s with h's queue-of-queues and wakes h. The enqueue
-// is quiet and the wake carries the producer's worker context, so a
-// handler reserving another handler schedules it on its own worker's
-// deque. False means the runtime is shutting down.
+// enqueue registers s with h's queue-of-queues and wakes h. The wake
+// carries the producer's worker context, so a handler reserving another
+// handler schedules it on its own worker's deque. False means the
+// runtime is shutting down.
 func (h *Handler) enqueue(s *Session, w *sched.Worker) bool {
-	if !h.qoq.TryEnqueueNoNotify(s) {
+	if !h.qoq.TryEnqueue(s) {
+		// A retiring h may have seen our in-flight mark, now dropped, and
+		// found the queue not yet quiesced: wake it to look again.
+		h.wake()
 		return false
 	}
 	h.wakeFrom(w)

@@ -128,6 +128,17 @@ type Session struct {
 // Handler returns the handler this session is reserved on.
 func (s *Session) Handler() *Handler { return s.h }
 
+// log enqueues c on the private queue and wakes the handler, on the
+// worker the client's code runs on when a handler hosts it (the
+// local-push fast path). The queue wakes nobody itself. Whoever then
+// parks for the answer calls log before blockBegin (roundTrip): the
+// wake may leave h on this worker's own deque, and it is blockBegin
+// that rouses a worker to steal it.
+func (s *Session) log(c call) {
+	s.q.Enqueue(c)
+	s.h.wakeFrom(s.owner.curWorker())
+}
+
 // Call logs an asynchronous call on the handler (the call rule). It
 // never blocks and returns immediately; fn will run on the handler
 // after all previously logged requests of this session.
@@ -155,7 +166,7 @@ func (s *Session) logCall(kind callKind, fn func()) {
 	if obs.Enabled() {
 		c.at = obs.Now()
 	}
-	s.q.Enqueue(c)
+	s.log(c)
 }
 
 // Sync brings the handler to a quiescent point on this private queue:
@@ -205,11 +216,8 @@ func (s *Session) roundTrip(qfn func() any) {
 	if c.host != nil {
 		c.waitingOn.Store(s.h)
 	}
-	// Enqueue before park's blockBegin: a worker-hosted client's enqueue
-	// may park the woken handler on this worker's own deque with no wake
-	// (the lone-handoff fast path), and it is blockBegin that then
-	// rouses a worker to steal it before we park.
-	s.q.Enqueue(call{kind: callSync, qfn: qfn})
+	// Log before park's blockBegin (see log).
+	s.log(call{kind: callSync, qfn: qfn})
 	c.park()
 	if c.host != nil {
 		c.waitingOn.Store(nil)
@@ -268,7 +276,7 @@ func (s *Session) CallFuture(qfn func() any) *future.Future {
 	// The handler executes qfn and moves on without parking at the
 	// client's disposal, so the session is not synced afterwards.
 	s.synced = false
-	s.q.Enqueue(call{kind: callFuture, qfn: qfn, fut: fut})
+	s.log(call{kind: callFuture, qfn: qfn, fut: fut})
 	return fut
 }
 
@@ -294,7 +302,7 @@ func (s *Session) Err() error {
 // flushed first, so a block counted in EndsProcessed is counted in full.
 func (s *Session) end() {
 	s.owner.flush()
-	s.q.Enqueue(call{kind: callEnd})
+	s.log(call{kind: callEnd})
 	s.synced = false
 	s.inUse = false
 }
@@ -304,7 +312,7 @@ func (s *Session) end() {
 // fires nobody.
 func (s *Session) endWaiting(gen int64) {
 	s.owner.flush()
-	s.q.Enqueue(call{kind: callWait, at: gen})
+	s.log(call{kind: callWait, at: gen})
 	s.synced = false
 	s.inUse = false
 }

@@ -50,7 +50,7 @@ func BenchmarkAblationMPSCvsChannel(b *testing.B) {
 		go func() {
 			defer close(done)
 			for {
-				if _, ok := q.Dequeue(); !ok {
+				if _, ok := dequeue(q); !ok {
 					return
 				}
 			}

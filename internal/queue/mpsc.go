@@ -13,7 +13,7 @@ type mpscNode[T any] struct {
 
 // MPSC is an unbounded multiple-producer single-consumer queue in the
 // style of Vyukov's intrusive MPSC queue. Any number of goroutines may
-// Enqueue; exactly one may Dequeue. Producers never block and are
+// Enqueue; exactly one may TryDequeue. Producers never block and are
 // wait-free apart from one atomic exchange. The consumer observes each
 // producer's items in that producer's order (per-producer FIFO), which
 // is exactly the guarantee the queue-of-queues needs.
@@ -32,9 +32,7 @@ type mpscNode[T any] struct {
 type MPSC[T any] struct {
 	headP    atomic.Pointer[mpscNode[T]] // producers swap here (newest node)
 	inflight atomic.Int64                // producers inside TryEnqueue
-	parker   *sched.Parker
 	closed   atomic.Bool
-	notify   func() // set before use; replaces parker wakeups when non-nil
 
 	// Producer-side free list: first is the oldest node not yet
 	// reclaimed, fenced by the consumer's published position. reclaim
@@ -51,12 +49,10 @@ type MPSC[T any] struct {
 	tailC *mpscNode[T] // consumer-owned: most recently consumed node
 }
 
-// NewMPSC returns an empty queue whose blocking consumer waits as
-// sched.Idle: an actor with no message. The argument is ignored, as
-// NewSPSC's.
+// NewMPSC returns an empty queue. The argument is ignored, as NewSPSC's.
 func NewMPSC[T any](int) *MPSC[T] {
 	stub := &mpscNode[T]{}
-	q := &MPSC[T]{tailC: stub, first: stub, parker: sched.NewParker()}
+	q := &MPSC[T]{tailC: stub, first: stub}
 	q.headP.Store(stub)
 	q.pos.Store(stub)
 	return q
@@ -84,24 +80,6 @@ func (q *MPSC[T]) newNode(v T) *mpscNode[T] {
 	return &mpscNode[T]{v: v}
 }
 
-// SetNotify installs a became-non-empty notification hook: every
-// Enqueue (and Close) invokes fn instead of unparking a dedicated
-// consumer, so an external scheduler can make the consumer runnable
-// rather than waking a parked goroutine. The consumer must then poll
-// with TryDequeue — blocking Dequeue would never be woken. SetNotify
-// must be called before the queue is shared; fn must be non-blocking
-// and safe to call concurrently and spuriously.
-func (q *MPSC[T]) SetNotify(fn func()) { q.notify = fn }
-
-// wake signals the consumer after a state change.
-func (q *MPSC[T]) wake() {
-	if q.notify != nil {
-		q.notify()
-		return
-	}
-	q.parker.Unpark()
-}
-
 // Enqueue appends v. Safe for concurrent use by many producers; never
 // blocks. Enqueue on a closed queue panics.
 func (q *MPSC[T]) Enqueue(v T) {
@@ -113,47 +91,30 @@ func (q *MPSC[T]) Enqueue(v T) {
 // TryEnqueue appends v unless the queue is closed, in which case it
 // reports false and leaves the queue untouched. An enqueue racing
 // Close may still be accepted; Quiesced lets the consumer wait out
-// such in-flight producers before treating the queue as finished.
+// such in-flight producers before treating the queue as finished, and
+// a rejected producer whose consumer may be deciding whether to retire
+// must wake it to look again.
 func (q *MPSC[T]) TryEnqueue(v T) bool {
-	return q.tryEnqueue(v, true)
-}
-
-// TryEnqueueNoNotify is TryEnqueue without the success-side
-// became-non-empty notification, for producers that deliver a more
-// specific wake themselves (the scheduler's local-push path passes the
-// producing worker along). The rejection-side wake still fires — a
-// consumer deciding whether to retire must re-evaluate regardless of
-// who would have delivered the success wake.
-func (q *MPSC[T]) TryEnqueueNoNotify(v T) bool {
-	return q.tryEnqueue(v, false)
-}
-
-func (q *MPSC[T]) tryEnqueue(v T, notify bool) bool {
 	q.inflight.Add(1)
 	if q.closed.Load() {
 		q.inflight.Add(-1)
-		// A consumer deciding whether to retire may have observed our
-		// in-flight mark; wake it so it re-evaluates.
-		q.wake()
 		return false
 	}
 	n := q.newNode(v)
 	prev := q.headP.Swap(n) // serialization point
 	prev.next.Store(n)      // publish; the chain is briefly broken between these
 	q.inflight.Add(-1)
-	if notify {
-		q.wake()
-	}
 	return true
 }
 
-// Close marks the end of the stream: once drained, Dequeue reports
-// ok=false. Any goroutine may call Close; it is idempotent. Producers
-// must not Enqueue after Close.
-func (q *MPSC[T]) Close() {
-	q.closed.Store(true)
-	q.wake()
-}
+// TryEnqueueNoNotify is TryEnqueue, under the name the benchmark's
+// contended-MPSC rung calls.
+func (q *MPSC[T]) TryEnqueueNoNotify(v T) bool { return q.TryEnqueue(v) }
+
+// Close marks the end of the stream: TryEnqueue rejects from now on,
+// and once the accepted items are drained Quiesced reports true. It
+// wakes nobody. Any goroutine may call Close; it is idempotent.
+func (q *MPSC[T]) Close() { q.closed.Store(true) }
 
 // Closed reports whether Close has been called. A closed queue may
 // still hold undrained items.
@@ -172,7 +133,7 @@ func (q *MPSC[T]) Quiesced() bool {
 
 // TryDequeue removes the head item without blocking. ok=false means the
 // queue is momentarily empty, a producer is mid-enqueue, or the queue is
-// closed and drained; use Dequeue to distinguish.
+// closed and drained; use Quiesced to distinguish.
 func (q *MPSC[T]) TryDequeue() (v T, ok bool) {
 	tail := q.tailC
 	next := tail.next.Load()
@@ -195,23 +156,6 @@ func (q *MPSC[T]) TryDequeue() (v T, ok bool) {
 	// may be harvested by producers.
 	q.pos.Store(next)
 	return v, true
-}
-
-// Dequeue removes the head item, blocking while the queue is empty and
-// open. ok=false means the queue is closed and fully drained.
-func (q *MPSC[T]) Dequeue() (v T, ok bool) {
-	for i := 0; ; i++ {
-		if v, ok = q.TryDequeue(); ok {
-			return v, true
-		}
-		if q.Quiesced() {
-			return v, false
-		}
-		if !sched.Idle.Poll(i) {
-			q.parker.Park()
-			i = 0
-		}
-	}
 }
 
 // Empty reports whether the queue currently appears empty. Advisory

@@ -5,7 +5,21 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"scoopqs/internal/sched"
 )
+
+// dequeue is an MPSC consumer's poll loop, which the queue does not
+// provide: TryDequeue until an item arrives, or ok=false once the queue
+// has quiesced (closed and drained, with no producer mid-enqueue).
+func dequeue[T any](q *MPSC[T]) (v T, ok bool) {
+	for i := 0; ; i++ {
+		if v, ok = q.TryDequeue(); ok || q.Quiesced() {
+			return v, ok
+		}
+		sched.SpinWait(i)
+	}
+}
 
 func TestSPSCOrder(t *testing.T) {
 	q := NewSPSC[int](0)
@@ -123,7 +137,7 @@ func TestMPSCSingleProducerOrder(t *testing.T) {
 		q.Close()
 	}()
 	for i := 0; i < n; i++ {
-		v, ok := q.Dequeue()
+		v, ok := dequeue(q)
 		if !ok || v != i {
 			t.Fatalf("got %d,%v want %d,true", v, ok, i)
 		}
@@ -158,7 +172,7 @@ func TestMPSCManyProducers(t *testing.T) {
 	next := make([]int, producers)
 	total := 0
 	for {
-		v, ok := q.Dequeue()
+		v, ok := dequeue(q)
 		if !ok {
 			break
 		}
@@ -170,25 +184,6 @@ func TestMPSCManyProducers(t *testing.T) {
 	}
 	if total != producers*perProducer {
 		t.Fatalf("received %d items, want %d", total, producers*perProducer)
-	}
-}
-
-func TestMPSCCloseReleasesConsumer(t *testing.T) {
-	q := NewMPSC[int](0)
-	done := make(chan bool)
-	go func() {
-		_, ok := q.Dequeue()
-		done <- ok
-	}()
-	time.Sleep(20 * time.Millisecond)
-	q.Close()
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatal("expected ok=false")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocked consumer not released")
 	}
 }
 
@@ -204,6 +199,41 @@ func TestMPSCTryDequeue(t *testing.T) {
 	if !q.Empty() {
 		t.Fatal("queue should be empty")
 	}
+}
+
+func TestMPSCTryEnqueueClosed(t *testing.T) {
+	q := NewMPSC[int](0)
+	if !q.TryEnqueue(1) {
+		t.Fatal("TryEnqueue on open queue failed")
+	}
+	if q.Closed() {
+		t.Fatal("Closed() true before Close")
+	}
+	q.Close()
+	if !q.Closed() {
+		t.Fatal("Closed() false after Close")
+	}
+	if q.TryEnqueue(2) {
+		t.Fatal("TryEnqueue on closed queue succeeded")
+	}
+	// The pre-close item must still drain.
+	if v, ok := q.TryDequeue(); !ok || v != 1 {
+		t.Fatalf("drain after close = (%d,%v), want (1,true)", v, ok)
+	}
+	if _, ok := q.TryDequeue(); ok {
+		t.Fatal("rejected item was enqueued anyway")
+	}
+}
+
+func TestMPSCEnqueueClosedStillPanics(t *testing.T) {
+	q := NewMPSC[int](0)
+	q.Close()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Enqueue on closed MPSC did not panic")
+		}
+	}()
+	q.Enqueue(1)
 }
 
 func TestMPSCStressInterleaved(t *testing.T) {
@@ -228,7 +258,7 @@ func TestMPSCStressInterleaved(t *testing.T) {
 	}()
 	sum := 0
 	for {
-		v, ok := q.Dequeue()
+		v, ok := dequeue(q)
 		if !ok {
 			break
 		}
@@ -265,7 +295,7 @@ func BenchmarkMPSCEnqueue(b *testing.B) {
 	q := NewMPSC[int](0)
 	go func() {
 		for {
-			if _, ok := q.Dequeue(); !ok {
+			if _, ok := dequeue(q); !ok {
 				return
 			}
 		}
@@ -326,7 +356,7 @@ func TestMPSCRecycleManyProducers(t *testing.T) {
 	}
 	total := 0
 	for {
-		v, ok := q.Dequeue()
+		v, ok := dequeue(q)
 		if !ok {
 			break
 		}

@@ -9,11 +9,13 @@
 //     only the owning handler dequeues.
 //
 // Both queues are unbounded linked queues in the style of Vyukov's
-// non-intrusive queues. Producers never block. The consumer blocks
-// when the queue is empty, after the polls its sched.WaitPolicy allows,
-// and Close releases a blocked consumer: Dequeue then reports ok=false
-// once the queue is drained, matching the paper's handler loop in which a
-// false dequeue means "no more work / shut down", not "momentarily empty".
+// non-intrusive queues, and both are plain containers: they hold items
+// and wake nobody. Producers never block. Consumers poll with
+// TryDequeue, and whoever parks owns the wake-up: the producer that
+// hands a parked consumer work wakes it after the enqueue (internal/core
+// readies the handler, internal/actor unparks the mailbox's owner).
+// Close marks the end of a stream; an MPSC consumer may retire once
+// Quiesced reports that no item can ever appear again.
 package queue
 
 import (
@@ -41,9 +43,7 @@ type spscNode[T any] struct {
 // queues here are per-session and die with their client's cache).
 type SPSC[T any] struct {
 	head   *spscNode[T] // consumer-owned: most recently consumed node
-	parker *sched.Parker
 	closed atomic.Bool
-	notify func() // set before use; replaces parker wakeups when non-nil
 
 	// pos is the consumer's published chain position: every node
 	// strictly before it has been consumed and may be reused.
@@ -54,12 +54,11 @@ type SPSC[T any] struct {
 	first *spscNode[T] // producer-owned: oldest node not yet reclaimed
 }
 
-// NewSPSC returns an empty queue whose consumer waits as sched.Engaged:
-// it is a handler inside a block. The argument, once a poll budget that
+// NewSPSC returns an empty queue. The argument, once a poll budget that
 // every caller left at 0, is ignored.
 func NewSPSC[T any](int) *SPSC[T] {
 	stub := &spscNode[T]{}
-	q := &SPSC[T]{head: stub, tail: stub, first: stub, parker: sched.NewParker()}
+	q := &SPSC[T]{head: stub, tail: stub, first: stub}
 	q.pos.Store(stub)
 	return q
 }
@@ -79,24 +78,6 @@ func (q *SPSC[T]) newNode(v T) *spscNode[T] {
 	return &spscNode[T]{v: v}
 }
 
-// SetNotify installs a became-non-empty notification hook: every
-// Enqueue (and Close) invokes fn instead of unparking a dedicated
-// consumer, so an external scheduler can make the consumer runnable
-// rather than waking a parked goroutine. The consumer must then poll
-// with TryDequeue — blocking Dequeue would never be woken. SetNotify
-// must be called before the queue is shared; fn must be non-blocking
-// and safe to call spuriously.
-func (q *SPSC[T]) SetNotify(fn func()) { q.notify = fn }
-
-// wake signals the consumer after a state change.
-func (q *SPSC[T]) wake() {
-	if q.notify != nil {
-		q.notify()
-		return
-	}
-	q.parker.Unpark()
-}
-
 // Enqueue appends v. It never blocks. Enqueue after Close panics.
 func (q *SPSC[T]) Enqueue(v T) {
 	if q.closed.Load() {
@@ -105,16 +86,12 @@ func (q *SPSC[T]) Enqueue(v T) {
 	n := q.newNode(v)
 	q.tail.next.Store(n) // publish
 	q.tail = n
-	q.wake()
 }
 
-// Close marks the end of the stream. The consumer drains remaining
-// items and then Dequeue reports ok=false. Only the producer may call
-// Close. Close is idempotent.
-func (q *SPSC[T]) Close() {
-	q.closed.Store(true)
-	q.wake()
-}
+// Close marks the end of the stream for Dequeue, which reports ok=false
+// once the remaining items are drained. It wakes nobody. Only the
+// producer may call Close. Close is idempotent.
+func (q *SPSC[T]) Close() { q.closed.Store(true) }
 
 // TryDequeue removes the head item without blocking. ok is false if the
 // queue is momentarily empty or closed-and-drained.
@@ -133,8 +110,9 @@ func (q *SPSC[T]) TryDequeue() (v T, ok bool) {
 	return v, true
 }
 
-// Dequeue removes the head item, blocking while the queue is empty and
-// open. ok=false means the queue is closed and fully drained.
+// Dequeue removes the head item, polling while the queue is empty and
+// open: SpinWait's busy polls, then a yield per poll. It never parks.
+// ok=false means the queue is closed and fully drained.
 func (q *SPSC[T]) Dequeue() (v T, ok bool) {
 	for i := 0; ; i++ {
 		if v, ok = q.TryDequeue(); ok {
@@ -145,10 +123,7 @@ func (q *SPSC[T]) Dequeue() (v T, ok bool) {
 			// enqueued right before closing.
 			return q.TryDequeue()
 		}
-		if !sched.Engaged.Poll(i) {
-			q.parker.Park()
-			i = 0
-		}
+		sched.SpinWait(i)
 	}
 }
 

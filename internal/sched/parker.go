@@ -7,7 +7,8 @@
 //
 // The runtime waits in two ways. A Parker is what a client waits on,
 // one answer at a time (a sync, a packaged query, the start of its
-// guarded block), and what a blocking-queue consumer waits on. Every
+// guarded block), and what an actor waits on for mail; its waker
+// unparks it after handing it work, since the queues wake nobody. Every
 // other waiter — an idle pool worker, a parked fork-join join, a
 // connection's producer at its writer's byte budget, an admission at
 // zero credits — waits on a sync.Cond over the mutex guarding the

@@ -5,13 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"scoopqs/internal/actor"
 	"scoopqs/internal/core"
-	"scoopqs/internal/queue"
 	"scoopqs/internal/sched"
 )
 
 // The wait policy is pinned where it is applied: how often each of the
-// runtime's three waits for work goes through the Go scheduler before it
+// runtime's two waits for work goes through the Go scheduler before it
 // blocks.
 
 // yieldsFromNow returns a reading of the yields made since the call.
@@ -30,53 +30,25 @@ func eventually(d time.Duration, cond func() bool) bool {
 	return true
 }
 
-// An idle handler's wait on its queue-of-queues never yields: nobody is
-// about to serve it, so it parks after the busy polls.
+// An actor's wait for mail never yields: nobody owes it a message, so
+// it parks after the busy polls (sched.Idle).
 func TestIdleDequeueParksWithoutYielding(t *testing.T) {
 	yields := yieldsFromNow()
-	q := queue.NewMPSC[int](0)
-	got := make(chan int)
-	go func() {
-		v, _ := q.Dequeue()
-		got <- v
-	}()
+	got := make(chan any)
+	a := actor.Spawn(func(c *actor.Ctx) { got <- c.Receive() })
 	// The window is what an engaged wait needs to start yielding; an idle
 	// one stays at zero however long it is.
 	if eventually(20*time.Millisecond, func() bool { return yields() > 0 }) {
 		time.Sleep(20 * time.Millisecond) // let it finish, for the message
-		t.Fatalf("Dequeue on an empty open MPSC yielded %d times before parking, want 0", yields())
+		t.Fatalf("Receive on an empty mailbox yielded %d times before parking, want 0", yields())
 	}
-	q.Enqueue(7)
+	a.Send(7)
 	if v := <-got; v != 7 {
-		t.Fatalf("Dequeue = %d, want 7", v)
+		t.Fatalf("Receive = %v, want 7", v)
 	}
+	a.Join()
 	if n := yields(); n != 0 {
 		t.Fatalf("%d yields over a parked hand-off, want 0", n)
-	}
-}
-
-// An engaged handler's wait on its client's private queue spends the
-// whole yield budget, and no more, before it parks.
-func TestEngagedDequeueYieldsThenParks(t *testing.T) {
-	yields := yieldsFromNow()
-	q := queue.NewSPSC[int](0)
-	got := make(chan int)
-	go func() {
-		v, _ := q.Dequeue()
-		got <- v
-	}()
-	if !eventually(10*time.Second, func() bool { return yields() >= sched.EngagedYields }) {
-		t.Fatalf("Dequeue on an empty open SPSC yielded %d times, want %d", yields(), sched.EngagedYields)
-	}
-	if eventually(20*time.Millisecond, func() bool { return yields() > sched.EngagedYields }) {
-		t.Fatalf("%d yields, budget is %d: the consumer did not park", yields(), sched.EngagedYields)
-	}
-	q.Enqueue(7)
-	if v := <-got; v != 7 {
-		t.Fatalf("Dequeue = %d, want 7", v)
-	}
-	if n := yields(); n != sched.EngagedYields {
-		t.Fatalf("%d yields in all, want %d", n, sched.EngagedYields)
 	}
 }
 
