@@ -734,12 +734,11 @@ func TestNewHandlerAllocs(t *testing.T) {
 	}
 }
 
-// A handler without a pool has a goroutine only while it has work: drain
-// finds it without a client, Step takes it to hIdle and returns, and its
-// goroutine ends. So in a ring every hop's wakeFrom makes the hIdle→hReady
-// CAS of a handler that is idle or on its way there and starts its next
-// goroutine with go, and each confirming query parks the passing handler's
-// client side in turn. A wake-up lost on either edge stops the token.
+// A handler holds a pool worker only while it has work: drain finds it
+// without a client, Step takes it to hIdle and returns the worker. So in a
+// ring every hop's wakeFrom makes the hIdle→hRunning CAS of a handler that
+// is idle or on its way there and pushes it onto the pool, and each
+// confirming query parks the passing handler's client side in turn. A wake-up lost on either edge stops the token.
 // Shutdown then finds all 64 handlers idle (they have had nothing to do
 // since the token stopped) and must retire them.
 // CI runs it under -race at GOMAXPROCS 1, 2 and 4.

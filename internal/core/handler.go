@@ -26,7 +26,7 @@ type Handler struct {
 	// qoq is the queue-of-queues: private queues are enqueued by
 	// clients at reservation time and dequeued by drain. In lock-based
 	// mode it holds at most one live session because resMu serializes
-	// reservations.
+	// blocks.
 	qoq *queue.MPSC[*Session]
 
 	// Scheduling state (see the h* constants). cur is the session pinned
@@ -50,13 +50,11 @@ type Handler struct {
 	// does not write next to the state word that wakers CAS.
 	spun bool
 
-	// resSpin is the per-handler spinlock that makes multi-handler
-	// reservations atomic (§3.3).
-	resSpin sched.SpinLock
-
-	// resMu is the handler lock of the original SCOOP semantics,
-	// used only when Config.QoQ is false. A client holds it for the
-	// entire duration of its separate block.
+	// resMu is the handler's reservation lock. Under Config.QoQ it is
+	// held only while a multi-handler reservation enqueues its group,
+	// which makes the group atomic (§3.3); in lock-based mode it is the
+	// handler lock of the original SCOOP semantics (Fig. 2), held by a
+	// client for its whole separate block.
 	resMu sync.Mutex
 
 	// waiters files the clients whose guard on this handler failed, until
@@ -71,14 +69,13 @@ type Handler struct {
 	selfClientPub atomic.Pointer[Client]
 }
 
-// Handler states. A handler is hIdle when it has no known work, hReady
-// once made runnable (ready) and until its driver calls Step, hRunning
-// while Step drains it, hRunningDirty when a wake arrived during a
-// drain (forcing one more pass before idling), and hDone once its
-// queue-of-queues is closed and drained.
+// Handler states. A handler is hIdle when it has no known work,
+// hRunning from the wake that hands it to the pool (ready) until it
+// idles again — queued and draining alike — hRunningDirty when a wake
+// arrived in that time (forcing one more pass before idling), and hDone
+// once its queue-of-queues is closed and drained.
 const (
 	hIdle int32 = iota
-	hReady
 	hRunning
 	hRunningDirty
 	hDone
@@ -137,9 +134,10 @@ func (h *Handler) AsClient() *Client {
 	return h.selfClient
 }
 
-// ready hands a handler that has just entered hReady to the pool, once
-// per entry: w's local deque, or the injector for a nil w. One Step per
-// entry into hReady is what keeps it on one worker at a time.
+// ready hands a running handler to the pool: w's local deque, or the
+// injector for a nil w. It is called once per hIdle→hRunning wake and
+// once per spent step budget, and one Step per call is what keeps the
+// handler on one worker at a time.
 func (h *Handler) ready(w *sched.Worker) {
 	h.rt.stats.schedules.Add(1)
 	h.rt.exec.ReadyLocal(w, h.task)
@@ -156,23 +154,25 @@ func (h *Handler) wake() { h.wakeFrom(nil) }
 // fast re-ready path: a handler waking the next handler of a message
 // chain keeps it on its own (warm) worker, and the executor skips the
 // condvar when anyone is already scanning. A nil w is a producer on a
-// goroutine of its own. Spurious calls are cheap and safe.
+// goroutine of its own. A wake that finds the handler queued or
+// draining marks it dirty, and the Step to come or in progress makes one
+// more pass. Spurious calls are cheap and safe.
 func (h *Handler) wakeFrom(w *sched.Worker) {
 	for {
 		switch h.state.Load() {
 		case hIdle:
-			if h.state.CompareAndSwap(hIdle, hReady) {
+			if h.state.CompareAndSwap(hIdle, hRunning) {
 				if obs.Enabled() {
 					emitOn(w, obs.KindHandlerReady, uint64(h.id), 0)
 				}
 				h.ready(w)
 				return
 			}
-		case hReady, hRunningDirty, hDone:
-			return // already scheduled, will re-check, or retired
+		case hRunningDirty, hDone:
+			return // will re-check, or retired
 		case hRunning:
 			if h.state.CompareAndSwap(hRunning, hRunningDirty) {
-				return // the running Step will make another pass
+				return // the queued or running Step will make another pass
 			}
 		}
 	}
@@ -186,9 +186,10 @@ const stepBudget = 1024
 // Step is the pool's entry point (sched.Runnable), run by worker w:
 // resume this handler and run it until it exhausts available work,
 // completes, or uses up its fairness budget. Exclusive ownership is
-// guaranteed by the wake protocol — Step runs once after each
-// transition to hReady. The worker is remembered for the duration so
-// enqueues made by this handler's code ride its local deque.
+// guaranteed by the wake protocol — Step runs once per ready. Its
+// opening store clears a dirty mark left by wakes while it was queued:
+// the first poll sees their work. The worker is remembered for the
+// duration so enqueues made by this handler's code ride its local deque.
 func (h *Handler) Step(w *sched.Worker) {
 	h.onWorker = w
 	h.state.Store(hRunning)
@@ -211,7 +212,7 @@ func (h *Handler) Step(w *sched.Worker) {
 			h.rt.wg.Done()
 			return
 		case drainBudget:
-			h.state.Store(hReady)
+			// Still hRunning (or dirty): the next Step owns the handler.
 			h.noteRun(w, runT0)
 			// Through the injector, not the local deque: the budget
 			// exists to round-robin a saturated handler with everyone
@@ -484,19 +485,25 @@ func (h *Handler) releaseWaiters() {
 }
 
 // enqueueGroup registers a block's sessions — one per handler, in id
-// order — as one atomic group, holding every handler's reservation
-// spinlock (§3.3; uncontended in lock-based mode, whose caller holds the
-// handler locks). w is as for enqueue; false means shutting down.
+// order — as one atomic group (§3.3). Under Config.QoQ it holds every
+// handler's resMu, taken in id order, while it enqueues; in lock-based
+// mode the caller already holds them for the whole block. w is as for
+// enqueue; false means shutting down.
 func (rt *Runtime) enqueueGroup(ss []*Session, w *sched.Worker) bool {
-	for _, s := range ss {
-		s.h.resSpin.Lock()
+	qoq := rt.cfg.QoQ
+	if qoq {
+		for _, s := range ss {
+			s.h.resMu.Lock()
+		}
 	}
 	ok := true
 	for _, s := range ss {
 		ok = ok && s.h.enqueue(s, w)
 	}
-	for i := len(ss) - 1; i >= 0; i-- {
-		ss[i].h.resSpin.Unlock()
+	if qoq {
+		for i := len(ss) - 1; i >= 0; i-- {
+			ss[i].h.resMu.Unlock()
+		}
 	}
 	if ok {
 		rt.stats.multiResGroups.Add(1)

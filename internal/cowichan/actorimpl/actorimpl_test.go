@@ -1,7 +1,9 @@
 package actorimpl
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"scoopqs/internal/cowichan"
 )
@@ -10,19 +12,30 @@ func params() cowichan.Params {
 	return cowichan.Params{NR: 40, P: 25, NW: 40, Seed: 9}
 }
 
+// One Thresh is a few hundred microseconds, where a single descheduling
+// can swap comm and compute, so the test compares the medians of five runs.
 func TestCommDominatesForActors(t *testing.T) {
 	im := New(2)
 	defer im.Close()
 	p := params()
 	seq := cowichan.NewSeq()
 	m, _ := seq.Randmat(p)
-	_, tm := im.Thresh(m, p.P)
-	if tm.Comm <= 0 {
+	const runs = 5
+	var comm, compute []time.Duration
+	for range runs {
+		_, tm := im.Thresh(m, p.P)
+		comm = append(comm, tm.Comm)
+		compute = append(compute, tm.Compute)
+	}
+	slices.Sort(comm)
+	slices.Sort(compute)
+	medComm, medCompute := comm[runs/2], compute[runs/2]
+	if medComm <= 0 {
 		t.Fatal("actor thresh reported no communication time; message copying must be visible")
 	}
 	// The deep copies should dwarf the histogram work at this size.
-	if tm.Comm < tm.Compute {
-		t.Errorf("comm (%v) < compute (%v); deep-copy cost not captured", tm.Comm, tm.Compute)
+	if medComm < medCompute {
+		t.Errorf("median comm (%v) < median compute (%v); deep-copy cost not captured", medComm, medCompute)
 	}
 }
 

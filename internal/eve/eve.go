@@ -2,10 +2,6 @@
 // execution techniques ported into the EVE/EiffelStudio runtime
 // (EVE/Qs) and compared against the production SCOOP runtime.
 //
-// Frozen: a reproduction-only comparison paradigm for the paper's language
-// tables (internal/harness); it gets no new features and is excluded from
-// the benchmark's ladder claims.
-//
 // The real experiment needs EiffelStudio; what is reproducible is its
 // shape — the same workloads on two runtimes that differ only in
 // execution model, both carrying the EiffelStudio handicaps the paper

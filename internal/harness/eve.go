@@ -51,10 +51,3 @@ func (o Options) Eve() {
 	fmt.Fprintf(o.Out, "\nEVE/Qs over EVE: parallel %.1fx, concurrency %.1fx, overall %.1fx\n", par, con, all)
 	fmt.Fprintf(o.Out, "(paper: 7.7x, 11.7x, 9.7x)\n")
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"scoopqs/internal/sched"
@@ -22,7 +23,7 @@ type mpscNode[T any] struct {
 // consumed nodes stay linked in the chain, the consumer publishes its
 // position (pos), and producers harvest nodes strictly behind it
 // before allocating fresh ones. Because many producers race for the
-// chain head, the harvest window is guarded by a spinlock taken with
+// chain head, the harvest window is guarded by a mutex taken with
 // TryLock only — a producer that loses the race allocates instead of
 // waiting, so the enqueue path stays non-blocking. In steady state
 // (the reservation hot path: one enqueue, one dequeue) every enqueue
@@ -38,7 +39,7 @@ type MPSC[T any] struct {
 	// reclaimed, fenced by the consumer's published position. reclaim
 	// arbitrates the racing producers (TryLock only — never held while
 	// waiting for anything).
-	reclaim sched.SpinLock
+	reclaim sync.Mutex
 	first   *mpscNode[T]
 
 	// pos is the consumer's published chain position: every node

@@ -1,9 +1,8 @@
 // Package sched provides the low-level scheduling primitives used by the
 // SCOOP/Qs runtime: a Parker, the WaitPolicy a consumer polls under
-// first, the M:N Executor that drives every handler on a pool (with its
-// fork-join TaskGroup), and a spin-lock for atomic multi-handler
-// reservation. A handler itself never parks: it holds a worker only
-// while it has work.
+// first, and the M:N Executor that drives every handler on a pool (with
+// its fork-join TaskGroup). A handler itself never parks: it holds a
+// worker only while it has work.
 //
 // The runtime waits in two ways. A Parker is what a client waits on,
 // one answer at a time (a sync, a packaged query, the start of its
@@ -25,17 +24,7 @@
 // scheduler pass.
 package sched
 
-import (
-	"runtime"
-	"sync/atomic"
-)
-
-// Parker state values.
-const (
-	pIdle int32 = iota
-	pParked
-	pNotified
-)
+import "runtime"
 
 // WaitPolicy is how many times in a row a consumer polls an empty queue
 // before it blocks: the one place the runtime spins for work.
@@ -63,16 +52,16 @@ func (p WaitPolicy) Poll(i int) bool {
 	return true
 }
 
-// Parker blocks a single goroutine until another goroutine unparks it.
-// It is the moral equivalent of a binary semaphore with a fast path:
-// an Unpark that arrives before Park makes the next Park return
-// immediately; otherwise Park blocks at once, it never spins. Exactly one
-// goroutine may call Park; any number may call Unpark.
+// Parker blocks one goroutine until another unparks it: a channel of
+// one token. An Unpark that arrives before Park makes the next Park
+// return at once, and Unparks between two Parks coalesce into one
+// token; Park never spins. Only the Parker's owner parks — a Client is
+// one goroutine, and so is an actor's receive loop — while any number
+// of goroutines may Unpark.
 //
 // The zero value is not usable; use NewParker.
 type Parker struct {
-	state atomic.Int32
-	ch    chan struct{}
+	ch chan struct{}
 }
 
 // NewParker returns a ready-to-use Parker.
@@ -81,44 +70,16 @@ func NewParker() *Parker {
 }
 
 // Park blocks until Unpark is called. If an Unpark already happened
-// since the last Park, it returns immediately, consuming the
-// notification.
-func (p *Parker) Park() {
-	for {
-		switch p.state.Load() {
-		case pNotified:
-			p.state.Store(pIdle)
-			return
-		case pIdle:
-			if p.state.CompareAndSwap(pIdle, pParked) {
-				<-p.ch
-				p.state.Store(pIdle)
-				return
-			}
-		default:
-			panic("sched: concurrent Park on the same Parker")
-		}
-	}
-}
+// since the last Park, it returns immediately, consuming the token.
+func (p *Parker) Park() { <-p.ch }
 
 // Unpark wakes the goroutine blocked in Park, or arranges for the next
-// Park to return immediately. Multiple Unparks between Parks coalesce
-// into one notification.
+// Park to return immediately. It never blocks: a token already pending
+// absorbs it.
 func (p *Parker) Unpark() {
-	for {
-		switch s := p.state.Load(); s {
-		case pNotified:
-			return
-		case pIdle:
-			if p.state.CompareAndSwap(pIdle, pNotified) {
-				return
-			}
-		case pParked:
-			if p.state.CompareAndSwap(pParked, pNotified) {
-				p.ch <- struct{}{}
-				return
-			}
-		}
+	select {
+	case p.ch <- struct{}{}:
+	default:
 	}
 }
 
@@ -130,34 +91,4 @@ func SpinWait(i int) {
 		return // pure spin: the producer is probably mid-store
 	}
 	yield()
-}
-
-// SpinLock is a test-and-set spin lock with exponential politeness. The
-// paper's multi-reservation implementation uses "one spinlock for every
-// handler to maintain the ordering guarantees"; this is that spinlock.
-// The zero value is an unlocked SpinLock.
-type SpinLock struct {
-	v atomic.Int32
-}
-
-// Lock acquires the lock, spinning and then yielding until available.
-func (l *SpinLock) Lock() {
-	for i := 0; ; i++ {
-		if l.v.Load() == 0 && l.v.CompareAndSwap(0, 1) {
-			return
-		}
-		SpinWait(i)
-	}
-}
-
-// TryLock attempts to acquire the lock without blocking.
-func (l *SpinLock) TryLock() bool {
-	return l.v.Load() == 0 && l.v.CompareAndSwap(0, 1)
-}
-
-// Unlock releases the lock. Unlocking an unlocked SpinLock panics.
-func (l *SpinLock) Unlock() {
-	if l.v.Swap(0) != 1 {
-		panic("sched: Unlock of unlocked SpinLock")
-	}
 }

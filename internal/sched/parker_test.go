@@ -128,50 +128,3 @@ func TestParkerConcurrentUnparkers(t *testing.T) {
 		t.Fatal("parker lost the final wakeup under concurrent Unpark")
 	}
 }
-
-func TestSpinLockMutualExclusion(t *testing.T) {
-	var l SpinLock
-	var counter int
-	var wg sync.WaitGroup
-	const workers, iters = 8, 2000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				l.Lock()
-				counter++
-				l.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != workers*iters {
-		t.Fatalf("counter = %d, want %d", counter, workers*iters)
-	}
-}
-
-func TestSpinLockTryLock(t *testing.T) {
-	var l SpinLock
-	if !l.TryLock() {
-		t.Fatal("TryLock on free lock failed")
-	}
-	if l.TryLock() {
-		t.Fatal("TryLock on held lock succeeded")
-	}
-	l.Unlock()
-	if !l.TryLock() {
-		t.Fatal("TryLock after Unlock failed")
-	}
-	l.Unlock()
-}
-
-func TestSpinLockUnlockOfUnlockedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	var l SpinLock
-	l.Unlock()
-}
