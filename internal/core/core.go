@@ -74,10 +74,11 @@ type Config struct {
 	// machine (Handler.Step): a worker takes it off a ready queue when
 	// its queues gain work and moves on when it runs dry, so an idle
 	// handler holds no goroutine. Handler code blocks only through the
-	// runtime — queries, syncs, wait conditions, task joins — and a worker
-	// blocked that way is compensated with a replacement, so delegation
-	// chains deeper than the pool cannot deadlock it. A channel, WaitGroup
-	// or I/O wait inside handler code holds its worker.
+	// runtime — queries, syncs, wait conditions, the parallel skeletons'
+	// wait for their last chunks — and a worker blocked that way is
+	// compensated with a replacement, so delegation chains deeper than
+	// the pool cannot deadlock it. A channel, WaitGroup or I/O wait
+	// inside handler code holds its worker.
 	Workers int
 }
 
@@ -171,11 +172,10 @@ type Stats struct {
 	InjectorPushes int64 // wakes routed through the shared injector
 	LocalPushes    int64 // wakes fast-pathed onto a worker's own deque
 
-	// Fork-join layer counters (see sched.TaskGroup). Nonzero only when
-	// client or handler code uses the parallel skeletons on the pool.
-	TasksSpawned  int64 // fork-join tasks spawned via TaskGroup.Spawn
-	TaskSteals    int64 // fork-join tasks that migrated to another worker
-	TaskWaitParks int64 // TaskGroup.Wait parks after helping found nothing
+	// TaskSteals counts the parallel skeletons' chunks (sched.ParallelFor
+	// and friends, run on the pool) that a helper task ran rather than
+	// the calling goroutine.
+	TaskSteals int64
 }
 
 type statsCounters struct {
@@ -262,13 +262,14 @@ func (rt *Runtime) Stats() Stats {
 	st := rt.stats.snapshot()
 	st.WorkerSpawns, st.WorkerParks = rt.exec.Counters()
 	st.Steals, st.InjectorPushes, st.LocalPushes = rt.exec.StealCounters()
-	st.TasksSpawned, st.TaskSteals, st.TaskWaitParks = rt.exec.TaskCounters()
+	st.TaskSteals = rt.exec.TaskSteals()
 	return st
 }
 
 // Executor exposes the runtime's work-stealing pool so clients can run
-// fork-join work (sched.ParallelFor and friends) on the same workers
-// that serve the handlers. Never nil.
+// the parallel skeletons (sched.ParallelFor and friends) on the same
+// workers that serve the handlers: their helper tasks queue beside the
+// handlers. Never nil.
 func (rt *Runtime) Executor() *sched.Executor {
 	return rt.exec
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -295,23 +296,30 @@ func TestLocalQueryOnUnsyncedPanics(t *testing.T) {
 }
 
 // Fig. 5: clients using multi-reservation see both objects with the
-// same colour, under every configuration.
+// same colour, under every configuration, and every handler runs the
+// blocks in one order (§3.3: a multi-reservation enqueues on all its
+// handlers atomically). Each block logs its id on x and on y; a
+// reservation that interleaved with another group's leaves the logs
+// in different orders.
 func TestFig5MultiReservationConsistency(t *testing.T) {
 	forEachConfig(t, func(t *testing.T, cfg Config) {
 		rt := New(cfg)
 		defer rt.Shutdown()
 		x := rt.NewHandler("x")
 		y := rt.NewHandler("y")
-		var xc, yc string // owned by x and y respectively
+		var xc, yc string    // owned by x and y respectively
+		var xlog, ylog []int // likewise
 
+		const clients, blocks = 4, 1000
 		var wg sync.WaitGroup
-		setter := func(colour string) {
+		setter := func(id int, colour string) {
 			defer wg.Done()
 			c := rt.NewClient()
-			for i := 0; i < 50; i++ {
+			for i := 0; i < blocks; i++ {
+				block := id*blocks + i
 				c.SeparateMany([]*Handler{x, y}, func(ss []*Session) {
-					ss[0].Call(func() { xc = colour })
-					ss[1].Call(func() { yc = colour })
+					ss[0].Call(func() { xc = colour; xlog = append(xlog, block) })
+					ss[1].Call(func() { yc = colour; ylog = append(ylog, block) })
 				})
 			}
 		}
@@ -328,11 +336,22 @@ func TestFig5MultiReservationConsistency(t *testing.T) {
 				})
 			}
 		}
-		wg.Add(3)
-		go setter("red")
-		go setter("blue")
+		wg.Add(clients + 1)
+		for id := 0; id < clients; id++ {
+			go setter(id, [...]string{"red", "blue"}[id%2])
+		}
 		go checker()
 		wg.Wait()
+
+		var xs, ys []int
+		rt.NewClient().SeparateMany([]*Handler{x, y}, func(ss []*Session) {
+			xs = Query(ss[0], func() []int { return append([]int(nil), xlog...) })
+			ys = Query(ss[1], func() []int { return append([]int(nil), ylog...) })
+		})
+		if len(xs) != clients*blocks || !slices.Equal(xs, ys) {
+			t.Errorf("x and y logged %d and %d blocks in different orders, want %d in one",
+				len(xs), len(ys), clients*blocks)
+		}
 	})
 }
 

@@ -388,12 +388,12 @@ func TestBudgetRequeueKeepsOrder(t *testing.T) {
 	}
 }
 
-// Fork-join work issued from inside a handler call, on the same
+// A parallel skeleton called from inside a handler call, on the same
 // executor that runs the handler: the calling step occupies a worker
-// for its whole duration, so on a one-worker pool the join must help
-// or compensate rather than park the only worker against its own
-// spawned tasks. This is the unified-scheduler contract — data-parallel
-// skeletons and handler steps sharing one pool.
+// for its whole duration, so on a one-worker pool its helper tasks
+// wait behind it and the call must run every chunk itself. This is the
+// unified-scheduler contract — data-parallel skeletons and handler
+// steps sharing one pool.
 func TestForkJoinInsideHandlerCall(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		rt := New(pooledAll(workers))
@@ -418,9 +418,5 @@ func TestForkJoinInsideHandlerCall(t *testing.T) {
 			t.Fatalf("workers=%d: sum = %d, want %d", workers, sum, want)
 		}
 		rt.Shutdown()
-		st := rt.Stats()
-		if st.TasksSpawned == 0 {
-			t.Errorf("workers=%d: TasksSpawned = 0 after in-handler fork-join", workers)
-		}
 	}
 }

@@ -315,7 +315,7 @@ func (im *Impl) Winnow(m *cowichan.Matrix, mask *cowichan.Mask, nw int) ([]cowic
 		}
 		t.Comm += time.Since(t2)
 
-		// Sort and select on the client. The sort is fork-join work on
+		// Sort and select on the client. The sort's helper tasks run on
 		// the same executor that runs the handlers — the unified
 		// scheduler serving both workloads.
 		t3 := time.Now()

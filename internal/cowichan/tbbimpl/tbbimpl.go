@@ -1,11 +1,12 @@
-// Package tbbimpl implements the Cowichan kernels on the unified
-// work-stealing executor of internal/sched: ParallelFor over row
-// ranges, ParallelReduce for the histogram, ParallelSort for winnow.
-// This is the "cxx" (C++/TBB) comparator of the paper's language study
-// — the unguarded shared-memory performance ceiling — and since the
-// fork-join fold-in it runs on the same scheduler that serves the Qs
-// handler runtime, so data-parallel kernels and handler traffic can
-// share one worker pool.
+// Package tbbimpl implements the Cowichan kernels with the parallel
+// skeletons of internal/sched: ParallelFor over row ranges,
+// ParallelReduce for the histogram, ParallelSort for winnow. This is
+// the "cxx" (C++/TBB) comparator of the paper's language study — the
+// unguarded shared-memory performance ceiling. Its chunks are
+// self-scheduled, not stolen: the caller and helper tasks on the
+// executor claim them from one counter, on the same scheduler that
+// serves the Qs handler runtime, so data-parallel kernels and handler
+// traffic can share one worker pool.
 //
 // Frozen: this package exists only for the language columns of the
 // paper's Tables 3–5 and Figs. 18–20 (internal/harness). It gets no new

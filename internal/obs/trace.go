@@ -19,8 +19,6 @@ const (
 	KindDispatch   // span: task ready→run queue latency (arg = ns)
 	KindSteal      // instant: a task migrated to the emitting worker
 	KindWorkerPark // span: worker idle on the pool condvar (arg = ns)
-	KindTaskSpawn  // instant: TaskGroup.Spawn
-	KindTaskJoin   // span: TaskGroup.Wait duration (arg = ns)
 
 	// internal/core
 	KindHandlerReady // instant: handler scheduled (id = handler)
@@ -50,8 +48,6 @@ var kindNames = [kindMax]string{
 	KindDispatch:     "sched.dispatch",
 	KindSteal:        "sched.steal",
 	KindWorkerPark:   "sched.worker_park",
-	KindTaskSpawn:    "sched.task_spawn",
-	KindTaskJoin:     "sched.task_join",
 	KindHandlerReady: "core.handler_ready",
 	KindHandlerRun:   "core.handler_run",
 	KindCall:         "core.call",
@@ -73,7 +69,6 @@ var kindNames = [kindMax]string{
 var kindDur = [kindMax]bool{
 	KindDispatch:    true,
 	KindWorkerPark:  true,
-	KindTaskJoin:    true,
 	KindHandlerRun:  true,
 	KindCall:        true,
 	KindQuery:       true,

@@ -159,12 +159,7 @@ type Executor struct {
 	steals      atomic.Int64 // tasks migrated between workers
 	injPushes   atomic.Int64 // tasks enqueued through the injector
 	localPushes atomic.Int64 // tasks pushed onto a local deque
-
-	// Fork-join counters (see task.go).
-	tasksSpawned  atomic.Int64  // TaskGroup.Spawn calls
-	taskSteals    atomic.Int64  // fork-join tasks taken from another worker
-	taskWaitParks atomic.Int64  // TaskGroup.Wait parks after helping found nothing
-	helpSeq       atomic.Uint64 // victim rotation for worker-less helpers
+	taskSteals  atomic.Int64 // parallel-loop chunks run by helper tasks (parallel.go)
 }
 
 // NewExecutor starts a pool of n workers (n must be positive).
@@ -444,9 +439,6 @@ func (e *Executor) sweep(w *Worker) *Task {
 		}
 		if t != nil {
 			e.steals.Add(1)
-			if isTask(t) {
-				e.taskSteals.Add(1)
-			}
 			if obs.Enabled() {
 				stealHits.Add(1)
 				w.ring.Emit(obs.KindSteal, uint64(v.id), 1)
@@ -623,10 +615,8 @@ func (e *Executor) StealCounters() (steals, injectorPushes, localPushes int64) {
 	return e.steals.Load(), e.injPushes.Load(), e.localPushes.Load()
 }
 
-// TaskCounters reports the fork-join layer's traffic: tasks spawned
-// through TaskGroup.Spawn, fork-join tasks that migrated to another
-// worker (worker sweeps and helping joins both count), and Wait parks
-// taken after a helping sweep found nothing runnable.
-func (e *Executor) TaskCounters() (spawned, taskSteals, waitParks int64) {
-	return e.tasksSpawned.Load(), e.taskSteals.Load(), e.taskWaitParks.Load()
+// TaskSteals reports how many parallel-loop chunks helper tasks have
+// run: the skeletons' work that left the calling goroutine.
+func (e *Executor) TaskSteals() int64 {
+	return e.taskSteals.Load()
 }

@@ -15,8 +15,6 @@ var (
 	dispatchHist = obs.Default().Hist("sched.dispatch_wait_ns")
 	// parkHist is how long workers sit parked on the pool condvar.
 	parkHist = obs.Default().Hist("sched.worker_park_ns")
-	// taskWaitHist is the fork-join join: TaskGroup.Wait entry→return.
-	taskWaitHist = obs.Default().Hist("sched.task_wait_ns")
 	// stealAttempts counts full sweep rounds; stealHits successful ones
 	// (the executor's always-on steals counter measures migrated tasks;
 	// the attempt/hit pair measures search efficiency).
@@ -44,33 +42,6 @@ func (w *Worker) noteDispatch(t *Task) {
 	t.readyAt = 0
 	dispatchHist.ObserveShard(w.id, lat)
 	w.ring.Emit(obs.KindDispatch, 0, lat)
-}
-
-// noteDispatchAny is noteDispatch for dispatch sites that may run off
-// a pool worker (the helping join): no-op on an unstamped task, shared
-// rings and stack sharding when w is nil.
-func noteDispatchAny(w *Worker, t *Task) {
-	if t.readyAt == 0 {
-		return
-	}
-	if w != nil {
-		w.noteDispatch(t)
-		return
-	}
-	lat := obs.Now() - t.readyAt
-	t.readyAt = 0
-	dispatchHist.Observe(lat)
-	obs.Emit(obs.KindDispatch, 0, lat)
-}
-
-// emitOn records an event on w's ring, falling back to the shared
-// rings when the caller has no worker.
-func emitOn(w *Worker, k obs.Kind, id uint64, arg int64) {
-	if w != nil {
-		w.ring.Emit(k, id, arg)
-	} else {
-		obs.Emit(k, id, arg)
-	}
 }
 
 // Emit records an event on the worker's own trace ring — the

@@ -1,17 +1,17 @@
 // Package sched provides the low-level scheduling primitives used by the
 // SCOOP/Qs runtime: a Parker, the WaitPolicy a consumer polls under
-// first, and the M:N Executor that drives every handler on a pool (with
-// its fork-join TaskGroup). A handler itself never parks: it holds a
-// worker only while it has work.
+// first, the M:N Executor that drives every handler on a pool, and the
+// parallel skeletons that share it. A handler itself never parks: it
+// holds a worker only while it has work.
 //
 // The runtime waits in two ways. A Parker is what a client waits on,
 // one answer at a time (a sync, a packaged query, the start of its
 // guarded block), and what an actor waits on for mail; its waker
 // unparks it after handing it work, since the queues wake nobody. Every
-// other waiter — an idle pool worker, a parked fork-join join, a
-// connection's producer at its writer's byte budget, an admission at
-// zero credits — waits on a sync.Cond over the mutex guarding the
-// state it waits for.
+// other waiter — an idle pool worker, a parallel skeleton's caller
+// waiting for its last chunks, a connection's producer at its writer's
+// byte budget, an admission at zero credits — waits on a sync.Cond over
+// the mutex guarding the state it waits for.
 //
 // The paper's runtime is built on three layers: task switching,
 // lightweight threads, and handlers. In this reproduction the Executor
