@@ -235,6 +235,35 @@ func TestParallelSkeletonsOnStoppedExecutor(t *testing.T) {
 	}
 }
 
+// Every one of a call's chunks runs exactly once, one body call each,
+// however many helpers take part.
+func TestTaskGroupSpawnRunsAll(t *testing.T) {
+	e := NewExecutor(4)
+	defer e.Stop()
+	var calls, covered atomic.Int64
+	ParallelFor(e, 0, 1000, 1, func(lo, hi int) {
+		calls.Add(1)
+		covered.Add(int64(hi - lo))
+	})
+	if calls.Load() != 1000 || covered.Load() != 1000 {
+		t.Fatalf("calls = %d, covered = %d, want 1000 and 1000", calls.Load(), covered.Load())
+	}
+}
+
+// Chunks may start nested calls of their own, whichever goroutine runs
+// them: the outer call returns only once every inner chunk has run.
+func TestTaskGroupNestedSpawn(t *testing.T) {
+	e := NewExecutor(2)
+	defer e.Stop()
+	var count atomic.Int64
+	ParallelFor(e, 0, 10, 1, func(int, int) {
+		ParallelFor(e, 0, 10, 1, func(int, int) { count.Add(1) })
+	})
+	if count.Load() != 100 {
+		t.Fatalf("count = %d, want 100", count.Load())
+	}
+}
+
 func TestParallelForCoversRangeOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		e := NewExecutor(workers)
