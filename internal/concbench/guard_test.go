@@ -8,16 +8,15 @@ import (
 )
 
 // guardModes are the scheduling modes the guard workloads must pass
-// under: the default pool (GOMAXPROCS workers; the row keeps the
-// "dedicated" label of the retired goroutine-per-activation mode so
-// the subtests keep their names) and pools of 1 and 4 workers (a single
-// worker is the strongest starvation test — every guard retry must
-// still make global progress), plus the unoptimized configuration.
+// under: the default pool (GOMAXPROCS workers) and pools of 1 and 4
+// workers (a single worker is the strongest starvation test — every
+// guard retry must still make global progress), plus the unoptimized
+// configuration.
 var guardModes = []struct {
 	name string
 	cfg  core.Config
 }{
-	{"dedicated", core.ConfigAll},
+	{"default", core.ConfigAll},
 	{"pooled1", core.ConfigAll.WithWorkers(1)},
 	{"pooled4", core.ConfigAll.WithWorkers(4)},
 	{"none", core.ConfigNone},

@@ -31,7 +31,7 @@ type Client struct {
 	// host is the handler whose code this client runs on (AsClient),
 	// nil for ordinary clients. It supplies the worker context for the
 	// scheduler's local-push fast path: requests this client logs wake
-	// their target on the hosting worker's own deque. The client's
+	// their target in the hosting worker's next slot. The client's
 	// blocking operations also bracket their waits with the executor's
 	// compensation hooks, so it can spawn a replacement worker.
 	host *Handler

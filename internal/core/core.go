@@ -167,10 +167,10 @@ type Stats struct {
 	WorkerSpawns int64 // compensation workers spawned for blocked ones
 	WorkerParks  int64 // pool workers parked idle
 
-	// Work-stealing substrate counters (see sched.Executor).
-	Steals         int64 // tasks migrated between workers by stealing
+	// Scheduler traffic counters (see sched.Executor).
+	Steals         int64 // tasks stolen from another worker's next slot
 	InjectorPushes int64 // wakes routed through the shared injector
-	LocalPushes    int64 // wakes fast-pathed onto a worker's own deque
+	LocalPushes    int64 // wakes fast-pathed into a worker's next slot
 
 	// TaskSteals counts the parallel skeletons' chunks (sched.ParallelFor
 	// and friends, run on the pool) that a helper task ran rather than
@@ -266,7 +266,7 @@ func (rt *Runtime) Stats() Stats {
 	return st
 }
 
-// Executor exposes the runtime's work-stealing pool so clients can run
+// Executor exposes the runtime's worker pool so clients can run
 // the parallel skeletons (sched.ParallelFor and friends) on the same
 // workers that serve the handlers: their helper tasks queue beside the
 // handlers. Never nil.

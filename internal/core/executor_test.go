@@ -311,6 +311,50 @@ func TestRingManyHandlersFewWorkers(t *testing.T) {
 	}
 }
 
+// An asynchronous ring of handlers hands off through the worker's next
+// slot: each hop's reservation wakes the next handler with ReadyLocal
+// on the worker the hop runs on, and only the outside client's first
+// reservation goes through the injector. One worker, so no steal or
+// park can reroute a hop.
+func TestRingHopsRideTheNextSlot(t *testing.T) {
+	const ring, hops = 8, 2000
+	rt := New(pooledAll(1))
+	defer rt.Shutdown()
+	hs := make([]*Handler, ring)
+	for i := range hs {
+		hs[i] = rt.NewHandler("ring")
+	}
+	done := make(chan struct{})
+	var pass func(i, left int)
+	pass = func(i, left int) {
+		if left == 0 {
+			close(done)
+			return
+		}
+		next := (i + 1) % ring
+		hs[i].AsClient().Separate(hs[next], func(s *Session) {
+			s.Call(func() { pass(next, left-1) })
+		})
+	}
+	before := rt.Stats()
+	c := rt.NewClient()
+	c.Separate(hs[0], func(s *Session) {
+		s.Call(func() { pass(0, hops) })
+	})
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("ring did not complete")
+	}
+	after := rt.Stats()
+	if got := after.LocalPushes - before.LocalPushes; got < hops {
+		t.Errorf("LocalPushes grew by %d over %d hops, want >= %d", got, hops, hops)
+	}
+	if got := after.InjectorPushes - before.InjectorPushes; got > ring {
+		t.Errorf("InjectorPushes grew by %d over %d hops, want <= %d (the ring size)", got, hops, ring)
+	}
+}
+
 // The handler state machine counts its activations at any pool size, and
 // the default configuration (Workers == 0) runs on a pool too.
 func TestExecutorStatsCounters(t *testing.T) {

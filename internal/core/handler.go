@@ -36,7 +36,7 @@ type Handler struct {
 	// once so wakes never heap-allocate. onWorker is the pool worker
 	// currently executing Step; it is only read by code running on this
 	// handler (the same goroutine), which is what lets a handler's own
-	// enqueues take the executor's local-deque fast path.
+	// enqueues take the executor's next-slot fast path.
 	state    atomic.Int32
 	cur      *Session
 	task     *sched.Task
@@ -127,14 +127,14 @@ func (h *Handler) AsClient() *Client {
 		// This client's code runs on executor workers; its blocking
 		// operations must notify the pool so replacements keep
 		// delegation chains deadlock-free, and its enqueues wake target
-		// handlers on the hosting worker's local deque.
+		// handlers in the hosting worker's next slot.
 		h.selfClient.host = h
 		h.selfClientPub.Store(h.selfClient)
 	}
 	return h.selfClient
 }
 
-// ready hands a running handler to the pool: w's local deque, or the
+// ready hands a running handler to the pool: w's next slot, or the
 // injector for a nil w. It is called once per hIdle→hRunning wake and
 // once per spent step budget, and one Step per call is what keeps the
 // handler on one worker at a time.
@@ -150,7 +150,7 @@ func (h *Handler) wake() { h.wakeFrom(nil) }
 // wakeFrom makes the handler runnable after one of its queues gained
 // work (Session.log, Handler.enqueue) or its queue-of-queues may have
 // quiesced; the queues themselves wake nobody. It schedules the handler
-// on w's local deque when the producer runs on a pool worker — the
+// in w's next slot when the producer runs on a pool worker — the
 // fast re-ready path: a handler waking the next handler of a message
 // chain keeps it on its own (warm) worker, and the executor skips the
 // condvar when anyone is already scanning. A nil w is a producer on a
@@ -189,7 +189,7 @@ const stepBudget = 1024
 // guaranteed by the wake protocol — Step runs once per ready. Its
 // opening store clears a dirty mark left by wakes while it was queued:
 // the first poll sees their work. The worker is remembered for the
-// duration so enqueues made by this handler's code ride its local deque.
+// duration so enqueues made by this handler's code ride its next slot.
 func (h *Handler) Step(w *sched.Worker) {
 	h.onWorker = w
 	h.state.Store(hRunning)
@@ -214,9 +214,9 @@ func (h *Handler) Step(w *sched.Worker) {
 		case drainBudget:
 			// Still hRunning (or dirty): the next Step owns the handler.
 			h.noteRun(w, runT0)
-			// Through the injector, not the local deque: the budget
+			// Through the injector, not the next slot: the budget
 			// exists to round-robin a saturated handler with everyone
-			// else's pending work, and a LIFO self-push would defeat it.
+			// else's pending work, and a self-push would defeat it.
 			h.ready(nil)
 			return
 		case drainEmpty:
@@ -513,7 +513,7 @@ func (rt *Runtime) enqueueGroup(ss []*Session, w *sched.Worker) bool {
 
 // enqueue registers s with h's queue-of-queues and wakes h. The wake
 // carries the producer's worker context, so a handler reserving another
-// handler schedules it on its own worker's deque. False means the
+// handler schedules it in its own worker's next slot. False means the
 // runtime is shutting down.
 func (h *Handler) enqueue(s *Session, w *sched.Worker) bool {
 	if !h.qoq.TryEnqueue(s) {

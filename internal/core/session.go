@@ -132,8 +132,8 @@ func (s *Session) Handler() *Handler { return s.h }
 // worker the client's code runs on when a handler hosts it (the
 // local-push fast path). The queue wakes nobody itself. Whoever then
 // parks for the answer calls log before blockBegin (roundTrip): the
-// wake may leave h on this worker's own deque, and it is blockBegin
-// that rouses a worker to steal it.
+// wake may leave h in this worker's next slot, and it is blockBegin
+// that hands it to another worker.
 func (s *Session) log(c call) {
 	s.q.Enqueue(c)
 	s.h.wakeFrom(s.owner.curWorker())

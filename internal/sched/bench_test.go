@@ -10,11 +10,12 @@ import (
 // self-rescheduling runnables ping-pong through the executor, so every
 // operation is one Ready plus one Step dispatch. This is the pure
 // scheduler-substrate cost, with no handler or queue work on top. The
-// local variant re-readies through the worker's own deque (the fast
-// re-ready path message chains use); the injector variant goes through
-// the shared queue every time, which is what the pre-work-stealing
-// executor did for all traffic. The Workers sweep shows how dispatch
-// throughput scales with pool size.
+// local variant re-readies through the worker's next slot (the fast
+// re-ready path message chains use); with 64 pingers a pinger the
+// stealTick poll takes from the injector displaces the one in the slot,
+// so that row also pays injector pushes. The injector variant goes
+// through the shared queue every time. The Workers sweep shows how
+// dispatch throughput scales with pool size.
 func BenchmarkExecutorDispatch(b *testing.B) {
 	for _, mode := range []string{"local", "injector"} {
 		for _, workers := range []int{1, 2, 4, 8} {

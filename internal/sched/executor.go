@@ -17,14 +17,14 @@ import (
 //
 // Step receives the worker it runs on. Code executed by the Runnable
 // that makes *other* runnables ready can pass that worker to
-// ReadyLocal, keeping a message-passing chain on one worker's local
-// deque instead of bouncing through the shared injector.
+// ReadyLocal, keeping a message-passing chain in one worker's next
+// slot instead of bouncing through the shared injector.
 type Runnable interface {
 	Step(w *Worker)
 }
 
 // Task is the scheduling token for one Runnable: the unit that moves
-// through deques and the injector. Allocate it once per long-lived
+// through next slots and the injector. Allocate it once per long-lived
 // Runnable (core allocates one per handler) — Ready takes the Task, so
 // the scheduler's hot path never heap-allocates per wake. The owner's
 // scheduling protocol must ensure a Task is enqueued at most once
@@ -44,8 +44,8 @@ type Task struct {
 // NewTask wraps r for scheduling.
 func NewTask(r Runnable) *Task { return &Task{r: r} }
 
-// Worker is one goroutine of the pool, owning a local work-stealing
-// deque. It is handed to Runnable.Step and is only meaningful on the
+// Worker is one goroutine of the pool, owning one ready slot. It is
+// handed to Runnable.Step and is only meaningful on the
 // goroutine currently running that Step; treat it as an opaque
 // capability for ReadyLocal.
 type Worker struct {
@@ -57,17 +57,12 @@ type Worker struct {
 	// so it is always non-nil and costs nothing until an event is
 	// emitted into it.
 	ring *obs.Ring
-	// next is the one-slot LIFO fast path (the Go scheduler's runnext):
-	// ReadyLocal parks the hottest task here, and the owner runs it
-	// before consulting its deque. A chain of message handoffs then
-	// costs one pointer swap per hop instead of a deque cycle. Thieves
-	// may take it (by swap) once every deque is empty, so a blocked
-	// owner cannot strand it.
+	// next is the worker's one ready slot (the Go scheduler's runnext):
+	// ReadyLocal puts the hottest task here, and the owner runs it next.
+	// A chain of message handoffs then costs one pointer swap per hop.
+	// Thieves may take it (by swap), so a blocked owner cannot strand
+	// it.
 	next atomic.Pointer[Task]
-	dq   deque
-	// rng is the worker-private xorshift state used to randomize steal
-	// victim order, so thieves do not convoy on one victim.
-	rng uint64
 	// blocking is the worker's BlockingBegin/End nesting depth. Only
 	// touched from the worker's own goroutine (the blocking hooks and
 	// ReadyLocal both run on it), so no atomics. While non-zero, the
@@ -91,25 +86,23 @@ func (w *Worker) takeNext() *Task {
 // layer of the paper's §3 runtime stack, with the Go scheduler demoted
 // to scheduling only the pool workers.
 //
-// Scheduling substrate: each worker owns a bounded lock-free Chase–Lev
-// deque (LIFO for the owner, FIFO for thieves). Ready from outside the
-// pool enqueues into a small mutex-guarded injector queue; ReadyLocal
-// from code running on a worker pushes onto that worker's deque and
-// spills to the injector on overflow. A worker out of local work scans
-// the injector and steals from victims (in random order) before
-// parking on the pool condvar. The wake path is cheap: a push first
-// checks the atomic searcher count — if some worker is already
-// scanning, it is guaranteed to find the new work (see findWork) and
-// no condvar signal is needed at all.
+// Scheduling substrate: each worker owns one ready slot. Ready from
+// outside the pool enqueues into a small mutex-guarded injector queue;
+// ReadyLocal from code running on a worker puts the task in that
+// worker's slot and moves a displaced occupant to the injector. A
+// worker out of local work scans the injector and steals victims'
+// slots before parking on the pool condvar. The wake path is cheap: a
+// push first checks the atomic searcher count — if some worker is
+// already scanning, it is guaranteed to find the new work (see
+// findWork) and no condvar signal is needed at all.
 //
-// Ordering: tasks on one worker's deque run newest-first; the injector
-// is FIFO; thieves take a victim's oldest task. No global order exists
-// across queues — callers needing per-unit ordering get it from the
-// Runnable protocol (a unit is enqueued at most once until it runs),
-// not from the pool. Fairness across units comes from the owners
-// re-readying through the injector when they exhaust a budget (core's
-// stepBudget does exactly that), which round-robins with all external
-// work.
+// Ordering: the injector is FIFO; a worker's slot holds the newest
+// local hand-off. No global order exists across queues — callers
+// needing per-unit ordering get it from the Runnable protocol (a unit
+// is enqueued at most once until it runs), not from the pool. Fairness
+// across units comes from the owners re-readying through the injector
+// when they exhaust a budget (core's stepBudget does exactly that),
+// which round-robins with all external work.
 //
 // Blocking compensation: client code executed by a Runnable may block
 // the worker goroutine itself (a handler synchronously querying
@@ -117,7 +110,7 @@ func (w *Worker) takeNext() *Task {
 // must bracket the wait with BlockingBegin/BlockingEnd; the Executor
 // then spawns a replacement worker when the pool would otherwise have
 // no runnable worker left, so dependency chains deeper than the pool
-// size cannot deadlock it. A blocked worker's deque stays stealable,
+// size cannot deadlock it. A blocked worker's slot stays stealable,
 // so work it made ready before blocking migrates to the replacement.
 // Surplus workers retire once the blocked ones resume.
 type Executor struct {
@@ -152,13 +145,13 @@ type Executor struct {
 	// mutex when it is empty.
 	injCount atomic.Int64
 	stopping atomic.Bool // mirror of stopped for lock-free fast paths
-	seq      uint64      // worker seed counter, mu-guarded
+	seq      uint64      // worker id counter, mu-guarded
 
 	spawns      atomic.Int64 // compensation workers spawned
 	workerParks atomic.Int64 // times a worker went idle
 	steals      atomic.Int64 // tasks migrated between workers
 	injPushes   atomic.Int64 // tasks enqueued through the injector
-	localPushes atomic.Int64 // tasks pushed onto a local deque
+	localPushes atomic.Int64 // tasks put in a worker's next slot
 	taskSteals  atomic.Int64 // parallel-loop chunks run by helper tasks (parallel.go)
 }
 
@@ -181,7 +174,7 @@ func NewExecutor(n int) *Executor {
 // spawnLocked starts one worker. Caller holds e.mu.
 func (e *Executor) spawnLocked() {
 	e.seq++
-	w := &Worker{e: e, id: int(e.seq), ring: obs.WorkerRing(int(e.seq)), rng: e.seq*0x9E3779B97F4A7C15 | 1}
+	w := &Worker{e: e, id: int(e.seq), ring: obs.WorkerRing(int(e.seq))}
 	e.workers++
 	e.list = append(e.list, w)
 	e.publishListLocked()
@@ -191,7 +184,7 @@ func (e *Executor) spawnLocked() {
 }
 
 // removeWorkerLocked retires w from the pool. Caller holds e.mu; w's
-// deque must be empty.
+// next slot must be empty.
 func (e *Executor) removeWorkerLocked(w *Worker) {
 	for i, x := range e.list {
 		if x == w {
@@ -217,34 +210,38 @@ func (e *Executor) publishListLocked() {
 func (e *Executor) Ready(t *Task) {
 	stamp(t)
 	e.mu.Lock()
-	if e.stopped {
-		e.mu.Unlock()
-		return
+	if !e.stopped {
+		e.injectLocked(t)
 	}
+	e.mu.Unlock()
+}
+
+// injectLocked appends t to the injector and wakes a parked worker
+// unless a searcher will find it. Caller holds e.mu.
+func (e *Executor) injectLocked(t *Task) {
 	e.injector = append(e.injector, t)
 	e.injCount.Add(1)
 	e.injPushes.Add(1)
 	if e.searchers.Load() == 0 && e.idle.Load() > 0 {
 		e.cond.Signal()
 	}
-	e.mu.Unlock()
 }
 
 // ReadyLocal enqueues t for execution on worker w's fast path: the
 // re-ready route for code already running on w that just made t
 // runnable (a handler waking the next handler of a message chain). The
-// task lands in w's one-slot next buffer — it is typically the very
-// next dispatch — displacing any previous occupant onto w's deque. A
-// nil w (the caller is not on a pool worker) and deque overflow fall
-// back to the injector. The Task enqueue-once protocol is the caller's
-// to keep, exactly as for Ready.
+// task lands in w's next slot — it is typically the very next
+// dispatch — and a task it displaces goes to the injector. A nil w
+// (the caller is not on a pool worker) falls back to Ready. The Task
+// enqueue-once protocol is the caller's to keep, exactly as for Ready.
 //
-// Wake cost: a lone handoff (empty next slot, empty deque) needs no
-// wake at all — the caller's own worker runs the task next, unless the
-// caller blocks, in which case BlockingBegin rouses a worker to steal
-// it. Anything beyond a lone handoff is surplus parallelism, announced
-// with two atomic loads (searchers, then idle) and a condvar signal
-// only when a worker is actually parked and nobody is scanning.
+// Wake cost: a lone handoff (an empty slot outside a blocking section)
+// needs no wake at all — the caller's own worker runs the task next.
+// Inside a blocking section the owner sits in a wait only this task
+// may end, so the push is announced with two atomic loads (searchers,
+// then idle) and a condvar signal only when a worker is actually
+// parked and nobody is scanning. A displaced task is announced the
+// same way.
 func (e *Executor) ReadyLocal(w *Worker, t *Task) {
 	if w == nil || w.e != e {
 		e.Ready(t)
@@ -256,15 +253,15 @@ func (e *Executor) ReadyLocal(w *Worker, t *Task) {
 	stamp(t)
 	e.localPushes.Add(1)
 	if prev := w.next.Swap(t); prev != nil {
-		if !w.dq.push(prev) {
-			e.Ready(prev) // deque full: spill the displaced task
-		}
-	} else if !w.dq.nonEmpty() && w.blocking == 0 {
-		// Lone handoff: the owner runs it next, no wake needed. Not
-		// valid inside a blocking section — the owner is about to (or
-		// already does) sit in a wait only this task could end, so the
-		// push must be announced like any other.
+		// Not Ready: prev was accepted before any Stop, which must
+		// drain it.
+		e.mu.Lock()
+		e.injectLocked(prev)
+		e.mu.Unlock()
 		return
+	}
+	if w.blocking == 0 {
+		return // lone handoff
 	}
 	if e.searchers.Load() == 0 && e.idle.Load() > 0 {
 		e.mu.Lock()
@@ -316,9 +313,9 @@ func (e *Executor) tryInjector() *Task {
 // accidental resonance with workload periods.
 const stealTick = 61
 
-// worker is the main loop: next slot, then local deque (with a
-// periodic injector poll for fairness), then the injector, then the
-// full search protocol, then park.
+// worker is the main loop: next slot (with a periodic injector poll
+// for fairness), then the injector, then the full search protocol,
+// then park.
 func (e *Executor) worker(w *Worker) {
 	defer e.wg.Done()
 	tick := 0
@@ -330,9 +327,6 @@ func (e *Executor) worker(w *Worker) {
 		}
 		if t == nil {
 			t = w.takeNext()
-		}
-		if t == nil {
-			t = w.dq.pop()
 		}
 		if t == nil {
 			t = e.tryInjector()
@@ -397,16 +391,13 @@ func (e *Executor) findWork(w *Worker) *Task {
 	return e.sweep(w)
 }
 
-// sweep polls every work source once: own next slot and deque, the
-// injector, then every victim in randomized order — deques first
-// (oldest work, least locality damage), next slots only as a last
-// resort (they hold the task the owner would run next; taking one is
-// justified only when the owner is blocked or saturated).
+// sweep polls every work source once: own next slot, the injector,
+// then every victim's next slot, starting at w.id % n so thieves do
+// not all try the same victim first. A victim's slot holds the task
+// its owner would run next; it is still there only when the owner is
+// blocked or busy, which is when it should move.
 func (e *Executor) sweep(w *Worker) *Task {
 	if t := w.takeNext(); t != nil {
-		return t
-	}
-	if t := w.dq.pop(); t != nil {
 		return t
 	}
 	if t := e.tryInjector(); t != nil {
@@ -420,31 +411,17 @@ func (e *Executor) sweep(w *Worker) *Task {
 	if obs.Enabled() {
 		stealAttempts.Add(1)
 	}
-	// xorshift64 victim rotation.
-	w.rng ^= w.rng << 13
-	w.rng ^= w.rng >> 7
-	w.rng ^= w.rng << 17
-	start := int(w.rng % uint64(n))
+	start := w.id % n
 	for i := 0; i < n; i++ {
 		v := victims[(start+i)%n]
 		if v == w {
 			continue
 		}
-		t := v.dq.steal()
-		if t == nil {
-			// The victim's next slot as fallback: it holds the task the
-			// owner would run next, so it only moves when the owner is
-			// blocked or saturated — which is exactly when we are here.
-			t = v.takeNext()
-		}
-		if t != nil {
+		if t := v.takeNext(); t != nil {
 			e.steals.Add(1)
 			if obs.Enabled() {
 				stealHits.Add(1)
 				w.ring.Emit(obs.KindSteal, uint64(v.id), 1)
-			}
-			if v.dq.nonEmpty() {
-				e.wakeOne() // the victim has more; fan out further
 			}
 			return t
 		}
@@ -520,14 +497,14 @@ func (e *Executor) park(w *Worker) (t *Task, retire bool) {
 	return t, false
 }
 
-// anyWorkLocked reports whether any worker's deque or next slot
-// appears non-empty. Caller holds e.mu. Items seen here are either
+// anyWorkLocked reports whether any worker's next slot appears
+// non-empty. Caller holds e.mu. Items seen here are either
 // being drained by their owner or stranded behind a blocked owner — in
 // both cases the right move for the caller is another steal sweep, not
 // sleep.
 func (e *Executor) anyWorkLocked() bool {
 	for _, v := range e.list {
-		if v.next.Load() != nil || v.dq.nonEmpty() {
+		if v.next.Load() != nil {
 			return true
 		}
 	}
@@ -539,25 +516,17 @@ func (e *Executor) anyWorkLocked() bool {
 // would be left without an available worker below target, a
 // replacement is spawned before the caller parks. Pass the worker the
 // calling code runs on (nil when unknown or not on a pool worker):
-// its local queue is republished through the injector — the caller
-// cannot run that work while blocked, and handing it over directly
-// saves whoever picks it up a full steal sweep. Work of a blocked
-// worker that could not be flushed (unknown w) stays stealable.
+// its next slot is republished through the injector — the caller
+// cannot run that task while blocked, and handing it over directly
+// saves whoever picks it up a full steal sweep. A slot that could not
+// be flushed (unknown w) stays stealable.
 func (e *Executor) BlockingBegin(w *Worker) {
 	e.mu.Lock()
 	e.blocked++
 	flushed := false
 	if w != nil && w.e == e {
 		w.blocking++
-		// The calling goroutine is w's owner, so popping is legal.
-		for {
-			t := w.takeNext()
-			if t == nil {
-				t = w.dq.pop()
-			}
-			if t == nil {
-				break
-			}
+		if t := w.takeNext(); t != nil {
 			e.injector = append(e.injector, t)
 			e.injCount.Add(1)
 			e.injPushes.Add(1)
@@ -570,7 +539,7 @@ func (e *Executor) BlockingBegin(w *Worker) {
 		// A parked worker may be the only one able to run whatever the
 		// caller readied before blocking (a lone local handoff issues
 		// no wake of its own); rouse one. With an unknown worker the
-		// caller's local queue could not be flushed, so signal
+		// caller's slot could not be flushed, so signal
 		// unconditionally rather than assume it was empty.
 		e.cond.Signal()
 	}
@@ -589,7 +558,7 @@ func (e *Executor) BlockingEnd(w *Worker) {
 }
 
 // Stop shuts the pool down and waits for every worker to exit. Pending
-// ready work — injected or on any deque — is drained first; Ready
+// ready work — injected or in any next slot — is drained first; Ready
 // calls after Stop are dropped. The caller must ensure no worker is
 // still inside a blocking section that only future Ready work could
 // release.
@@ -608,9 +577,9 @@ func (e *Executor) Counters() (spawns, parks int64) {
 	return e.spawns.Load(), e.workerParks.Load()
 }
 
-// StealCounters reports the work-stealing substrate's traffic: tasks
-// stolen between workers, tasks routed through the shared injector,
-// and tasks fast-pathed onto a local deque.
+// StealCounters reports the scheduler's traffic: tasks stolen from
+// other workers' next slots, tasks routed through the shared injector,
+// and tasks fast-pathed into a worker's next slot.
 func (e *Executor) StealCounters() (steals, injectorPushes, localPushes int64) {
 	return e.steals.Load(), e.injPushes.Load(), e.localPushes.Load()
 }

@@ -15,9 +15,10 @@ var (
 	dispatchHist = obs.Default().Hist("sched.dispatch_wait_ns")
 	// parkHist is how long workers sit parked on the pool condvar.
 	parkHist = obs.Default().Hist("sched.worker_park_ns")
-	// stealAttempts counts full sweep rounds; stealHits successful ones
-	// (the executor's always-on steals counter measures migrated tasks;
-	// the attempt/hit pair measures search efficiency).
+	// stealAttempts counts sweeps that reached the victims' next slots;
+	// stealHits those that took one (the executor's always-on steals
+	// counter counts the same tasks; the attempt/hit pair measures
+	// search efficiency).
 	stealAttempts = obs.Default().Counter("sched.steal_attempts")
 	stealHits     = obs.Default().Counter("sched.steal_hits")
 )

@@ -366,11 +366,11 @@ func TestNestedParallelFor(t *testing.T) {
 func TestParallelSortSorts(t *testing.T) {
 	e := NewExecutor(3)
 	defer e.Stop()
-	rng := rand.New(rand.NewSource(7))
+	src := rand.New(rand.NewSource(7))
 	for _, n := range []int{sortGrain, sortGrain + 1, 3*sortGrain - 5, 50000} {
 		data := make([]int, n)
 		for i := range data {
-			data[i] = rng.Intn(1000)
+			data[i] = src.Intn(1000)
 		}
 		want := append([]int(nil), data...)
 		sort.Ints(want)
@@ -387,10 +387,10 @@ func TestParallelSortStable(t *testing.T) {
 	type kv struct{ k, pos int }
 	e := NewExecutor(4)
 	defer e.Stop()
-	rng := rand.New(rand.NewSource(3))
+	src := rand.New(rand.NewSource(3))
 	data := make([]kv, 30000)
 	for i := range data {
-		data[i] = kv{k: rng.Intn(8), pos: i}
+		data[i] = kv{k: src.Intn(8), pos: i}
 	}
 	ParallelSort(e, data, func(a, b kv) bool { return a.k < b.k })
 	for i := 1; i < len(data); i++ {
