@@ -203,7 +203,10 @@ func ThreadRingActor(p Params) error {
 // the synchronous receive semantics of the CLBG benchmark. The
 // confirmation query is what makes this benchmark sensitive to the
 // query-path optimizations, as in the paper's Table 2 (Dynamic
-// coalescing speeds threadring up; QoQ alone does not).
+// coalescing speeds threadring up; QoQ alone does not). The confirming
+// sync finds the next handler, just woken by the store, in the passing
+// handler's own worker slot and runs it inline (core's inline sync), so
+// a hop normally switches no goroutine.
 func ThreadRingQs(cfg core.Config, p Params) error {
 	rt := core.New(cfg)
 	defer rt.Shutdown()

@@ -22,8 +22,9 @@ type Client struct {
 	// parker is what the client waits on, for one answer at a time: a
 	// handler reaching its sync or packaged query (which leaves its
 	// result in replyVal/replyErr), or starting or releasing its waiting
-	// block. Each park is answered by exactly one Unpark, and the
-	// hand-off orders the reply slot's accesses.
+	// block. Each wait is answered by exactly one Unpark, taken by Park
+	// or, after an inline Step (syncInline), by TryPark, and the hand-off
+	// orders the reply slot's accesses.
 	parker   *sched.Parker
 	replyVal any
 	replyErr error
@@ -31,7 +32,8 @@ type Client struct {
 	// host is the handler whose code this client runs on (AsClient),
 	// nil for ordinary clients. It supplies the worker context for the
 	// scheduler's local-push fast path: requests this client logs wake
-	// their target in the hosting worker's next slot. The client's
+	// their target in the hosting worker's next slot, from where its
+	// round trips may run the target inline (syncInline). The client's
 	// blocking operations also bracket their waits with the executor's
 	// compensation hooks, so it can spawn a replacement worker.
 	host *Handler
@@ -87,11 +89,39 @@ func (c *Client) blockEnd() {
 	}
 }
 
-// park waits on the client's parker until a handler answers.
+// park waits on the client's parker until a handler answers. A hosted
+// client's round trip first tries syncInline, and parks only when that
+// did not answer it.
 func (c *Client) park() {
 	c.blockBegin()
 	c.parker.Park()
 	c.blockEnd()
+}
+
+// maxInline bounds how deeply inline Steps nest on one goroutine: a
+// handler run inline may itself host a client whose sync runs its own
+// target inline. Past it the sync parks, and the target runs on another
+// worker, at depth 0 again.
+const maxInline = 8
+
+// syncInline is a hosted client's alternative to parking for the answer
+// to a round trip it has just logged on h: when h is still queued in the
+// next slot of the worker the client runs on — log put it there, waking h
+// from idle — the client takes it back and runs h's Step itself, on its
+// own goroutine, instead of handing h to another worker and sleeping
+// until that one answers (exit passes to the waiter: one goroutine switch
+// less per sync). It is the same Step, so the run rule, the step budget
+// and the answer are those of a worker's run. It reports whether the
+// Step answered: the sync's Unpark then left its token, which it takes.
+// Otherwise — h was pinned on another client's block, say — h has idled
+// or re-queued itself, and the client parks as before.
+func (c *Client) syncInline(h *Handler) bool {
+	host := c.host
+	if host == nil || host.depth >= maxInline || !c.rt.exec.ClaimNext(host.onWorker, h.task) {
+		return false
+	}
+	h.step(host.onWorker, host.depth+1)
+	return c.parker.TryPark()
 }
 
 // curWorker returns the pool worker the client's code is currently

@@ -161,7 +161,7 @@ type Stats struct {
 
 	// Handler state-machine counters.
 	Schedules    int64 // handler activations: made runnable by a wake or a spent step budget, each followed by one Step
-	HandlerParks int64 // handlers parked mid-session awaiting their client
+	HandlerParks int64 // handlers parked mid-session awaiting their client, a Step run inline that answered its client's sync and idled pinned included
 
 	// Pool counters, from here down.
 	WorkerSpawns int64 // compensation workers spawned for blocked ones

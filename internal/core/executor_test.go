@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -106,13 +107,23 @@ func TestGuardStormWithFewWorkers(t *testing.T) {
 }
 
 // A synchronous delegation chain much longer than the pool: handler i
-// queries handler i+1 before answering. Every hop blocks one worker,
-// so without compensation a pool of 2 would deadlock at depth 2.
+// queries handler i+1 before answering. A query that runs its target
+// inline (Client.syncInline) blocks nobody, but at most maxInline of them
+// nest on one goroutine; the next hop blocks its worker until the chain
+// unwinds, so without compensation a pool of one or two would deadlock
+// at the first such hop. The deep chain makes at least 4 of them.
 func TestDelegationChainDeeperThanPool(t *testing.T) {
-	const workers = 2
-	const depth = 16
-	rt := New(pooledAll(workers))
-	defer rt.Shutdown()
+	for _, workers := range []int{1, 2} {
+		for _, depth := range []int{16, 4*(maxInline+1) + 1} {
+			t.Run(fmt.Sprintf("workers=%d/depth=%d", workers, depth), func(t *testing.T) {
+				delegationChain(t, workers, depth)
+			})
+		}
+	}
+}
+
+func delegationChain(t *testing.T, workers, depth int) {
+	rt := New(pooledAll(workers)) // shut down only once the chain is through: a wedged pool would hang Shutdown
 
 	hs := make([]*Handler, depth)
 	for i := range hs {
@@ -144,9 +155,16 @@ func TestDelegationChainDeeperThanPool(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("delegation chain deadlocked the pool")
 	}
-	if st := rt.Stats(); st.WorkerSpawns < depth-workers {
-		t.Errorf("WorkerSpawns = %d, want >= %d (one per blocked hop beyond the pool)",
-			st.WorkerSpawns, depth-workers)
+	// No run of inline hops is longer than maxInline, so at least one hop
+	// in every maxInline+1 parked its client, and every parked client
+	// holds its worker until the chain unwinds. At the chain's end those
+	// are all blocked at once beside the worker running the last link, so
+	// the pool grew past its initial workers by at least the difference.
+	rt.Shutdown()
+	parked := (depth - 1) / (maxInline + 1)
+	if want := int64(parked + 1 - workers); rt.Stats().WorkerSpawns < want {
+		t.Errorf("WorkerSpawns = %d, want >= %d (%d hops parked, %d workers at the start)",
+			rt.Stats().WorkerSpawns, want, parked, workers)
 	}
 }
 

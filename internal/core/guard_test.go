@@ -31,6 +31,12 @@ func forEachGuardConfig(t *testing.T, body func(t *testing.T, cfg Config)) {
 // timeout: a lost wake-up or a wedged handler shows up as a hang.
 func within(t *testing.T, what string, f func()) {
 	t.Helper()
+	withinFor(t, 20*time.Second, what, f)
+}
+
+// withinFor is within with a timeout of d.
+func withinFor(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -38,15 +44,21 @@ func within(t *testing.T, what string, f func()) {
 	}()
 	select {
 	case <-done:
-	case <-time.After(20 * time.Second):
-		t.Fatalf("%s did not finish", what)
+	case <-time.After(d):
+		t.Fatalf("%s did not finish within %v", what, d)
 	}
 }
 
 // settle polls until cond holds.
 func settle(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	for deadline := time.Now().Add(20 * time.Second); !cond(); {
+	settleFor(t, 20*time.Second, what, cond)
+}
+
+// settleFor is settle with a deadline d from now.
+func settleFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(d); !cond(); {
 		if time.Now().After(deadline) {
 			t.Fatalf("%s never held", what)
 		}
@@ -670,13 +682,19 @@ func turnAllocsPerBlock(rt *Runtime, rounds int) float64 {
 // (74–82 ns/op in some runs, 92–139 in others). Without its parker and
 // reply slot, which moved to the Client, it sits in the 64-byte class,
 // measured inside every benchmark bound (HISTORY.md). Moving
-// either is a layout change to measure, not a free win.
+// either is a layout change to measure, not a free win. Handler, one per
+// handler a program makes, stays in the 128-byte class: a field added to
+// it fits the padding (Handler.depth) or is a layout change too.
 func TestHotStructSizes(t *testing.T) {
 	if got := unsafe.Sizeof(call{}); got != 40 {
 		t.Errorf("sizeof(call) = %d, want 40", got)
 	}
 	if got := unsafe.Sizeof(Session{}); got <= 48 || got > 64 {
 		t.Errorf("sizeof(Session) = %d, want the 64-byte size class (49..64)", got)
+	}
+	var h Handler
+	if got := unsafe.Sizeof(h); got > 128 {
+		t.Errorf("sizeof(Handler) = %d, want the 128-byte size class (at most 128)", got)
 	}
 }
 

@@ -50,6 +50,14 @@ type Handler struct {
 	// does not write next to the state word that wakers CAS.
 	spun bool
 
+	// depth is how many Steps the running one is nested in on its
+	// goroutine: 0 when a worker's loop dispatched it, one more than its
+	// caller's when a client hosted by a running handler ran it inline
+	// (Client.syncInline). Owned like cur, and written as each Step
+	// starts. An int32, so it fits the padding before resMu: Handler
+	// stays in the 128-byte size class.
+	depth int32
+
 	// resMu is the handler's reservation lock. Under Config.QoQ it is
 	// held only while a multi-handler reservation enqueues its group,
 	// which makes the group atomic (§3.3); in lock-based mode it is the
@@ -190,8 +198,12 @@ const stepBudget = 1024
 // opening store clears a dirty mark left by wakes while it was queued:
 // the first poll sees their work. The worker is remembered for the
 // duration so enqueues made by this handler's code ride its next slot.
-func (h *Handler) Step(w *sched.Worker) {
-	h.onWorker = w
+func (h *Handler) Step(w *sched.Worker) { h.step(w, 0) }
+
+// step is Step at a nesting depth: 0 from the worker loop, more when a
+// hosted client runs the handler inline (Client.syncInline).
+func (h *Handler) step(w *sched.Worker, depth int32) {
+	h.onWorker, h.depth = w, depth
 	h.state.Store(hRunning)
 	var runT0 int64
 	if obs.Enabled() {
@@ -313,9 +325,12 @@ func (h *Handler) drain(budget *int) drainOutcome {
 // step away, so poll before leaving the block parked. Once the budget is
 // spent (spun), a re-pass before the next request polls only once: the
 // worker spinning here is one other handlers may be waiting for — with a
-// pool of one, the very handler the pinned client is parked on.
+// pool of one, the very handler the pinned client is parked on. An inline
+// Step (depth > 0) polls only once too: it runs on its client's own
+// goroutine, which logs nothing until the Step has returned, so it idles
+// with the session pinned and the client's next request wakes it.
 func (h *Handler) spinForWork(s *Session) bool {
-	if h.spun {
+	if h.spun || h.depth > 0 {
 		return !s.q.Empty()
 	}
 	for i := 0; sched.Engaged.Poll(i); i++ {

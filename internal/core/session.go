@@ -131,9 +131,10 @@ func (s *Session) Handler() *Handler { return s.h }
 // log enqueues c on the private queue and wakes the handler, on the
 // worker the client's code runs on when a handler hosts it (the
 // local-push fast path). The queue wakes nobody itself. Whoever then
-// parks for the answer calls log before blockBegin (roundTrip): the
-// wake may leave h in this worker's next slot, and it is blockBegin
-// that hands it to another worker.
+// waits for the answer calls log first (roundTrip): the wake may leave h
+// in this worker's next slot, where a hosted client's syncInline runs
+// it on the spot, and from where park's blockBegin hands it to another
+// worker otherwise.
 func (s *Session) log(c call) {
 	s.q.Enqueue(c)
 	s.h.wakeFrom(s.owner.curWorker())
@@ -203,9 +204,11 @@ func (s *Session) SyncNow() {
 }
 
 // roundTrip logs callSync — with qfn, a packaged query, whose reply the
-// handler leaves in the owner's slot — and parks the owner until the
-// handler has answered it. The handler then loops back to dequeue on
-// this same private queue, so s is synced.
+// handler leaves in the owner's slot — and waits until the handler has
+// answered it: a handler-hosted owner first runs an idle handler's Step
+// inline (syncInline), and parks only when that did not answer. The
+// handler then loops back to dequeue on this same private queue, so s
+// is synced.
 func (s *Session) roundTrip(qfn func() any) {
 	c := s.owner
 	c.flush()
@@ -216,9 +219,11 @@ func (s *Session) roundTrip(qfn func() any) {
 	if c.host != nil {
 		c.waitingOn.Store(s.h)
 	}
-	// Log before park's blockBegin (see log).
+	// Log before syncInline and park's blockBegin (see log).
 	s.log(call{kind: callSync, qfn: qfn})
-	c.park()
+	if !c.syncInline(s.h) {
+		c.park()
+	}
 	if c.host != nil {
 		c.waitingOn.Store(nil)
 	}

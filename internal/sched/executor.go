@@ -270,6 +270,21 @@ func (e *Executor) ReadyLocal(w *Worker, t *Task) {
 	}
 }
 
+// ClaimNext takes t back out of w's next slot, for code running on w
+// that would otherwise block until t has run: it runs t's Step itself
+// instead (core's inline sync). It reports false, and leaves the slot
+// alone, when w is not one of e's workers or its slot no longer holds t
+// (a thief took it, or a later push displaced it). A claimed task is the
+// caller's to run, exactly as if a worker had dispatched it, so its
+// ready stamp is dropped unmeasured.
+func (e *Executor) ClaimNext(w *Worker, t *Task) bool {
+	if w == nil || w.e != e || !w.next.CompareAndSwap(t, nil) {
+		return false
+	}
+	t.readyAt = 0
+	return true
+}
+
 // popInjectorLocked removes the head of the injector queue. Caller
 // holds e.mu and has checked it is non-empty.
 func (e *Executor) popInjectorLocked() *Task {

@@ -263,6 +263,43 @@ func TestExecutorDisplacedNextGoesToInjector(t *testing.T) {
 	}
 }
 
+// ClaimNext takes a task back out of the caller's own next slot, and
+// nothing else: not a task the slot does not hold, not from a nil or
+// foreign worker. A claimed task is the caller's, and no worker runs it.
+func TestExecutorClaimNext(t *testing.T) {
+	e, other := NewExecutor(1), NewExecutor(1)
+	defer other.Stop()
+	var ran atomic.Int64
+	queued, absent := task(func() { ran.Add(1) }), task(func() { ran.Add(1) })
+	errs := make(chan string, 4)
+	done := make(chan struct{})
+	e.Ready(NewTask(ctxRunnable(func(w *Worker) {
+		defer close(done)
+		e.ReadyLocal(w, queued)
+		if e.ClaimNext(w, absent) {
+			errs <- "claimed a task the slot does not hold"
+		}
+		if e.ClaimNext(nil, queued) || other.ClaimNext(w, queued) {
+			errs <- "claimed through a nil or foreign worker"
+		}
+		if !e.ClaimNext(w, queued) {
+			errs <- "could not claim the task in its own slot"
+		}
+		if e.ClaimNext(w, queued) {
+			errs <- "claimed the same task twice"
+		}
+	})))
+	<-done
+	e.Stop() // runs whatever is still queued
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+	if got := ran.Load(); got != 0 {
+		t.Errorf("%d tasks ran, want 0: the claimed one is the caller's to run", got)
+	}
+}
+
 // Park/wake storm: external producers hammer Ready from many
 // goroutines while workers cycle between stealing, draining, and
 // parking. Exercises the searcher/idle wake protocol for lost wakeups.

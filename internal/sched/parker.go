@@ -21,7 +21,11 @@
 // goroutine a token through a buffered channel approximates the paper's
 // direct handler-to-client control transfer after a sync: the Go
 // runtime readies exactly the waiting goroutine without a global
-// scheduler pass.
+// scheduler pass. A client that runs on a pool worker itself (handler
+// code) comes closer still: when the handler it syncs on waits in its
+// own worker's next slot, it takes it back (Executor.ClaimNext) and runs
+// the handler's Step on its own goroutine; the Step's Unpark leaves the
+// token, which the client takes with TryPark: no goroutine switch at all.
 package sched
 
 import "runtime"
@@ -33,6 +37,9 @@ type WaitPolicy int
 const (
 	// Engaged is for a handler inside a block, whose client owes the next
 	// request: a query's round trip is shorter than a park/unpark cycle.
+	// Not for a handler its own client runs inline (core's inline sync):
+	// that client logs nothing until the handler's Step returns, so the
+	// Step polls once and idles.
 	Engaged WaitPolicy = 64
 	// Idle is for a consumer nobody owes work, such as an actor on its
 	// mailbox: only SpinWait's busy polls, then Park, which is itself the
@@ -72,6 +79,17 @@ func NewParker() *Parker {
 // Park blocks until Unpark is called. If an Unpark already happened
 // since the last Park, it returns immediately, consuming the token.
 func (p *Parker) Park() { <-p.ch }
+
+// TryPark consumes a pending Unpark and reports whether there was one;
+// it never blocks.
+func (p *Parker) TryPark() bool {
+	select {
+	case <-p.ch:
+		return true
+	default:
+		return false
+	}
+}
 
 // Unpark wakes the goroutine blocked in Park, or arranges for the next
 // Park to return immediately. It never blocks: a token already pending
