@@ -25,13 +25,15 @@ import (
 var ids atomic.Uint64
 
 // Ref identifies an actor, like an Erlang pid. Refs are sent inside
-// messages without being copied.
+// messages without being copied. The mailbox, its stub node and the
+// parker live in the Ref by value: one object where there were four
+// (TestSpawnAllocs).
 type Ref struct {
 	id   uint64
-	mbox *queue.MPSC[any]
+	mbox queue.MPSC[any]
 	// parker is what the actor waits on for mail: the mailbox wakes
 	// nobody, so every Send unparks it after the enqueue.
-	parker *sched.Parker
+	parker sched.Parker
 	done   chan struct{}
 }
 
@@ -143,12 +145,9 @@ func (c *Ctx) Reply(req Request, v any) {
 // Spawn starts a new actor running body and returns its Ref. The actor
 // terminates when body returns.
 func Spawn(body func(c *Ctx)) *Ref {
-	r := &Ref{
-		id:     ids.Add(1),
-		mbox:   queue.NewMPSC[any](0),
-		parker: sched.NewParker(),
-		done:   make(chan struct{}),
-	}
+	r := &Ref{id: ids.Add(1), done: make(chan struct{})}
+	r.mbox.Init()
+	r.parker.Init()
 	go func() {
 		defer close(r.done)
 		body(&Ctx{self: r})

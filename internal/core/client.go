@@ -5,7 +5,6 @@ import (
 
 	"scoopqs/internal/future"
 	"scoopqs/internal/obs"
-	"scoopqs/internal/queue"
 	"scoopqs/internal/sched"
 )
 
@@ -13,9 +12,20 @@ import (
 // It caches private queues per handler (the paper's "cache of queues")
 // and holds the wait record SeparateWhen parks on. A Client is not safe
 // for concurrent use: create one per goroutine.
+//
+// A client is one allocation plus its parker's channel: the parker is
+// embedded, and the cache is a one-session slot until the client
+// reaches a second handler (session).
 type Client struct {
-	rt      *Runtime
-	cache   map[*Handler]*Session
+	rt *Runtime
+
+	// slot is the first session of the first handler the client
+	// reserved, cache the first session of each later one, made when the
+	// client reaches its second handler. Further sessions on a handler
+	// chain behind its first (Session.next).
+	slot  *Session
+	cache map[*Handler]*Session
+
 	wait    waitRec
 	scratch []*Handler // reserveMany's sorted handler set, dead on return
 
@@ -25,7 +35,7 @@ type Client struct {
 	// block. Each wait is answered by exactly one Unpark, taken by Park
 	// or, after an inline Step (syncInline), by TryPark, and the hand-off
 	// orders the reply slot's accesses.
-	parker   *sched.Parker
+	parker   sched.Parker
 	replyVal any
 	replyErr error
 
@@ -44,17 +54,20 @@ type Client struct {
 	// stores it.
 	waitingOn atomic.Pointer[Handler]
 
-	// The per-request counts since the last flush: plain adds on the
-	// request path, folded into the runtime's Stats at the client's
-	// synchronization points. A handler evaluating a guard in place
-	// counts for the parked client; the park/unpark hand-off orders it.
-	calls, localQueries, syncsElided int64
+	// The per-request and per-block counts since the last flush: plain
+	// adds on the request and reservation paths, folded into the
+	// runtime's Stats at the client's synchronization points. A handler
+	// evaluating a guard in place counts for the parked client; the
+	// park/unpark hand-off orders it.
+	calls, localQueries, syncsElided          int64
+	reservations, sessionsNew, sessionsReused int64
 }
 
-// flush adds the client's per-request counts to the runtime's Stats and
-// zeroes them. It runs before the client parks in a sync or packaged
-// query and when a block ends (Session.end, Session.endWaiting): every
-// count reaches Stats once the block that made it has ended.
+// flush adds the client's per-request and per-block counts to the
+// runtime's Stats and zeroes them. It runs before the client parks in a
+// sync or packaged query, when a block ends (Session.end,
+// Session.endWaiting) and when a reservation fails: every count reaches
+// Stats once the block that made it has ended.
 func (c *Client) flush() {
 	st := &c.rt.stats
 	if c.calls != 0 {
@@ -68,6 +81,18 @@ func (c *Client) flush() {
 	if c.syncsElided != 0 {
 		st.syncsElided.Add(c.syncsElided)
 		c.syncsElided = 0
+	}
+	if c.reservations != 0 {
+		st.reservations.Add(c.reservations)
+		c.reservations = 0
+	}
+	if c.sessionsNew != 0 {
+		st.sessionsNew.Add(c.sessionsNew)
+		c.sessionsNew = 0
+	}
+	if c.sessionsReused != 0 {
+		st.sessionsReused.Add(c.sessionsReused)
+		c.sessionsReused = 0
 	}
 }
 
@@ -117,7 +142,7 @@ const maxInline = 8
 // or re-queued itself, and the client parks as before.
 func (c *Client) syncInline(h *Handler) bool {
 	host := c.host
-	if host == nil || host.depth >= maxInline || !c.rt.exec.ClaimNext(host.onWorker, h.task) {
+	if host == nil || host.depth >= maxInline || !c.rt.exec.ClaimNext(host.onWorker, &h.task) {
 		return false
 	}
 	h.step(host.onWorker, host.depth+1)
@@ -150,36 +175,43 @@ func (c *Client) curWorker() *sched.Worker {
 // a fresh queue after 128 polls, which made SessionsNew climb whenever
 // a handler was scheduled out too long.)
 //
-// The cache holds the first session of each handler, and the common
-// hit is that one map lookup. A client with blocks open on h at once —
-// the remote server's connection reader serves all of its channels with
-// one client — or whose last block on h is still poisoned finds it busy
-// and takes the next idle, clean session chained behind it
-// (Session.next), chaining a fresh one only when none is. So a client
-// holds as many sessions on h as it ever had blocks open (or poisoned)
-// on h at once.
+// The cache holds the first session of each handler. The slot holds
+// that of the first handler the client reserved, and the common hit is
+// one pointer compare against it; the map, made when the client reaches
+// its second handler, holds those of later ones. A client with blocks open
+// on h at once — the remote server's connection reader serves all of
+// its channels with one client — or whose last block on h is still
+// poisoned finds it busy and takes the next idle, clean session chained
+// behind it (Session.next), chaining a fresh one only when none is. So
+// a client holds as many sessions on h as it ever had blocks open (or
+// poisoned) on h at once.
 func (c *Client) session(h *Handler) *Session {
-	first := c.cache[h]
+	first := c.slot
+	if first == nil || first.h != h {
+		first = c.cache[h]
+	}
 	for s := first; s != nil; s = s.next {
 		if !s.inUse && s.errPub.Load() == nil {
 			s.inUse = true
 			s.synced = false
-			c.rt.stats.sessionsReused.Add(1)
+			c.sessionsReused++
 			return s
 		}
 	}
-	s := &Session{
-		h:     h,
-		owner: c,
-		q:     queue.NewSPSC[call](0),
-		inUse: true,
-	}
-	if first == nil {
-		c.cache[h] = s
-	} else {
+	s := &Session{h: h, owner: c, inUse: true}
+	s.q.Init()
+	switch {
+	case first != nil:
 		s.next, first.next = first.next, s
+	case c.slot == nil:
+		c.slot = s
+	default:
+		if c.cache == nil {
+			c.cache = make(map[*Handler]*Session)
+		}
+		c.cache[h] = s
 	}
-	c.rt.stats.sessionsNew.Add(1)
+	c.sessionsNew++
 	return s
 }
 
@@ -210,9 +242,10 @@ func (c *Client) TryReserve(h *Handler) (*Session, error) {
 		// Un-mark the cached session: the reservation never happened,
 		// so the cache entry must not look mid-block.
 		s.inUse = false
+		c.flush()
 		return nil, ErrShutdown
 	}
-	c.rt.stats.reservations.Add(1)
+	c.reservations++
 	return s, nil
 }
 
@@ -296,6 +329,7 @@ func (c *Client) reserveMany(hs []*Handler) []*Session {
 	}
 	if !c.rt.enqueueGroup(sessions, c.curWorker()) {
 		c.unlockMany(sessions)
+		c.flush()
 		panic(ErrShutdown)
 	}
 	return sessions

@@ -135,24 +135,25 @@ func Configs() []Config {
 // Stats is a snapshot of the runtime's instrumentation counters (the
 // "SCOOP-specific instrumentation" the paper's §7 calls for).
 //
-// AsyncCalls, LocalQueries and SyncsElided are counted per request by
-// the client that made the request and reach Stats at its next
-// synchronization point: a SyncNow or packaged query that parks it, or
-// the end of the block. Once every block has ended they are exact; a
-// snapshot taken while a client is mid-block lacks that client's
-// requests since its last such point. Every other counter is added
-// when its event happens.
+// AsyncCalls, LocalQueries and SyncsElided are counted per request, and
+// Reservations, SessionsNew and SessionsReused per block, by the client
+// that made them, and reach Stats at its next synchronization point: a
+// SyncNow or packaged query that parks it, the end of the block, or a
+// reservation that failed. Once every block has ended they are exact; a
+// snapshot taken while a client is mid-block lacks that client's counts
+// since its last such point. Every other counter is added when its
+// event happens.
 type Stats struct {
 	AsyncCalls     int64 // calls logged via Session.Call or CallAlways (the latter: every request a remote server logs), counted at the client's next sync point or block end
 	RemoteQueries  int64 // packaged queries executed on the handler
 	LocalQueries   int64 // client-side query executions, counted at the client's next sync point or block end
 	SyncsPerformed int64 // sync round-trips that reached the handler
 	SyncsElided    int64 // syncs skipped by dynamic coalescing, counted at the client's next sync point or block end
-	Reservations   int64 // single-handler separate blocks entered
+	Reservations   int64 // single-handler separate blocks entered, counted at the client's next sync point or block end
 	MultiResGroups int64 // multi-handler reservations: SeparateMany blocks, one per SeparateWhen its handler evaluates (one handler, QoQ), else one per SeparateWhen attempt
 	GuardRetries   int64 // wait-condition attempts that ended without effect: a handler-evaluated SeparateWhen's first evaluation if false (re-evaluations in place are not attempts), every false evaluation of a client-evaluated one
-	SessionsNew    int64 // private queues freshly allocated
-	SessionsReused int64 // private queues taken from the client cache
+	SessionsNew    int64 // private queues freshly allocated, counted at the client's next sync point or block end
+	SessionsReused int64 // private queues taken from the client cache, counted at the client's next sync point or block end
 	EndsProcessed  int64 // blocks ended by handlers: END markers, the wait markers of failed guards and guard requests whose first evaluation failed
 
 	// Futures counters.
@@ -254,10 +255,11 @@ func New(cfg Config) *Runtime {
 // Config returns the runtime's configuration.
 func (rt *Runtime) Config() Config { return rt.cfg }
 
-// Stats returns a snapshot of the instrumentation counters. AsyncCalls,
-// LocalQueries and SyncsElided include a block's requests once the block
-// has ended (or its client has since parked in a sync or packaged
-// query); see Stats.
+// Stats returns a snapshot of the instrumentation counters. The
+// client-counted ones (AsyncCalls, LocalQueries, SyncsElided,
+// Reservations, SessionsNew, SessionsReused) include a block's counts
+// once the block has ended (or its client has since parked in a sync or
+// packaged query); see Stats.
 func (rt *Runtime) Stats() Stats {
 	st := rt.stats.snapshot()
 	st.WorkerSpawns, st.WorkerParks = rt.exec.Counters()
@@ -286,11 +288,9 @@ func (rt *Runtime) Handlers() []*Handler {
 // NewClient returns a client context for the calling goroutine. A
 // Client is not safe for concurrent use; create one per goroutine.
 func (rt *Runtime) NewClient() *Client {
-	return &Client{
-		rt:     rt,
-		cache:  make(map[*Handler]*Session),
-		parker: sched.NewParker(),
-	}
+	c := &Client{rt: rt}
+	c.parker.Init()
+	return c
 }
 
 // Shutdown stops all handlers and waits for them to exit, then stops

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // forEachConfig runs the test body under all five paper configurations,
@@ -678,6 +680,93 @@ func TestOverlappingBlocksReuseIdleSessions(t *testing.T) {
 				t.Fatalf("SessionsNew = %d, want 2 (one per block open at once)", st.SessionsNew)
 			}
 		})
+	}
+}
+
+// A client alternating blocks on two handlers makes two sessions and
+// one map: the first handler it reserves stays in its one-session slot,
+// and the second is the map's one entry, made at its first block and
+// never remade. The reservation counts reach Stats at each block's end,
+// so they are exact once the blocks have ended.
+func TestSessionSlotAlternatingHandlers(t *testing.T) {
+	rt := New(ConfigAll)
+	defer rt.Shutdown()
+	h1, h2 := rt.NewHandler("h1"), rt.NewHandler("h2")
+	c := rt.NewClient()
+	const rounds = 100
+	var m unsafe.Pointer
+	for i := 0; i < rounds; i++ {
+		c.Separate(h1, func(s *Session) { s.Call(func() {}) })
+		if i == 0 && c.cache != nil {
+			t.Fatal("a client with one handler made its map")
+		}
+		c.Separate(h2, func(s *Session) { s.Call(func() {}) })
+		if p := reflect.ValueOf(c.cache).UnsafePointer(); i == 0 {
+			m = p
+		} else if p != m {
+			t.Fatalf("round %d remade the map", i)
+		}
+	}
+	if c.slot == nil || c.slot.h != h1 || len(c.cache) != 1 || c.cache[h2] == nil {
+		t.Fatalf("slot on %v, map of %d: want h1 in the slot and h2 the map's one entry", c.slot, len(c.cache))
+	}
+	st := rt.Stats()
+	if st.SessionsNew != 2 || st.SessionsReused != 2*rounds-2 || st.Reservations != 2*rounds {
+		t.Fatalf("SessionsNew = %d, SessionsReused = %d, Reservations = %d; want 2, %d and %d",
+			st.SessionsNew, st.SessionsReused, st.Reservations, 2*rounds-2, 2*rounds)
+	}
+}
+
+// Overlapping blocks on the handler in a client's slot chain through
+// Session.next as on any other: a second open block chains a second
+// session, a reservation skips a session that is idle but still
+// poisoned, and once the handler has passed the poisoned block's END
+// that session, the slot's, is the first one reused.
+func TestSessionSlotChainsOverlappingBlocks(t *testing.T) {
+	rt := New(ConfigAll)
+	defer rt.Shutdown()
+	h, other := rt.NewHandler("h"), rt.NewHandler("other")
+	c := rt.NewClient()
+	reserve := func(h *Handler) *Session {
+		s, err := c.TryReserve(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	a, b := reserve(h), reserve(h)
+	if c.slot != a || a.next != b || c.cache != nil {
+		t.Fatal("two open blocks on the first handler: want the slot's session and one chained behind it, no map")
+	}
+	// h runs a's block first: poison it, then hold h inside it after its
+	// END is logged, so a is idle but poisoned.
+	reached, gate := make(chan struct{}), make(chan struct{})
+	a.Call(func() { panic("boom") })
+	a.CallAlways(func() {
+		close(reached)
+		<-gate
+	})
+	c.End(a)
+	c.End(b)
+	within(t, "the poisoned block", func() { <-reached })
+	if s := reserve(h); s != b {
+		t.Error("a reservation took the poisoned session or a fresh one over the idle, clean one")
+	} else if s2 := reserve(h); s2 == a || s2 == b {
+		t.Error("a second open block did not chain a fresh session past the poisoned one")
+	} else {
+		c.End(s)
+		c.End(s2)
+	}
+	close(gate)
+	c.End(reserve(other))
+	settle(t, "h passing the blocks' ENDs", func() bool { return rt.Stats().EndsProcessed == 5 })
+	if s := reserve(h); s != a || s.Err() != nil {
+		t.Error("once h passed its END the slot's session was not reused clean")
+	} else {
+		c.End(s)
+	}
+	if st := rt.Stats(); st.SessionsNew != 4 || len(c.cache) != 1 {
+		t.Fatalf("SessionsNew = %d, map of %d; want 4 (three on h, one on other) and other's one entry", st.SessionsNew, len(c.cache))
 	}
 }
 

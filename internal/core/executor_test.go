@@ -421,7 +421,9 @@ func TestBudgetRequeueKeepsOrder(t *testing.T) {
 						})
 					}()
 					if cfg.QoQ { // lock-based, the second client waits for the lock instead
-						settle(t, "the second reservation", func() bool { return rt.Stats().Reservations == 2 })
+						// Under QoQ the second block is logged whole,
+						// END included, without waiting for h.
+						within(t, "the second block's logging", func() { <-second })
 					}
 					for i := 0; i < calls; i++ {
 						s.Call(func() { log = append(log, i) })

@@ -26,20 +26,21 @@ type Handler struct {
 	// qoq is the queue-of-queues: private queues are enqueued by
 	// clients at reservation time and dequeued by drain. In lock-based
 	// mode it holds at most one live session because resMu serializes
-	// blocks.
-	qoq *queue.MPSC[*Session]
+	// blocks. Embedded, stub node and all, like task: a handler is one
+	// allocation (TestNewHandlerAllocs).
+	qoq queue.MPSC[*Session]
 
 	// Scheduling state (see the h* constants). cur is the session pinned
 	// mid-drain, owned by whichever goroutine holds the hRunning state;
 	// the wake/Step protocol guarantees exclusive, happens-before-ordered
-	// access. task is the handler's scheduling token on the pool, made
+	// access. task is the handler's scheduling token on the pool, bound
 	// once so wakes never heap-allocate. onWorker is the pool worker
 	// currently executing Step; it is only read by code running on this
 	// handler (the same goroutine), which is what lets a handler's own
 	// enqueues take the executor's next-slot fast path.
 	state    atomic.Int32
 	cur      *Session
-	task     *sched.Task
+	task     sched.Task
 	onWorker *sched.Worker
 
 	// spun is set when spinForWork has spent its engaged budget and
@@ -54,8 +55,8 @@ type Handler struct {
 	// goroutine: 0 when a worker's loop dispatched it, one more than its
 	// caller's when a client hosted by a running handler ran it inline
 	// (Client.syncInline). Owned like cur, and written as each Step
-	// starts. An int32, so it fits the padding before resMu: Handler
-	// stays in the 128-byte size class.
+	// starts. An int32, so it fits the padding after spun: Handler
+	// stays in the 240-byte size class (TestHotStructSizes).
 	depth int32
 
 	// resMu is the handler's reservation lock. Under Config.QoQ it is
@@ -109,11 +110,11 @@ func (rt *Runtime) NewHandler(name string) *Handler {
 		rt:   rt,
 		id:   rt.nextID,
 		name: name,
-		qoq:  queue.NewMPSC[*Session](0),
 	}
+	h.qoq.Init()
+	h.task.Init(h)
 	rt.handlers = append(rt.handlers, h)
 	rt.wg.Add(1)
-	h.task = sched.NewTask(h)
 	rt.mu.Unlock()
 	return h
 }
@@ -148,7 +149,7 @@ func (h *Handler) AsClient() *Client {
 // handler on one worker at a time.
 func (h *Handler) ready(w *sched.Worker) {
 	h.rt.stats.schedules.Add(1)
-	h.rt.exec.ReadyLocal(w, h.task)
+	h.rt.exec.ReadyLocal(w, &h.task)
 }
 
 // wake is wakeFrom without a worker context, for the wakes that bring

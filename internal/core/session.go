@@ -92,10 +92,23 @@ func (r *waitRec) release() {
 // it; the handler drains it. A Session is only valid inside the
 // separate block that produced it and must not be shared between
 // goroutines.
+//
+// A session is one allocation: its SPSC queue, stub node included, is
+// embedded (TestFreshSessionAllocs), and the whole fills the 176-byte
+// size class, 16 bytes less than the session, queue and stub made
+// apart took (TestHotStructSizes).
 type Session struct {
+	// errPub poisons the session after a handler-side panic, until the
+	// handler reaches the block's END. Written only by the handler; read
+	// by the client, hence atomic publication. The handler reads it for
+	// every call, so it leads the queue's consumer fields, and the
+	// fields the client reads or writes for every call follow the
+	// queue's producer fields, a cache line away.
+	errPub atomic.Pointer[HandlerError]
+
+	q     queue.SPSC[call]
 	h     *Handler
 	owner *Client // the client this private queue belongs to
-	q     *queue.SPSC[call]
 
 	// synced tracks whether the handler is known to be parked on this
 	// private queue (dynamic sync coalescing, §3.4.1). Client-owned.
@@ -116,13 +129,7 @@ type Session struct {
 
 	// one backs the session slice of a single-handler SeparateMany /
 	// SeparateWhen block (reserveMany), which then allocates nothing.
-	// With it Session fills the 64-byte size class (TestHotStructSizes).
 	one [1]*Session
-
-	// errPub poisons the session after a handler-side panic, until the
-	// handler reaches the block's END. Written only by the handler; read
-	// by the client, hence atomic publication.
-	errPub atomic.Pointer[HandlerError]
 }
 
 // Handler returns the handler this session is reserved on.

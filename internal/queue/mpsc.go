@@ -29,7 +29,8 @@ type mpscNode[T any] struct {
 // (the reservation hot path: one enqueue, one dequeue) every enqueue
 // reuses a node and allocates nothing.
 //
-// The zero value is not usable; use NewMPSC.
+// A zero value is usable after Init; NewMPSC returns an initialized
+// one.
 type MPSC[T any] struct {
 	headP    atomic.Pointer[mpscNode[T]] // producers swap here (newest node)
 	inflight atomic.Int64                // producers inside TryEnqueue
@@ -48,15 +49,26 @@ type MPSC[T any] struct {
 
 	_     [32]byte     // separate the consumer's line from the producers'
 	tailC *mpscNode[T] // consumer-owned: most recently consumed node
+
+	// stub is the chain's first node. Once consumed it is harvested like
+	// any other node.
+	stub mpscNode[T]
 }
 
 // NewMPSC returns an empty queue. The argument is ignored, as NewSPSC's.
 func NewMPSC[T any](int) *MPSC[T] {
-	stub := &mpscNode[T]{}
-	q := &MPSC[T]{tailC: stub, first: stub}
-	q.headP.Store(stub)
-	q.pos.Store(stub)
+	q := new(MPSC[T])
+	q.Init()
 	return q
+}
+
+// Init readies a zero queue in place, empty and open: the chain starts
+// at the embedded stub. It must run before any other method, and at
+// most once.
+func (q *MPSC[T]) Init() {
+	q.tailC, q.first = &q.stub, &q.stub
+	q.headP.Store(&q.stub)
+	q.pos.Store(&q.stub)
 }
 
 // newNode returns a node holding v, harvesting the oldest consumed

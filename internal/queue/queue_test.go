@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"scoopqs/internal/sched"
 )
@@ -19,6 +20,24 @@ func dequeue[T any](q *MPSC[T]) (v T, ok bool) {
 		}
 		sched.SpinWait(i)
 	}
+}
+
+// The producer's fields start at least a cache line after the
+// consumer's published position, whatever T and wherever the queue sits
+// in its owner (a core Session embeds it): the padding and the stub node
+// between them keep each side's writes off the other's line.
+func TestSPSCFieldSplit(t *testing.T) {
+	check := func(name string, pos, tail uintptr) {
+		if tail-pos < 64 {
+			t.Errorf("SPSC[%s]: tail is %d bytes after pos, want at least 64", name, tail-pos)
+		}
+	}
+	var b SPSC[byte]
+	check("byte", unsafe.Offsetof(b.pos), unsafe.Offsetof(b.tail))
+	var i SPSC[int]
+	check("int", unsafe.Offsetof(i.pos), unsafe.Offsetof(i.tail))
+	var s SPSC[[5]int]
+	check("[5]int", unsafe.Offsetof(s.pos), unsafe.Offsetof(s.tail))
 }
 
 func TestSPSCOrder(t *testing.T) {

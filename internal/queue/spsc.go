@@ -16,6 +16,11 @@
 // readies the handler, internal/actor unparks the mailbox's owner).
 // Close marks the end of a stream; an MPSC consumer may retire once
 // Quiesced reports that no item can ever appear again.
+//
+// Each queue embeds its stub node, so a queue embedded by value in its
+// owner (a core Session, Handler or an actor's Ref) adds no allocation
+// of its own: Init readies a zero queue in place, and NewSPSC/NewMPSC
+// are Init on a fresh one. An initialized queue must not be copied.
 package queue
 
 import (
@@ -31,7 +36,8 @@ type spscNode[T any] struct {
 
 // SPSC is an unbounded single-producer single-consumer queue.
 // Exactly one goroutine may call Enqueue/Close and exactly one may call
-// Dequeue/TryDequeue. The zero value is not usable; use NewSPSC.
+// Dequeue/TryDequeue. A zero value is usable after Init; NewSPSC
+// returns an initialized one.
 //
 // Nodes are recycled Vyukov-style with no side structure at all:
 // consumed nodes stay linked in the chain, the consumer publishes its
@@ -42,14 +48,21 @@ type spscNode[T any] struct {
 // mark (the node-level version of the paper's "cache of queues";
 // queues here are per-session and die with their client's cache).
 type SPSC[T any] struct {
-	head   *spscNode[T] // consumer-owned: most recently consumed node
-	closed atomic.Bool
+	head *spscNode[T] // consumer-owned: most recently consumed node
 
 	// pos is the consumer's published chain position: every node
 	// strictly before it has been consumed and may be reused.
-	pos atomic.Pointer[spscNode[T]]
+	pos    atomic.Pointer[spscNode[T]]
+	closed atomic.Bool
 
-	_     [32]byte     // keep producer fields off the consumer's cache line
+	// The padding and the stub keep the producer's fields off the
+	// consumer's cache line: tail starts at least 64 bytes after pos,
+	// whatever T and wherever the queue starts (TestSPSCFieldSplit).
+	// stub is the chain's first node; once consumed it is recycled like
+	// any other node.
+	_    [32]byte
+	stub spscNode[T]
+
 	tail  *spscNode[T] // producer-owned: last enqueued node
 	first *spscNode[T] // producer-owned: oldest node not yet reclaimed
 }
@@ -57,10 +70,17 @@ type SPSC[T any] struct {
 // NewSPSC returns an empty queue. The argument, once a poll budget that
 // every caller left at 0, is ignored.
 func NewSPSC[T any](int) *SPSC[T] {
-	stub := &spscNode[T]{}
-	q := &SPSC[T]{head: stub, tail: stub, first: stub}
-	q.pos.Store(stub)
+	q := new(SPSC[T])
+	q.Init()
 	return q
+}
+
+// Init readies a zero queue in place, empty and open: the chain starts
+// at the embedded stub. It must run before any other method, and at
+// most once.
+func (q *SPSC[T]) Init() {
+	q.head, q.tail, q.first = &q.stub, &q.stub, &q.stub
+	q.pos.Store(&q.stub)
 }
 
 // newNode returns a node holding v, reusing the oldest consumed node

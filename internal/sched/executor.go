@@ -24,12 +24,12 @@ type Runnable interface {
 }
 
 // Task is the scheduling token for one Runnable: the unit that moves
-// through next slots and the injector. Allocate it once per long-lived
-// Runnable (core allocates one per handler) — Ready takes the Task, so
-// the scheduler's hot path never heap-allocates per wake. The owner's
-// scheduling protocol must ensure a Task is enqueued at most once
-// until its Step runs (see Runnable); a Task is never in two queues at
-// once.
+// through next slots and the injector. Make it once per long-lived
+// Runnable (a core handler embeds its own and binds it with Init) —
+// Ready takes the Task, so the scheduler's hot path never
+// heap-allocates per wake. The owner's scheduling protocol must ensure
+// a Task is enqueued at most once until its Step runs (see Runnable); a
+// Task is never in two queues at once.
 type Task struct {
 	r Runnable
 	// readyAt is the obs timestamp of the task's last enqueue, written
@@ -43,6 +43,10 @@ type Task struct {
 
 // NewTask wraps r for scheduling.
 func NewTask(r Runnable) *Task { return &Task{r: r} }
+
+// Init binds a zero Task to r in place, for a Task embedded in its
+// Runnable. It must run before the Task is first readied.
+func (t *Task) Init(r Runnable) { t.r = r }
 
 // Worker is one goroutine of the pool, owning one ready slot. It is
 // handed to Runnable.Step and is only meaningful on the

@@ -66,15 +66,23 @@ func (p WaitPolicy) Poll(i int) bool {
 // one goroutine, and so is an actor's receive loop — while any number
 // of goroutines may Unpark.
 //
-// The zero value is not usable; use NewParker.
+// A zero value is usable after Init, so a Parker may live by value in
+// its owner (a core Client, an actor's Ref); NewParker returns an
+// initialized one.
 type Parker struct {
 	ch chan struct{}
 }
 
 // NewParker returns a ready-to-use Parker.
 func NewParker() *Parker {
-	return &Parker{ch: make(chan struct{}, 1)}
+	p := new(Parker)
+	p.Init()
+	return p
 }
+
+// Init readies a zero Parker in place: no token pending. It must run
+// before the first Park or Unpark, and at most once.
+func (p *Parker) Init() { p.ch = make(chan struct{}, 1) }
 
 // Park blocks until Unpark is called. If an Unpark already happened
 // since the last Park, it returns immediately, consuming the token.
