@@ -64,7 +64,8 @@ type (
 	Config = core.Config
 	// Stats is a snapshot of runtime instrumentation counters. The
 	// per-request ones (AsyncCalls, LocalQueries, SyncsElided) include a
-	// block's requests once the block has ended.
+	// block's requests once the block has ended; a QueryAsync is one
+	// asynchronous call, so it counts in AsyncCalls and FuturesCreated.
 	Stats = core.Stats
 	// HandlerError reports a panic that occurred in a handler call.
 	HandlerError = core.HandlerError

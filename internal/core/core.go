@@ -144,7 +144,7 @@ func Configs() []Config {
 // since its last such point. Every other counter is added when its
 // event happens.
 type Stats struct {
-	AsyncCalls     int64 // calls logged via Session.Call or CallAlways (the latter: every request a remote server logs), counted at the client's next sync point or block end
+	AsyncCalls     int64 // calls logged via Session.Call or CallAlways (a remote server's requests and every CallFuture/QueryAsync are CallAlways), counted at the client's next sync point or block end
 	RemoteQueries  int64 // packaged queries executed on the handler
 	LocalQueries   int64 // client-side query executions, counted at the client's next sync point or block end
 	SyncsPerformed int64 // sync round-trips that reached the handler
@@ -157,7 +157,7 @@ type Stats struct {
 	EndsProcessed  int64 // blocks ended by handlers: END markers, the wait markers of failed guards and guard requests whose first evaluation failed
 
 	// Futures counters.
-	FuturesCreated int64 // futures minted by CallFuture/QueryAsync (none by a remote server)
+	FuturesCreated int64 // futures minted by CallFuture/QueryAsync, each also counted in AsyncCalls (none by a remote server)
 	AwaitParks     int64 // always 0: a handler has no awaiting state; kept because bench/trace.go reads it
 
 	// Handler state-machine counters.

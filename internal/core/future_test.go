@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,14 +12,13 @@ import (
 )
 
 // futureModes are the pool sizes the futures subsystem must behave
-// identically under: the default (GOMAXPROCS; the row keeps the
-// "dedicated" label of the retired goroutine-per-activation mode so
-// the subtests keep their names) and an explicit 2.
+// identically under: the default (Workers 0, a pool of GOMAXPROCS) and
+// an explicit 2.
 var futureModes = []struct {
 	name string
 	cfg  Config
 }{
-	{"dedicated", ConfigAll},
+	{"default", ConfigAll},
 	{"pooled2", ConfigAll.WithWorkers(2)},
 }
 
@@ -201,6 +202,145 @@ func TestShutdownResolvesEveryCallFuture(t *testing.T) {
 			if got := rt.Stats().FuturesCreated; got != handlers*blocks*perBlock {
 				t.Fatalf("FuturesCreated = %d, want %d", got, handlers*blocks*perBlock)
 			}
+		})
+	}
+}
+
+// A future logged after a call that panicked in the same block fails
+// with that call's *HandlerError, and its query does not run: a future
+// is a CallAlways, which runs on a poisoned session, so it must read
+// the poison itself rather than run qfn and complete.
+func TestFutureAfterPoisoningCallFails(t *testing.T) {
+	for _, m := range futureModes {
+		t.Run(m.name, func(t *testing.T) {
+			rt := New(m.cfg)
+			defer rt.Shutdown()
+			h := rt.NewHandler("h")
+			c := rt.NewClient()
+			var ran atomic.Bool
+			var fut, async *future.Future
+			c.Separate(h, func(s *Session) {
+				s.Call(func() { panic("boom") })
+				fut = s.CallFuture(func() any { ran.Store(true); return 1 })
+				async = QueryAsync(s, func() int { ran.Store(true); return 2 })
+			})
+			var first *HandlerError
+			for i, f := range []*future.Future{fut, async} {
+				v, err := c.Await(f)
+				var he *HandlerError
+				if !errors.As(err, &he) || fmt.Sprint(he.Value) != "boom" {
+					t.Fatalf("future %d = %v, %v; want the poisoning call's *HandlerError(boom)", i, v, err)
+				}
+				if first == nil {
+					first = he
+				} else if he != first {
+					t.Fatalf("the two futures failed with different errors: %v and %v", first, he)
+				}
+			}
+			if ran.Load() {
+				t.Fatal("a future's query ran on a poisoned session")
+			}
+		})
+	}
+}
+
+// TestCallFutureAllocs pins what a future costs its client on a warm
+// session: the cell and the CallAlways closure that resolves it. A
+// non-capturing qfn costs nothing more, and the private queue recycles
+// its nodes.
+func TestCallFutureAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool Puts at random; counts are pinned for the non-race build")
+	}
+	rt := New(ConfigAll.WithWorkers(2))
+	defer rt.Shutdown()
+	h := rt.NewHandler("h")
+	c := rt.NewClient()
+	s, err := c.TryReserve(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.End(s)
+	qfn := func() any { return nil }
+	one := func() {
+		f := s.CallFuture(qfn)
+		for {
+			if _, _, ok := f.TryGet(); ok {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	for range 1000 {
+		one()
+	}
+	if got := testing.AllocsPerRun(1000, one); got != 2 {
+		t.Errorf("CallFuture = %v allocs, want 2 (the cell and its CallAlways closure)", got)
+	}
+}
+
+// Futures leak nothing: on pools of one and two workers, a thousand
+// futures — some panicking, read by OnComplete, Await and Get — are all
+// resolved by Shutdown, and the runtime's goroutines exit with it.
+func TestCallFutureLeaksNoGoroutines(t *testing.T) {
+	const blocks, perBlock = 100, 10
+	// A panic poisons the rest of its block, so only every other
+	// block's last future panics.
+	panics := func(n int) bool { return n%(2*perBlock) == perBlock-1 }
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			rt := New(ConfigAll.WithWorkers(workers))
+			h := rt.NewHandler("h")
+			c := rt.NewClient()
+			var callbacks atomic.Int64
+			futs := make([]*future.Future, 0, blocks*perBlock)
+			for b := 0; b < blocks; b++ {
+				c.Separate(h, func(s *Session) {
+					for i := 0; i < perBlock; i++ {
+						n := b*perBlock + i
+						f := s.CallFuture(func() any {
+							if panics(n) {
+								panic(n)
+							}
+							return n
+						})
+						if n%3 == 0 {
+							f.OnComplete(func(any, error) { callbacks.Add(1) })
+						}
+						futs = append(futs, f)
+					}
+				})
+				// The results are checked after Shutdown; this reads
+				// them while the handler may still be running them.
+				for i, f := range futs[b*perBlock:] {
+					switch (b*perBlock + i) % 3 {
+					case 1:
+						c.Await(f)
+					case 2:
+						f.Get()
+					}
+				}
+			}
+			within(t, "Shutdown", rt.Shutdown)
+			for i, f := range futs {
+				v, err, ok := f.TryGet()
+				if !ok {
+					t.Fatalf("future %d still pending after Shutdown", i)
+				}
+				var he *HandlerError
+				if panics(i) {
+					if !errors.As(err, &he) || he.Value != i {
+						t.Fatalf("future %d = %v, %v; want *HandlerError(%d)", i, v, err, i)
+					}
+				} else if err != nil || v != i {
+					t.Fatalf("future %d = %v, %v; want %d", i, v, err, i)
+				}
+			}
+			if want := int64((blocks*perBlock + 2) / 3); callbacks.Load() != want {
+				t.Fatalf("%d OnComplete callbacks ran, want %d", callbacks.Load(), want)
+			}
+			settle(t, "the runtime's goroutines exiting", func() bool { return runtime.NumGoroutine() <= before })
 		})
 	}
 }

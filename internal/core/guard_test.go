@@ -675,23 +675,23 @@ func turnAllocsPerBlock(rt *Runtime, rounds int) float64 {
 }
 
 // Session, Handler and call are pinned to their allocation size
-// classes. call is copied through every private-queue node. Session
-// embeds its SPSC queue and the queue's stub node, Handler its
-// queue-of-queues, that queue's stub and its pool task: each is one
-// object, and the bytes per session and per handler went down, 192 to
-// 176 and 264 to 240, from the three and four objects they were
-// (HISTORY.md). A session's size class sets the slot parity of its
+// classes. call is copied through every private-queue node, a session's
+// embedded stub node included. Session embeds its SPSC queue and the
+// queue's stub node, Handler its queue-of-queues, that queue's stub and
+// its pool task: each is one object, a session in the 160-byte size
+// class and a handler in the 240-byte one (HISTORY.md has what they
+// took before). A session's size class sets the slot parity of its
 // neighbours: when it once shrank from the 96-byte class to the 80-byte
 // one, the benchmark's handoff fanout went bimodal per process (74–82
 // ns/op in some runs, 92–139 in others). So moving either bound is a
 // layout change to measure, not a free win, and so is a field added to
 // Handler that does not fit its padding (Handler.depth).
 func TestHotStructSizes(t *testing.T) {
-	if got := unsafe.Sizeof(call{}); got != 40 {
-		t.Errorf("sizeof(call) = %d, want 40", got)
+	if got := unsafe.Sizeof(call{}); got != 32 {
+		t.Errorf("sizeof(call) = %d, want 32", got)
 	}
-	if got := unsafe.Sizeof(Session{}); got > 176 {
-		t.Errorf("sizeof(Session) = %d, want the 176-byte size class (at most 176)", got)
+	if got := unsafe.Sizeof(Session{}); got > 160 {
+		t.Errorf("sizeof(Session) = %d, want the 160-byte size class (at most 160)", got)
 	}
 	var h Handler
 	if got := unsafe.Sizeof(h); got > 240 {

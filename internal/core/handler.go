@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"scoopqs/internal/future"
 	"scoopqs/internal/obs"
 	"scoopqs/internal/queue"
 	"scoopqs/internal/sched"
@@ -388,11 +387,6 @@ func (h *Handler) execOne(s *Session, c call) (ended bool) {
 			emitOn(h.onWorker, obs.KindCall, uint64(h.id), d)
 		}
 		h.execCall(s, c.kind, c.fn)
-	case callFuture:
-		// An asynchronous query: execute and resolve the future; nobody
-		// is parked on the session, so the handler just moves on.
-		v, err := h.execQuery(s, c.qfn)
-		resolveFuture(c.fut, v, err)
 	case callSync:
 		// The sync rule: the client is parked in wait; release it, with
 		// the reply of a packaged query in its slot. drain then goes
@@ -432,16 +426,6 @@ func (h *Handler) execQuery(s *Session, qfn func() any) (v any, err error) {
 		}
 	}()
 	return qfn(), nil
-}
-
-// resolveFuture resolves fut with a query result. A result that is
-// itself a *future.Future is just a value: fut completes with it.
-func resolveFuture(fut *future.Future, v any, err error) {
-	if err != nil {
-		fut.Fail(err)
-		return
-	}
-	fut.Complete(v)
 }
 
 // guardHolds evaluates the guard of s's parked client in place, as a

@@ -28,7 +28,6 @@ const (
 	callCall callKind = iota
 	callAlways
 	callSync // with qfn, a packaged query (Fig. 10a)
-	callFuture
 	callEnd
 	callWait
 	callGuard
@@ -41,7 +40,6 @@ type call struct {
 	kind callKind
 	fn   func()
 	qfn  func() any
-	fut  *future.Future // callFuture: the cell qfn's result resolves
 	// at is the obs enqueue stamp of an async call (callCall), written
 	// only while recording is enabled; the handler measures the
 	// log→execution latency from it. The SPSC queue's handoff orders
@@ -94,9 +92,8 @@ func (r *waitRec) release() {
 // goroutines.
 //
 // A session is one allocation: its SPSC queue, stub node included, is
-// embedded (TestFreshSessionAllocs), and the whole fills the 176-byte
-// size class, 16 bytes less than the session, queue and stub made
-// apart took (TestHotStructSizes).
+// embedded (TestFreshSessionAllocs), and the whole fills the 160-byte
+// size class (TestHotStructSizes).
 type Session struct {
 	// errPub poisons the session after a handler-side panic, until the
 	// handler reaches the block's END. Written only by the handler; read
@@ -155,9 +152,9 @@ func (s *Session) Call(fn func()) { s.logCall(callCall, fn) }
 // CallAlways logs an asynchronous call that runs even on a poisoned
 // session, for a call that owns something it must give back whatever
 // happened earlier in the block (the remote server's reply, request
-// credit and payload). fn tells a poisoned session by Err() != nil and
-// skips its work then; a panic in fn poisons the session like a
-// panicking Call.
+// credit and payload; CallFuture's cell). fn tells a poisoned session
+// by Err() != nil and skips its work then; a panic in fn poisons the
+// session like a panicking Call.
 func (s *Session) CallAlways(fn func()) { s.logCall(callAlways, fn) }
 
 func (s *Session) logCall(kind callKind, fn func()) {
@@ -272,23 +269,24 @@ func (s *Session) queryRemote(qfn func() any) any {
 // executes on the handler after all previously logged requests of this
 // session, and its result resolves the returned future instead of
 // being shipped back through a sync round-trip — the client never
-// blocks. A handler-side panic fails the future with *HandlerError and
-// poisons the session exactly like a synchronous query. Whatever qfn
-// returns is the future's value, a *future.Future included. The future
-// resolves before its handler retires: a handler drains every request
-// it accepted, so Shutdown never leaves one pending.
+// blocks. The future is one CallAlways (counted in AsyncCalls) that
+// runs qfn as a query of the session: on a poisoned session qfn does
+// not run and the future fails with the poison, and a panic in qfn
+// fails it with *HandlerError and poisons the session exactly like a
+// synchronous query. Whatever qfn returns is the future's value, a
+// *future.Future included. The future resolves before its handler
+// retires: a handler drains every request it accepted, so Shutdown
+// never leaves one pending.
 func (s *Session) CallFuture(qfn func() any) *future.Future {
 	s.h.rt.stats.futuresCreated.Add(1)
 	fut := future.New()
-	if s.onHandler { // see Call
-		v, err := s.h.execQuery(s, qfn)
-		resolveFuture(fut, v, err)
-		return fut
-	}
-	// The handler executes qfn and moves on without parking at the
-	// client's disposal, so the session is not synced afterwards.
-	s.synced = false
-	s.log(call{kind: callFuture, qfn: qfn, fut: fut})
+	s.CallAlways(func() {
+		if v, err := s.h.execQuery(s, qfn); err != nil {
+			fut.Fail(err)
+		} else {
+			fut.Complete(v)
+		}
+	})
 	return fut
 }
 
