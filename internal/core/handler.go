@@ -26,7 +26,8 @@ type Handler struct {
 	// clients at reservation time and dequeued by drain. In lock-based
 	// mode it holds at most one live session because resMu serializes
 	// blocks. Embedded, stub node and all, like task: a handler is one
-	// allocation (TestNewHandlerAllocs).
+	// allocation (TestNewHandlerAllocs), and the queue carves its further
+	// nodes in blocks from the first reservation on.
 	qoq queue.MPSC[*Session]
 
 	// Scheduling state (see the h* constants). cur is the session pinned

@@ -91,9 +91,9 @@ func (r *waitRec) release() {
 // separate block that produced it and must not be shared between
 // goroutines.
 //
-// A session is one allocation: its SPSC queue, stub node included, is
-// embedded (TestFreshSessionAllocs), and the whole fills the 160-byte
-// size class (TestHotStructSizes).
+// A session is one allocation: its SPSC queue is embedded and makes its
+// first ring only with the first request (TestFreshSessionAllocs), and
+// the whole fills the 160-byte size class (TestHotStructSizes).
 type Session struct {
 	// errPub poisons the session after a handler-side panic, until the
 	// handler reaches the block's END. Written only by the handler; read

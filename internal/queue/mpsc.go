@@ -19,15 +19,18 @@ type mpscNode[T any] struct {
 // producer's items in that producer's order (per-producer FIFO), which
 // is exactly the guarantee the queue-of-queues needs.
 //
-// Nodes are recycled with the same Vyukov scheme the SPSC queue uses:
-// consumed nodes stay linked in the chain, the consumer publishes its
-// position (pos), and producers harvest nodes strictly behind it
-// before allocating fresh ones. Because many producers race for the
+// Nodes are recycled Vyukov-style: consumed nodes stay linked in the
+// chain, the consumer publishes its position (pos), and producers
+// harvest nodes strictly behind it. Because many producers race for the
 // chain head, the harvest window is guarded by a mutex taken with
-// TryLock only — a producer that loses the race allocates instead of
-// waiting, so the enqueue path stays non-blocking. In steady state
-// (the reservation hot path: one enqueue, one dequeue) every enqueue
-// reuses a node and allocates nothing.
+// TryLock only — a producer that loses the race allocates its node
+// instead of waiting, so the enqueue path stays non-blocking. A
+// producer that holds the lock and finds nothing to harvest carves its
+// node from a block, each block twice the last (2 up to 64 nodes). In
+// steady state (the reservation hot path: one enqueue, one dequeue)
+// every enqueue reuses a node, and a backlog — reservations running
+// ahead of a handler held by another block — costs one allocation per
+// block of nodes, not per node.
 //
 // A zero value is usable after Init; NewMPSC returns an initialized
 // one.
@@ -47,7 +50,12 @@ type MPSC[T any] struct {
 	// strictly before it has been consumed and may be reused.
 	pos atomic.Pointer[mpscNode[T]]
 
-	_     [32]byte     // separate the consumer's line from the producers'
+	// blk holds the nodes not yet carved from the last block allocated,
+	// taken from its end under reclaim; its capacity is that block's
+	// size. With the pad after it, it keeps the 32 bytes that separate
+	// the consumer's line from the producers'.
+	blk   []mpscNode[T]
+	_     [8]byte
 	tailC *mpscNode[T] // consumer-owned: most recently consumed node
 
 	// stub is the chain's first node. Once consumed it is harvested like
@@ -72,25 +80,32 @@ func (q *MPSC[T]) Init() {
 }
 
 // newNode returns a node holding v, harvesting the oldest consumed
-// node when the consumer's published position has moved past it. A
-// node equal to pos is never taken (the consumer may still read its
-// next link), and a producer that cannot get the harvest lock
-// allocates rather than spin.
+// node when the consumer's published position has moved past it, else
+// carving one from the current block. A node equal to pos is never
+// taken (the consumer may still read its next link), and a producer
+// that cannot get the harvest lock allocates rather than spin.
 func (q *MPSC[T]) newNode(v T) *mpscNode[T] {
-	if q.reclaim.TryLock() {
-		if nd := q.first; nd != q.pos.Load() {
-			// nd is strictly behind the consumer: it has been consumed,
-			// its next link is final, and the consumer will never touch
-			// it again.
-			q.first = nd.next.Load()
-			q.reclaim.Unlock()
-			nd.next.Store(nil)
-			nd.v = v
-			return nd
+	if !q.reclaim.TryLock() {
+		return &mpscNode[T]{v: v}
+	}
+	nd := q.first
+	if nd != q.pos.Load() {
+		// nd is strictly behind the consumer: it has been consumed, its
+		// next link is final, and the consumer will never touch it
+		// again.
+		q.first = nd.next.Load()
+		q.reclaim.Unlock()
+		nd.next.Store(nil)
+	} else {
+		if len(q.blk) == 0 {
+			q.blk = make([]mpscNode[T], min(max(2*cap(q.blk), 2), 64))
 		}
+		nd = &q.blk[len(q.blk)-1]
+		q.blk = q.blk[:len(q.blk)-1]
 		q.reclaim.Unlock()
 	}
-	return &mpscNode[T]{v: v}
+	nd.v = v
+	return nd
 }
 
 // Enqueue appends v. Safe for concurrent use by many producers; never
