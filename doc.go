@@ -103,7 +103,9 @@ func New(cfg Config) *Runtime { return core.New(cfg) }
 func Query[T any](s *Session, f func() T) T { return core.Query(s, f) }
 
 // QueryRemote forces the packaged-call query path (the unoptimized
-// rule): the closure executes on the handler.
+// rule): f is the package. It rides the parked client's query slot to
+// the handler, executes there, and its result, boxed through any,
+// rides back.
 func QueryRemote[T any](s *Session, f func() T) T { return core.QueryRemote(s, f) }
 
 // QueryAsync logs f as an asynchronous query: it returns immediately

@@ -6,10 +6,11 @@ import (
 )
 
 // The client-side rungs of the benchmark's ladder (bench/ladder.go), as
-// go test benchmarks: core.query_elided_ns is BenchmarkQueryElided and
+// go test benchmarks: core.query_elided_ns is BenchmarkQueryElided,
+// core.query_packaged_ns is BenchmarkQueryPackaged and
 // core.call_{dedicated,pooled}_ns is BenchmarkCallSync256's ns/call.
 //
-//	go test -run NONE -bench 'LocalQuery|QueryElided|CallSync256' ./internal/core
+//	go test -run NONE -bench 'LocalQuery|Query(Elided|Packaged)|CallSync256' ./internal/core
 
 // benchSession runs body inside one block on a fresh runtime under cfg.
 func benchSession(cfg Config, body func(s *Session)) {
@@ -40,6 +41,21 @@ func BenchmarkQueryElided(b *testing.B) {
 		s.SyncNow()
 		for b.Loop() {
 			Query(s, q)
+		}
+	})
+}
+
+// BenchmarkQueryPackaged is QueryRemote on a ConfigAll session: the
+// closure rides the client's query slot to the handler, and its boxed
+// result rides back. Its int64 result boxes with an allocation once past
+// 255, as in the ladder's rung.
+func BenchmarkQueryPackaged(b *testing.B) {
+	benchSession(ConfigAll, func(s *Session) {
+		var x int64
+		q := func() int64 { x++; return x }
+		b.ReportAllocs()
+		for b.Loop() {
+			QueryRemote(s, q)
 		}
 	})
 }

@@ -30,14 +30,20 @@ type Client struct {
 	scratch []*Handler // reserveMany's sorted handler set, dead on return
 
 	// parker is what the client waits on, for one answer at a time: a
-	// handler reaching its sync or packaged query (which leaves its
-	// result in replyVal/replyErr), or starting or releasing its waiting
-	// block. Each wait is answered by exactly one Unpark, taken by Park
-	// or, after an inline Step (syncInline), by TryPark, and the hand-off
-	// orders the reply slot's accesses.
+	// handler reaching its sync or packaged query, or starting or
+	// releasing its waiting block. Each wait is answered by exactly one
+	// Unpark, taken by Park or, after an inline Step (syncInline), by
+	// TryPark.
+	//
+	// query and replyVal are the one-answer slot of a packaged query
+	// (Session.queryRemote): the client writes query before it logs
+	// callSync, so the queue's hand-off orders it for the handler, which
+	// leaves the result in replyVal before its Unpark, and the client
+	// clears both when it wakes. A failed query poisons its session
+	// instead of replying. query is nil for a plain sync.
 	parker   sched.Parker
+	query    querier
 	replyVal any
-	replyErr error
 
 	// host is the handler whose code this client runs on (AsClient),
 	// nil for ordinary clients. It supplies the worker context for the
@@ -60,6 +66,7 @@ type Client struct {
 	// evaluating a guard in place counts for the parked client; the
 	// park/unpark hand-off orders it.
 	calls, localQueries, syncsElided          int64
+	remoteQueries, syncsPerformed             int64
 	reservations, sessionsNew, sessionsReused int64
 }
 
@@ -81,6 +88,14 @@ func (c *Client) flush() {
 	if c.syncsElided != 0 {
 		st.syncsElided.Add(c.syncsElided)
 		c.syncsElided = 0
+	}
+	if c.remoteQueries != 0 {
+		st.remoteQueries.Add(c.remoteQueries)
+		c.remoteQueries = 0
+	}
+	if c.syncsPerformed != 0 {
+		st.syncsPerformed.Add(c.syncsPerformed)
+		c.syncsPerformed = 0
 	}
 	if c.reservations != 0 {
 		st.reservations.Add(c.reservations)

@@ -135,19 +135,20 @@ func Configs() []Config {
 // Stats is a snapshot of the runtime's instrumentation counters (the
 // "SCOOP-specific instrumentation" the paper's §7 calls for).
 //
-// AsyncCalls, LocalQueries and SyncsElided are counted per request, and
-// Reservations, SessionsNew and SessionsReused per block, by the client
-// that made them, and reach Stats at its next synchronization point: a
-// SyncNow or packaged query that parks it, the end of the block, or a
-// reservation that failed. Once every block has ended they are exact; a
-// snapshot taken while a client is mid-block lacks that client's counts
-// since its last such point. Every other counter is added when its
-// event happens.
+// AsyncCalls, RemoteQueries, LocalQueries, SyncsPerformed and
+// SyncsElided are counted per request, and Reservations, SessionsNew and
+// SessionsReused per block, by the client that made them, and reach
+// Stats at its next synchronization point: a SyncNow or packaged query
+// that parks it (its own count included), the end of the block, or a
+// reservation that failed. Once every block has ended they are exact;
+// a snapshot taken while a client is mid-block lacks that client's
+// counts since its last such point. Every other counter is added when
+// its event happens.
 type Stats struct {
 	AsyncCalls     int64 // calls logged via Session.Call or CallAlways (a remote server's requests and every CallFuture/QueryAsync are CallAlways), counted at the client's next sync point or block end
-	RemoteQueries  int64 // packaged queries executed on the handler
+	RemoteQueries  int64 // packaged queries executed on the handler, counted at the client's next sync point or block end
 	LocalQueries   int64 // client-side query executions, counted at the client's next sync point or block end
-	SyncsPerformed int64 // sync round-trips that reached the handler
+	SyncsPerformed int64 // sync round-trips that reached the handler, counted at the client's next sync point or block end
 	SyncsElided    int64 // syncs skipped by dynamic coalescing, counted at the client's next sync point or block end
 	Reservations   int64 // single-handler separate blocks entered, counted at the client's next sync point or block end
 	MultiResGroups int64 // multi-handler reservations: SeparateMany blocks, one per SeparateWhen its handler evaluates (one handler, QoQ), else one per SeparateWhen attempt

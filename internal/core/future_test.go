@@ -247,7 +247,8 @@ func TestFutureAfterPoisoningCallFails(t *testing.T) {
 // TestCallFutureAllocs pins what a future costs its client on a warm
 // session: the cell and the CallAlways closure that resolves it. A
 // non-capturing qfn costs nothing more, and the private queue recycles
-// its nodes.
+// its nodes. QueryAsync costs the same: its f is the package, with no
+// func() any wrapped round it.
 func TestCallFutureAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool Puts at random; counts are pinned for the non-race build")
@@ -262,20 +263,29 @@ func TestCallFutureAllocs(t *testing.T) {
 	}
 	defer c.End(s)
 	qfn := func() any { return nil }
-	one := func() {
-		f := s.CallFuture(qfn)
-		for {
-			if _, _, ok := f.TryGet(); ok {
-				return
+	f := func() bool { return true }
+	for _, row := range []struct {
+		name string
+		mint func() *future.Future
+	}{
+		{"CallFuture", func() *future.Future { return s.CallFuture(qfn) }},
+		{"QueryAsync", func() *future.Future { return QueryAsync(s, f) }},
+	} {
+		one := func() {
+			fut := row.mint()
+			for {
+				if _, _, ok := fut.TryGet(); ok {
+					return
+				}
+				runtime.Gosched()
 			}
-			runtime.Gosched()
 		}
-	}
-	for range 1000 {
-		one()
-	}
-	if got := testing.AllocsPerRun(1000, one); got != 2 {
-		t.Errorf("CallFuture = %v allocs, want 2 (the cell and its CallAlways closure)", got)
+		for range 1000 {
+			one()
+		}
+		if got := testing.AllocsPerRun(1000, one); got != 2 {
+			t.Errorf("%s = %v allocs, want 2 (the cell and its CallAlways closure)", row.name, got)
+		}
 	}
 }
 

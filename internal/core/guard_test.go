@@ -674,21 +674,23 @@ func turnAllocsPerBlock(rt *Runtime, rounds int) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(2*rounds)
 }
 
-// Session, Handler and call are pinned to their allocation size
-// classes. call is copied through every private-queue node, a session's
-// embedded stub node included. Session embeds its SPSC queue and the
-// queue's stub node, Handler its queue-of-queues, that queue's stub and
-// its pool task: each is one object, a session in the 160-byte size
-// class and a handler in the 240-byte one (HISTORY.md has what they
-// took before). A session's size class sets the slot parity of its
-// neighbours: when it once shrank from the 96-byte class to the 80-byte
-// one, the benchmark's handoff fanout went bimodal per process (74–82
-// ns/op in some runs, 92–139 in others). So moving either bound is a
+// Session, Handler, Client and call are pinned to their allocation size
+// classes. call is copied through every private-queue ring slot; a
+// packaged query rides its client's query slot, not the record, which
+// keeps it at 24 bytes. Session embeds its SPSC queue, Handler its
+// queue-of-queues, that queue's stub and its pool task, and Client its
+// parker and its query and reply slot: each is one object, a session in
+// the 160-byte size class, a handler in the 240-byte one and a client in
+// the 208-byte one (HISTORY.md has what they took before). A session's
+// size class sets the slot parity of its neighbours: when it once shrank
+// from the 96-byte class to the 80-byte one, the benchmark's handoff
+// fanout went bimodal per process (74–82 ns/op in some runs, 92–139 in
+// others). So moving either bound is a
 // layout change to measure, not a free win, and so is a field added to
 // Handler that does not fit its padding (Handler.depth).
 func TestHotStructSizes(t *testing.T) {
-	if got := unsafe.Sizeof(call{}); got != 32 {
-		t.Errorf("sizeof(call) = %d, want 32", got)
+	if got := unsafe.Sizeof(call{}); got != 24 {
+		t.Errorf("sizeof(call) = %d, want 24", got)
 	}
 	if got := unsafe.Sizeof(Session{}); got > 160 {
 		t.Errorf("sizeof(Session) = %d, want the 160-byte size class (at most 160)", got)
@@ -696,6 +698,10 @@ func TestHotStructSizes(t *testing.T) {
 	var h Handler
 	if got := unsafe.Sizeof(h); got > 240 {
 		t.Errorf("sizeof(Handler) = %d, want the 240-byte size class (at most 240)", got)
+	}
+	var c Client
+	if got := unsafe.Sizeof(c); got > 208 {
+		t.Errorf("sizeof(Client) = %d, want the 208-byte size class (at most 208)", got)
 	}
 }
 

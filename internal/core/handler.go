@@ -390,13 +390,14 @@ func (h *Handler) execOne(s *Session, c call) (ended bool) {
 		h.execCall(s, c.kind, c.fn)
 	case callSync:
 		// The sync rule: the client is parked in wait; release it, with
-		// the reply of a packaged query in its slot. drain then goes
-		// straight back to dequeueing this same private queue — the
+		// the reply of a packaged query in its slot (a failed query
+		// poisons s, which is how the client learns of it). drain then
+		// goes straight back to dequeueing this same private queue — the
 		// handler is now idle at the client's disposal, which is what
 		// makes client-side query execution safe.
 		o := s.owner
-		if c.qfn != nil {
-			o.replyVal, o.replyErr = h.execQuery(s, c.qfn)
+		if o.query != nil {
+			o.replyVal, _ = h.execQuery(s, o.query)
 		}
 		o.parker.Unpark()
 	}
@@ -415,7 +416,10 @@ func (h *Handler) execCall(s *Session, kind callKind, fn func()) {
 	fn()
 }
 
-func (h *Handler) execQuery(s *Session, qfn func() any) (v any, err error) {
+// execQuery runs q as a query of s: not at all on a poisoned session,
+// whose poison it returns, and a panic in q poisons s with the error it
+// returns.
+func (h *Handler) execQuery(s *Session, q querier) (v any, err error) {
 	if e := s.errPub.Load(); e != nil {
 		return nil, e
 	}
@@ -426,7 +430,7 @@ func (h *Handler) execQuery(s *Session, qfn func() any) (v any, err error) {
 			err = he
 		}
 	}()
-	return qfn(), nil
+	return q.query(), nil
 }
 
 // guardHolds evaluates the guard of s's parked client in place, as a
@@ -435,8 +439,7 @@ func (h *Handler) execQuery(s *Session, qfn func() any) (v any, err error) {
 // wake to re-raise the error at checkErr.
 func (h *Handler) guardHolds(s *Session) bool {
 	s.onHandler = true
-	w := &s.owner.wait
-	v, _ := h.execQuery(s, func() any { return w.guard(w.sessions) })
+	v, _ := h.execQuery(s, &s.owner.wait)
 	s.onHandler, s.synced = false, false
 	return s.errPub.Load() != nil || v.(bool)
 }

@@ -27,7 +27,7 @@ type callKind uint8
 const (
 	callCall callKind = iota
 	callAlways
-	callSync // with qfn, a packaged query (Fig. 10a)
+	callSync // with the owner's query slot set, a packaged query (Fig. 10a)
 	callEnd
 	callWait
 	callGuard
@@ -35,17 +35,31 @@ const (
 
 // call is a packaged request. The paper packages calls with libffi; in
 // Go the closure is the package (heap allocation plus indirect call,
-// the same cost shape).
+// the same cost shape). A packaged query rides its parked client's
+// query slot (Client.query), not the record, which keeps every private
+// queue slot at 24 bytes.
 type call struct {
 	kind callKind
 	fn   func()
-	qfn  func() any
 	// at is the obs enqueue stamp of an async call (callCall), written
 	// only while recording is enabled; the handler measures the
 	// log→execution latency from it. The SPSC queue's handoff orders
 	// the accesses. A callWait carries its wait generation here instead.
 	at int64
 }
+
+// querier is a packaged query: what a handler runs for a client parked
+// in QueryRemote (Fig. 10a), for a future (CallFuture, QueryAsync) and
+// for a guard it evaluates itself (waitRec). The result comes back
+// boxed through any.
+type querier interface{ query() any }
+
+// queryFunc adapts a typed query closure to querier. A func value is
+// pointer-shaped, so converting one to the interface allocates nothing:
+// the caller's closure is the whole package.
+type queryFunc[T any] func() T
+
+func (f queryFunc[T]) query() any { return f() }
 
 // waitRec is a client's wait-condition record: what the handlers of a
 // waiting block need to start or wake the client later.
@@ -71,6 +85,11 @@ type waitRec struct {
 	sessions []*Session            // the waiting block's sessions, in handler-id order
 	guard    func([]*Session) bool // callGuard only: the handler evaluates it
 }
+
+// query runs the record's guard as a query of the block's session
+// (Handler.guardHolds); the record is the package, so evaluating a
+// guard in place allocates nothing.
+func (r *waitRec) query() any { return r.guard(r.sessions) }
 
 // release wakes the record's parked client with nothing reserved, leaving
 // sessions nil to say so. A client-evaluated guard always wakes like that
@@ -202,18 +221,18 @@ func (s *Session) SyncNow() {
 		s.synced = true
 		return
 	}
-	s.h.rt.stats.syncsPerformed.Add(1)
-	s.roundTrip(nil)
+	s.owner.syncsPerformed++
+	s.roundTrip()
 	s.checkErr()
 }
 
-// roundTrip logs callSync — with qfn, a packaged query, whose reply the
-// handler leaves in the owner's slot — and waits until the handler has
-// answered it: a handler-hosted owner first runs an idle handler's Step
-// inline (syncInline), and parks only when that did not answer. The
-// handler then loops back to dequeue on this same private queue, so s
-// is synced.
-func (s *Session) roundTrip(qfn func() any) {
+// roundTrip logs callSync and waits until the handler has answered it —
+// with the owner's query slot set, a packaged query, whose reply the
+// handler leaves next to it. A handler-hosted owner first runs an idle
+// handler's Step inline (syncInline), and parks only when that did not
+// answer. The handler then loops back to dequeue on this same private
+// queue, so s is synced.
+func (s *Session) roundTrip() {
 	c := s.owner
 	c.flush()
 	var t0 int64
@@ -224,7 +243,7 @@ func (s *Session) roundTrip(qfn func() any) {
 		c.waitingOn.Store(s.h)
 	}
 	// Log before syncInline and park's blockBegin (see log).
-	s.log(call{kind: callSync, qfn: qfn})
+	s.log(call{kind: callSync})
 	if !c.syncInline(s.h) {
 		c.park()
 	}
@@ -233,7 +252,7 @@ func (s *Session) roundTrip(qfn func() any) {
 	}
 	if t0 != 0 {
 		d := obs.Now() - t0
-		if qfn == nil {
+		if c.query == nil {
 			syncHist.Observe(d)
 			obs.Emit(obs.KindSync, uint64(s.h.id), d)
 		} else {
@@ -248,20 +267,24 @@ func (s *Session) roundTrip(qfn func() any) {
 // queue (i.e. a client-side query needs no round-trip).
 func (s *Session) Synced() bool { return s.synced }
 
-// queryRemote packages qfn, has the handler execute it, and waits for
-// the result (the original query rule, Fig. 10a).
-func (s *Session) queryRemote(qfn func() any) any {
-	s.h.rt.stats.remoteQueries.Add(1)
-	if s.onHandler {
-		return qfn() // a guard on the handler itself; its recover poisons the session
-	}
-	s.roundTrip(qfn)
+// queryRemote has the handler execute q and waits for the result (the
+// original query rule, Fig. 10a). The owner's query slot carries q to
+// the handler and the result back; the client stays parked until the
+// answer, and clears the slot on waking, so it keeps neither q nor the
+// result alive. A query that panicked or met a poisoned session poisons
+// s, and checkErr re-raises it: the handler is pinned on s until the
+// client's next request, so the poison cannot change in between.
+func (s *Session) queryRemote(q querier) any {
 	c := s.owner
-	v, err := c.replyVal, c.replyErr
-	c.replyVal, c.replyErr = nil, nil
-	if err != nil {
-		panic(err)
+	c.remoteQueries++
+	if s.onHandler {
+		return q.query() // a guard on the handler itself; its recover poisons the session
 	}
+	c.query = q
+	s.roundTrip()
+	v := c.replyVal
+	c.query, c.replyVal = nil, nil
+	s.checkErr()
 	return v
 }
 
@@ -278,10 +301,16 @@ func (s *Session) queryRemote(qfn func() any) any {
 // retires: a handler drains every request it accepted, so Shutdown
 // never leaves one pending.
 func (s *Session) CallFuture(qfn func() any) *future.Future {
+	return s.callFuture(queryFunc[any](qfn))
+}
+
+// callFuture is CallFuture of a packaged query: the cell and the
+// CallAlways closure are all it allocates.
+func (s *Session) callFuture(q querier) *future.Future {
 	s.h.rt.stats.futuresCreated.Add(1)
 	fut := future.New()
 	s.CallAlways(func() {
-		if v, err := s.h.execQuery(s, qfn); err != nil {
+		if v, err := s.h.execQuery(s, q); err != nil {
 			fut.Fail(err)
 		} else {
 			fut.Complete(v)
@@ -347,21 +376,24 @@ func Query[T any](s *Session, f func() T) T {
 	return QueryRemote(s, f)
 }
 
-// QueryRemote always uses the packaged-call path of Fig. 10a: the
-// closure is boxed, shipped to the handler, executed there, and the
-// result shipped back. The boxing through any is deliberate: it models
-// the encode/decode cost the optimized rule avoids.
+// QueryRemote always uses the packaged-call path of Fig. 10a: f is the
+// package, shipped to the handler in the client's query slot (no second
+// closure wraps it), executed there, and its result shipped back in the
+// reply slot. The boxing of the result through any is deliberate: it
+// models the encode/decode cost the optimized rule avoids. A nil
+// interface result boxes to a nil any, and comes back as T's zero.
 func QueryRemote[T any](s *Session, f func() T) T {
-	v := s.queryRemote(func() any { return f() })
-	return v.(T)
+	v, _ := s.queryRemote(queryFunc[T](f)).(T)
+	return v
 }
 
 // QueryAsync is the typed veneer over Session.CallFuture: it logs f as
 // an asynchronous query and returns a future that resolves with f's
-// (boxed) result. Resolve it with Client.Await (shutdown-aware) or the
+// (boxed) result, at a future's cost (f is the package, as for
+// QueryRemote). Resolve it with Client.Await (shutdown-aware) or the
 // future's own Get.
 func QueryAsync[T any](s *Session, f func() T) *future.Future {
-	return s.CallFuture(func() any { return f() })
+	return s.callFuture(queryFunc[T](f))
 }
 
 // LocalQuery executes f directly on the client with no synchronization.
