@@ -15,7 +15,10 @@
 // asynchronous calls without waiting, and runs synchronous queries on
 // its own goroutine after a sync handshake, which is elided when the
 // handler is known to be synced already (dynamically, and statically
-// for code compiled through the included IR pass).
+// for code compiled through the included IR pass). A handler that has
+// answered a sync and waits for its client's next request lends the
+// client its private queue, so the client runs its next sync or
+// packaged query itself, without parking.
 //
 // The five configurations of the paper's §4 are ConfigNone,
 // ConfigDynamic, ConfigStatic, ConfigQoQ and ConfigAll, the SCOOP/Qs

@@ -7,10 +7,11 @@ import (
 
 // The client-side rungs of the benchmark's ladder (bench/ladder.go), as
 // go test benchmarks: core.query_elided_ns is BenchmarkQueryElided,
-// core.query_packaged_ns is BenchmarkQueryPackaged and
-// core.call_{dedicated,pooled}_ns is BenchmarkCallSync256's ns/call.
+// core.query_packaged_ns is BenchmarkQueryPackaged, core.sync_pooled_ns
+// is BenchmarkSyncPing and core.call_{dedicated,pooled}_ns is
+// BenchmarkCallSync256's ns/call.
 //
-//	go test -run NONE -bench 'LocalQuery|Query(Elided|Packaged)|CallSync256' ./internal/core
+//	go test -run NONE -bench 'LocalQuery|Query(Elided|Packaged)|SyncPing|CallSync256' ./internal/core
 
 // benchSession runs body inside one block on a fresh runtime under cfg.
 func benchSession(cfg Config, body func(s *Session)) {
@@ -56,6 +57,22 @@ func BenchmarkQueryPackaged(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			QueryRemote(s, q)
+		}
+	})
+}
+
+// BenchmarkSyncPing is one Call and a SyncNow per op on a session of the
+// ladder's pooled configuration (ConfigAll on an explicit pool of
+// GOMAXPROCS workers): a round trip after the block's first, which the
+// client runs itself when the handler has lent it the session.
+func BenchmarkSyncPing(b *testing.B) {
+	benchSession(ConfigAll.WithWorkers(runtime.GOMAXPROCS(0)), func(s *Session) {
+		var n int
+		fn := func() { n++ }
+		b.ReportAllocs()
+		for b.Loop() {
+			s.Call(fn)
+			s.SyncNow()
 		}
 	})
 }

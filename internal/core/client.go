@@ -74,7 +74,9 @@ type Client struct {
 // runtime's Stats and zeroes them. It runs before the client parks in a
 // sync or packaged query, when a block ends (Session.end,
 // Session.endWaiting) and when a reservation fails: every count reaches
-// Stats once the block that made it has ended.
+// Stats once the block that made it has ended. A round trip the client
+// runs itself on a lent session (Session.claim) does not flush: its
+// counts reach Stats at the next parked round trip or at block end.
 func (c *Client) flush() {
 	st := &c.rt.stats
 	if c.calls != 0 {
@@ -133,6 +135,9 @@ func (c *Client) blockEnd() {
 // client's round trip first tries syncInline, and parks only when that
 // did not answer it.
 func (c *Client) park() {
+	if c.rt.parkHook != nil {
+		c.rt.parkHook()
+	}
 	c.blockBegin()
 	c.parker.Park()
 	c.blockEnd()
@@ -208,7 +213,7 @@ func (c *Client) session(h *Handler) *Session {
 	for s := first; s != nil; s = s.next {
 		if !s.inUse && s.errPub.Load() == nil {
 			s.inUse = true
-			s.synced = false
+			s.synced = false // live too, since the block before ended
 			c.sessionsReused++
 			return s
 		}

@@ -139,16 +139,17 @@ func Configs() []Config {
 // SyncsElided are counted per request, and Reservations, SessionsNew and
 // SessionsReused per block, by the client that made them, and reach
 // Stats at its next synchronization point: a SyncNow or packaged query
-// that parks it (its own count included), the end of the block, or a
-// reservation that failed. Once every block has ended they are exact;
-// a snapshot taken while a client is mid-block lacks that client's
-// counts since its last such point. Every other counter is added when
+// that parks it (its own count included; one the client runs itself on a
+// session the handler lent is no such point), the end of the block, or a
+// reservation that failed. Once every block has ended they are exact; a
+// snapshot taken while a client is mid-block lacks that client's counts
+// since its last such point. Every other counter is added when
 // its event happens.
 type Stats struct {
 	AsyncCalls     int64 // calls logged via Session.Call or CallAlways (a remote server's requests and every CallFuture/QueryAsync are CallAlways), counted at the client's next sync point or block end
 	RemoteQueries  int64 // packaged queries executed on the handler, counted at the client's next sync point or block end
 	LocalQueries   int64 // client-side query executions, counted at the client's next sync point or block end
-	SyncsPerformed int64 // sync round-trips that reached the handler, counted at the client's next sync point or block end
+	SyncsPerformed int64 // sync round trips made: parked until the handler answered, or run by the client on a session the handler lent; counted at the client's next sync point or block end
 	SyncsElided    int64 // syncs skipped by dynamic coalescing, counted at the client's next sync point or block end
 	Reservations   int64 // single-handler separate blocks entered, counted at the client's next sync point or block end
 	MultiResGroups int64 // multi-handler reservations: SeparateMany blocks, one per SeparateWhen its handler evaluates (one handler, QoQ), else one per SeparateWhen attempt
@@ -238,6 +239,10 @@ type Runtime struct {
 	downC chan struct{}
 
 	wg sync.WaitGroup
+
+	// parkHook, when set before any client runs, is called each time a
+	// client parks (Client.park): a test hook, nil otherwise.
+	parkHook func()
 }
 
 // New creates a runtime with the given configuration.

@@ -33,11 +33,17 @@ type Handler struct {
 	// Scheduling state (see the h* constants). cur is the session pinned
 	// mid-drain, owned by whichever goroutine holds the hRunning state;
 	// the wake/Step protocol guarantees exclusive, happens-before-ordered
-	// access. task is the handler's scheduling token on the pool, bound
+	// access. While the client of a lent session has claimed it
+	// (Session.claim), that client owns what cur guards instead, and a
+	// Step leaves all of it alone until the client hands the session
+	// back. task is the handler's scheduling token on the pool, bound
 	// once so wakes never heap-allocate. onWorker is the pool worker
 	// currently executing Step; it is only read by code running on this
 	// handler (the same goroutine), which is what lets a handler's own
-	// enqueues take the executor's next-slot fast path.
+	// enqueues take the executor's next-slot fast path. It is nil while
+	// the pinned session is lent (spinLent): code its client then runs
+	// for h runs on the client's goroutine, and must push into no
+	// worker's slot.
 	state    atomic.Int32
 	cur      *Session
 	task     sched.Task
@@ -51,12 +57,18 @@ type Handler struct {
 	// does not write next to the state word that wakers CAS.
 	spun bool
 
+	// lends is set when h answers a sync of the pinned block under
+	// DynElide, and cleared at the block's END: only such a block's
+	// engaged wait lends its session (spinLent). Owned like cur.
+	lends bool
+
 	// depth is how many Steps the running one is nested in on its
 	// goroutine: 0 when a worker's loop dispatched it, one more than its
 	// caller's when a client hosted by a running handler ran it inline
 	// (Client.syncInline). Owned like cur, and written as each Step
-	// starts. An int32, so it fits the padding after spun: Handler
-	// stays in the 240-byte size class (TestHotStructSizes).
+	// starts holding its pinned session. An int32, so it fits the
+	// padding after spun and lends: Handler stays in the 240-byte size
+	// class (TestHotStructSizes).
 	depth int32
 
 	// resMu is the handler's reservation lock. Under Config.QoQ it is
@@ -204,7 +216,6 @@ func (h *Handler) Step(w *sched.Worker) { h.step(w, 0) }
 // step is Step at a nesting depth: 0 from the worker loop, more when a
 // hosted client runs the handler inline (Client.syncInline).
 func (h *Handler) step(w *sched.Worker, depth int32) {
-	h.onWorker, h.depth = w, depth
 	h.state.Store(hRunning)
 	var runT0 int64
 	if obs.Enabled() {
@@ -212,7 +223,7 @@ func (h *Handler) step(w *sched.Worker, depth int32) {
 	}
 	budget := stepBudget
 	for {
-		switch h.drain(&budget) {
+		switch h.drain(w, depth, &budget) {
 		case drainDone:
 			if !h.state.CompareAndSwap(hRunning, hDone) {
 				// A wake raced the retirement decision
@@ -282,7 +293,15 @@ const (
 // private queue mid-block, and after serving a sync it remains at the
 // client's disposal (§3.2) — first spinning for the client's next
 // request, then parking without touching other sessions.
-func (h *Handler) drain(budget *int) drainOutcome {
+//
+// A pass starts by taking the Step's worker and depth, once it holds the
+// pinned session (hold); while the session's client holds it, the pass
+// writes nothing and idles, and the client's hand-back wakes h.
+func (h *Handler) drain(w *sched.Worker, depth int32, budget *int) drainOutcome {
+	if s := h.cur; s != nil && !hold(s) {
+		return drainEmpty
+	}
+	h.onWorker, h.depth = w, depth
 	for {
 		if h.cur == nil {
 			s, ok := h.qoq.TryDequeue()
@@ -305,7 +324,7 @@ func (h *Handler) drain(budget *int) drainOutcome {
 			}
 			c, ok := s.q.TryDequeue()
 			if !ok {
-				if !h.spinForWork(s) {
+				if !h.spinForWork(s, budget) {
 					return drainEmpty
 				}
 				continue
@@ -321,6 +340,29 @@ func (h *Handler) drain(budget *int) drainOutcome {
 	}
 }
 
+// hold takes back a session whose lend outlived its engaged wait — left
+// standing while h waited its turn on the pool (spinLent) — and reports
+// whether h holds s. A client holding s gets it marked lendLeft, and its
+// hand-back then wakes h.
+func hold(s *Session) bool {
+	for {
+		switch w := s.lend.Load(); w & lendState {
+		case lendHeld:
+			return true
+		case lendLent:
+			if s.lend.CompareAndSwap(w, lendHeld) {
+				return true
+			}
+		case lendClaimed:
+			if s.lend.CompareAndSwap(w, w|lendLeft) {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+}
+
 // spinForWork is the engaged wait (sched.Engaged), core's only one: the
 // client's next request after a sync handshake is usually one scheduling
 // step away, so poll before leaving the block parked. Once the budget is
@@ -329,10 +371,15 @@ func (h *Handler) drain(budget *int) drainOutcome {
 // pool of one, the very handler the pinned client is parked on. An inline
 // Step (depth > 0) polls only once too: it runs on its client's own
 // goroutine, which logs nothing until the Step has returned, so it idles
-// with the session pinned and the client's next request wakes it.
-func (h *Handler) spinForWork(s *Session) bool {
+// with the session pinned and the client's next request wakes it. In a
+// block whose sync h has answered (lends), the wait lends the session
+// to its client (spinLent).
+func (h *Handler) spinForWork(s *Session, budget *int) bool {
 	if h.spun || h.depth > 0 {
 		return !s.q.Empty()
+	}
+	if h.lends {
+		return h.spinLent(s, budget)
 	}
 	for i := 0; sched.Engaged.Poll(i); i++ {
 		if !s.q.Empty() {
@@ -341,6 +388,95 @@ func (h *Handler) spinForWork(s *Session) bool {
 	}
 	h.spun = true
 	return false
+}
+
+// lendGrace is how many times a lending handler re-reads the lend word
+// after its client's count has moved before it takes the session back:
+// time for a client between a Call and the SyncNow after it to claim.
+const lendGrace = 256
+
+// lendSlice bounds, in nanoseconds, how long a handler whose client keeps
+// claiming holds its worker before it lets the handlers queued behind it
+// run: about the step budget's worth of parked round trips.
+const lendSlice = 500_000
+
+// spinLent is the engaged wait of a block whose sync h has answered, on
+// DynElide (dynamic sync coalescing, §3.4.1): h is caught up on s and at
+// its client's disposal, so it lends s to the client (Session.claim),
+// whose next sync or packaged query then runs on its own goroutine, in
+// the manner of flat combining. It publishes one word, "lent at consumer
+// count n", and while s is lent reads only the producer's count and the
+// word, no consumer field of the queue the client may be running. A busy
+// poll reads the count only; a yielding one reads the word too.
+//
+// h takes s back with one CAS before it consumes again or leaves the
+// wait to idle: when the count moves and the client has not claimed
+// within lendGrace reads (a Call not followed by a sync), or when the
+// budget is spent with the word unchanged. A client that ends its block
+// takes s back for h (Session.closeBlock), and h consumes the END at
+// once. Each change of the word — a claim, a hand-back — restarts the
+// budget past its busy polls, since the client is engaged. The client
+// then runs requests of h's on h's time, so once lendSlice has passed
+// since the first claim a change spends the step budget instead: h
+// reports true, and drain re-queues it before it dequeues anything, with
+// s still lent, so that a client that keeps claiming does not keep h's
+// worker from the handlers queued behind it. The client goes on claiming
+// meanwhile, and h's next pass takes s back (hold). A client holding s
+// when the engaged budget runs out gets it marked lendLeft, and h idles
+// without touching what s's holder owns.
+func (h *Handler) spinLent(s *Session, budget *int) bool {
+	n := s.q.Enqueued()
+	if !s.q.Empty() {
+		return true
+	}
+	// Empty re-read the producer's count and found the consumer at it, so
+	// n is the consumer's count too.
+	w := h.onWorker
+	h.onWorker = nil
+	seen := lentAt(n, 0)
+	s.lend.Store(seen)
+	var t0 int64 // when h first saw the client claim: a lend it never uses reads no clock
+	for i := 0; ; i++ {
+		more := sched.Engaged.Poll(i)
+		if more && i < int(sched.Idle) && sameCount(seen, s.q.Enqueued()) {
+			continue
+		}
+		cur := s.lend.Load()
+		if cur == lendHeld { // the client's END took s back (Session.closeBlock)
+			h.onWorker = w
+			return true
+		}
+		if cur != seen {
+			seen, i = cur, int(sched.Idle)-1
+			if t0 == 0 {
+				t0 = obs.Now()
+			} else if obs.Now()-t0 > lendSlice {
+				*budget = 0
+				return true // s stays lent while h waits its turn (drain)
+			}
+			continue
+		}
+		switch {
+		case cur&lendState == lendClaimed:
+			if !more && s.lend.CompareAndSwap(cur, cur|lendLeft) {
+				return false // the client hands s back (Session.runClaimed)
+			}
+			continue
+		case more && sameCount(cur, s.q.Enqueued()):
+			continue
+		case more:
+			for j := 0; j < lendGrace && s.lend.Load() == cur; j++ {
+			}
+		}
+		if s.lend.CompareAndSwap(cur, lendHeld) {
+			h.onWorker = w
+			if !s.q.Empty() {
+				return true
+			}
+			h.spun = true // the engaged budget is spent
+			return false
+		}
+	}
 }
 
 // execOne executes a single request of session s and reports whether
@@ -365,7 +501,7 @@ func (h *Handler) execOne(s *Session, c call) (ended bool) {
 		// ordinary END may have changed handler state and fires the
 		// waiters; a failed guard's changed nothing and files its client
 		// (a callGuard's generation is zero).
-		h.cur = nil
+		h.cur, h.lends = nil, false
 		h.rt.stats.endsProcessed.Add(1)
 		if c.kind == callEnd && s.errPub.Load() != nil {
 			// A panic poisons its block only. The client may have reused
@@ -398,6 +534,9 @@ func (h *Handler) execOne(s *Session, c call) (ended bool) {
 		o := s.owner
 		if o.query != nil {
 			o.replyVal, _ = h.execQuery(s, o.query)
+		}
+		if h.rt.cfg.DynElide && !h.lends {
+			h.lends = true
 		}
 		o.parker.Unpark()
 	}

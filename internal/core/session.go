@@ -138,6 +138,17 @@ type Session struct {
 	// the owner is parked, and the park/unpark hand-off orders it.
 	onHandler bool
 
+	// live is set once a round trip of the current block has been
+	// answered, and cleared when the block ends: the handler has then
+	// consumed every marker of an earlier block, so a lend the client
+	// finds is this block's (claim). Client-owned.
+	live bool
+
+	// lend is the lend word (spinLent, claim): who holds the handler's
+	// side of s while the handler waits engaged. It and live fill the
+	// padding after onHandler: Session stays in its size class.
+	lend atomic.Uint32
+
 	// next chains the owner's further sessions on h behind the one its
 	// cache holds: those opened while every session before them was
 	// mid-block or poisoned (Client.session). Client-owned.
@@ -147,6 +158,28 @@ type Session struct {
 	// SeparateWhen block (reserveMany), which then allocates nothing.
 	one [1]*Session
 }
+
+// The lend word. A handler waiting engaged in a block whose sync it has
+// answered publishes lentAt(n, 0): caught up on the session at consumer
+// count n, whose 27 low bits it keeps, lend generation 0. Its two low
+// bits say who holds the session. A claim turns lendLent into
+// lendClaimed and keeps the rest; a hand-back publishes the new count at
+// the next generation (3 bits). So each claim and each hand-back writes
+// a word the handler has not read for at least 8 round trips, and a
+// handler sampling the word sees its client engaged even when queries,
+// which move no count, are all it does.
+const (
+	lendHeld    uint32 = 0 // the handler holds the session: not lent, or taken back, by it or by the client's END (the whole word is 0)
+	lendLent    uint32 = 1 // the handler waits engaged, or its turn on the pool, and the client may claim
+	lendClaimed uint32 = 2 // the client holds it, and the handler still waits
+	lendLeft    uint32 = 3 // the client holds it, and the handler has left its wait
+	lendState   uint32 = 3 // the mask of those bits
+)
+
+func lentAt(n uint64, gen uint32) uint32 { return uint32(n)<<5 | gen&7<<2 | lendLent }
+
+// sameCount reports whether the lend word w was published at count n.
+func sameCount(w uint32, n uint64) bool { return w>>5 == uint32(n)<<5>>5 }
 
 // Handler returns the handler this session is reserved on.
 func (s *Session) Handler() *Handler { return s.h }
@@ -197,7 +230,9 @@ func (s *Session) logCall(kind callKind, fn func()) {
 // when Sync returns, every previously logged call has executed and the
 // handler is parked waiting on this session. Under dynamic
 // sync-coalescing the round-trip is skipped if the handler is already
-// synced. Sync panics with *HandlerError if a previous call panicked.
+// synced, and one on a session the handler has lent runs on the client
+// (roundTrip). Sync panics with *HandlerError if a previous call
+// panicked.
 func (s *Session) Sync() {
 	rt := s.h.rt
 	if rt.cfg.DynElide && s.synced {
@@ -210,7 +245,8 @@ func (s *Session) Sync() {
 	s.SyncNow()
 }
 
-// SyncNow performs the sync round-trip unconditionally. It is the
+// SyncNow performs the sync round-trip unconditionally: parked, or run
+// by the client on a session the handler has lent (roundTrip). It is the
 // primitive the static sync-coalescing pass emits for the one sync it
 // hoists out of a loop; application code normally wants Sync.
 func (s *Session) SyncNow() {
@@ -226,29 +262,43 @@ func (s *Session) SyncNow() {
 	s.checkErr()
 }
 
-// roundTrip logs callSync and waits until the handler has answered it —
-// with the owner's query slot set, a packaged query, whose reply the
-// handler leaves next to it. A handler-hosted owner first runs an idle
-// handler's Step inline (syncInline), and parks only when that did not
-// answer. The handler then loops back to dequeue on this same private
-// queue, so s is synced.
+// roundTrip answers a sync — with the owner's query slot set, a packaged
+// query. When the handler has lent s (claim), the client runs the
+// block's pending calls and the query itself, on its own goroutine, and
+// hands s back still pinned: no park, no hand-off, and no flush of the
+// client's counts. Otherwise it flushes them, logs callSync and waits
+// until the handler has answered it, leaving a query's reply next to
+// it: a handler-hosted owner first runs an idle handler's Step inline
+// (syncInline), and parks only when that did not answer. Either way the
+// handler is caught up and waiting on this same private queue after,
+// so s is synced.
 func (s *Session) roundTrip() {
 	c := s.owner
-	c.flush()
+	var lent uint32
+	if s.live {
+		lent = s.claim()
+	}
+	if lent == 0 {
+		c.flush()
+	}
 	var t0 int64
 	if obs.Enabled() {
 		t0 = obs.Now()
 	}
-	if c.host != nil {
-		c.waitingOn.Store(s.h)
-	}
-	// Log before syncInline and park's blockBegin (see log).
-	s.log(call{kind: callSync})
-	if !c.syncInline(s.h) {
-		c.park()
-	}
-	if c.host != nil {
-		c.waitingOn.Store(nil)
+	if lent != 0 {
+		s.runClaimed(lent)
+	} else {
+		if c.host != nil {
+			c.waitingOn.Store(s.h)
+		}
+		// Log before syncInline and park's blockBegin (see log).
+		s.log(call{kind: callSync})
+		if !c.syncInline(s.h) {
+			c.park()
+		}
+		if c.host != nil {
+			c.waitingOn.Store(nil)
+		}
 	}
 	if t0 != 0 {
 		d := obs.Now() - t0
@@ -260,7 +310,47 @@ func (s *Session) roundTrip() {
 			obs.Emit(obs.KindQuery, uint64(s.h.id), d)
 		}
 	}
-	s.synced = true
+	s.synced, s.live = true, true
+}
+
+// claim takes a session its handler has lent, with one CAS: the client
+// then holds the handler's side of s, the consumer end of its queue and
+// what the handler's pinned session guards, until runClaimed hands it
+// back. It returns the lent word it took, 0 when s was not lent. Only
+// for a live session: a lend found before the block's first answered
+// round trip may be left over from the block before, whose END is still
+// queued.
+func (s *Session) claim() uint32 {
+	if w := s.lend.Load(); w&lendState == lendLent && s.lend.CompareAndSwap(w, w^lendLent^lendClaimed) {
+		return w
+	}
+	return 0
+}
+
+// runClaimed is a claimed round trip: it runs the requests the client
+// logged since the lend (calls only: the block's markers were consumed
+// before the lend, and the client logged no sync since), then the
+// packaged query, with the handler's poison rules, and hands s back lent
+// at the new count, a generation past lent. A handler that left its wait
+// meanwhile gets s back held, and a wake, which resumes its engaged wait
+// as the requests just run would have.
+func (s *Session) runClaimed(lent uint32) {
+	h, c := s.h, s.owner
+	for {
+		r, ok := s.q.TryDequeue()
+		if !ok {
+			break
+		}
+		h.execOne(s, r)
+	}
+	if c.query != nil {
+		c.replyVal, _ = h.execQuery(s, c.query)
+	}
+	claimed := lent ^ lendLent ^ lendClaimed
+	if !s.lend.CompareAndSwap(claimed, lentAt(s.q.Enqueued(), lent>>2+1)) {
+		s.lend.Store(lendHeld)
+		h.wakeFrom(c.curWorker())
+	}
 }
 
 // Synced reports whether the handler is known to be parked on this
@@ -342,8 +432,7 @@ func (s *Session) Err() error {
 func (s *Session) end() {
 	s.owner.flush()
 	s.log(call{kind: callEnd})
-	s.synced = false
-	s.inUse = false
+	s.closeBlock()
 }
 
 // endWaiting ends the block like end, but with the marker of a failed
@@ -352,7 +441,23 @@ func (s *Session) end() {
 func (s *Session) endWaiting(gen int64) {
 	s.owner.flush()
 	s.log(call{kind: callWait, at: gen})
-	s.synced = false
+	s.closeBlock()
+}
+
+// closeBlock is the client's side of a block's end, once its marker is
+// logged. A handler still lending s for this block would wait out
+// lendGrace before it took s back to consume the marker, and keep the
+// blocks queued behind it waiting that long: the client takes the lend
+// back for it, with one CAS (spinLent sees the word held). A lend the
+// handler publishes after that, on the count before the marker, is the
+// stale one that live keeps the next block from claiming.
+func (s *Session) closeBlock() {
+	if s.live {
+		if w := s.lend.Load(); w&lendState == lendLent {
+			s.lend.CompareAndSwap(w, lendHeld)
+		}
+	}
+	s.synced, s.live = false, false
 	s.inUse = false
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -63,6 +64,45 @@ func TestSPSCOrder(t *testing.T) {
 	}
 	if _, ok := q.Dequeue(); ok {
 		t.Fatal("Dequeue after drain+close returned ok")
+	}
+}
+
+// TestSPSCEnqueuedCountsProducer pins Enqueued: the producer's count,
+// read by a third goroutine while the two sides run, never behind what
+// the consumer has taken and never past what the producer has logged,
+// and exact once both have finished.
+func TestSPSCEnqueuedCountsProducer(t *testing.T) {
+	q := NewSPSC[int](0)
+	const n = 10000
+	var taken atomic.Uint64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for taken.Load() < n {
+			if lo, got := taken.Load(), q.Enqueued(); got < lo || got > n {
+				t.Errorf("Enqueued = %d with %d taken, want within [%d, %d]", got, lo, lo, n)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	go func() {
+		for i := range n {
+			q.Enqueue(i)
+		}
+	}()
+	for range n {
+		for {
+			if _, ok := q.TryDequeue(); ok {
+				break
+			}
+			runtime.Gosched()
+		}
+		taken.Add(1)
+	}
+	<-done
+	if got := q.Enqueued(); got != n {
+		t.Errorf("Enqueued = %d after %d items, want %d", got, n, n)
 	}
 }
 
@@ -596,11 +636,10 @@ func TestMPSCBacklogAllocs(t *testing.T) {
 }
 
 // callSized is the size of a core private queue's item (core's call):
-// a kind, two funcs and a stamp, 32 bytes.
+// a kind, a func and a stamp, 24 bytes.
 type callSized struct {
 	kind uint8
 	fn   func()
-	qfn  func() any
 	at   int64
 }
 

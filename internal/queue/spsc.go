@@ -69,8 +69,10 @@ func newRing[T any](size int) *ring[T] {
 
 // SPSC is an unbounded single-producer single-consumer queue.
 // Exactly one goroutine may call Enqueue/Close and exactly one may call
-// Dequeue/TryDequeue/Empty. A zero value is usable after Init; NewSPSC
-// returns an initialized one.
+// Dequeue/TryDequeue/Empty at a time (the consumer side may change hands
+// when something else orders the hand-over); Enqueued is safe from any
+// goroutine. A zero value is usable after Init; NewSPSC returns an
+// initialized one.
 //
 // The queue is a chain of rings. The producer writes its item into the
 // current ring and publishes its total count (pub) with one atomic
@@ -250,3 +252,9 @@ func (q *SPSC[T]) Dequeue() (v T, ok bool) {
 func (q *SPSC[T]) Empty() bool {
 	return q.cn == q.pub.Load()
 }
+
+// Enqueued returns the producer's published count: how many items have
+// ever been enqueued. It reads no consumer field, so any goroutine may
+// poll it, a consumer that has handed its side of the queue to another
+// goroutine included.
+func (q *SPSC[T]) Enqueued() uint64 { return q.pub.Load() }

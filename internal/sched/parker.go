@@ -26,6 +26,11 @@
 // own worker's next slot, it takes it back (Executor.ClaimNext) and runs
 // the handler's Step on its own goroutine; the Step's Unpark leaves the
 // token, which the client takes with TryPark: no goroutine switch at all.
+// Under dynamic sync coalescing any client skips the Parker once the
+// handler has answered a sync of its block: the handler, waiting
+// engaged for the next request, lends the client its session, and the
+// client runs its next sync or packaged query itself, with neither a
+// park nor a hand-off; it parks only when the handler has not lent it.
 package sched
 
 import "runtime"
@@ -39,7 +44,10 @@ const (
 	// request: a query's round trip is shorter than a park/unpark cycle.
 	// Not for a handler its own client runs inline (core's inline sync):
 	// that client logs nothing until the handler's Step returns, so the
-	// Step polls once and idles.
+	// Step polls once and idles. After a sync, under dynamic coalescing,
+	// core's handler lends its session to the client for this wait: the
+	// client's round trips then run on the client, and each claim or
+	// hand-back the handler sees restarts the wait at its yielding polls.
 	Engaged WaitPolicy = 64
 	// Idle is for a consumer nobody owes work, such as an actor on its
 	// mailbox: only SpinWait's busy polls, then Park, which is itself the
